@@ -111,8 +111,9 @@ let hot_trees =
     |> List.map Core.Treecheck.of_prefixes)
 
 (* Parallel-driver set: fewer, harder histories (deeper DFS per call), so
-   the per-call domain spawn of the work-stealing driver amortizes and
-   the rows measure search throughput, not setup.  Recorded at -j 1 and
+   the per-call frontier split and job hand-off to the pool's parked
+   workers amortize and the rows measure search throughput, not setup.
+   Recorded at -j 1 and
    -j 2 on whatever this machine is — on the 1-core CI container the
    -j 2 row honestly shows the coordination overhead. *)
 let hot_par_histories =

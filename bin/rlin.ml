@@ -11,7 +11,7 @@
      rlin abd ...                      run an ABD workload and check it
      rlin mwabd                        multi-writer ABD + its non-WSL refutation
      rlin check -j N ...               seeded history batteries through the
-                                       (work-stealing parallel) checker
+                                       (parallel) checker
      rlin chaos run ...                random config search + online monitors
      rlin chaos replay PATH            replay the regression corpus verbatim
      rlin chaos shrink PATH            re-minimize corpus entries
@@ -548,7 +548,7 @@ let chaos_run_cmd =
       & info [ "check-jobs" ] ~docv:"JOBS"
           ~doc:
             "Run the linearizability monitor's checker on up to $(docv) \
-             domains per audited run (the work-stealing parallel driver).  \
+             domains per audited run (the parallel checker).  \
              Verdicts, reports and corpora are identical whatever $(docv) \
              is.")
   in
@@ -1761,7 +1761,7 @@ let check_cmd =
        ~doc:
          "Generate seeded histories and decide their linearizability \
           (optionally plus the prefix-tree write strong-linearizability \
-          check) on up to JOBS domains via the work-stealing parallel \
+          check) on up to JOBS domains via the parallel \
           checker.  Verdicts and witnesses are identical at every -j; the \
           Too_large op cap is raised with the domain budget \
           (Lincheck.effective_cap) and surfaced in the report header.")

@@ -33,7 +33,7 @@ val linearizability : t
     to incomplete runs too (pending operations are handled exactly). *)
 
 val linearizability_jobs : jobs:int -> t
-(** {!linearizability} with the checker's work-stealing parallel driver
+(** {!linearizability} with the checker's parallel search
     on [jobs] domains.  Reports the exact same violations at every
     [jobs] (the checker's verdicts are [jobs]-invariant), so the two are
     interchangeable; [jobs:1] {e is} {!linearizability}. *)

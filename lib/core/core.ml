@@ -55,8 +55,6 @@ module Stable = Simkit.Stable
 module Sched = Simkit.Sched
 module Trace = Simkit.Trace
 module Pool = Simkit.Pool
-module Deque = Simkit.Deque
-module Steal = Simkit.Steal
 
 (* ----- registers ------------------------------------------------------------ *)
 

@@ -94,7 +94,10 @@ let add t ~k1 ~k2 =
    can never observe a torn pair — false positives are structurally
    impossible, which is what the memo's pruning soundness rests on. *)
 module Sharded = struct
-  type entry = Empty | Pair of int * int
+  (* [Moved]: a slot that was still empty when a rehash copied its table.
+     Freezing every such slot before the new table is published means no
+     add can land in the old table behind the copy. *)
+  type entry = Empty | Pair of int * int | Moved
 
   type shard = {
     tab : entry Atomic.t array Atomic.t;
@@ -149,7 +152,7 @@ module Sharded = struct
       if steps > mask then false
       else
         match Atomic.get tab.(i) with
-        | Empty -> false
+        | Empty | Moved -> false
         | Pair (a, b) when a = k1 && b = k2 -> true
         | Pair _ -> probe ((i + 1) land mask) (steps + 1)
     in
@@ -157,25 +160,28 @@ module Sharded = struct
 
   (* Rehash [sh] into a table twice the size of [cur].  Under the shard
      lock; re-checks that [cur] is still current so two adders racing to
-     grow don't double it twice. *)
+     grow don't double it twice.  Each empty slot of [cur] is frozen to
+     [Moved] before the new table is published, so an add either landed
+     in [cur] before the copy reached its slot (and is copied) or sees
+     [Moved] and retries on the new table. *)
   let grow_shard t sh cur =
     Mutex.lock sh.lock;
     if Atomic.get sh.tab == cur then begin
       let cap = 2 * Array.length cur in
       let mask = cap - 1 in
       let tab = fresh_tab cap in
-      Array.iter
-        (fun slot ->
-          match Atomic.get slot with
-          | Empty -> ()
-          | Pair (a, b) as e ->
-              let rec place i =
-                match Atomic.get tab.(i) with
-                | Empty -> Atomic.set tab.(i) e
-                | Pair _ -> place ((i + 1) land mask)
-              in
-              place ((hash a b lsr t.shard_bits) land mask))
-        cur;
+      let rec place e i =
+        match Atomic.get tab.(i) with
+        | Empty -> Atomic.set tab.(i) e
+        | Pair _ | Moved -> place e ((i + 1) land mask)
+      in
+      let rec copy slot =
+        match Atomic.get slot with
+        | Empty -> if not (Atomic.compare_and_set slot Empty Moved) then copy slot
+        | Moved -> ()
+        | Pair (a, b) as e -> place e ((hash a b lsr t.shard_bits) land mask)
+      in
+      Array.iter copy cur;
       Atomic.incr sh.grows;
       Atomic.set sh.tab tab
     end;
@@ -192,6 +198,7 @@ module Sharded = struct
         match Atomic.get tab.(i) with
         | Pair (a, b) when a = k1 && b = k2 -> `Present
         | Pair _ -> probe ((i + 1) land mask)
+        | Moved -> `Retired
         | Empty ->
             if Atomic.compare_and_set tab.(i) Empty (Pair (k1, k2)) then
               `Inserted
@@ -199,17 +206,15 @@ module Sharded = struct
       in
       match probe ((h lsr t.shard_bits) land mask) with
       | `Present -> ()
+      | `Retired ->
+          (* a rehash is copying [tab]: wait for it to publish, then retry *)
+          Mutex.lock sh.lock;
+          Mutex.unlock sh.lock;
+          attempt ()
       | `Inserted ->
-          if Atomic.get sh.tab != tab then
-            (* A rehash raced us and may have copied the old table before
-               our CAS landed: re-insert into the published table (finding
-               ourselves already copied is the common case).  The insert
-               into the retired table is invisible and harmless. *)
-            attempt ()
-          else begin
-            let size = 1 + Atomic.fetch_and_add sh.size 1 in
-            if 2 * size > Array.length tab then grow_shard t sh tab
-          end
+          let size = 1 + Atomic.fetch_and_add sh.size 1 in
+          let cur = Atomic.get sh.tab in
+          if 2 * size > Array.length cur then grow_shard t sh cur
     in
     attempt ()
 

@@ -43,8 +43,10 @@ val stats : t -> stats
     positives.  False {e negatives} are possible (an add racing a shard
     rehash may be momentarily invisible) and are sound for a failure
     memo: the worst case is re-exploring a subtree already known to
-    fail.  Adds are never lost: an adder that observes its shard's table
-    superseded re-inserts into the published table. *)
+    fail.  Adds are never lost: a rehash freezes each still-empty slot of
+    the old table before publishing the new one, so an add either lands
+    before the copy reaches its slot (and is copied) or finds the slot
+    frozen and retries on the new table. *)
 module Sharded : sig
   type t
 
@@ -61,10 +63,8 @@ module Sharded : sig
       mutex). @raise Invalid_argument if [k1 < 0]. *)
 
   val length : t -> int
-  (** Approximate under concurrent adds (racing inserts that a rehash
-      also copied may be counted once or not at all); exact once all
-      adders have quiesced modulo such races, and always [<=] the true
-      element count. *)
+  (** Approximate while adds are in flight (an insert is counted just
+      after it lands); exact once all adders have quiesced. *)
 
   val shards : t -> int
   val occupancy : t -> float

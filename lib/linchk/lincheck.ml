@@ -294,7 +294,7 @@ let decide ?(trc = Obs.Tracer.null) ~m p ~forced ~scope =
 
    The DFS state has been three machine ints since PR 5, so forking the
    search is cheap: expand the root into a lex-ordered frontier of
-   subtree tasks, run them under the work-stealing runner, and share the
+   subtree tasks, run them on [Simkit.Pool]'s parked workers, and share the
    failure memo through a sharded concurrent set.
 
    Determinism is by construction, not by luck (DESIGN.md §14):
@@ -413,7 +413,6 @@ let decide_par ?(trc = Obs.Tracer.null) ~m ~jobs p ~forced ~scope =
   in
   let ntasks = Array.length tasks in
   let par_tasks = Obs.Metrics.counter_h m "linchk.par.tasks" in
-  let par_stolen = Obs.Metrics.counter_h m "linchk.par.stolen" in
   let par_cancelled = Obs.Metrics.counter_h m "linchk.par.cancelled" in
   if ntasks = 0 then None
   else begin
@@ -487,7 +486,12 @@ let decide_par ?(trc = Obs.Tracer.null) ~m ~jobs p ~forced ~scope =
         end
       in
       let s0 = tasks.(ti) in
-      match go s0.fmask s0.fcursor s0.fvid s0.frpath with
+      (* a task that has already lost is skipped, not merely cut short at
+         its first poll *)
+      match
+        if Atomic.get best < ti then raise Cancelled
+        else go s0.fmask s0.fcursor s0.fvid s0.frpath
+      with
       | Some w ->
           results.(ti) <- Some w;
           let rec cas_min () =
@@ -498,10 +502,9 @@ let decide_par ?(trc = Obs.Tracer.null) ~m ~jobs p ~forced ~scope =
       | None -> ()
       | exception Cancelled -> Atomic.incr n_cancelled
     in
-    let stats = Simkit.Steal.run ~jobs ntasks run_task in
+    Simkit.Pool.iter ~jobs ntasks run_task;
     Array.iter (fun r -> Obs.Metrics.merge ~into:m r) regs;
     Obs.Metrics.incr_h ~by:ntasks par_tasks;
-    Obs.Metrics.incr_h ~by:stats.Simkit.Steal.stolen par_stolen;
     Obs.Metrics.incr_h ~by:(Atomic.get n_cancelled) par_cancelled;
     Obs.Metrics.set_gauge m "linchk.par.memo_occupancy"
       (Ipset.Sharded.occupancy memo);
@@ -512,7 +515,6 @@ let decide_par ?(trc = Obs.Tracer.null) ~m ~jobs p ~forced ~scope =
            ~args:
              [
                ("tasks", Obs.Json.Int ntasks);
-               ("stolen", Obs.Json.Int stats.Simkit.Steal.stolen);
                ("cancelled", Obs.Json.Int (Atomic.get n_cancelled));
                ("memo_size", Obs.Json.Int mstats.Ipset.size);
                ("memo_shards", Obs.Json.Int (Ipset.Sharded.shards memo));

@@ -58,13 +58,13 @@ val check :
     which the Perfetto export renders as counter tracks.  Disarmed, the
     probe costs one branch per state.
 
-    [jobs] (default 1) > 1 runs the work-stealing parallel driver: the
-    search splits at the top-of-tree frontier into lex-ordered subtree
+    [jobs] (default 1) > 1 runs the search in parallel on [Simkit.Pool]:
+    it splits at the top-of-tree frontier into lex-ordered subtree
     tasks sharing a sharded failure memo, and the lowest-index success
-    wins (higher-index tasks are cancelled), so the verdict {e and}
-    witness are identical to the sequential search at every [jobs] — see
-    DESIGN.md §14.  Parallel runs add [linchk.par.tasks] /
-    [linchk.par.stolen] / [linchk.par.cancelled] counters and a
+    wins (higher-index tasks are skipped or cancelled), so the verdict
+    {e and} witness are identical to the sequential search at every
+    [jobs] — see DESIGN.md §14.  Parallel runs add [linchk.par.tasks] /
+    [linchk.par.cancelled] counters and a
     [linchk.par.memo_occupancy] gauge, and with an armed [tracer] emit a
     post-hoc [linchk.par.done] summary event (tasks run inside the
     parallel driver never trace — the recorder is not thread-safe).

@@ -211,7 +211,6 @@ let solve_par ~m ~trc ~jobs ~sel pt =
       (Tnode { gnode = pt; gprefix = []; gacc = [] })
   in
   let par_tasks = Obs.Metrics.counter_h m "treecheck.par.tasks" in
-  let par_stolen = Obs.Metrics.counter_h m "treecheck.par.stolen" in
   let par_cancelled = Obs.Metrics.counter_h m "treecheck.par.cancelled" in
   match entries with
   | [] -> None
@@ -259,10 +258,9 @@ let solve_par ~m ~trc ~jobs ~sel pt =
         | None -> ()
         | exception Cancelled -> Atomic.incr n_cancelled
       in
-      let stats = Simkit.Steal.run ~jobs ntasks run_task in
+      Simkit.Pool.iter ~jobs ntasks run_task;
       Array.iter (fun r -> Obs.Metrics.merge ~into:m r) regs;
       Obs.Metrics.incr_h ~by:ntasks par_tasks;
-      Obs.Metrics.incr_h ~by:stats.Simkit.Steal.stolen par_stolen;
       Obs.Metrics.incr_h ~by:(Atomic.get n_cancelled) par_cancelled;
       if Obs.Tracer.armed trc then
         ignore
@@ -270,7 +268,6 @@ let solve_par ~m ~trc ~jobs ~sel pt =
              ~args:
                [
                  ("tasks", Obs.Json.Int ntasks);
-                 ("stolen", Obs.Json.Int stats.Simkit.Steal.stolen);
                  ("cancelled", Obs.Json.Int (Atomic.get n_cancelled));
                ]
              ~sim:0 ~cat:"check" "treecheck.par.done");

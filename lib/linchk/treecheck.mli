@@ -55,13 +55,13 @@ val write_strong :
     nodes visited, candidate orders generated, current tree depth.
 
     [jobs] (default 1) > 1 preps the tree's nodes in parallel and runs
-    the work-stealing tree search: the OR structure of the search
-    (candidate orders, nested along single-child spines) is expanded
-    into lex-ordered alternatives, each solved as a task, and the
-    lowest-index success wins — verdicts and witnesses are identical to
-    the sequential search at every [jobs] (DESIGN.md §14).  Parallel
-    runs add [treecheck.par.tasks] / [treecheck.par.stolen] /
-    [treecheck.par.cancelled] counters and, with an armed [tracer], a
+    the parallel tree search on [Simkit.Pool]: the OR structure of the
+    search (candidate orders, nested along single-child spines) is
+    expanded into lex-ordered alternatives, each solved as a task, and
+    the lowest-index success wins — verdicts and witnesses are identical
+    to the sequential search at every [jobs] (DESIGN.md §14).  Parallel
+    runs add [treecheck.par.tasks] / [treecheck.par.cancelled] counters
+    and, with an armed [tracer], a
     post-hoc [treecheck.par.done] summary event. *)
 
 val strong : ?metrics:Obs.Metrics.t -> init:History.Value.t -> tree -> bool

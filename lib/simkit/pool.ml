@@ -1,14 +1,13 @@
-(* A work-sharing domain pool: tasks are indices 0..n-1 claimed from a
-   shared atomic cursor, so domains that finish early steal the remaining
-   work automatically.  No dependencies beyond the stdlib (Domain /
-   Atomic / Mutex); [jobs <= 1] degenerates to a plain sequential loop on
-   the calling domain. *)
+(* The repo's one parallel runner: tasks are indices 0..n-1 claimed from a
+   shared atomic cursor, so domains that finish early take the remaining
+   work automatically.  Worker domains are spawned once, lazily, and park
+   on a Mutex/Condition between calls; each call publishes one job, runs
+   it on the calling domain too, and waits for the workers that joined.
+   No dependencies beyond the stdlib (Domain / Atomic / Mutex /
+   Condition); [jobs <= 1] degenerates to a plain sequential loop on the
+   calling domain. *)
 
 let default_jobs () = Domain.recommended_domain_count ()
-
-(* Outcome of task [i]; [None] means not executed (only possible after a
-   sibling task raised and cancelled the run). *)
-type 'a cell = 'a option
 
 (* How many indices one fetch_and_add claims.  Whole-simulation tasks
    (milliseconds each) amortize a single atomic trivially, but fleet-
@@ -19,50 +18,136 @@ type 'a cell = 'a option
 let chunk_for ~jobs n =
   if n <= jobs * 8 then 1 else Stdlib.min 64 (n / (jobs * 8))
 
+(* ----- the parked workers ------------------------------------------------ *)
+
+(* One process-wide set of workers.  [work] is the published job (a claim
+   loop that never raises); [seats] is how many more workers may join it
+   and [running] how many are inside it.  Joining a job twice is harmless:
+   its cursor is exhausted, so the second pass returns at once. *)
+type workers = {
+  lock : Mutex.t;
+  wake : Condition.t;  (* seats opened *)
+  idle : Condition.t;  (* running fell to 0 *)
+  mutable work : unit -> unit;
+  mutable seats : int;
+  mutable running : int;
+  mutable spawned : int;
+}
+
+let w =
+  {
+    lock = Mutex.create ();
+    wake = Condition.create ();
+    idle = Condition.create ();
+    work = ignore;
+    seats = 0;
+    running = 0;
+    spawned = 0;
+  }
+
+(* Held by the one domain whose call owns the workers; any other call —
+   nested inside a task, or racing from another domain — runs inline. *)
+let busy = Atomic.make false
+
+let worker () =
+  Mutex.lock w.lock;
+  while true do
+    while w.seats = 0 do
+      Condition.wait w.wake w.lock
+    done;
+    w.seats <- w.seats - 1;
+    w.running <- w.running + 1;
+    let work = w.work in
+    Mutex.unlock w.lock;
+    (try work () with _ -> ());
+    Mutex.lock w.lock;
+    w.running <- w.running - 1;
+    if w.running = 0 then Condition.signal w.idle
+  done
+
+(* Never more workers than the machine has spare cores: every minor
+   collection stops every domain, a parked one included (its backup
+   thread answers the interrupt), so each surplus parked domain taxes all
+   later allocation — 6 parked domains on 2 cores made a 20M-allocation
+   loop 7.7x slower.  Results are jobs-invariant, so the clamp changes
+   only timing. *)
+let max_workers = default_jobs () - 1
+
+(* Run [work] on the calling domain and on up to [helpers] workers; only
+   the owner of [busy] calls this, so [spawned] needs no lock. *)
+let run_job ~helpers work =
+  let helpers = Stdlib.min helpers max_workers in
+  while w.spawned < helpers do
+    ignore (Domain.spawn worker : unit Domain.t);
+    w.spawned <- w.spawned + 1
+  done;
+  Mutex.lock w.lock;
+  w.work <- work;
+  w.seats <- helpers;
+  for _ = 1 to helpers do
+    Condition.signal w.wake
+  done;
+  Mutex.unlock w.lock;
+  Fun.protect work ~finally:(fun () ->
+      Mutex.lock w.lock;
+      w.seats <- 0;
+      while w.running > 0 do
+        Condition.wait w.idle w.lock
+      done;
+      (* drop the job so its results are not kept alive until the next *)
+      w.work <- ignore;
+      Mutex.unlock w.lock)
+
+(* ----- map ----------------------------------------------------------------- *)
+
+(* [failed] is the lowest index that has raised so far ([n] while none
+   has).  A task runs only while its index is below it, so every task
+   below the lowest failing index runs whatever the schedule, and that
+   index's exception is the one re-raised. *)
+let map_par ~jobs n f =
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let failed = Atomic.make n in
+  let rec lower_failed i =
+    let cur = Atomic.get failed in
+    if i < cur && not (Atomic.compare_and_set failed cur i) then lower_failed i
+  in
+  let chunk = chunk_for ~jobs n in
+  let rec claim () =
+    let start = Atomic.fetch_and_add next chunk in
+    if start < Atomic.get failed then begin
+      for i = start to Stdlib.min n (start + chunk) - 1 do
+        if i < Atomic.get failed then
+          match f i with
+          | v -> results.(i) <- Some (Ok v)
+          | exception e ->
+              results.(i) <- Some (Error (e, Printexc.get_raw_backtrace ()));
+              lower_failed i
+      done;
+      claim ()
+    end
+  in
+  run_job ~helpers:(Stdlib.min jobs n - 1) claim;
+  let first = Atomic.get failed in
+  if first < n then begin
+    match results.(first) with
+    | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+    | Some (Ok _) | None -> assert false (* [first] raised *)
+  end;
+  Array.map
+    (function
+      | Some (Ok v) -> v
+      | Some (Error _) | None -> assert false (* unreachable: no failure *))
+    results
+
 let map ~jobs n f =
   if n < 0 then invalid_arg "Pool.map: negative task count";
   if n = 0 then [||]
-  else if jobs <= 1 || n = 1 then Array.init n (fun i -> f i)
-  else begin
-    let results : ('a, exn) result cell array = Array.make n None in
-    let next = Atomic.make 0 in
-    let cancelled = Atomic.make false in
-    let chunk = chunk_for ~jobs n in
-    let worker () =
-      let continue_ = ref true in
-      while !continue_ do
-        let start = Atomic.fetch_and_add next chunk in
-        if start >= n || Atomic.get cancelled then continue_ := false
-        else begin
-          (* run the claimed chunk; a cancellation (ours or a sibling's)
-             stops new tasks, matching the one-index-per-CAS behaviour *)
-          let stop = Stdlib.min n (start + chunk) in
-          let i = ref start in
-          while !i < stop && not (Atomic.get cancelled) do
-            (match f !i with
-            | v -> results.(!i) <- Some (Ok v)
-            | exception e ->
-                results.(!i) <- Some (Error e);
-                Atomic.set cancelled true);
-            incr i
-          done
-        end
-      done
-    in
-    let spawned = Stdlib.min jobs n - 1 in
-    let domains = Array.init spawned (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join domains;
-    (* fail with the lowest-index exception for reproducible reports *)
-    Array.iter
-      (function Some (Error e) -> raise e | Some (Ok _) | None -> ())
-      results;
-    Array.map
-      (function
-        | Some (Ok v) -> v
-        | Some (Error _) | None -> assert false (* unreachable: no error *))
-      results
-  end
+  else if jobs <= 1 || n = 1 || not (Atomic.compare_and_set busy false true)
+  then Array.init n f
+  else
+    Fun.protect (fun () -> map_par ~jobs n f) ~finally:(fun () ->
+        Atomic.set busy false)
 
 let iter ~jobs n f = ignore (map ~jobs n f : unit array)
 

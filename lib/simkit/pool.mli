@@ -1,5 +1,6 @@
-(** A small work-sharing domain pool for embarrassingly-parallel run
-    batteries (Monte-Carlo adversary games, random-run checkers).
+(** The repo's one parallel runner: run batteries (Monte-Carlo adversary
+    games, random-run checkers, fleet shards) and the checkers' parallel
+    searches ([Lincheck], [Treecheck]) all go through it.
 
     Tasks are identified by their index [0..n-1] and claimed from a
     shared cursor, so load balances automatically however uneven the
@@ -8,6 +9,15 @@
     short {e chunk} of consecutive indices per atomic fetch instead of
     one, so the cursor cache line stops bouncing on every task; with few
     tasks the chunk degenerates to 1 and behaviour is unchanged.
+
+    Worker domains are process-wide: spawned lazily, at most
+    [min jobs (default_jobs ())) - 1] of them, and parked on a
+    [Mutex]/[Condition] between calls, so a call costs no [Domain.spawn]
+    and an idle worker burns no CPU.  A call publishes its job, runs it
+    on the calling domain too, and returns once every worker that joined
+    has finished.  One call owns the workers at a time: a call made from
+    inside a task, or from another domain while a call is in flight,
+    runs inline on its own domain, exactly as [jobs = 1] would.
 
     Determinism contract: a task must derive all its randomness from its
     index (per-run seeds) and must not touch shared mutable state — in
@@ -21,10 +31,12 @@ val default_jobs : unit -> int
 val map : jobs:int -> int -> (int -> 'a) -> 'a array
 (** [map ~jobs n f] evaluates [f i] for each [i] in [0..n-1] on up to
     [jobs] domains (the calling domain included) and returns the results
-    indexed by task.  [jobs <= 1] runs sequentially, in index order, on
-    the calling domain.  If a task raises, the run is cancelled (already
-    started tasks finish, no new ones start) and the exception of the
-    lowest-index failed task is re-raised. *)
+    indexed by task.  [jobs <= 1], [n <= 1] and nested or concurrent
+    calls run sequentially, in index order, on the calling domain.  If
+    task [i] raises, no task above [i] starts (started ones finish) while
+    every task below [i] still runs, so the exception re-raised — with
+    its backtrace — is always that of the lowest-index failing task.
+    @raise Invalid_argument if [n < 0]. *)
 
 val iter : jobs:int -> int -> (int -> unit) -> unit
 

@@ -1,8 +1,8 @@
-(* The parallel checker driver stack: the Chase–Lev deque and the
-   work-stealing runner (Simkit.Deque / Simkit.Steal), the sharded
-   failure memo (Linchk.Ipset.Sharded), and the determinism contract —
-   parallel verdicts and witnesses byte-identical to sequential at
-   every [jobs] (DESIGN.md §14). *)
+(* The parallel checker stack: the sharded failure memo
+   (Linchk.Ipset.Sharded), cancellation of beaten subtree tasks, and the
+   determinism contract — parallel verdicts and witnesses byte-identical
+   to sequential at every [jobs] (DESIGN.md §14).  The runner itself,
+   Simkit.Pool, is tested in test_pool.ml. *)
 
 module V = Core.Value
 module Op = Core.Op
@@ -10,8 +10,6 @@ module Hist = Core.Hist
 module Gen = Core.Histgen
 module L = Core.Lincheck
 module T = Core.Treecheck
-module Deque = Core.Deque
-module Steal = Core.Steal
 module Ipset = Core.Ipset
 module Chaos = Core.Chaos
 
@@ -21,119 +19,6 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let init = V.Int 0
 let ids_of ops = List.map (fun (o : Op.t) -> o.id) ops
-
-(* ----- Deque ------------------------------------------------------------- *)
-
-let deque_tests =
-  [
-    tc "pop is LIFO, steal is FIFO" (fun () ->
-        let d = Deque.create () in
-        List.iter (Deque.push d) [ 1; 2; 3; 4; 5 ];
-        Alcotest.(check (option int)) "steal oldest" (Some 1) (Deque.steal d);
-        Alcotest.(check (option int)) "steal next" (Some 2) (Deque.steal d);
-        Alcotest.(check (option int)) "pop newest" (Some 5) (Deque.pop d);
-        Alcotest.(check (option int)) "pop next" (Some 4) (Deque.pop d);
-        Alcotest.(check (option int)) "last from either end" (Some 3)
-          (Deque.steal d);
-        Alcotest.(check (option int)) "pop empty" None (Deque.pop d);
-        Alcotest.(check (option int)) "steal empty" None (Deque.steal d));
-    tc "empty deque yields None and size 0" (fun () ->
-        let d : int Deque.t = Deque.create () in
-        check_int "size" 0 (Deque.size d);
-        check_bool "pop" true (Deque.pop d = None);
-        check_bool "steal" true (Deque.steal d = None));
-    tc "grows past its initial capacity" (fun () ->
-        let d = Deque.create ~capacity:8 () in
-        for i = 0 to 199 do
-          Deque.push d i
-        done;
-        check_int "size" 200 (Deque.size d);
-        for i = 199 downto 0 do
-          Alcotest.(check (option int))
-            (Printf.sprintf "pop %d" i)
-            (Some i) (Deque.pop d)
-        done;
-        check_bool "drained" true (Deque.pop d = None));
-    tc "concurrent owner+thieves consume each element exactly once"
-      (fun () ->
-        let n = 2000 in
-        let d = Deque.create ~capacity:16 () in
-        for i = 0 to n - 1 do
-          Deque.push d i
-        done;
-        let remaining = Atomic.make n in
-        let consume take =
-          let mine = ref [] in
-          while Atomic.get remaining > 0 do
-            match take () with
-            | Some v ->
-                mine := v :: !mine;
-                Atomic.decr remaining
-            | None -> Domain.cpu_relax ()
-          done;
-          !mine
-        in
-        let thieves =
-          List.init 3 (fun _ -> Domain.spawn (fun () -> consume (fun () -> Deque.steal d)))
-        in
-        let owned = consume (fun () -> Deque.pop d) in
-        let stolen = List.concat_map Domain.join thieves in
-        let all = List.sort compare (owned @ stolen) in
-        check_int "every element consumed once" n (List.length all);
-        check_bool "no duplicates, no losses" true
-          (all = List.init n Fun.id));
-  ]
-
-(* ----- Steal ------------------------------------------------------------- *)
-
-let steal_tests =
-  [
-    tc "every task runs exactly once (jobs 4, n 100)" (fun () ->
-        let n = 100 in
-        let ran = Array.init n (fun _ -> Atomic.make 0) in
-        let stats = Steal.run ~jobs:4 n (fun i -> Atomic.incr ran.(i)) in
-        check_int "tasks" n stats.Steal.tasks;
-        Array.iteri
-          (fun i c ->
-            check_int (Printf.sprintf "task %d ran once" i) 1 (Atomic.get c))
-          ran;
-        check_int "executed_by length" n (Array.length stats.Steal.executed_by);
-        Array.iter
-          (fun w -> check_bool "worker id in range" true (w >= 0 && w < 4))
-          stats.Steal.executed_by);
-    tc "stolen counts tasks executed off their home worker" (fun () ->
-        let stats = Steal.run ~jobs:4 64 (fun _ -> ()) in
-        let recount = ref 0 in
-        Array.iteri
-          (fun i w -> if w <> i mod 4 then incr recount)
-          stats.Steal.executed_by;
-        check_int "stolen consistent" !recount stats.Steal.stolen);
-    tc "n = 0 and n = 1 degenerate cleanly" (fun () ->
-        let s0 = Steal.run ~jobs:4 0 (fun _ -> assert false) in
-        check_int "no tasks" 0 s0.Steal.tasks;
-        let hit = ref 0 in
-        let s1 = Steal.run ~jobs:4 1 (fun i -> assert (i = 0); incr hit) in
-        check_int "one task" 1 s1.Steal.tasks;
-        check_int "ran once" 1 !hit;
-        check_int "on the caller" 0 s1.Steal.executed_by.(0));
-    tc "jobs 1 runs in index order" (fun () ->
-        let order = ref [] in
-        let stats = Steal.run ~jobs:1 10 (fun i -> order := i :: !order) in
-        check_bool "ascending" true (List.rev !order = List.init 10 Fun.id);
-        check_int "nothing stolen" 0 stats.Steal.stolen);
-    tc "a failing task's exception is re-raised" (fun () ->
-        match Steal.run ~jobs:4 50 (fun i -> if i = 5 then failwith "boom")
-        with
-        | _ -> Alcotest.fail "exception swallowed"
-        | exception Failure msg -> Alcotest.(check string) "exn" "boom" msg);
-    tc "sequential fallback re-raises the lowest-index failure" (fun () ->
-        match
-          Steal.run ~jobs:1 50 (fun i ->
-              if i mod 7 = 3 then failwith (string_of_int i))
-        with
-        | _ -> Alcotest.fail "exception swallowed"
-        | exception Failure msg -> Alcotest.(check string) "exn" "3" msg);
-  ]
 
 (* ----- sharded Ipset ------------------------------------------------------ *)
 
@@ -431,8 +316,6 @@ let chaos_tests =
 
 let suite =
   [
-    ("parcheck.deque", deque_tests);
-    ("parcheck.steal", steal_tests);
     ("parcheck.ipset", ipset_tests);
     ("parcheck.decide", decide_oracle_tests);
     ("parcheck.cancel", cancel_tests);

@@ -1,6 +1,7 @@
-(* Simkit.Pool: the work-sharing domain pool behind `-j N`, and the
-   determinism contract the experiment battery relies on (reports and
-   merged metrics independent of the degree of parallelism). *)
+(* Simkit.Pool: the parked domain pool behind every `-j N` path (run
+   batteries and the checkers' parallel searches), and the determinism
+   contract the experiment battery relies on (reports and merged metrics
+   independent of the degree of parallelism). *)
 
 module Pool = Simkit.Pool
 
@@ -31,8 +32,12 @@ let test_all_tasks_once () =
     [ 1; 2; 4; 7 ]
 
 let test_degenerate () =
-  Alcotest.(check (array int)) "n=0" [||] (Pool.map ~jobs:4 0 (fun i -> i));
+  Alcotest.(check (array int)) "n=0" [||]
+    (Pool.map ~jobs:4 0 (fun _ -> Alcotest.fail "n=0 ran a task"));
   Alcotest.(check (array int)) "n=1" [| 7 |] (Pool.map ~jobs:4 1 (fun _ -> 7));
+  Alcotest.(check bool)
+    "n=1 runs on the calling domain" true
+    ((Pool.map ~jobs:4 1 (fun _ -> Domain.self ())).(0) = Domain.self ());
   Alcotest.(check (array int))
     "jobs=1 runs in index order on the calling domain"
     [| 0; 1; 2; 3 |]
@@ -71,22 +76,80 @@ let test_exception_propagation () =
   Alcotest.(check (option int)) "lowest-index failure wins" (Some 3) raised;
   (* large n forces chunked claiming (n > jobs * 8, so each CAS claims a
      run of indices): the lowest-index failure must still win even when
-     the failing indices land mid-chunk on different domains *)
+     the failing indices land mid-chunk on different domains, and however
+     far the caller has run ahead of the workers *)
   List.iter
     (fun jobs ->
-      let raised =
-        try
-          ignore
-            (Pool.map ~jobs 400 (fun i ->
-                 if i mod 25 = 11 then raise (Boom i)));
-          None
-        with Boom i -> Some i
-      in
-      Alcotest.(check (option int))
-        (Printf.sprintf "jobs=%d: chunked claiming keeps lowest-index failure"
-           jobs)
-        (Some 11) raised)
+      for rep = 1 to 200 do
+        let raised =
+          try
+            ignore
+              (Pool.map ~jobs 400 (fun i ->
+                   if i mod 25 = 11 then raise (Boom i)));
+            None
+          with Boom i -> Some i
+        in
+        Alcotest.(check (option int))
+          (Printf.sprintf "jobs=%d rep %d: lowest-index failure re-raised" jobs
+             rep)
+          (Some 11) raised
+      done)
     [ 2; 4 ]
+
+(* the re-raise carries the failing task's own backtrace: its innermost
+   frame is the [raise] in this file, not a re-raise inside the pool *)
+let test_backtrace_kept () =
+  let was = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace was) (fun () ->
+      match Pool.map ~jobs:2 100 (fun i -> if i = 40 then raise (Boom i)) with
+      | _ -> Alcotest.fail "exception swallowed"
+      | exception Boom i ->
+          let innermost =
+            match Printexc.(backtrace_slots (get_raw_backtrace ())) with
+            | Some slots when Array.length slots > 0 ->
+                Option.map
+                  (fun l -> Filename.basename l.Printexc.filename)
+                  (Printexc.Slot.location slots.(0))
+            | _ -> None
+          in
+          Alcotest.(check int) "index" 40 i;
+          Alcotest.(check (option string))
+            "raised in the task" (Some "test_pool.ml") innermost)
+
+(* ----- parked workers: nesting, concurrent callers, reuse -------------------- *)
+
+let test_nested () =
+  let row i = Array.init 5 (fun j -> (10 * i) + j) in
+  let out =
+    Pool.map ~jobs:2 8 (fun i -> Pool.map ~jobs:2 5 (fun j -> (10 * i) + j))
+  in
+  Alcotest.(check (array (array int)))
+    "nested map returns the jobs=1 array" (Array.init 8 row) out
+
+let test_concurrent_callers () =
+  let call k () = Pool.map ~jobs:2 300 (fun i -> (k * 1000) + i) in
+  let doms = List.map (fun k -> Domain.spawn (call k)) [ 1; 2 ] in
+  List.iter2
+    (fun k d ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "caller %d" k)
+        (Array.init 300 (fun i -> (k * 1000) + i))
+        (Domain.join d))
+    [ 1; 2 ] doms
+
+let test_back_to_back () =
+  for c = 1 to 1000 do
+    (* every 100th call raises: a worker survives its job's exception *)
+    let boom = c mod 100 = 0 in
+    match
+      Pool.map ~jobs:2 16 (fun i -> if boom && i = 9 then raise (Boom i) else c + i)
+    with
+    | out ->
+        if boom || out <> Array.init 16 (fun i -> c + i) then
+          Alcotest.failf "call %d: wrong outcome" c
+    | exception Boom _ -> if not boom then Alcotest.failf "call %d: stray failure" c
+  done
 
 (* ----- map_runs: per-run registries, merged in run order -------------------- *)
 
@@ -190,6 +253,12 @@ let suite =
         tc "degenerate sizes and jobs=1 ordering" test_degenerate;
         tc "exceptions cancel and re-raise deterministically"
           test_exception_propagation;
+        tc "the re-raise keeps the task's backtrace" test_backtrace_kept;
+        tc "a map nested in a task runs inline" test_nested;
+        tc "two domains calling map at once both get their results"
+          test_concurrent_callers;
+        tc "1000 back-to-back jobs=2 calls reuse the parked workers"
+          test_back_to_back;
         tc "map_runs merges per-run registries independent of jobs"
           test_map_runs_merge;
       ] );
