@@ -2,7 +2,9 @@
    (Linchk.Ipset.Sharded), cancellation of beaten subtree tasks, and the
    determinism contract — parallel verdicts and witnesses byte-identical
    to sequential at every [jobs] (DESIGN.md §14).  The runner itself,
-   Simkit.Pool, is tested in test_pool.ml. *)
+   Simkit.Pool, is tested in test_pool.ml; the [parcheck.steal] group
+   below keeps the runner contract the checkers' parallel searches rely
+   on, which the work-stealing runner they used before Pool also met. *)
 
 module V = Core.Value
 module Op = Core.Op
@@ -10,6 +12,7 @@ module Hist = Core.Hist
 module Gen = Core.Histgen
 module L = Core.Lincheck
 module T = Core.Treecheck
+module Pool = Core.Pool
 module Ipset = Core.Ipset
 module Chaos = Core.Chaos
 
@@ -19,6 +22,56 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let init = V.Int 0
 let ids_of ops = List.map (fun (o : Op.t) -> o.id) ops
+
+(* ----- runner contract ---------------------------------------------------- *)
+
+let steal_tests =
+  [
+    tc "every task runs exactly once (jobs 4, n 100)" (fun () ->
+        let n = 100 in
+        let ran = Array.init n (fun _ -> Atomic.make 0) in
+        let out = Pool.map ~jobs:4 n (fun i -> Atomic.incr ran.(i); i) in
+        check_int "results" n (Array.length out);
+        Array.iteri
+          (fun i c ->
+            check_int (Printf.sprintf "task %d ran once" i) 1 (Atomic.get c))
+          ran;
+        check_bool "result i at index i" true (out = Array.init n Fun.id));
+    tc "tasks run on at most jobs domains" (fun () ->
+        let doms =
+          Pool.map ~jobs:4 64 (fun _ -> (Domain.self () :> int))
+          |> Array.to_list |> List.sort_uniq compare
+        in
+        check_bool "at least one domain" true (doms <> []);
+        check_bool "at most 4 domains" true (List.length doms <= 4));
+    tc "n = 0 and n = 1 degenerate cleanly" (fun () ->
+        Pool.iter ~jobs:4 0 (fun _ -> assert false);
+        let hit = ref 0 in
+        let on =
+          Pool.map ~jobs:4 1 (fun i ->
+              assert (i = 0);
+              incr hit;
+              Domain.self ())
+        in
+        check_int "ran once" 1 !hit;
+        check_bool "on the caller" true (on.(0) = Domain.self ()));
+    tc "jobs 1 runs in index order" (fun () ->
+        let order = ref [] in
+        Pool.iter ~jobs:1 10 (fun i -> order := i :: !order);
+        check_bool "ascending" true (List.rev !order = List.init 10 Fun.id));
+    tc "a failing task's exception is re-raised" (fun () ->
+        match Pool.iter ~jobs:4 50 (fun i -> if i = 5 then failwith "boom")
+        with
+        | () -> Alcotest.fail "exception swallowed"
+        | exception Failure msg -> Alcotest.(check string) "exn" "boom" msg);
+    tc "sequential fallback re-raises the lowest-index failure" (fun () ->
+        match
+          Pool.iter ~jobs:1 50 (fun i ->
+              if i mod 7 = 3 then failwith (string_of_int i))
+        with
+        | () -> Alcotest.fail "exception swallowed"
+        | exception Failure msg -> Alcotest.(check string) "exn" "3" msg);
+  ]
 
 (* ----- sharded Ipset ------------------------------------------------------ *)
 
@@ -316,6 +369,7 @@ let chaos_tests =
 
 let suite =
   [
+    ("parcheck.steal", steal_tests);
     ("parcheck.ipset", ipset_tests);
     ("parcheck.decide", decide_oracle_tests);
     ("parcheck.cancel", cancel_tests);
