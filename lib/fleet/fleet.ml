@@ -204,8 +204,12 @@ let run_shard ~metrics (c : config) ~index ~ops =
     if Faults.is_benign c.faults then None
     else Some (Faults.create ~seed:(fault_seed seed) c.faults)
   in
-  (* generic over the register's message type, like Runs.execute_config *)
-  let drive net ~crash ~recover ~write ~read =
+  (* generic over the register, like Runs.execute_config *)
+  let drive (type r) (module R : Msgpass.Replica.S with type t = r) (reg : r)
+      ~write =
+    let net = R.net reg in
+    let crash node = R.crash_node reg ~node in
+    let recover node = R.recover_node reg ~node in
     Option.iter (Net.set_faults net) fpolicy;
     Net.set_batching net ~window:c.batch_window ~max:c.batch_max;
     (* slot layout: Sw's writer client is node 0's fiber (Abd.write must
@@ -263,7 +267,7 @@ let run_shard ~metrics (c : config) ~index ~ops =
       end
       else begin
         r_left.(slot) <- r_left.(slot) - 1;
-        read (slot_pid slot)
+        ignore (R.read reg ~reader:(slot_pid slot))
       end
     in
     (* the generational pool: each session is one occupant of a slot; on
@@ -349,21 +353,13 @@ let run_shard ~metrics (c : config) ~index ~ops =
         Abd.create ~persist:c.persist ~compact:true ~sched ~name ~n:c.n
           ~writer:0 ~init:0 ()
       in
-      drive (Abd.net reg)
-        ~crash:(fun node -> Abd.crash_node reg ~node)
-        ~recover:(fun node -> Abd.recover_node reg ~node)
-        ~write:(fun _pid v -> Abd.write reg v)
-        ~read:(fun pid -> ignore (Abd.read reg ~reader:pid))
+      drive (module Abd) reg ~write:(fun _pid v -> Abd.write reg v)
   | Mw ->
       let reg =
         Mwabd.create ~persist:c.persist ~compact:true ~sched ~name ~n:c.n
           ~init:0 ()
       in
-      drive (Mwabd.net reg)
-        ~crash:(fun node -> Mwabd.crash_node reg ~node)
-        ~recover:(fun node -> Mwabd.recover_node reg ~node)
-        ~write:(fun pid v -> Mwabd.write reg ~proc:pid v)
-        ~read:(fun pid -> ignore (Mwabd.read reg ~reader:pid))
+      drive (module Mwabd) reg ~write:(fun pid v -> Mwabd.write reg ~proc:pid v)
 
 (* ----- the fleet -------------------------------------------------------------- *)
 

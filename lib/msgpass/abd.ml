@@ -1,375 +1,40 @@
-module V = History.Value
-module Op = History.Op
-module Trace = Simkit.Trace
-module Sched = Simkit.Sched
+(* a timestamp is the writer's sequence number; every replica starts at 0 *)
+module R = Replica.Make (struct
+  type t = int
 
-(* Replies carry the responding replica's node index: quorum counting is
-   per distinct node, which makes the protocol idempotent under
-   retransmission and message duplication (a doubled ack can never count
-   twice towards a majority). *)
-type msg =
-  | Write_req of { ts : int; v : int }
-  | Write_ack of { ts : int; node : int }
-  | Read_req of { rid : int; reader : int }
-  | Read_reply of { rid : int; node : int; ts : int; v : int }
-  | Wb_req of { rid : int; ts : int; v : int }
-  | Wb_ack of { rid : int; node : int }
-  (* state-transfer recovery handshake: a recovering server asks the
-     live replicas for their (ts, v) before it serves again *)
-  | Rec_req of { rid : int; node : int }
-  | Rec_reply of { rid : int; node : int; ts : int; v : int }
+  let init ~node:_ = 0
+  let compare = Int.compare
+  let field ts = ("ts", Obs.Json.Int ts)
+end)
 
-type replica = { mutable ts : int; mutable v : int }
+type msg = R.msg
+type persist = Replica.persist
 
-type persist = [ `Every | `Never ]
+type t = { r : R.t; writer_ : int; mutable wseq : int (* last ts issued *) }
 
-type t = {
-  sched : Sched.t;
-  name_ : string;
-  n_ : int;
-  writer_ : int;
-  init_ : int;
-  retry_ : int; (* client retransmission timeout, in own-fiber yields *)
-  quorum_ : int; (* replies per round; majority unless overridden *)
-  persist_ : persist;
-  unsafe_recovery_ : bool;
-  net : msg Net.t;
-  replicas : replica array;
-  stable : (int * int) Simkit.Stable.t; (* per-node durable (ts, v) log *)
-  lost_at_crash : int array; (* records lost by each node's last crash *)
-  mutable wseq : int; (* writer's sequence number *)
-  mutable rseq : int; (* fresh read ids *)
-  mutable recseq : int; (* fresh state-transfer round ids *)
-  (* metric handles, resolved once at creation (hot-path discipline) *)
-  quorum_need_h : Obs.Metrics.Hist.t;
-  stale_c : Obs.Metrics.Counter.t;
-  retransmits_c : Obs.Metrics.Counter.t;
-  writes_c : Obs.Metrics.Counter.t;
-  reads_c : Obs.Metrics.Counter.t;
-  recoveries_c : Obs.Metrics.Counter.t;
-  state_transfer_c : Obs.Metrics.Counter.t;
-  amnesia_c : Obs.Metrics.Counter.t;
-}
-
-let server_pid ~node = 100 + node
-
-(* flight-recorder events for operation phases (category "reg"): an
-   [invoke] roots the op's causal tree, each quorum [round] chains to it,
-   [retransmit]s chain to their round, and the [respond] closes the op.
-   All guarded on [Tracer.armed] so untraced runs pay one branch. *)
-let trc t = Sched.tracer t.sched
-
-let emit_op t ~pid ~parent name args =
-  let tr = trc t in
-  if Obs.Tracer.armed tr then
-    Obs.Tracer.emit tr ~track:pid ~parent
-      ~args:(("obj", Obs.Json.Str t.name_) :: args)
-      ~sim:(Sched.steps t.sched) ~cat:"reg" name
-  else -1
-
-(* a replica accepted an update: apply it in memory and write it ahead to
-   stable storage.  Under [`Every] the append is immediately durable (and
-   traced as a [persist] sync point); under [`Never] it stays in the
-   volatile tail, which a crash discards — that is the amnesia the unsafe
-   recovery path exposes. *)
-let store t ~node rep ~ts ~v =
-  rep.ts <- ts;
-  rep.v <- v;
-  Simkit.Stable.append t.stable ~node (ts, v);
-  if t.persist_ = `Every then
-    ignore
-      (emit_op t ~pid:(server_pid ~node) ~parent:(-1) "persist"
-         [ ("node", Obs.Json.Int node); ("ts", Obs.Json.Int ts) ])
-
-let server t node () =
-  let me = server_pid ~node in
-  let rep = t.replicas.(node) in
-  while true do
-    match Net.recv t.net ~pid:me with
-    | Write_req { ts; v } ->
-        (* idempotent: re-applying an old/duplicate request is a no-op,
-           but it is always re-acknowledged (the earlier ack may have
-           been dropped) *)
-        if ts > rep.ts then store t ~node rep ~ts ~v;
-        Net.send t.net ~src:me ~dst:t.writer_ (Write_ack { ts; node })
-    | Read_req { rid; reader } ->
-        Net.send t.net ~src:me ~dst:reader
-          (Read_reply { rid; node; ts = rep.ts; v = rep.v })
-    | Wb_req { rid; ts; v } ->
-        if ts > rep.ts then store t ~node rep ~ts ~v;
-        (* reply to whichever client is waiting on this rid *)
-        Net.send t.net ~src:me ~dst:(rid / 1_000_000) (Wb_ack { rid; node })
-    | Rec_req { rid; node = who } ->
-        (* a recovering replica asks for state: answer with our copy *)
-        Net.send t.net ~src:me
-          ~dst:(server_pid ~node:who)
-          (Rec_reply { rid; node; ts = rep.ts; v = rep.v })
-    | Rec_reply _ ->
-        (* a state-transfer reply landing after the handshake finished
-           (late or duplicated): stale, ignore *)
-        Obs.Metrics.incr_h t.stale_c
-    | Write_ack _ | Read_reply _ | Wb_ack _ ->
-        (* client-bound message misrouted to a server: impossible by
-           construction (faults drop/duplicate/delay, never re-address) *)
-        assert false
-  done
-
-let create ?(retry_after = 25) ?quorum ?(persist = `Every)
-    ?(unsafe_recovery = false) ?(compact = false) ~sched ~name ~n ~writer ~init
-    () =
-  if n < 2 then invalid_arg "Abd.create: n must be >= 2";
-  if n >= 100 then invalid_arg "Abd.create: n must be < 100";
+let create ?retry_after ?quorum ?persist ?unsafe_recovery ?compact ~sched ~name
+    ~n ~writer ~init () =
   if writer < 0 || writer >= n then invalid_arg "Abd.create: writer out of range";
-  let quorum_ = match quorum with Some q -> q | None -> (n / 2) + 1 in
-  if quorum_ < 1 || quorum_ > n then
-    invalid_arg "Abd.create: quorum out of range";
-  let m = Sched.metrics sched in
-  let stable =
-    Simkit.Stable.create ~metrics:m ~auto_compact:compact
-      ~policy:(match persist with `Every -> Simkit.Stable.Every | `Never -> Simkit.Stable.Explicit)
-      ~n ()
+  let r =
+    R.create ?retry_after ?quorum ?persist ?unsafe_recovery ?compact
+      ~proto:"abd" ~sched ~name ~n ~init ()
   in
-  let t =
-    {
-      sched;
-      name_ = name;
-      n_ = n;
-      writer_ = writer;
-      init_ = init;
-      retry_ = retry_after;
-      quorum_;
-      persist_ = persist;
-      unsafe_recovery_ = unsafe_recovery;
-      net = Net.create ~sched ~n:200;
-      replicas = Array.init n (fun _ -> { ts = 0; v = init });
-      stable;
-      lost_at_crash = Array.make n 0;
-      wseq = 0;
-      rseq = 0;
-      recseq = 0;
-      quorum_need_h = Obs.Metrics.hist_h m "reg.abd.quorum.need";
-      stale_c = Obs.Metrics.counter_h m "reg.abd.stale";
-      retransmits_c = Obs.Metrics.counter_h m "reg.abd.retransmits";
-      writes_c = Obs.Metrics.counter_h m "reg.abd.writes";
-      reads_c = Obs.Metrics.counter_h m "reg.abd.reads";
-      recoveries_c = Obs.Metrics.counter_h m "reg.abd.recoveries";
-      state_transfer_c = Obs.Metrics.counter_h m "reg.abd.state_transfer";
-      amnesia_c = Obs.Metrics.counter_h m "reg.abd.amnesia";
-    }
-  in
-  for node = 0 to n - 1 do
-    (* every node's initial register copy is durable (a freshly formatted
-       disk), whatever the persist policy *)
-    Simkit.Stable.append t.stable ~node (0, init);
-    Simkit.Stable.persist t.stable ~node;
-    Sched.spawn sched ~pid:(server_pid ~node) (server t node)
-  done;
-  t
+  { r; writer_ = writer; wseq = 0 }
 
-let net t = t.net
-let name t = t.name_
-let n t = t.n_
+let net t = R.net t.r
+let name t = R.name t.r
+let n t = R.n t.r
 let writer t = t.writer_
-let majority t = (t.n_ / 2) + 1
+let majority t = R.majority t.r
 
-let send_to t ~src ~node payload =
-  Net.send t.net ~src ~dst:(server_pid ~node) payload
-
-let broadcast_servers t ~src payload =
-  for node = 0 to t.n_ - 1 do
-    send_to t ~src ~node payload
-  done
-
-(* one round trip: broadcast [payload], await matching replies from a
-   majority of distinct replicas, retransmitting to the missing ones on a
-   step-count timeout.  [pseq] is the invoke event this round belongs to
-   (-1 untraced). *)
-let quorum_round t ~pid ~pseq ~payload ~classify =
-  (* every round records the quorum size it waits for: the chaos
-     quorum-intersection monitor checks min(need) >= majority *)
-  Obs.Metrics.observe_h t.quorum_need_h (float_of_int t.quorum_);
-  let rseq =
-    emit_op t ~pid ~parent:pseq "round"
-      [ ("need", Obs.Json.Int t.quorum_) ]
-  in
-  (* sends below chain to the round via the ambient context *)
-  Obs.Tracer.set_ctx (trc t) rseq;
-  broadcast_servers t ~src:pid payload;
-  let seen = Array.make t.n_ false in
-  Net.collect_quorum t.net ~pid ~need:t.quorum_ ~seen ~classify
-    ~stale:(fun () -> Obs.Metrics.incr_h t.stale_c)
-    ~retry_after:t.retry_
-    ~resend:(fun ~missing ->
-      Obs.Metrics.incr_h t.retransmits_c;
-      ignore
-        (emit_op t ~pid ~parent:rseq "retransmit"
-           [ ("missing", Obs.Json.Int (List.length missing)) ]);
-      Obs.Tracer.set_ctx (trc t) rseq;
-      List.iter (fun node -> send_to t ~src:pid ~node payload) missing);
-  (* collect consumed deliveries and left the context on the last one;
-     restore the op as ambient cause for whatever follows the round *)
-  Obs.Tracer.set_ctx (trc t) pseq
-
+(* one round: the writer alone issues timestamps, so its counter is
+   already larger than every replica's *)
 let write t v =
-  Obs.Metrics.incr_h t.writes_c;
-  let tr = Sched.trace t.sched in
-  let op_id =
-    Trace.invoke tr ~proc:t.writer_ ~obj:t.name_ ~kind:(Op.Write (V.Int v))
-  in
-  let pseq =
-    emit_op t ~pid:t.writer_ ~parent:(-1) "invoke"
-      [ ("op", Obs.Json.Int op_id); ("kind", Obs.Json.Str "write");
-        ("v", Obs.Json.Int v) ]
-  in
-  t.wseq <- t.wseq + 1;
-  let ts = t.wseq in
-  quorum_round t ~pid:t.writer_ ~pseq (* collect a majority of fresh acks *)
-    ~payload:(Write_req { ts; v })
-    ~classify:(function
-      | Write_ack { ts = ts'; node } when ts' = ts -> Some node
-      | _ -> None);
-  ignore
-    (emit_op t ~pid:t.writer_ ~parent:pseq "respond"
-       [ ("op", Obs.Json.Int op_id) ]);
-  Obs.Tracer.set_ctx (trc t) (-1);
-  Trace.respond tr ~op_id ~result:None
+  R.write t.r ~proc:t.writer_ v ~stamp:(fun _query ->
+      t.wseq <- t.wseq + 1;
+      t.wseq)
 
-let read t ~reader =
-  Obs.Metrics.incr_h t.reads_c;
-  let tr = Sched.trace t.sched in
-  let op_id = Trace.invoke tr ~proc:reader ~obj:t.name_ ~kind:Op.Read in
-  let pseq =
-    emit_op t ~pid:reader ~parent:(-1) "invoke"
-      [ ("op", Obs.Json.Int op_id); ("kind", Obs.Json.Str "read") ]
-  in
-  t.rseq <- t.rseq + 1;
-  let rid = (reader * 1_000_000) + t.rseq in
-  (* phase 1: majority of replies; keep the largest timestamp.  Updating
-     [best] from a duplicate (or refreshed) reply of an already-counted
-     node is safe: a larger timestamp only strengthens the write-back. *)
-  let best_ts = ref (-1) and best_v = ref 0 in
-  quorum_round t ~pid:reader ~pseq
-    ~payload:(Read_req { rid; reader })
-    ~classify:(function
-      | Read_reply { rid = rid'; node; ts; v } when rid' = rid ->
-          if ts > !best_ts then begin
-            best_ts := ts;
-            best_v := v
-          end;
-          Some node
-      | _ -> None);
-  (* phase 2: write back to a majority *)
-  quorum_round t ~pid:reader ~pseq
-    ~payload:(Wb_req { rid; ts = !best_ts; v = !best_v })
-    ~classify:(function
-      | Wb_ack { rid = rid'; node } when rid' = rid -> Some node
-      | _ -> None);
-  ignore
-    (emit_op t ~pid:reader ~parent:pseq "respond"
-       [ ("op", Obs.Json.Int op_id); ("v", Obs.Json.Int !best_v) ]);
-  Obs.Tracer.set_ctx (trc t) (-1);
-  Trace.respond tr ~op_id ~result:(Some (V.Int !best_v));
-  !best_v
-
-let crash_node t ~node =
-  (* the un-persisted stable-storage suffix dies with the node; remember
-     how much was lost so the recovery path can tell restart from amnesia *)
-  if not (Sched.crashed t.sched ~pid:(server_pid ~node)) then
-    t.lost_at_crash.(node) <- Simkit.Stable.crash t.stable ~node;
-  Sched.crash t.sched ~pid:(server_pid ~node);
-  (match Sched.status t.sched ~pid:node with
-  | exception Invalid_argument _ -> () (* client fiber never spawned *)
-  | _ -> Sched.crash t.sched ~pid:node);
-  (* the network learns the destination died: in-flight mail is dropped
-     now, later deliveries are dead-lettered instead of queueing forever *)
-  Net.mark_dead t.net ~pid:(server_pid ~node);
-  Net.drop_to t.net ~dst:(server_pid ~node)
-
-(* the first code a restarted server runs: reload the durable register
-   copy, then — unless recovery is unsafely skipped — run the
-   state-transfer handshake before rejoining the protocol. *)
-let recovering_server t node () =
-  let me = server_pid ~node in
-  let rep = t.replicas.(node) in
-  (* volatile state died with the old incarnation: what survives is the
-     durable prefix of the write-ahead log *)
-  (match Simkit.Stable.last_durable t.stable ~node with
-  | Some (ts, v) ->
-      rep.ts <- ts;
-      rep.v <- v
-  | None ->
-      rep.ts <- 0;
-      rep.v <- t.init_);
-  if t.unsafe_recovery_ then begin
-    (* serve straight from the (possibly stale) durable copy.  If the
-       crash lost acknowledged updates this replica rejoins quorums with
-       rolled-back state — the seeded bug the recovery-sanity monitor
-       flags. *)
-    if t.lost_at_crash.(node) > 0 then Obs.Metrics.incr_h t.amnesia_c;
-    ignore
-      (emit_op t ~pid:me ~parent:(-1) "recover_unsafe"
-         [
-           ("node", Obs.Json.Int node);
-           ("lost", Obs.Json.Int t.lost_at_crash.(node));
-         ])
-  end
-  else begin
-    Obs.Metrics.incr_h t.state_transfer_c;
-    Obs.Metrics.observe_h t.quorum_need_h (float_of_int (majority t));
-    t.recseq <- t.recseq + 1;
-    let rid = t.recseq in
-    let pseq =
-      emit_op t ~pid:me ~parent:(-1) "state_transfer"
-        [ ("node", Obs.Json.Int node) ]
-    in
-    Obs.Tracer.set_ctx (trc t) pseq;
-    let payload = Rec_req { rid; node } in
-    for peer = 0 to t.n_ - 1 do
-      if peer <> node then send_to t ~src:me ~node:peer payload
-    done;
-    (* read back from a majority of the OTHER replicas: self-inclusion
-       would let an amnesiac copy vouch for itself, while a majority of
-       the others intersects every write quorum at a node that did not
-       just lose state.  [seen.(node)] is pre-marked so resends skip
-       self; [need] counts that mark, hence majority + 1. *)
-    let seen = Array.make t.n_ false in
-    seen.(node) <- true;
-    let best_ts = ref rep.ts and best_v = ref rep.v in
-    Net.collect_quorum t.net ~pid:me ~need:(majority t + 1) ~seen
-      ~classify:(function
-        | Rec_reply { rid = rid'; node = peer; ts; v } when rid' = rid ->
-            if ts > !best_ts then begin
-              best_ts := ts;
-              best_v := v
-            end;
-            Some peer
-        | _ -> None)
-      ~stale:(fun () -> Obs.Metrics.incr_h t.stale_c)
-      ~retry_after:t.retry_
-      ~resend:(fun ~missing ->
-        Obs.Metrics.incr_h t.retransmits_c;
-        ignore
-          (emit_op t ~pid:me ~parent:pseq "retransmit"
-             [ ("missing", Obs.Json.Int (List.length missing)) ]);
-        Obs.Tracer.set_ctx (trc t) pseq;
-        List.iter (fun peer -> send_to t ~src:me ~node:peer payload) missing);
-    (* adopt and immediately persist the transferred state: recovery
-       always ends at a sync point, whatever the persist policy *)
-    if !best_ts > rep.ts then begin
-      rep.ts <- !best_ts;
-      rep.v <- !best_v;
-      Simkit.Stable.append t.stable ~node (!best_ts, !best_v)
-    end;
-    Simkit.Stable.persist t.stable ~node;
-    ignore
-      (emit_op t ~pid:me ~parent:pseq "persist"
-         [ ("node", Obs.Json.Int node); ("ts", Obs.Json.Int rep.ts) ]);
-    Obs.Tracer.set_ctx (trc t) (-1)
-  end;
-  server t node ()
-
-let recover_node t ~node =
-  let spid = server_pid ~node in
-  Net.revive t.net ~pid:spid;
-  ignore (Sched.restart t.sched ~pid:spid (recovering_server t node));
-  Obs.Metrics.incr_h t.recoveries_c
+let read t ~reader = R.read t.r ~reader
+let crash_node t ~node = R.crash_node t.r ~node
+let recover_node t ~node = R.recover_node t.r ~node
+let server_pid = R.server_pid

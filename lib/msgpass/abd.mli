@@ -12,43 +12,22 @@
     every prefix chain to confirm the write-prefix property.
 
     Protocol (one writer, [n] nodes, majorities of size [⌊n/2⌋+1]):
-    - {b write(v)}: the writer increments its local sequence number [ts],
-      broadcasts [Write_req(ts, v)], and returns once a majority of nodes
-      acknowledged storing the pair;
-    - {b read()}: the reader broadcasts a query, collects a majority of
-      (ts, v) replies, selects the pair with the largest [ts], {e writes
-      it back} to a majority (the famous "readers must write" phase —
-      without it two sequential reads could observe new-then-old), and
-      returns [v].
+    - {b write(v)}: the writer increments its local sequence number [ts]
+      and returns once a majority of nodes acknowledged storing
+      [(ts, v)];
+    - {b read()}: the reader collects a majority of (ts, v) replies,
+      selects the pair with the largest [ts], {e writes it back} to a
+      majority, and returns [v].
 
-    Each node runs a server fiber (pid [100 + node]) holding its replica
-    and a client fiber (pid [node]) issuing operations.
+    Everything but the writer's timestamp choice — messages, servers,
+    quorum rounds, the read, fault tolerance, persistence and the
+    crash–recovery handshake — is the shared {!Replica} core, over an
+    integer timestamp that starts at [0] on every replica.  Metrics live
+    under [reg.abd.*]. *)
 
-    {b Fault tolerance.}  The client phases are hardened against lossy
-    links (see {!Simkit.Faults} / {!Net.set_faults}): every reply carries
-    the responding replica's node index and quorums count {e distinct}
-    nodes, so duplicated messages can never double-count; requests are
-    retransmitted to the not-yet-heard replicas after [retry_after]
-    fruitless yields (a deterministic step-count timeout), and the server
-    handlers are idempotent, so both operations terminate under any fault
-    plan that keeps a majority of replicas reachable.  Stale or mismatched
-    replies are counted as [reg.abd.stale], retransmission rounds as
-    [reg.abd.retransmits]. *)
+include Replica.S
 
-type t
-
-type msg
-(** Protocol messages (abstract; exposed so callers can thread the
-    register's network into a delivery policy). *)
-
-val net : t -> msg Net.t
-
-type persist = [ `Every | `Never ]
-(** The replica's sync-point discipline: [`Every] makes each accepted
-    update durable before it is acknowledged (write-through — safe under
-    any recovery mode); [`Never] leaves updates in the volatile tail of
-    the write-ahead log, so a crash rolls the replica's durable copy back
-    to its last sync (only the initial state, for [`Never]). *)
+type persist = Replica.persist
 
 val create :
   ?retry_after:int ->
@@ -63,63 +42,15 @@ val create :
   init:int ->
   unit ->
   t
-(** [n >= 2] nodes ([< 100]); spawns the [n] server fibers.  Client code
-    runs in the node fibers the caller spawns.  [retry_after] (default 25;
-    [<= 0] disables) is the client retransmission timeout in own-fiber
-    yields.
-
-    [quorum] (default the majority [⌊n/2⌋+1]) overrides how many distinct
-    replies each round waits for.  {b Test-only bug injection}: any value
-    with [2*quorum <= n] breaks quorum intersection and with it
-    linearizability — it exists so the chaos self-test (E12) can prove the
-    monitor → shrinker → corpus loop catches a real protocol bug.  Every
-    round records the size it waited for in the [reg.abd.quorum.need]
-    histogram, which is what the quorum-sanity monitor audits.
-
-    [persist] (default [`Every]) is the replica sync-point policy backing
-    each node's {!Simkit.Stable} log.  [unsafe_recovery] (default
-    [false]) makes {!recover_node} skip the state-transfer handshake and
-    serve straight from the durable copy.  {b Test-only bug injection}:
-    with [`Never] persistence an unsafe recovery rejoins quorums with
-    rolled-back state, breaking quorum intersection across the crash —
-    the seeded bug the recovery-sanity monitor catches (counted as
-    [reg.abd.amnesia]).
-
-    [compact] (default [false]) turns on {!Simkit.Stable}'s automatic log
-    compaction: each persist prunes the durable prefix down to its newest
-    record, keeping per-node stable storage O(volatile tail) instead of
-    O(operations).  Recovery semantics are unchanged ([last_durable] is
-    always retained) — the fleet engine sets this so memory stays flat
-    across millions of operations. *)
+(** The shared replica core's [create] ({!Replica.Make.create}) with
+    [proto = "abd"]; [writer] is the one node whose fiber may write.
+    @raise Invalid_argument if [writer] is not a node, or as
+    {!Replica.Make.create}. *)
 
 val name : t -> string
 val n : t -> int
 val writer : t -> int
-val majority : t -> int
 
 val write : t -> int -> unit
-(** Writer-client operation; must run in fiber [writer].
-    @raise Invalid_argument from a non-writer fiber's pid. *)
-
-val read : t -> reader:int -> int
-(** Reader-client operation; must run in fiber [reader]. *)
-
-val crash_node : t -> node:int -> unit
-(** Crash a node's server (and its client fiber if spawned): it stops
-    acknowledging, and the un-persisted suffix of its stable-storage log
-    is lost.  The caller is responsible for keeping a majority alive. *)
-
-val recover_node : t -> node:int -> unit
-(** Crash–recovery: restart a crashed node's server with a bumped
-    incarnation and a fresh mailbox.  The new incarnation reloads the
-    durable register copy, then runs a {e state-transfer handshake} —
-    read back from a majority of the {e other} replicas (self-exclusion
-    keeps an amnesiac copy from vouching for itself), adopt the largest
-    timestamp, persist, and only then serve — so a recovered replica can
-    never answer quorums with state older than what its pre-crash
-    incarnation acknowledged.  With [unsafe_recovery] the handshake is
-    skipped.  Counted as [reg.abd.recoveries]; handshakes as
-    [reg.abd.state_transfer]; lossy unsafe rejoins as [reg.abd.amnesia].
-    @raise Invalid_argument if the node's server has not crashed. *)
-
-val server_pid : node:int -> int
+(** Writer-client operation: one update round with the next timestamp
+    from the writer's counter; must run in fiber [writer]. *)

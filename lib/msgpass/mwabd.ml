@@ -1,351 +1,25 @@
-module V = History.Value
-module Op = History.Op
-module Trace = Simkit.Trace
-module Sched = Simkit.Sched
+(* timestamps ⟨sq, pid⟩, compared lexicographically.  Replica [node]
+   starts at ⟨0, node⟩, so even write-backs of the initial value order
+   the replicas' copies. *)
+include Replica.Make (struct
+  type t = int * int
 
-(* timestamps ⟨sq, pid⟩, compared lexicographically *)
-let ts_compare (sq1, p1) (sq2, p2) =
-  match Int.compare sq1 sq2 with 0 -> Int.compare p1 p2 | c -> c
+  let init ~node = (0, node)
 
-(* As in Abd, replies carry the responding replica's node index so the
-   client quorum loops count distinct nodes — idempotent under message
-   duplication and retransmission. *)
-type msg =
-  | Ts_req of { rid : int }
-  | Ts_reply of { rid : int; node : int; sq : int }
-  | Write_req of { wid : int; sq : int; pid : int; v : int }
-  | Write_ack of { wid : int; node : int }
-  | Read_req of { rid : int }
-  | Read_reply of { rid : int; node : int; sq : int; pid : int; v : int }
-  | Wb_req of { rid : int; sq : int; pid : int; v : int }
-  | Wb_ack of { rid : int; node : int }
-  (* state-transfer recovery handshake, as in Abd *)
-  | Rec_req of { rid : int; node : int }
-  | Rec_reply of { rid : int; node : int; sq : int; pid : int; v : int }
+  let compare (sq1, p1) (sq2, p2) =
+    match Int.compare sq1 sq2 with 0 -> Int.compare p1 p2 | c -> c
 
-type replica = { mutable sq : int; mutable pid : int; mutable v : int }
+  let field (sq, _) = ("sq", Obs.Json.Int sq)
+end)
 
-type persist = [ `Every | `Never ]
+type persist = Replica.persist
 
-type t = {
-  sched : Sched.t;
-  name_ : string;
-  n_ : int;
-  init_ : int;
-  retry_ : int; (* client retransmission timeout, in own-fiber yields *)
-  quorum_ : int; (* replies per round; majority unless overridden *)
-  persist_ : persist;
-  unsafe_recovery_ : bool;
-  net : msg Net.t;
-  replicas : replica array;
-  stable : (int * int * int) Simkit.Stable.t; (* per-node (sq, pid, v) log *)
-  lost_at_crash : int array; (* records lost by each node's last crash *)
-  mutable seq : int; (* fresh request ids *)
-  mutable recseq : int; (* fresh state-transfer round ids *)
-  (* metric handles, resolved once at creation (hot-path discipline) *)
-  quorum_need_h : Obs.Metrics.Hist.t;
-  stale_c : Obs.Metrics.Counter.t;
-  retransmits_c : Obs.Metrics.Counter.t;
-  writes_c : Obs.Metrics.Counter.t;
-  reads_c : Obs.Metrics.Counter.t;
-  recoveries_c : Obs.Metrics.Counter.t;
-  state_transfer_c : Obs.Metrics.Counter.t;
-  amnesia_c : Obs.Metrics.Counter.t;
-}
+let create ?retry_after ?quorum ?persist ?unsafe_recovery ?compact ~sched ~name
+    ~n ~init () =
+  create ?retry_after ?quorum ?persist ?unsafe_recovery ?compact ~proto:"mwabd"
+    ~sched ~name ~n ~init ()
 
-let server_pid ~node = 100 + node
-let client_of rid = rid / 1_000_000
-
-(* flight-recorder op-phase events, mirroring Abd (category "reg") *)
-let trc t = Sched.tracer t.sched
-
-let emit_op t ~pid ~parent name args =
-  let tr = trc t in
-  if Obs.Tracer.armed tr then
-    Obs.Tracer.emit tr ~track:pid ~parent
-      ~args:(("obj", Obs.Json.Str t.name_) :: args)
-      ~sim:(Sched.steps t.sched) ~cat:"reg" name
-  else -1
-
-(* apply an accepted update and write it ahead to stable storage; see
-   Abd.store for the persist-policy semantics *)
-let store t ~node rep ~sq ~pid ~v =
-  rep.sq <- sq;
-  rep.pid <- pid;
-  rep.v <- v;
-  Simkit.Stable.append t.stable ~node (sq, pid, v);
-  if t.persist_ = `Every then
-    ignore
-      (emit_op t ~pid:(server_pid ~node) ~parent:(-1) "persist"
-         [ ("node", Obs.Json.Int node); ("sq", Obs.Json.Int sq) ])
-
-let server t node () =
-  let me = server_pid ~node in
-  let rep = t.replicas.(node) in
-  while true do
-    match Net.recv t.net ~pid:me with
-    | Ts_req { rid } ->
-        Net.send t.net ~src:me ~dst:(client_of rid)
-          (Ts_reply { rid; node; sq = rep.sq })
-    | Write_req { wid; sq; pid; v } ->
-        (* idempotent: duplicates re-ack without re-applying *)
-        if ts_compare (sq, pid) (rep.sq, rep.pid) > 0 then
-          store t ~node rep ~sq ~pid ~v;
-        Net.send t.net ~src:me ~dst:(client_of wid) (Write_ack { wid; node })
-    | Read_req { rid } ->
-        Net.send t.net ~src:me ~dst:(client_of rid)
-          (Read_reply { rid; node; sq = rep.sq; pid = rep.pid; v = rep.v })
-    | Wb_req { rid; sq; pid; v } ->
-        if ts_compare (sq, pid) (rep.sq, rep.pid) > 0 then
-          store t ~node rep ~sq ~pid ~v;
-        Net.send t.net ~src:me ~dst:(client_of rid) (Wb_ack { rid; node })
-    | Rec_req { rid; node = who } ->
-        Net.send t.net ~src:me
-          ~dst:(server_pid ~node:who)
-          (Rec_reply { rid; node; sq = rep.sq; pid = rep.pid; v = rep.v })
-    | Rec_reply _ ->
-        (* state-transfer reply landing after the handshake: stale *)
-        Obs.Metrics.incr_h t.stale_c
-    | Ts_reply _ | Write_ack _ | Read_reply _ | Wb_ack _ -> assert false
-  done
-
-let create ?(retry_after = 25) ?quorum ?(persist = `Every)
-    ?(unsafe_recovery = false) ?(compact = false) ~sched ~name ~n ~init () =
-  if n < 2 then invalid_arg "Mwabd.create: n must be >= 2";
-  if n >= 100 then invalid_arg "Mwabd.create: n must be < 100";
-  let quorum_ = match quorum with Some q -> q | None -> (n / 2) + 1 in
-  if quorum_ < 1 || quorum_ > n then
-    invalid_arg "Mwabd.create: quorum out of range";
-  let m = Sched.metrics sched in
-  let stable =
-    Simkit.Stable.create ~metrics:m ~auto_compact:compact
-      ~policy:(match persist with `Every -> Simkit.Stable.Every | `Never -> Simkit.Stable.Explicit)
-      ~n ()
-  in
-  let t =
-    {
-      sched;
-      name_ = name;
-      n_ = n;
-      init_ = init;
-      retry_ = retry_after;
-      quorum_;
-      persist_ = persist;
-      unsafe_recovery_ = unsafe_recovery;
-      net = Net.create ~sched ~n:200;
-      replicas = Array.init n (fun node -> { sq = 0; pid = node; v = init });
-      stable;
-      lost_at_crash = Array.make n 0;
-      seq = 0;
-      recseq = 0;
-      quorum_need_h = Obs.Metrics.hist_h m "reg.mwabd.quorum.need";
-      stale_c = Obs.Metrics.counter_h m "reg.mwabd.stale";
-      retransmits_c = Obs.Metrics.counter_h m "reg.mwabd.retransmits";
-      writes_c = Obs.Metrics.counter_h m "reg.mwabd.writes";
-      reads_c = Obs.Metrics.counter_h m "reg.mwabd.reads";
-      recoveries_c = Obs.Metrics.counter_h m "reg.mwabd.recoveries";
-      state_transfer_c = Obs.Metrics.counter_h m "reg.mwabd.state_transfer";
-      amnesia_c = Obs.Metrics.counter_h m "reg.mwabd.amnesia";
-    }
-  in
-  for node = 0 to n - 1 do
-    (* the initial register copy is durable whatever the policy *)
-    Simkit.Stable.append t.stable ~node (0, node, init);
-    Simkit.Stable.persist t.stable ~node;
-    Sched.spawn sched ~pid:(server_pid ~node) (server t node)
-  done;
-  t
-
-let net t = t.net
-let majority t = (t.n_ / 2) + 1
-
-let send_to t ~src ~node payload =
-  Net.send t.net ~src ~dst:(server_pid ~node) payload
-
-let broadcast_servers t ~src payload =
-  for node = 0 to t.n_ - 1 do
-    send_to t ~src ~node payload
-  done
-
-let fresh_rid t ~client =
-  t.seq <- t.seq + 1;
-  (client * 1_000_000) + t.seq
-
-(* one round trip, shared with Abd via Net.collect_quorum: broadcast,
-   count matching replies from distinct replicas, retransmit to the
-   missing ones on a step-count timeout.  [pseq] is the invoke event
-   this round belongs to (-1 untraced). *)
-let quorum_round t ~pid ~pseq ~payload ~classify =
-  (* see Abd.quorum_round: the quorum-sanity monitor audits this *)
-  Obs.Metrics.observe_h t.quorum_need_h (float_of_int t.quorum_);
-  let rseq =
-    emit_op t ~pid ~parent:pseq "round" [ ("need", Obs.Json.Int t.quorum_) ]
-  in
-  Obs.Tracer.set_ctx (trc t) rseq;
-  broadcast_servers t ~src:pid payload;
-  let seen = Array.make t.n_ false in
-  Net.collect_quorum t.net ~pid ~need:t.quorum_ ~seen ~classify
-    ~stale:(fun () -> Obs.Metrics.incr_h t.stale_c)
-    ~retry_after:t.retry_
-    ~resend:(fun ~missing ->
-      Obs.Metrics.incr_h t.retransmits_c;
-      ignore
-        (emit_op t ~pid ~parent:rseq "retransmit"
-           [ ("missing", Obs.Json.Int (List.length missing)) ]);
-      Obs.Tracer.set_ctx (trc t) rseq;
-      List.iter (fun node -> send_to t ~src:pid ~node payload) missing);
-  Obs.Tracer.set_ctx (trc t) pseq
-
+(* query a quorum for the largest sequence number, then push
+   (v, ⟨max+1, proc⟩) — a Lamport timestamp, as in Algorithm 4 *)
 let write t ~proc v =
-  Obs.Metrics.incr_h t.writes_c;
-  let tr = Sched.trace t.sched in
-  let op_id = Trace.invoke tr ~proc ~obj:t.name_ ~kind:(Op.Write (V.Int v)) in
-  let pseq =
-    emit_op t ~pid:proc ~parent:(-1) "invoke"
-      [ ("op", Obs.Json.Int op_id); ("kind", Obs.Json.Str "write");
-        ("v", Obs.Json.Int v) ]
-  in
-  (* phase 1: query a majority for sequence numbers.  Updating [max_sq]
-     from a duplicate reply of an already-counted node is safe: a larger
-     bound only pushes our Lamport timestamp higher. *)
-  let rid = fresh_rid t ~client:proc in
-  let max_sq = ref 0 in
-  quorum_round t ~pid:proc ~pseq ~payload:(Ts_req { rid })
-    ~classify:(function
-      | Ts_reply { rid = rid'; node; sq } when rid' = rid ->
-          if sq > !max_sq then max_sq := sq;
-          Some node
-      | _ -> None);
-  (* phase 2: push (v, ⟨max+1, proc⟩) to a majority *)
-  let wid = fresh_rid t ~client:proc in
-  quorum_round t ~pid:proc ~pseq
-    ~payload:(Write_req { wid; sq = !max_sq + 1; pid = proc; v })
-    ~classify:(function
-      | Write_ack { wid = wid'; node } when wid' = wid -> Some node
-      | _ -> None);
-  ignore
-    (emit_op t ~pid:proc ~parent:pseq "respond"
-       [ ("op", Obs.Json.Int op_id) ]);
-  Obs.Tracer.set_ctx (trc t) (-1);
-  Trace.respond tr ~op_id ~result:None
-
-let read t ~reader =
-  Obs.Metrics.incr_h t.reads_c;
-  let tr = Sched.trace t.sched in
-  let op_id = Trace.invoke tr ~proc:reader ~obj:t.name_ ~kind:Op.Read in
-  let pseq =
-    emit_op t ~pid:reader ~parent:(-1) "invoke"
-      [ ("op", Obs.Json.Int op_id); ("kind", Obs.Json.Str "read") ]
-  in
-  let rid = fresh_rid t ~client:reader in
-  let best = ref (-1, -1, 0) in
-  quorum_round t ~pid:reader ~pseq ~payload:(Read_req { rid })
-    ~classify:(function
-      | Read_reply { rid = rid'; node; sq; pid; v } when rid' = rid ->
-          let bsq, bpid, _ = !best in
-          if ts_compare (sq, pid) (bsq, bpid) > 0 then best := (sq, pid, v);
-          Some node
-      | _ -> None);
-  let sq, pid, v = !best in
-  let wbid = fresh_rid t ~client:reader in
-  quorum_round t ~pid:reader ~pseq
-    ~payload:(Wb_req { rid = wbid; sq; pid; v })
-    ~classify:(function
-      | Wb_ack { rid = rid'; node } when rid' = wbid -> Some node
-      | _ -> None);
-  ignore
-    (emit_op t ~pid:reader ~parent:pseq "respond"
-       [ ("op", Obs.Json.Int op_id); ("v", Obs.Json.Int v) ]);
-  Obs.Tracer.set_ctx (trc t) (-1);
-  Trace.respond tr ~op_id ~result:(Some (V.Int v));
-  v
-
-let crash_node t ~node =
-  (* the un-persisted stable-storage suffix dies with the node *)
-  if not (Sched.crashed t.sched ~pid:(server_pid ~node)) then
-    t.lost_at_crash.(node) <- Simkit.Stable.crash t.stable ~node;
-  Sched.crash t.sched ~pid:(server_pid ~node);
-  (match Sched.status t.sched ~pid:node with
-  | exception Invalid_argument _ -> ()
-  | _ -> Sched.crash t.sched ~pid:node);
-  Net.mark_dead t.net ~pid:(server_pid ~node);
-  Net.drop_to t.net ~dst:(server_pid ~node)
-
-(* restart path, mirroring Abd.recovering_server: reload the durable
-   copy, state-transfer from a majority of the others, then serve *)
-let recovering_server t node () =
-  let me = server_pid ~node in
-  let rep = t.replicas.(node) in
-  (match Simkit.Stable.last_durable t.stable ~node with
-  | Some (sq, pid, v) ->
-      rep.sq <- sq;
-      rep.pid <- pid;
-      rep.v <- v
-  | None ->
-      rep.sq <- 0;
-      rep.pid <- node;
-      rep.v <- t.init_);
-  if t.unsafe_recovery_ then begin
-    if t.lost_at_crash.(node) > 0 then Obs.Metrics.incr_h t.amnesia_c;
-    ignore
-      (emit_op t ~pid:me ~parent:(-1) "recover_unsafe"
-         [
-           ("node", Obs.Json.Int node);
-           ("lost", Obs.Json.Int t.lost_at_crash.(node));
-         ])
-  end
-  else begin
-    Obs.Metrics.incr_h t.state_transfer_c;
-    Obs.Metrics.observe_h t.quorum_need_h (float_of_int (majority t));
-    t.recseq <- t.recseq + 1;
-    let rid = t.recseq in
-    let pseq =
-      emit_op t ~pid:me ~parent:(-1) "state_transfer"
-        [ ("node", Obs.Json.Int node) ]
-    in
-    Obs.Tracer.set_ctx (trc t) pseq;
-    let payload = Rec_req { rid; node } in
-    for peer = 0 to t.n_ - 1 do
-      if peer <> node then send_to t ~src:me ~node:peer payload
-    done;
-    (* a majority of the OTHER replicas; self is pre-marked in [seen]
-       (hence majority + 1) so resends skip it — see Abd *)
-    let seen = Array.make t.n_ false in
-    seen.(node) <- true;
-    let best = ref (rep.sq, rep.pid, rep.v) in
-    Net.collect_quorum t.net ~pid:me ~need:(majority t + 1) ~seen
-      ~classify:(function
-        | Rec_reply { rid = rid'; node = peer; sq; pid; v } when rid' = rid ->
-            let bsq, bpid, _ = !best in
-            if ts_compare (sq, pid) (bsq, bpid) > 0 then best := (sq, pid, v);
-            Some peer
-        | _ -> None)
-      ~stale:(fun () -> Obs.Metrics.incr_h t.stale_c)
-      ~retry_after:t.retry_
-      ~resend:(fun ~missing ->
-        Obs.Metrics.incr_h t.retransmits_c;
-        ignore
-          (emit_op t ~pid:me ~parent:pseq "retransmit"
-             [ ("missing", Obs.Json.Int (List.length missing)) ]);
-        Obs.Tracer.set_ctx (trc t) pseq;
-        List.iter (fun peer -> send_to t ~src:me ~node:peer payload) missing);
-    let sq, pid, v = !best in
-    if ts_compare (sq, pid) (rep.sq, rep.pid) > 0 then begin
-      rep.sq <- sq;
-      rep.pid <- pid;
-      rep.v <- v;
-      Simkit.Stable.append t.stable ~node (sq, pid, v)
-    end;
-    Simkit.Stable.persist t.stable ~node;
-    ignore
-      (emit_op t ~pid:me ~parent:pseq "persist"
-         [ ("node", Obs.Json.Int node); ("sq", Obs.Json.Int rep.sq) ]);
-    Obs.Tracer.set_ctx (trc t) (-1)
-  end;
-  server t node ()
-
-let recover_node t ~node =
-  let spid = server_pid ~node in
-  Net.revive t.net ~pid:spid;
-  ignore (Sched.restart t.sched ~pid:spid (recovering_server t node));
-  Obs.Metrics.incr_h t.recoveries_c
+  write t ~proc v ~stamp:(fun query -> (fst (query ()) + 1, proc))

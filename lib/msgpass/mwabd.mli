@@ -18,18 +18,13 @@
     implementation is WSL" therefore really is about the {e single}-writer
     structure, not about message passing vs shared memory.
 
-    {b Fault tolerance.}  Hardened exactly like {!Abd}: replies carry the
-    replica's node index and quorums count distinct nodes, requests are
-    retransmitted to the not-yet-heard replicas after [retry_after]
-    fruitless yields, and servers are idempotent — so every phase
-    terminates under any {!Simkit.Faults} plan keeping a majority of
-    replicas reachable.  Counters: [reg.mwabd.stale],
-    [reg.mwabd.retransmits]. *)
+    Everything but the writer's timestamp choice is the shared {!Replica}
+    core, over [⟨sq, pid⟩] timestamps where replica [node] starts at
+    [⟨0, node⟩].  Metrics live under [reg.mwabd.*]. *)
 
-type t
+include Replica.S
 
-type persist = [ `Every | `Never ]
-(** Replica sync-point policy; see {!Abd.persist}. *)
+type persist = Replica.persist
 
 val create :
   ?retry_after:int ->
@@ -43,36 +38,9 @@ val create :
   init:int ->
   unit ->
   t
-(** [n >= 2] nodes; every node may write.  Spawns the server fibers
-    (pids [100 + node]).  [retry_after] (default 25; [<= 0] disables) is
-    the client retransmission timeout in own-fiber yields.  [quorum]
-    (default the majority) is the test-only bug-injection hook described
-    in {!Abd.create}; rounds record it in [reg.mwabd.quorum.need].
-    [persist] (default [`Every]) and [unsafe_recovery] (default [false])
-    are the crash–recovery knobs described in {!Abd.create}; the
-    counters are [reg.mwabd.recoveries] / [reg.mwabd.state_transfer] /
-    [reg.mwabd.amnesia].  [compact] (default [false]) enables stable-log
-    auto-compaction as in {!Abd.create}. *)
-
-type msg
-
-val net : t -> msg Net.t
-val majority : t -> int
+(** The shared replica core's [create] ({!Replica.Make.create}) with
+    [proto = "mwabd"]; every node may write. *)
 
 val write : t -> proc:int -> int -> unit
-(** Two-phase write; call from fiber [proc] (a node id). *)
-
-val read : t -> reader:int -> int
-
-val crash_node : t -> node:int -> unit
-(** Crash a node's server (and its client fiber if spawned); the network
-    dead-letters its mail from now on, and the un-persisted suffix of the
-    node's stable-storage log is lost.  Keep a majority alive. *)
-
-val recover_node : t -> node:int -> unit
-(** Restart a crashed node's server with a bumped incarnation, a fresh
-    mailbox and the state-transfer recovery handshake (skipped under
-    [unsafe_recovery]); see {!Abd.recover_node}.
-    @raise Invalid_argument if the node's server has not crashed. *)
-
-val server_pid : node:int -> int
+(** Two-phase write (query, then update); call from fiber [proc] (a
+    node id). *)

@@ -58,7 +58,7 @@ let build_g () =
   step sched 1;
   deliver net ~src:(Mwabd.server_pid ~node:2) ~dst:1;
   step sched 1;
-  (* w2's Write_req (⟨1,1⟩, 302) to servers 1 and 2, then the acks *)
+  (* w2's update (⟨1,1⟩, 302) to servers 1 and 2, then the acks *)
   pump sched net ~src:1 ~node:1;
   pump sched net ~src:1 ~node:2;
   deliver net ~src:(Mwabd.server_pid ~node:1) ~dst:1;
@@ -70,7 +70,7 @@ let build_g () =
 
 (* finish w1's write given that its pending quorum reply just arrived *)
 let finish_w1 sched net =
-  step sched 0 (* collect; form timestamp; broadcast Write_req *);
+  step sched 0 (* collect; form timestamp; broadcast the update *);
   pump sched net ~src:0 ~node:0;
   pump sched net ~src:0 ~node:1;
   deliver net ~src:(Mwabd.server_pid ~node:0) ~dst:0;
@@ -81,7 +81,7 @@ let finish_w1 sched net =
 (* the reader queries two servers, writes back, returns *)
 let run_reader sched net ~nodes =
   let a, b = nodes in
-  step sched 2 (* invoke, broadcast Read_req *);
+  step sched 2 (* invoke, broadcast the query *);
   pump sched net ~src:2 ~node:a;
   pump sched net ~src:2 ~node:b;
   deliver net ~src:(Mwabd.server_pid ~node:a) ~dst:2;

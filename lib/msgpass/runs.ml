@@ -135,77 +135,6 @@ let execute ?metrics ?tracer w =
     steps;
   }
 
-(* multi-writer workload over the Mwabd register: several writer clients
-   with globally distinct values, plus readers, random asynchrony *)
-let execute_mw ?metrics ?tracer ?(faults = Faults.none) ~n ~writers
-    ~writes_each ~readers ~reads_each ~seed () =
-  Faults.validate faults;
-  let plan_crashes =
-    List.sort_uniq Int.compare (List.map snd faults.Faults.crash_at)
-  in
-  check_crashes ~what:"Runs.execute_mw" ~n ~clients:(writers @ readers)
-    plan_crashes;
-  let sched = Sched.create ~seed ?metrics ?tracer () in
-  let reg = Mwabd.create ~sched ~name:"MW" ~n ~init:0 () in
-  let fpolicy =
-    if Faults.is_benign faults then None
-    else begin
-      let f = Faults.create ~seed:(fault_seed seed) faults in
-      Net.set_faults (Mwabd.net reg) f;
-      Some f
-    end
-  in
-  let remaining = ref (List.length writers + List.length readers) in
-  List.iter
-    (fun wnode ->
-      Sched.spawn sched ~pid:wnode (fun () ->
-          for k = 1 to writes_each do
-            Mwabd.write reg ~proc:wnode ((1000 * (wnode + 1)) + k)
-          done;
-          decr remaining))
-    writers;
-  List.iter
-    (fun rnode ->
-      Sched.spawn sched ~pid:rnode (fun () ->
-          for _ = 1 to reads_each do
-            ignore (Mwabd.read reg ~reader:rnode)
-          done;
-          decr remaining))
-    readers;
-  let rng = Simkit.Rng.create (Int64.logxor seed 0x7E57AB1EL) in
-  let policy s =
-    (match fpolicy with
-    | Some f ->
-        let step = Sched.steps sched in
-        List.iter (fun node -> Mwabd.crash_node reg ~node)
-          (Faults.crashes_due f ~step);
-        List.iter (fun node -> Mwabd.recover_node reg ~node)
-          (Faults.recoveries_due f ~step)
-    | None -> ());
-    if !remaining = 0 then Sched.Halt else Sched.random_policy rng s
-  in
-  let policy = Net.auto_deliver_policy (Mwabd.net reg) ~rng policy in
-  let ops = (List.length writers * writes_each) + (List.length readers * reads_each) in
-  let max_steps =
-    (ops * n * 800) + (2_000 * List.length faults.Faults.recover_at)
-  in
-  let stalled = ref None in
-  let steps =
-    try
-      Sched.run sched ~watchdog:(Net.watchdog (Mwabd.net reg)) ~policy ~max_steps
-    with Sched.Stalled diag ->
-      stalled := Some diag;
-      Sched.steps sched
-  in
-  {
-    history =
-      History.Hist.project (Simkit.Trace.history (Sched.trace sched)) ~obj:"MW";
-    trace = Sched.trace sched;
-    completed = !remaining = 0;
-    stalled = !stalled;
-    steps;
-  }
-
 (* ----- re-runnable configs ---------------------------------------------------- *)
 
 (* One record capturing everything a run depends on — protocol, workload
@@ -450,9 +379,12 @@ let execute_config ?metrics ?tracer (c : Config.t) =
   let remaining =
     ref (List.length c.Config.writers + List.length c.Config.readers)
   in
-  (* generic over the register's message type: attach faults, spawn the
-     client fibers, drive to quiescence under the configured policy *)
-  let drive net ~obj ~crash ~recover ~write ~read =
+  (* generic over the register: attach faults, spawn the client fibers,
+     drive to quiescence under the configured policy *)
+  let drive (type r) (module R : Replica.S with type t = r) (reg : r) ~write =
+    let net = R.net reg in
+    let crash node = R.crash_node reg ~node in
+    let recover node = R.recover_node reg ~node in
     Option.iter (Net.set_faults net) fpolicy;
     Net.set_batching net ~window:c.Config.batch_window
       ~max:c.Config.batch_max;
@@ -468,7 +400,7 @@ let execute_config ?metrics ?tracer (c : Config.t) =
       (fun r ->
         Sched.spawn sched ~pid:r (fun () ->
             for _ = 1 to c.Config.reads_each do
-              read r
+              ignore (R.read reg ~reader:r)
             done;
             decr remaining))
       c.Config.readers;
@@ -501,7 +433,8 @@ let execute_config ?metrics ?tracer (c : Config.t) =
     in
     {
       history =
-        History.Hist.project (Simkit.Trace.history (Sched.trace sched)) ~obj;
+        History.Hist.project (Simkit.Trace.history (Sched.trace sched))
+          ~obj:(Config.obj c);
       trace = Sched.trace sched;
       completed = !remaining = 0;
       stalled = !stalled;
@@ -516,22 +449,32 @@ let execute_config ?metrics ?tracer (c : Config.t) =
           ~unsafe_recovery:c.Config.unsafe_recovery ~sched ~name:"ABD"
           ~n:c.Config.n ~writer ~init:0 ()
       in
-      drive (Abd.net reg) ~obj:"ABD"
-        ~crash:(fun node -> Abd.crash_node reg ~node)
-        ~recover:(fun node -> Abd.recover_node reg ~node)
-        ~write:(fun _ k -> Abd.write reg (100 + k))
-        ~read:(fun r -> ignore (Abd.read reg ~reader:r))
+      drive (module Abd) reg ~write:(fun _ k -> Abd.write reg (100 + k))
   | Config.Mw ->
       let reg =
         Mwabd.create ?quorum:c.Config.quorum ~persist:c.Config.persist
           ~unsafe_recovery:c.Config.unsafe_recovery ~sched ~name:"MW"
           ~n:c.Config.n ~init:0 ()
       in
-      drive (Mwabd.net reg) ~obj:"MW"
-        ~crash:(fun node -> Mwabd.crash_node reg ~node)
-        ~recover:(fun node -> Mwabd.recover_node reg ~node)
-        ~write:(fun w k -> Mwabd.write reg ~proc:w ((1000 * (w + 1)) + k))
-        ~read:(fun r -> ignore (Mwabd.read reg ~reader:r))
+      drive (module Mwabd) reg ~write:(fun w k ->
+          Mwabd.write reg ~proc:w ((1000 * (w + 1)) + k))
+
+(* multi-writer workload over the Mwabd register: several writer clients
+   with globally distinct values, plus readers, random asynchrony *)
+let execute_mw ?metrics ?tracer ?(faults = Faults.none) ~n ~writers
+    ~writes_each ~readers ~reads_each ~seed () =
+  execute_config ?metrics ?tracer
+    {
+      Config.default with
+      proto = Config.Mw;
+      n;
+      writers;
+      writes_each;
+      readers;
+      reads_each;
+      faults;
+      seed;
+    }
 
 let check ?metrics run =
   if not run.completed then

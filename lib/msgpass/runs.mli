@@ -55,10 +55,11 @@ val execute_mw :
   seed:int64 ->
   unit ->
   run
-(** Multi-writer workload over the {!Mwabd} register; write values are
-    globally distinct so the exact checker applies.  [faults] (default
-    {!Simkit.Faults.none}) works as in {!execute}; its [crash_at] nodes
-    must be a strict minority disjoint from [writers] and [readers]. *)
+(** Multi-writer workload over the {!Mwabd} register: {!execute_config}
+    on the [Mw] config with these fields and every other field at its
+    {!Config.default}.  Write values are globally distinct so the exact
+    checker applies.  [faults] defaults to {!Simkit.Faults.none}.
+    @raise Invalid_argument if {!Config.validate} does. *)
 
 val check : ?metrics:Obs.Metrics.t -> run -> (unit, string) result
 (** Verify the run's history is linearizable (Lincheck) and that the
@@ -101,12 +102,13 @@ module Config : sig
     policy : [ `Random | `Round_robin ];
     max_steps : int option;  (** [None] = {!auto_max_steps} *)
     quorum : int option;
-        (** test-only quorum override ({!Abd.create}); [None] = majority *)
+        (** test-only quorum override ({!Replica.Make.create}); [None] =
+            majority *)
     persist : [ `Every | `Never ];
-        (** replica sync-point policy ({!Abd.persist}) *)
+        (** replica sync-point policy ({!Replica.persist}) *)
     unsafe_recovery : bool;
         (** skip the state-transfer recovery handshake — the test-only
-            seeded bug ({!Abd.create}); safe only with [`Every] *)
+            seeded bug ({!Replica.Make.create}); safe only with [`Every] *)
     batch_window : int;
     batch_max : int;
         (** per-destination delivery batching ({!Net.set_batching});

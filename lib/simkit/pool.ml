@@ -81,8 +81,14 @@ let run_job ~helpers work =
     ignore (Domain.spawn worker : unit Domain.t);
     w.spawned <- w.spawned + 1
   done;
+  (* backtrace recording is per domain: workers follow the caller's
+     setting, so a task that raises on a worker keeps its backtrace *)
+  let record = Printexc.backtrace_status () in
   Mutex.lock w.lock;
-  w.work <- work;
+  w.work <-
+    (fun () ->
+      Printexc.record_backtrace record;
+      work ());
   w.seats <- helpers;
   for _ = 1 to helpers do
     Condition.signal w.wake

@@ -221,74 +221,109 @@ let abd_tests =
 
 (* ----- crash-recovery -------------------------------------------------------- *)
 
-let recovery_tests =
+(* The two registers behind one signature, so each recovery test below
+   runs against both: the writer is node 0's fiber. *)
+module type REG = sig
+  include Msgpass.Replica.S
+
+  val proto : string
+
+  val create :
+    ?persist:[ `Every | `Never ] ->
+    ?unsafe_recovery:bool ->
+    sched:Sched.t ->
+    n:int ->
+    unit ->
+    t
+
+  val write : t -> int -> unit
+end
+
+module Abd_reg = struct
+  include Abd
+
+  let proto = "abd"
+
+  let create ?persist ?unsafe_recovery ~sched ~n () =
+    Abd.create ?persist ?unsafe_recovery ~sched ~name:"R" ~n ~writer:0 ~init:0
+      ()
+end
+
+module Mw_reg = struct
+  include Core.Mwabd
+
+  let proto = "mwabd"
+
+  let create ?persist ?unsafe_recovery ~sched ~n () =
+    Core.Mwabd.create ?persist ?unsafe_recovery ~sched ~name:"R" ~n ~init:0 ()
+
+  let write t v = Core.Mwabd.write t ~proc:0 v
+end
+
+let recovery_tests (module R : REG) =
+  let counter m k = Obs.Metrics.counter m ("reg." ^ R.proto ^ "." ^ k) in
   [
     tc "safe recovery runs one state transfer and loses nothing" (fun () ->
         let m = Obs.Metrics.create () in
         let sched = Sched.create ~metrics:m ~seed:5L () in
-        let reg =
-          Abd.create ~sched ~name:"R" ~n:5 ~writer:0 ~init:0 ~persist:`Never ()
-        in
+        let reg = R.create ~sched ~n:5 ~persist:`Never () in
         let got = ref (-1) in
         Sched.spawn sched ~pid:0 (fun () ->
-            Abd.write reg 7;
-            Abd.crash_node reg ~node:3;
-            Abd.write reg 8;
-            Abd.recover_node reg ~node:3;
+            R.write reg 7;
+            R.crash_node reg ~node:3;
+            R.write reg 8;
+            R.recover_node reg ~node:3;
             (* let the handshake finish before reading *)
             for _ = 1 to 100 do
               Core.Fiber.yield ()
             done;
-            got := Abd.read reg ~reader:0);
+            got := R.read reg ~reader:0);
         let rng = Core.Rng.create 2L in
         let policy =
-          Net.auto_deliver_policy (Abd.net reg) ~rng (Sched.random_policy rng)
+          Net.auto_deliver_policy (R.net reg) ~rng (Sched.random_policy rng)
         in
         ignore (Sched.run sched ~policy ~max_steps:20_000);
         check_int "read sees the latest write" 8 !got;
         check_int "one restart" 1 (Obs.Metrics.counter m "sched.restarts");
-        check_int "one handshake" 1
-          (Obs.Metrics.counter m "reg.abd.state_transfer");
-        check_int "one recovery" 1 (Obs.Metrics.counter m "reg.abd.recoveries");
-        check_int "no amnesia" 0 (Obs.Metrics.counter m "reg.abd.amnesia"));
+        check_int "one handshake" 1 (counter m "state_transfer");
+        check_int "one recovery" 1 (counter m "recoveries");
+        check_int "no amnesia" 0 (counter m "amnesia"));
     tc "unsafe recovery with nothing durable is amnesia" (fun () ->
         let m = Obs.Metrics.create () in
         let sched = Sched.create ~metrics:m ~seed:5L () in
         let reg =
-          Abd.create ~sched ~name:"R" ~n:5 ~writer:0 ~init:0 ~persist:`Never
-            ~unsafe_recovery:true ()
+          R.create ~sched ~n:5 ~persist:`Never ~unsafe_recovery:true ()
         in
         Sched.spawn sched ~pid:0 (fun () ->
-            Abd.write reg 7;
+            R.write reg 7;
             (* make sure replica 3 has processed the write before it
                crashes, so the crash really discards acknowledged state *)
-            Net.deliver_all (Abd.net reg);
+            Net.deliver_all (R.net reg);
             for _ = 1 to 100 do
               Core.Fiber.yield ()
             done;
-            Abd.crash_node reg ~node:3;
-            Abd.recover_node reg ~node:3;
-            ignore (Abd.read reg ~reader:0));
+            R.crash_node reg ~node:3;
+            R.recover_node reg ~node:3;
+            ignore (R.read reg ~reader:0));
         let rng = Core.Rng.create 2L in
         let policy =
-          Net.auto_deliver_policy (Abd.net reg) ~rng (Sched.random_policy rng)
+          Net.auto_deliver_policy (R.net reg) ~rng (Sched.random_policy rng)
         in
         ignore (Sched.run sched ~policy ~max_steps:20_000);
-        check_int "rolled-back rejoin counted" 1
-          (Obs.Metrics.counter m "reg.abd.amnesia");
-        check_int "no handshake ran" 0
-          (Obs.Metrics.counter m "reg.abd.state_transfer"));
+        check_int "rolled-back rejoin counted" 1 (counter m "amnesia");
+        check_int "no handshake ran" 0 (counter m "state_transfer"));
     tc "recover_node demands a crashed node" (fun () ->
         let sched = Sched.create () in
-        let reg = Abd.create ~sched ~name:"R" ~n:3 ~writer:0 ~init:0 () in
+        let reg = R.create ~sched ~n:3 () in
         Alcotest.check_raises "running"
           (Invalid_argument "Sched.restart: pid 102 has not crashed") (fun () ->
-            Abd.recover_node reg ~node:2));
+            R.recover_node reg ~node:2));
   ]
 
 let suite =
   [
     ("msgpass.net", net_tests);
     ("msgpass.abd", abd_tests);
-    ("msgpass.abd.recovery", recovery_tests);
+    ("msgpass.abd.recovery", recovery_tests (module Abd_reg));
+    ("msgpass.mwabd.recovery", recovery_tests (module Mw_reg));
   ]
