@@ -56,6 +56,7 @@ let run_blocked ?metrics cfg =
   let game_cfg, handles, inst =
     setup_a' ?metrics cfg ~mode:Adv.Linearizable ~inputs:(fun pid -> pid mod 2)
   in
+  Fun.protect ~finally:(fun () -> Sched.dispose handles.Alg1.sched) @@ fun () ->
   let players = players_of cfg.n in
   for _ = 1 to cfg.gate_rounds do
     if not (Thm6.play_round handles ~players ~reorder:true ~first_writer:0)
@@ -75,6 +76,7 @@ let run_live ?metrics cfg ~inputs =
   let game_cfg, handles, inst =
     setup_a' ?metrics cfg ~mode:Adv.Write_strong ~inputs
   in
+  Fun.protect ~finally:(fun () -> Sched.dispose handles.Alg1.sched) @@ fun () ->
   let players = players_of cfg.n in
   let guess_rng = Simkit.Rng.create (Int64.logxor cfg.seed 0xBADC0DEL) in
   let continue_ = ref true in

@@ -108,6 +108,7 @@ let spawn ~sched cfg ~inputs ?(pid_of = fun p -> p) () =
 
 let run_random cfg ~inputs =
   let sched = Sched.create ~seed:cfg.seed () in
+  Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   let collect = spawn ~sched cfg ~inputs () in
   let rng = Rng.create (Int64.logxor cfg.seed 0x2545F491L) in
   ignore

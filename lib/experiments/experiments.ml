@@ -324,6 +324,7 @@ let e7_cor9 ?(jobs = 1) ~quick () =
    adds wall-clock. *)
 let steps_per_op ~make ~write ~read ~n ~ops =
   let sched = Core.Sched.create ~seed:77L () in
+  Fun.protect ~finally:(fun () -> Core.Sched.dispose sched) @@ fun () ->
   let r = make sched in
   let done_ = ref false in
   Core.Sched.spawn sched ~pid:1 (fun () ->

@@ -158,6 +158,7 @@ type report = {
 let run_shard ~metrics (c : config) ~index ~ops =
   let seed = shard_seed ~seed:c.seed index in
   let sched = Sched.create ~seed ~metrics () in
+  Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   let name = Printf.sprintf "S%d" index in
   let sampled = index < c.sample in
   let seg =

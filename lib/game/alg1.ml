@@ -173,6 +173,7 @@ let collect cfg h =
 
 let run_with_policy ?metrics cfg ~policy ~max_steps =
   let h = setup ?metrics cfg in
+  Fun.protect ~finally:(fun () -> Sched.dispose h.sched) @@ fun () ->
   ignore (Sched.run h.sched ~policy ~max_steps);
   collect cfg h
 

@@ -206,6 +206,7 @@ let run_linearizable_variant ?(aux_mode = None) ?metrics ~variant ~n ~rounds
     }
   in
   let h = Alg1.setup ?metrics cfg in
+  Fun.protect ~finally:(fun () -> Sched.dispose h.sched) @@ fun () ->
   let players = players_of n in
   for _ = 1 to rounds do
     if not (play_round h ~players ~reorder:true ~first_writer:0) then
@@ -241,6 +242,7 @@ let run_write_strong ?(variant = Alg1.Unbounded) ?(aux_mode = None) ?metrics ~n
     }
   in
   let h = Alg1.setup ?metrics cfg in
+  Fun.protect ~finally:(fun () -> Sched.dispose h.sched) @@ fun () ->
   let players = players_of n in
   let guess_rng = Simkit.Rng.create (Int64.logxor seed 0xADEADBEEFL) in
   let continue_ = ref true in

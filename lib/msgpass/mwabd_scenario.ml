@@ -33,9 +33,11 @@ let prefix_upto_time h t =
   in
   Hist.prefix h k
 
-(* Build the common prefix G and return everything the branches need. *)
-let build_g () =
+(* Build the common prefix G, let [extend] drive one branch past it, and
+   return the branch's whole history and its prefix G. *)
+let branch ~extend =
   let sched = Sched.create ~seed:23L () in
+  Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   (* retransmission off: the scenario scripts exact message counts *)
   let reg = Mwabd.create ~retry_after:0 ~sched ~name:"MW" ~n:3 ~init:0 () in
   let net = Mwabd.net reg in
@@ -66,7 +68,10 @@ let build_g () =
   deliver net ~src:(Mwabd.server_pid ~node:2) ~dst:1;
   step sched 1;
   (* w2 is complete; w1 still lacks one query reply *)
-  (sched, reg, net, Trace.now (Sched.trace sched))
+  let g_time = Trace.now (Sched.trace sched) in
+  extend sched net;
+  let h = Trace.history (Sched.trace sched) in
+  (h, prefix_upto_time h g_time)
 
 (* finish w1's write given that its pending quorum reply just arrived *)
 let finish_w1 sched net =
@@ -97,24 +102,25 @@ let run_reader sched net ~nodes =
 
 let run () =
   (* --- branch H1: the stale sq-0 reply arrives; w1 gets ⟨1,0⟩ < ⟨1,1⟩ -- *)
-  let sched_a, _reg_a, net_a, g_time_a = build_g () in
-  deliver net_a ~src:(Mwabd.server_pid ~node:1) ~dst:0;
-  finish_w1 sched_a net_a;
-  run_reader sched_a net_a ~nodes:(1, 2);
-  let h1 = Trace.history (Sched.trace sched_a) in
-  let g_a = prefix_upto_time h1 g_time_a in
+  let h1, g_a =
+    branch ~extend:(fun sched net ->
+        deliver net ~src:(Mwabd.server_pid ~node:1) ~dst:0;
+        finish_w1 sched net;
+        run_reader sched net ~nodes:(1, 2))
+  in
   (* --- branch H2: server 2 (which stores sq 1) answers; w1 gets ⟨2,0⟩ -- *)
-  let sched_b, _reg_b, net_b, g_time_b = build_g () in
-  pump sched_b net_b ~src:0 ~node:2;
-  deliver net_b ~src:(Mwabd.server_pid ~node:2) ~dst:0;
-  (* also flush the stale sq-0 reply into the mailbox AFTER the sq-1 one:
-     the collect loop exits on the fresh reply and the ack loop ignores
-     the stale one, keeping the (src,dst) FIFO clear for the acks *)
-  deliver net_b ~src:(Mwabd.server_pid ~node:1) ~dst:0;
-  finish_w1 sched_b net_b;
-  run_reader sched_b net_b ~nodes:(0, 1);
-  let h2 = Trace.history (Sched.trace sched_b) in
-  let g_b = prefix_upto_time h2 g_time_b in
+  let h2, g_b =
+    branch ~extend:(fun sched net ->
+        pump sched net ~src:0 ~node:2;
+        deliver net ~src:(Mwabd.server_pid ~node:2) ~dst:0;
+        (* also flush the stale sq-0 reply into the mailbox AFTER the sq-1
+           one: the collect loop exits on the fresh reply and the ack loop
+           ignores the stale one, keeping the (src,dst) FIFO clear for the
+           acks *)
+        deliver net ~src:(Mwabd.server_pid ~node:1) ~dst:0;
+        finish_w1 sched net;
+        run_reader sched net ~nodes:(0, 1))
+  in
   if
     not
       (List.equal History.Event.equal_timed (Hist.events g_a)

@@ -67,6 +67,7 @@ let execute ?metrics ?tracer w =
   check_crashes ~what:"Runs.execute" ~n:w.n ~clients:(0 :: w.readers)
     (List.sort_uniq Int.compare (w.crash @ plan_crashes));
   let sched = Sched.create ~seed:w.seed ?metrics ?tracer () in
+  Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   let reg = Abd.create ~sched ~name:"ABD" ~n:w.n ~writer:0 ~init:0 () in
   let faults =
     if Faults.is_benign w.faults then None
@@ -372,6 +373,7 @@ end
 let execute_config ?metrics ?tracer (c : Config.t) =
   Config.validate c;
   let sched = Sched.create ~seed:c.Config.seed ?metrics ?tracer () in
+  Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   let fpolicy =
     if Faults.is_benign c.Config.faults then None
     else Some (Faults.create ~seed:(fault_seed c.Config.seed) c.Config.faults)

@@ -111,18 +111,38 @@ let of_string s =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
-  (* encode a Unicode codepoint as UTF-8 bytes *)
-  let add_utf8 buf cp =
-    if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+  (* the four hex digits of a \u escape, and nothing else: no sign, no
+     '_' separator, no "0x" prefix *)
+  let hex4 () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let v = ref 0 in
+    for i = !pos to !pos + 3 do
+      let d =
+        match s.[i] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "bad \\u escape"
+      in
+      v := (!v lsl 4) lor d
+    done;
+    pos := !pos + 4;
+    !v
+  in
+  (* a code point outside the BMP is escaped as a UTF-16 surrogate pair
+     (RFC 8259 §7); a surrogate that is not half of a pair encodes
+     nothing *)
+  let code_point () =
+    let cp = hex4 () in
+    if cp >= 0xDC00 && cp <= 0xDFFF then fail "lone low surrogate"
+    else if cp < 0xD800 || cp > 0xDBFF then cp
+    else if !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
+      pos := !pos + 2;
+      let lo = hex4 () in
+      if lo < 0xDC00 || lo > 0xDFFF then fail "lone high surrogate";
+      0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
     end
-    else begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
+    else fail "lone high surrogate"
   in
   let parse_string () =
     expect '"';
@@ -148,14 +168,7 @@ let of_string s =
             | 'b' -> Buffer.add_char buf '\b'; go ()
             | 'f' -> Buffer.add_char buf '\012'; go ()
             | 'u' ->
-                if !pos + 4 > n then fail "truncated \\u escape";
-                let hex = String.sub s !pos 4 in
-                pos := !pos + 4;
-                let cp =
-                  try int_of_string ("0x" ^ hex)
-                  with _ -> fail "bad \\u escape"
-                in
-                add_utf8 buf cp;
+                Buffer.add_utf_8_uchar buf (Uchar.of_int (code_point ()));
                 go ()
             | _ -> fail "bad escape")
         | c -> Buffer.add_char buf c; go ()

@@ -145,8 +145,10 @@ let counter t name =
    had been made into [into] instead, in the same order: counters add,
    gauges overwrite (last write wins), histograms concatenate (count, sum
    and extrema are exact; reservoir samples append until the cap).  Used
-   by the parallel run harness (Simkit.Pool.map_runs) to fold per-run
-   registries into the experiment's registry in run order. *)
+   by the parallel run harness (Simkit.Pool.map_runs) to fold each run's
+   registry into the experiment's registry, in run order, as soon as
+   every earlier run has finished; those merges are serialized but may
+   happen on any domain. *)
 let merge ~into src =
   Hashtbl.iter (fun name r -> incr ~by:!r into name) src.counters;
   Hashtbl.iter (fun name r -> set_gauge into name !r) src.gauges;

@@ -100,7 +100,8 @@ val merge : into:t -> t -> unit
     counters add, gauges overwrite, histograms concatenate (count, sum,
     min, max exact; retained samples appended until the reservoir cap).
     The parallel run harness ({!Simkit.Pool.map_runs}) gives each run a
-    private registry and folds them in run order, so the merged registry
+    private registry and folds each one, in run order, as soon as every
+    earlier run has finished, so the merged registry
     — and hence any snapshot {!delta} over it — is independent of the
     degree of parallelism.  [src] is left untouched. *)
 

@@ -14,6 +14,7 @@ type outcome = {
 let run ~mode ~n_procs ~ops_per_proc ~seed =
   if n_procs < 1 then invalid_arg "Chaos.run: n_procs must be >= 1";
   let sched = Sched.create ~seed () in
+  Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   let r = Adv.create ~sched ~name:"R" ~init:(V.Int 0) ~mode in
   let next_val = ref 100 in
   for pid = 1 to n_procs do

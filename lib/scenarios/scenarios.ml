@@ -42,6 +42,7 @@ type fig3 = {
 
 let fig3 () =
   let sched = Sched.create ~seed:7L () in
+  Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   let r = Alg2.create ~sched ~name:"R" ~n:3 ~init:0 in
   Sched.spawn sched ~pid:1 (fun () -> Alg2.write r ~proc:1 101);
   Sched.spawn sched ~pid:2 (fun () -> Alg2.write r ~proc:2 102);
@@ -91,9 +92,11 @@ type fig4 = {
 
 (* The common prefix G: w1 (by p1) reads Val[1..2] then stalls; w2 (by p2)
    runs to completion.  [p3] is the third process whose behaviour differs
-   between the two extensions. *)
-let fig4_run ~p3_code =
+   between the two extensions, and [extend] drives the run past G.
+   Returns the whole history and its prefix G. *)
+let fig4_run ~p3_code ~extend =
   let sched = Sched.create ~seed:11L () in
+  Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   let r = Alg4.create ~sched ~name:"R" ~n:3 ~init:0 in
   Sched.spawn sched ~pid:1 (fun () -> Alg4.write r ~proc:1 201);
   Sched.spawn sched ~pid:2 (fun () -> Alg4.write r ~proc:2 202);
@@ -103,31 +106,34 @@ let fig4_run ~p3_code =
   (* w2: full execution *)
   run_out sched 2;
   let g_time = Trace.now (Sched.trace sched) in
-  (sched, r, g_time)
+  extend sched;
+  let h = Trace.history (Sched.trace sched) in
+  (h, prefix_upto_time h g_time)
 
 let fig4 () =
   (* Case-1 extension H1: w1 completes, then p3 reads (observes w2). *)
-  let sched_a, _r_a, g_time_a =
-    fig4_run ~p3_code:(fun r () -> ignore (Alg4.read r ~proc:3))
+  let h1, g_a =
+    fig4_run
+      ~p3_code:(fun r () -> ignore (Alg4.read r ~proc:3))
+      ~extend:(fun sched ->
+        run_out sched 1;
+        run_out sched 3)
   in
-  run_out sched_a 1;
-  run_out sched_a 3;
-  let h1 = Trace.history (Sched.trace sched_a) in
-  let g_a = prefix_upto_time h1 g_time_a in
   (* Case-2 extension H2: w3 (by p3) completes, then w1 completes having
      seen w3's larger timestamp, then p3 reads (observes w1). *)
-  let sched_b, _r_b, g_time_b =
-    fig4_run ~p3_code:(fun r () ->
+  let h2, g_b =
+    fig4_run
+      ~p3_code:(fun r () ->
         Alg4.write r ~proc:3 203;
         ignore (Alg4.read r ~proc:3))
+      ~extend:(fun sched ->
+        (* w3: invoke + 3 reads + publish = 5 steps (the same fiber then
+           begins its read; stepping it 5 times completes exactly the
+           write) *)
+        steps sched 3 5;
+        run_out sched 1;
+        run_out sched 3)
   in
-  (* w3: invoke + 3 reads + publish = 5 steps (the same fiber then begins
-     its read; stepping it 5 times completes exactly the write) *)
-  steps sched_b 3 5;
-  run_out sched_b 1;
-  run_out sched_b 3;
-  let h2 = Trace.history (Sched.trace sched_b) in
-  let g_b = prefix_upto_time h2 g_time_b in
   if not (Hist.is_prefix g_a ~of_:h1 && Hist.is_prefix g_b ~of_:h2) then
     invalid_arg "Scenarios.fig4: prefix construction broken";
   if not (List.equal History.Event.equal_timed (Hist.events g_a) (Hist.events g_b))
@@ -159,6 +165,7 @@ type mwmr_run = { trace : Trace.t; history : Hist.t; completed : bool }
 let random_run ?metrics ~n ~writes_per_proc ~reads_per_proc ~seed ~make ~write
     ~read () =
   let sched = Sched.create ~seed ?metrics () in
+  Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   let r = make sched in
   let remaining = ref n in
   for p = 1 to n do

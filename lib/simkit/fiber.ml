@@ -5,6 +5,10 @@ open Effect.Deep
 
 type _ Effect.t += Yield : unit Effect.t
 
+(* Raised into a suspended fiber by [discard]; the fiber's own handler
+   catches it and marks the fiber [Dead], so it never reaches a caller. *)
+exception Discarded
+
 type status = Runnable | Finished | Failed of exn
 
 type state =
@@ -53,6 +57,17 @@ let step t =
       t.state <- Running;
       continue k ();
       status t
+
+(* OCaml 5 frees a fiber's stack only when the fiber returns or raises:
+   a continuation that is dropped without being resumed keeps its stack
+   forever.  Discontinuing unwinds it through the fiber's handler instead. *)
+let discard t =
+  match t.state with
+  | Suspended k ->
+      t.state <- Running;
+      discontinue k Discarded
+  | Not_started _ -> t.state <- Dead Discarded
+  | Running | Done | Dead _ -> ()
 
 let run_to_completion t ~max_steps =
   let rec go n =

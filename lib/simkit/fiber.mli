@@ -23,6 +23,22 @@ val step : t -> status
     Returns the status after the step.
     @raise Invalid_argument when stepping a finished/failed fiber. *)
 
+val discard : t -> unit
+(** End a fiber that will never be stepped again, freeing its stack.  A
+    suspended fiber is discontinued with an exception private to this
+    module, which unwinds its stack to the fiber's own handler; a
+    never-started one is simply dropped.  Either way its status becomes
+    [Failed] and {!step} raises [Invalid_argument] on it.  Finished,
+    failed and running fibers are left as they are, so a second [discard]
+    does nothing.
+
+    On OCaml 5 a continuation that is dropped without being resumed keeps
+    its stack allocated for the rest of the process; call [discard] (or
+    {!Sched.dispose}) on every fiber that is abandoned while suspended.
+    The unwinding runs no code of the fiber's unless its body handles
+    every exception (a [try … with _]) or uses [Fun.protect]; no fiber
+    body in this repository does either. *)
+
 val yield : unit -> unit
 (** To be called from inside fiber code only.  Performing it outside a
     fiber raises [Effect.Unhandled]. *)

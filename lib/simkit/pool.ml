@@ -159,20 +159,26 @@ let iter ~jobs n f = ignore (map ~jobs n f : unit array)
 
 (* The per-run metrics-isolation harness (see DESIGN.md "Parallel
    harness"): every task records into its own fresh registry — the global
-   registry is never touched off the calling domain — and the registries
-   are folded into [metrics] in task order once every domain has joined.
-   Folding in index order makes the merged registry identical whatever
-   [jobs] is, so parallel and sequential batteries report the same
-   metric deltas. *)
+   registry is never touched by a task — and each registry is folded
+   into [metrics] as soon as every lower-index task has finished, then
+   dropped, so only the registries of tasks that ran ahead of a
+   slower lower-index one are held.  The folds are serialized under
+   [lock] and happen in index order, which makes the merged registry
+   identical whatever [jobs] is.  A failed task is never folded, so the
+   fold stops there: after a failure at task k (the lowest, which [map]
+   re-raises), [metrics] holds exactly tasks 0..k-1. *)
 let map_runs ~jobs ~metrics n f =
-  let out =
-    map ~jobs n (fun i ->
-        let m = Obs.Metrics.create () in
-        let v = f ~metrics:m i in
-        (v, m))
-  in
-  Array.map
-    (fun (v, m) ->
-      Obs.Metrics.merge ~into:metrics m;
+  let finished = Array.make n None in
+  let next = ref 0 in
+  let lock = Mutex.create () in
+  map ~jobs n (fun i ->
+      let m = Obs.Metrics.create () in
+      let v = f ~metrics:m i in
+      Mutex.protect lock (fun () ->
+          finished.(i) <- Some m;
+          while !next < n && Option.is_some finished.(!next) do
+            Obs.Metrics.merge ~into:metrics (Option.get finished.(!next));
+            finished.(!next) <- None;
+            incr next
+          done);
       v)
-    out

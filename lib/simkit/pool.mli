@@ -46,10 +46,18 @@ val map_runs :
   int ->
   (metrics:Obs.Metrics.t -> int -> 'a) ->
   'a array
-(** Like {!map}, but hands each task a fresh private metric registry and,
-    after every domain has joined, folds the per-task registries into
-    [metrics] in task order with {!Obs.Metrics.merge}.  This is the only
-    sanctioned way for parallel tasks to feed an experiment's
-    snapshot/delta measurement: the target registry is only ever touched
-    from the calling domain, and the fold order (hence the merged
-    registry) is independent of [jobs]. *)
+(** Like {!map}, but hands each task a fresh private metric registry and
+    folds the per-task registries into [metrics], in task order, with
+    {!Obs.Metrics.merge}: task [i]'s registry is merged as soon as tasks
+    [0..i] have all finished, on whichever domain finished the last of
+    them, and is dropped once merged, so a long battery holds only the
+    registries of tasks that ran ahead of a slower lower-index one rather
+    than all [n] until the call returns.  Merges are serialized, and the
+    fold order (hence the merged registry) is independent of [jobs].
+    This is the only sanctioned way for parallel tasks to feed an
+    experiment's snapshot/delta measurement; nothing else may touch
+    [metrics] while the call runs.
+
+    If task [k] is the lowest-index task that raises, [map_runs]
+    re-raises its exception (as {!map} does) and [metrics] then holds
+    exactly the merge of tasks [0..k-1], at any [jobs]. *)

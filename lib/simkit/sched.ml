@@ -111,10 +111,11 @@ let incarnation t ~pid =
   Option.value (Hashtbl.find_opt t.incarnations pid) ~default:0
 
 let restart t ~pid f =
-  ignore (find t pid);
+  let old = find t pid in
   if not (crashed t ~pid) then
     invalid_arg (Printf.sprintf "Sched.restart: pid %d has not crashed" pid);
   t.crashed_ <- List.filter (fun p -> p <> pid) t.crashed_;
+  Fiber.discard old;
   Hashtbl.replace t.fibers pid (Fiber.spawn ~pid f);
   let inc = incarnation t ~pid + 1 in
   Hashtbl.replace t.incarnations pid inc;
@@ -147,6 +148,8 @@ let recycle t ~pid f =
     ignore
       (Obs.Tracer.emit t.tracer_ ~track:pid ~parent:(-1) ~sim:t.steps_
          ~cat:"sched" "recycle")
+
+let dispose t = Hashtbl.iter (fun _ f -> Fiber.discard f) t.fibers
 
 let coin t ~proc =
   let v = Rng.coin t.rng_ in

@@ -74,7 +74,8 @@ val restart : t -> pid:int -> (unit -> unit) -> int
     routine — the crashed fiber's control state is gone for good, only
     whatever the process persisted elsewhere survives).  Bumps and
     returns the pid's {!incarnation}, clears the crashed flag, replaces
-    the fiber, fires the [sched.restarts] counter and emits a ["recover"]
+    the fiber ({!Fiber.discard}ing the crashed one, so its stack is
+    freed), fires the [sched.restarts] counter and emits a ["recover"]
     flight-recorder event.
     @raise Invalid_argument if [pid] is unknown or has not crashed. *)
 
@@ -88,6 +89,18 @@ val recycle : t -> pid:int -> (unit -> unit) -> unit
     flight-recorder event.
     @raise Invalid_argument if [pid] is unknown, still runnable, failed,
     or crashed (crashed slots go through {!restart}). *)
+
+val dispose : t -> unit
+(** End the run: {!Fiber.discard} every fiber this scheduler owns, so
+    the stacks of fibers left suspended (ABD's replica servers always
+    are) or never started are freed now rather than never.  Afterwards no
+    such pid is {!runnable} and {!step} on it raises [Invalid_argument];
+    finished and failed fibers keep their status, the trace, RNG, step
+    clock and incarnations are untouched, and a second [dispose] does
+    nothing.  Emits no flight-recorder event and bumps no counter, so a
+    disposed run reports exactly what it reported before.  Every driver
+    that creates a scheduler and drops it calls this when the run ends,
+    also when the run raises.  Call it from outside the fibers. *)
 
 val incarnation : t -> pid:int -> int
 (** How many times [pid] has been {!restart}ed (0 for a first-incarnation

@@ -160,6 +160,34 @@ let test_json_unicode_escape () =
   | Ok _ -> Alcotest.fail "expected a string"
   | Error e -> Alcotest.failf "parse failed: %s" e
 
+(* a surrogate pair is one code point (4 UTF-8 bytes); a lone surrogate
+   or a non-hex digit in a \u escape is a parse error *)
+let test_json_unicode_surrogates () =
+  let module J = Obs.Json in
+  (match J.of_string "\"\\uD83D\\uDE00!\"" with
+  | Ok (J.Str s) ->
+      Alcotest.(check string) "U+1F600 as 4 bytes" "\xf0\x9f\x98\x80!" s
+  | Ok _ -> Alcotest.fail "expected a string"
+  | Error e -> Alcotest.failf "parse failed: %s" e);
+  List.iter
+    (fun bad ->
+      match J.of_string bad with
+      | Error _ -> ()
+      | Ok v -> Alcotest.failf "%s parsed as %s" bad (J.to_string v))
+    [
+      "\"\\uD83D\"";
+      "\"\\uD83Dx\"";
+      "\"\\uD83D\\u0041\"";
+      "\"\\uD83D\\uD83D\"";
+      "\"\\uDE00\"";
+      "\"\\uDE00\\uD83D\"";
+      "\"\\u00_4\"";
+      "\"\\u0_41\"";
+      "\"\\u+041\"";
+      "\"\\u 041\"";
+      "\"\\u00e\"";
+    ]
+
 (* ----- Trace JSONL round-trip ---------------------------------------------- *)
 
 let test_trace_jsonl_roundtrip () =
@@ -190,6 +218,7 @@ let suite =
         tc "reservoir growth and cap" test_reservoir_growth_and_cap;
         tc "json round-trip" test_json_roundtrip;
         tc "json \\uXXXX decoding" test_json_unicode_escape;
+        tc "json surrogate pairs and strict hex" test_json_unicode_surrogates;
         tc "fig3 trace JSONL round-trip" test_trace_jsonl_roundtrip;
       ] );
   ]

@@ -189,6 +189,43 @@ let test_map_runs_merge () =
   Alcotest.(check bool)
     "snapshots identical across jobs" true (s1 = s4)
 
+(* registries are folded as tasks finish, so a failure at task k leaves
+   the target holding exactly tasks 0..k-1 — never a later task that
+   happened to finish first, and not nothing *)
+let test_map_runs_failure () =
+  let n = 400 in
+  let record ~metrics i =
+    Obs.Metrics.incr metrics ~by:(i + 1) "pool.test.counter";
+    Obs.Metrics.set_gauge metrics "pool.test.gauge" (float_of_int i);
+    Obs.Metrics.observe metrics "pool.test.hist" (float_of_int i);
+    i
+  in
+  List.iter
+    (fun k ->
+      let expect = Obs.Metrics.create () in
+      ignore (Pool.map_runs ~jobs:1 ~metrics:expect k record);
+      List.iter
+        (fun jobs ->
+          for rep = 1 to (if jobs = 1 then 1 else 20) do
+            let m = Obs.Metrics.create () in
+            let raised =
+              match
+                Pool.map_runs ~jobs ~metrics:m n (fun ~metrics i ->
+                    if i = k then raise (Boom i) else record ~metrics i)
+              with
+              | _ -> None
+              | exception Boom i -> Some i
+            in
+            let label = Printf.sprintf "k=%d jobs=%d rep %d" k jobs rep in
+            Alcotest.(check (option int)) (label ^ ": task k re-raised")
+              (Some k) raised;
+            Alcotest.(check bool) (label ^ ": target holds tasks 0..k-1")
+              true
+              (Obs.Metrics.snapshot m = Obs.Metrics.snapshot expect)
+          done)
+        [ 1; 4 ])
+    [ 0; 11; 250 ]
+
 (* ----- battery determinism --------------------------------------------------- *)
 
 (* The guarantee `rlin experiments -j N` advertises: same ids, same
@@ -261,6 +298,8 @@ let suite =
           test_back_to_back;
         tc "map_runs merges per-run registries independent of jobs"
           test_map_runs_merge;
+        tc "after task k fails, map_runs has merged exactly tasks 0..k-1"
+          test_map_runs_failure;
       ] );
     ( "experiments.parallel",
       [

@@ -255,6 +255,108 @@ let sched_tests =
         Alcotest.(check (list int)) "deterministic" (flips 5L) (flips 5L));
   ]
 
+(* ----- fiber lifecycle: dispose, restart, memory ------------------------------- *)
+
+(* a fiber body whose [Fun.protect] counts how often its stack unwinds —
+   the one way a test can watch {!Fiber.discard} happen *)
+let unwinding unwound () =
+  Fun.protect
+    ~finally:(fun () -> incr unwound)
+    (fun () ->
+      while true do
+        Fiber.yield ()
+      done)
+
+let vm_rss_kb () =
+  In_channel.with_open_text "/proc/self/status" (fun ic ->
+      let rec go () =
+        match In_channel.input_line ic with
+        | None -> Alcotest.fail "no VmRSS line in /proc/self/status"
+        | Some l when String.starts_with ~prefix:"VmRSS:" l ->
+            Scanf.sscanf l "VmRSS: %d kB" Fun.id
+        | Some _ -> go ()
+      in
+      go ())
+
+let lifecycle_tests =
+  [
+    tc "dispose ends suspended and unstarted fibers, keeps the rest"
+      (fun () ->
+        let m = Obs.Metrics.create () in
+        let s = Sched.create ~metrics:m () in
+        let unwound = ref 0 in
+        Sched.spawn s ~pid:1 (unwinding unwound);
+        Sched.spawn s ~pid:2 (fun () -> ());
+        Sched.spawn s ~pid:3 (fun () -> failwith "boom");
+        Sched.spawn s ~pid:4 (fun () -> Alcotest.fail "never started");
+        Sched.spawn s ~pid:5 (fun () -> Fiber.yield ());
+        Sched.crash s ~pid:5;
+        ignore (Sched.step s ~pid:1);
+        ignore (Sched.step s ~pid:2);
+        (try ignore (Sched.step s ~pid:3) with Failure _ -> ());
+        let before = Obs.Metrics.snapshot m in
+        Sched.dispose s;
+        check_int "the suspended fiber unwound once" 1 !unwound;
+        Alcotest.(check (list int)) "nothing is live" [] (Sched.live_pids s);
+        List.iter
+          (fun pid ->
+            check_bool (Printf.sprintf "p%d not runnable" pid) false
+              (Sched.runnable s ~pid);
+            Alcotest.check_raises (Printf.sprintf "step p%d" pid)
+              (Invalid_argument
+                 (Printf.sprintf "Sched.step: pid %d is not runnable" pid))
+              (fun () -> ignore (Sched.step s ~pid)))
+          [ 1; 4 ];
+        check_bool "finished stays finished" true
+          (Sched.status s ~pid:2 = Fiber.Finished);
+        check_bool "failed keeps its exception" true
+          (match Sched.status s ~pid:3 with
+          | Fiber.Failed (Failure msg) -> msg = "boom"
+          | _ -> false);
+        check_bool "crashed stays crashed" true (Sched.crashed s ~pid:5);
+        check_bool "no counter or histogram moved" true
+          (Obs.Metrics.snapshot m = before);
+        Sched.dispose s;
+        check_int "a second dispose does nothing" 1 !unwound);
+    tc "restart discards the crashed fiber it replaces" (fun () ->
+        let s = Sched.create () in
+        let unwound = ref 0 in
+        Sched.spawn s ~pid:1 (unwinding unwound);
+        ignore (Sched.step s ~pid:1);
+        Sched.crash s ~pid:1;
+        check_int "a crash alone frees nothing" 0 !unwound;
+        ignore (Sched.restart s ~pid:1 (fun () -> ()));
+        check_int "the crashed fiber unwound" 1 !unwound;
+        ignore (Sched.step s ~pid:1);
+        check_bool "the new fiber ran" true
+          (Sched.status s ~pid:1 = Fiber.Finished));
+    tc "disposed runs keep memory flat" (fun () ->
+        (* a suspended fiber's stack outlives a dropped continuation on
+           OCaml 5, so without dispose this loop grows RSS by ~30 MB *)
+        if Sys.file_exists "/proc/self/status" then begin
+          let m = Obs.Metrics.create () in
+          let run () =
+            let s = Sched.create ~metrics:m () in
+            Sched.spawn s ~pid:1 (fun () ->
+                while true do
+                  Fiber.yield ()
+                done);
+            ignore (Sched.step s ~pid:1);
+            Sched.dispose s
+          in
+          run ();
+          Gc.full_major ();
+          let before = vm_rss_kb () in
+          for _ = 1 to 50_000 do
+            run ()
+          done;
+          Gc.full_major ();
+          let grown = vm_rss_kb () - before in
+          if grown >= 8 * 1024 then
+            Alcotest.failf "50k disposed runs grew VmRSS by %d kB" grown
+        end);
+  ]
+
 (* ----- trace ------------------------------------------------------------------- *)
 
 let trace_tests =
@@ -311,5 +413,6 @@ let suite =
     ("simkit.rng", rng_tests);
     ("simkit.fiber", fiber_tests);
     ("simkit.sched", sched_tests);
+    ("simkit.lifecycle", lifecycle_tests);
     ("simkit.trace", trace_tests);
   ]
