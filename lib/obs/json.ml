@@ -21,11 +21,19 @@ let rec equal a b =
 
 (* ----- emission -------------------------------------------------------- *)
 
+(* Emission allocates only its buffer and the string it returns. *)
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let rec clean s i =
+  i = String.length s || ((not (needs_escape s.[i])) && clean s (i + 1))
+
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  if clean s 0 then Buffer.add_string buf s
+  else
+    for i = 0 to String.length s - 1 do
+      match s.[i] with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
@@ -34,10 +42,21 @@ let escape_to buf s =
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
       | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
+          Buffer.add_char buf "0123456789abcdef".[Char.code c land 15]
+      | c -> Buffer.add_char buf c
+    done;
   Buffer.add_char buf '"'
+
+(* the decimal digits of [m <= 0]: the non-positive side holds [min_int] *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.chr (Char.code '0' - (m mod 10)))
+
+let add_int buf n =
+  if n < 0 then Buffer.add_char buf '-';
+  add_digits buf (if n < 0 then n else -n)
 
 let float_repr f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
@@ -48,7 +67,7 @@ let float_repr f =
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Int n -> add_int buf n
   | Float f ->
       if Float.is_nan f || Float.abs f = Float.infinity then
         Buffer.add_string buf "null"
@@ -56,22 +75,33 @@ let rec emit buf = function
   | Str s -> escape_to buf s
   | List l ->
       Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          emit buf v)
-        l;
+      emit_items buf l;
       Buffer.add_char buf ']'
   | Obj fields ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape_to buf k;
-          Buffer.add_char buf ':';
-          emit buf v)
-        fields;
+      emit_fields buf fields;
       Buffer.add_char buf '}'
+
+and emit_items buf = function
+  | [] -> ()
+  | [ v ] -> emit buf v
+  | v :: rest ->
+      emit buf v;
+      Buffer.add_char buf ',';
+      emit_items buf rest
+
+and emit_fields buf = function
+  | [] -> ()
+  | [ (k, v) ] -> emit_field buf k v
+  | (k, v) :: rest ->
+      emit_field buf k v;
+      Buffer.add_char buf ',';
+      emit_fields buf rest
+
+and emit_field buf k v =
+  escape_to buf k;
+  Buffer.add_char buf ':';
+  emit buf v
 
 let to_string v =
   let buf = Buffer.create 128 in
@@ -82,193 +112,216 @@ let pp fmt v = Format.pp_print_string fmt (to_string v)
 
 (* ----- parsing --------------------------------------------------------- *)
 
+(* A parse allocates only its cursor and the value it returns: each step
+   tests [pos < n] and the byte itself, a string without escapes is one
+   [String.sub], and an integer of up to 18 digits is read in place. *)
+type cursor = { s : string; n : int; mutable pos : int }
+
 exception Parse_error of int * string
 
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  (* the four hex digits of a \u escape, and nothing else: no sign, no
-     '_' separator, no "0x" prefix *)
-  let hex4 () =
-    if !pos + 4 > n then fail "truncated \\u escape";
-    let v = ref 0 in
-    for i = !pos to !pos + 3 do
-      let d =
-        match s.[i] with
-        | '0' .. '9' as c -> Char.code c - Char.code '0'
-        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-        | _ -> fail "bad \\u escape"
-      in
-      v := (!v lsl 4) lor d
-    done;
-    pos := !pos + 4;
-    !v
-  in
-  (* a code point outside the BMP is escaped as a UTF-16 surrogate pair
-     (RFC 8259 §7); a surrogate that is not half of a pair encodes
-     nothing *)
-  let code_point () =
-    let cp = hex4 () in
-    if cp >= 0xDC00 && cp <= 0xDFFF then fail "lone low surrogate"
-    else if cp < 0xD800 || cp > 0xDBFF then cp
-    else if !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
-      pos := !pos + 2;
-      let lo = hex4 () in
-      if lo < 0xDC00 || lo > 0xDFFF then fail "lone high surrogate";
-      0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
-    end
-    else fail "lone high surrogate"
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        let c = s.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents buf
-        | '\\' -> (
-            if !pos >= n then fail "unterminated escape";
-            let e = s.[!pos] in
-            advance ();
-            match e with
-            | '"' -> Buffer.add_char buf '"'; go ()
-            | '\\' -> Buffer.add_char buf '\\'; go ()
-            | '/' -> Buffer.add_char buf '/'; go ()
-            | 'n' -> Buffer.add_char buf '\n'; go ()
-            | 'r' -> Buffer.add_char buf '\r'; go ()
-            | 't' -> Buffer.add_char buf '\t'; go ()
-            | 'b' -> Buffer.add_char buf '\b'; go ()
-            | 'f' -> Buffer.add_char buf '\012'; go ()
-            | 'u' ->
-                Buffer.add_utf_8_uchar buf (Uchar.of_int (code_point ()));
-                go ()
-            | _ -> fail "bad escape")
-        | c -> Buffer.add_char buf c; go ()
+let fail c msg = raise (Parse_error (c.pos, msg))
+
+(* Containers nest at most this deep: a deeper bracket is an error at
+   its offset, so hostile input costs neither stack nor time in
+   proportion to its depth. *)
+let max_depth = 512
+
+(* consume [ch] if it is under the cursor *)
+let eat c ch =
+  if c.pos < c.n && c.s.[c.pos] = ch then begin
+    c.pos <- c.pos + 1;
+    true
+  end
+  else false
+
+let rec skip_ws c =
+  if c.pos < c.n then
+    match c.s.[c.pos] with
+    | ' ' | '\t' | '\n' | '\r' ->
+        c.pos <- c.pos + 1;
+        skip_ws c
+    | _ -> ()
+
+let expect c ch =
+  if not (eat c ch) then fail c (Printf.sprintf "expected %C" ch)
+
+let rec matches s pos word i =
+  i = String.length word
+  || (s.[pos + i] = word.[i] && matches s pos word (i + 1))
+
+let literal c word v =
+  let len = String.length word in
+  if c.pos + len <= c.n && matches c.s c.pos word 0 then begin
+    c.pos <- c.pos + len;
+    v
+  end
+  else fail c ("expected " ^ word)
+
+(* the four hex digits of a \u escape, and nothing else: no sign, no
+   '_' separator, no "0x" prefix *)
+let hex4 c =
+  if c.pos + 4 > c.n then fail c "truncated \\u escape";
+  let v = ref 0 in
+  for i = c.pos to c.pos + 3 do
+    let d =
+      match c.s.[i] with
+      | '0' .. '9' as ch -> Char.code ch - Char.code '0'
+      | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
+      | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
+      | _ -> fail c "bad \\u escape"
     in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_float = ref false in
-    if peek () = Some '-' then advance ();
-    while
-      !pos < n
-      &&
-      match s.[!pos] with
-      | '0' .. '9' -> true
-      | '.' | 'e' | 'E' | '+' | '-' ->
-          is_float := true;
-          true
-      | _ -> false
-    do
-      advance ()
-    done;
+    v := (!v lsl 4) lor d
+  done;
+  c.pos <- c.pos + 4;
+  !v
+
+(* a code point outside the BMP is escaped as a UTF-16 surrogate pair
+   (RFC 8259 §7); a surrogate that is not half of a pair encodes
+   nothing *)
+let code_point c =
+  let cp = hex4 c in
+  if cp >= 0xDC00 && cp <= 0xDFFF then fail c "lone low surrogate"
+  else if cp < 0xD800 || cp > 0xDBFF then cp
+  else if c.pos + 2 <= c.n && c.s.[c.pos] = '\\' && c.s.[c.pos + 1] = 'u'
+  then begin
+    c.pos <- c.pos + 2;
+    let lo = hex4 c in
+    if lo < 0xDC00 || lo > 0xDFFF then fail c "lone high surrogate";
+    0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+  end
+  else fail c "lone high surrogate"
+
+(* the index of the first '"' or '\\' at or after [i], or [n] *)
+let rec stop s n i =
+  if i >= n then n
+  else match s.[i] with '"' | '\\' -> i | _ -> stop s n (i + 1)
+
+(* the rest of a string that has an escape, from the cursor on *)
+let rec escaped c buf =
+  let j = stop c.s c.n c.pos in
+  Buffer.add_substring buf c.s c.pos (j - c.pos);
+  c.pos <- j;
+  if j >= c.n then fail c "unterminated string";
+  c.pos <- j + 1;
+  if c.s.[j] = '"' then Buffer.contents buf
+  else begin
+    if c.pos >= c.n then fail c "unterminated escape";
+    let e = c.s.[c.pos] in
+    c.pos <- c.pos + 1;
+    (match e with
+    | '"' -> Buffer.add_char buf '"'
+    | '\\' -> Buffer.add_char buf '\\'
+    | '/' -> Buffer.add_char buf '/'
+    | 'n' -> Buffer.add_char buf '\n'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'u' -> Buffer.add_utf_8_uchar buf (Uchar.of_int (code_point c))
+    | _ -> fail c "bad escape");
+    escaped c buf
+  end
+
+(* a string with no backslash is one [String.sub] of the input *)
+let string c =
+  expect c '"';
+  let i = c.pos in
+  let j = stop c.s c.n i in
+  if j < c.n && c.s.[j] = '"' then begin
+    c.pos <- j + 1;
+    String.sub c.s i (j - i)
+  end
+  else escaped c (Buffer.create (j - i + 16))
+
+let number c =
+  let s = c.s and start = c.pos in
+  let first = if s.[start] = '-' then start + 1 else start in
+  let pos = ref first and acc = ref 0 and is_float = ref false in
+  while
+    !pos < c.n
+    &&
+    match s.[!pos] with
+    | '0' .. '9' as d ->
+        acc := (!acc * 10) + (Char.code d - Char.code '0');
+        true
+    | '.' | 'e' | 'E' | '+' | '-' ->
+        is_float := true;
+        true
+    | _ -> false
+  do
+    incr pos
+  done;
+  c.pos <- !pos;
+  let digits = !pos - first in
+  (* 18 digits always fit an OCaml int; longer text may not *)
+  if (not !is_float) && digits > 0 && digits <= 18 then
+    Int (if first > start then - !acc else !acc)
+  else
     let text = String.sub s start (!pos - start) in
     if !is_float then
       match float_of_string_opt text with
       | Some f -> Float f
-      | None -> fail "bad number"
+      | None -> fail c "bad number"
     else
       match int_of_string_opt text with
       | Some i -> Int i
       | None -> (
           match float_of_string_opt text with
           | Some f -> Float f
-          | None -> fail "bad number")
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          items []
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            (k, v)
-          in
-          let rec fields acc =
-            let kv = field () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields (kv :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev (kv :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          fields []
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected %C" c)
-  in
+          | None -> fail c "bad number")
+
+(* the bracket under the cursor opens a container inside [depth] others *)
+let enter c depth =
+  if depth >= max_depth then
+    fail c (Printf.sprintf "nesting deeper than %d" max_depth);
+  c.pos <- c.pos + 1;
+  skip_ws c
+
+(* lists and objects are built front to back ([tail_mod_cons]): no
+   reversal, and no stack in proportion to their length *)
+let rec value c depth =
+  skip_ws c;
+  if c.pos >= c.n then fail c "unexpected end of input";
+  match c.s.[c.pos] with
+  | '"' -> Str (string c)
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | 'n' -> literal c "null" Null
+  | '[' ->
+      enter c depth;
+      if eat c ']' then List [] else List (items c (depth + 1))
+  | '{' ->
+      enter c depth;
+      if eat c '}' then Obj [] else Obj (fields c (depth + 1))
+  | '-' | '0' .. '9' -> number c
+  | ch -> fail c (Printf.sprintf "unexpected %C" ch)
+
+and[@tail_mod_cons] items c depth =
+  let v = value c depth in
+  skip_ws c;
+  if eat c ',' then v :: items c depth
+  else if eat c ']' then [ v ]
+  else
+    (* [raise], not [fail]: [tail_mod_cons] warns of a call here *)
+    raise (Parse_error (c.pos, "expected ',' or ']'"))
+
+and[@tail_mod_cons] fields c depth =
+  skip_ws c;
+  let k = string c in
+  skip_ws c;
+  expect c ':';
+  let v = value c depth in
+  skip_ws c;
+  if eat c ',' then (k, v) :: fields c depth
+  else if eat c '}' then [ (k, v) ]
+  else raise (Parse_error (c.pos, "expected ',' or '}'"))
+
+let of_string s =
+  let c = { s; n = String.length s; pos = 0 } in
   match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
+    let v = value c 0 in
+    skip_ws c;
+    if c.pos <> c.n then fail c "trailing garbage";
     v
   with
   | v -> Ok v

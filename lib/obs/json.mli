@@ -3,9 +3,16 @@
 
     The emitter produces one-line (no newline) renderings, which is what
     {!Export} needs for line-delimited JSON; the parser accepts any
-    standard JSON text and is used by the round-trip tests and by external
-    tooling checks.  Floats that are NaN or infinite serialize as [null]
-    (JSON has no representation for them). *)
+    standard JSON text and is what [rlin serve], checkpoints, the chaos
+    corpus and config loading read untrusted input with.  Floats that are
+    NaN or infinite serialize as [null] (JSON has no representation for
+    them).
+
+    Both directions allocate only their result: a parse builds the value
+    it returns and nothing else (a string without escapes is one copy of
+    the input, an integer of up to 18 digits is read in place), and a
+    rendering writes straight into one buffer (only a float's digits pass
+    through [Printf]). *)
 
 type t =
   | Null
@@ -24,7 +31,12 @@ val to_string : t -> string
 (** Render on one line (no embedded newlines: strings are escaped). *)
 
 val of_string : string -> (t, string) result
-(** Parse a single JSON value; [Error msg] carries a position. *)
+(** Parse a single JSON value.  [Error msg] reads
+    ["json: at offset N: ..."], [N] the byte offset where parsing
+    stopped.  Containers nest at most 512 deep: the bracket that opens
+    level 513 fails with ["nesting deeper than 512"] at its own offset,
+    so a hostile line costs neither stack nor time in proportion to its
+    depth. *)
 
 val pp : Format.formatter -> t -> unit
 

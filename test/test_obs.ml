@@ -188,6 +188,223 @@ let test_json_unicode_surrogates () =
       "\"\\u00e\"";
     ]
 
+(* ----- Json: nesting bound, allocation, scale ---------------------------- *)
+
+let nesting_error = "json: at offset 512: nesting deeper than 512"
+
+let test_json_nesting_bound () =
+  let module J = Obs.Json in
+  let nested d = String.make d '[' ^ String.make d ']' in
+  (match J.of_string (nested 512) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "512 levels rejected: %s" e);
+  Alcotest.(check (result reject string))
+    "513 levels fail at the 513th bracket" (Error nesting_error)
+    (J.of_string (nested 513));
+  (* objects count as levels too: the 513th '{' is at byte 5 * 512 *)
+  Alcotest.(check (result reject string))
+    "513 nested objects"
+    (Error "json: at offset 2560: nesting deeper than 512")
+    (J.of_string (String.concat "" (List.init 513 (fun _ -> {|{"a":|}))));
+  (* ten million brackets stop at the bound instead of recursing *)
+  Alcotest.(check (result reject string))
+    "a 10M-deep line is an error" (Error nesting_error)
+    (J.of_string (String.make 10_000_000 '['))
+
+(* A serve trace line allocates its value and nothing else: 9 keys,
+   4 strings, 4 ints, 9 pairs, 9 cons cells, 2 objects, the [Ok] and the
+   cursor come to 106 words.  [Gc.minor_words], not [Gc.counters]: the
+   latter's minor count moves only at a minor collection. *)
+let test_json_parse_allocation () =
+  let line =
+    {|{"t":17,"kind":"invoke","op":5,"proc":2,"obj":"R3","opkind":"write","value":{"type":"int","v":107}}|}
+  in
+  ignore (Obs.Json.of_string line);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Obs.Json.of_string line))
+  done;
+  let per_parse = (Gc.minor_words () -. before) /. 1000. in
+  if per_parse > 150. then
+    Alcotest.failf "%.1f minor words per parse (at most 150)" per_parse
+
+let test_json_scale () =
+  let module J = Obs.Json in
+  List.iter
+    (fun (what, v) ->
+      match J.of_string (J.to_string v) with
+      | Error e -> Alcotest.failf "%s: %s" what e
+      | Ok v' ->
+          Alcotest.(check bool) (what ^ " round-trips") true (J.equal v v'))
+    [
+      ("1M-element array", J.List (List.init 1_000_000 (fun i -> J.Int i)));
+      ( "100k-field object",
+        J.Obj
+          (List.init 100_000 (fun i -> (Printf.sprintf "k%d" i, J.Str "v"))) );
+    ]
+
+(* ----- Json against the reference codec ----------------------------------- *)
+
+(* [Obs.Json] must accept the same language as the codec it replaced
+   ([Json_ref]), return the same value or the same error string, and
+   render the same bytes.  Every input here nests at most five levels,
+   far inside the nesting bound, which is the one place the two may
+   differ. *)
+
+let pick rand a = a.(Random.State.int rand (Array.length a))
+
+let fuzz_string rand =
+  let atoms =
+    [| "a"; "Z"; "0"; " "; "\""; "\\"; "/"; "\n"; "\r"; "\t"; "\b"; "\012";
+       "\000"; "\001"; "\031"; "\127"; "\xc3\xa9"; "\xe2\x82\xac";
+       "\xf0\x9f\x98\x80"; "\xff"; "\x80"; "invoke"; "R3" |]
+  in
+  String.concat ""
+    (List.init (Random.State.int rand 8) (fun _ -> pick rand atoms))
+
+let fuzz_int rand =
+  match Random.State.int rand 4 with
+  | 0 ->
+      pick rand
+        [| min_int; max_int; min_int + 1; 0; -1; 999_999_999_999_999_999;
+           -999_999_999_999_999_999; 1_000_000_000_000_000_000;
+           -1_000_000_000_000_000_000 |]
+  | 1 -> Random.State.bits rand lsl Random.State.int rand 34
+  | 2 -> -Random.State.int rand 1000
+  | _ -> Random.State.int rand 1000
+
+let fuzz_float rand =
+  match Random.State.int rand 3 with
+  | 0 ->
+      pick rand
+        [| 0.; -0.; Float.nan; Float.infinity; Float.neg_infinity; 1e15; 1e16;
+           -2.5; 0.1; 1e-7; 5e-324; Float.max_float; Float.min_float |]
+  | 1 -> Random.State.float rand 1e6 -. 5e5
+  | _ -> Int64.float_of_bits (Random.State.int64 rand Int64.max_int)
+
+let rec fuzz_value rand depth =
+  let open Obs.Json in
+  match Random.State.int rand (if depth = 0 then 5 else 7) with
+  | 0 -> Null
+  | 1 -> Bool (Random.State.bool rand)
+  | 2 -> Int (fuzz_int rand)
+  | 3 -> Float (fuzz_float rand)
+  | 4 -> Str (fuzz_string rand)
+  | 5 ->
+      List
+        (List.init (Random.State.int rand 5) (fun _ ->
+             fuzz_value rand (depth - 1)))
+  | _ ->
+      Obj
+        (List.init (Random.State.int rand 5) (fun _ ->
+             (fuzz_string rand, fuzz_value rand (depth - 1))))
+
+(* a record as [rlin serve] reads it *)
+let trace_record rand =
+  let value () =
+    match Random.State.int rand 3 with
+    | 0 -> History.Value.Bot
+    | 1 -> History.Value.Int (fuzz_int rand)
+    | _ -> History.Value.Pair (Random.State.int rand 4, Random.State.int rand 9)
+  in
+  let op_id = Random.State.int rand 100_000 in
+  let ev =
+    if Random.State.bool rand then
+      Serve.Ingest.Invoke
+        {
+          op_id;
+          proc = Random.State.int rand 8;
+          obj = Printf.sprintf "R%d" (Random.State.int rand 8);
+          kind =
+            (if Random.State.bool rand then History.Op.Read
+             else History.Op.Write (value ()));
+        }
+    else
+      Serve.Ingest.Respond
+        {
+          op_id;
+          result = (if Random.State.bool rand then None else Some (value ()));
+        }
+  in
+  Serve.Ingest.event_json ~time:(Random.State.int rand 1_000_000) ev
+
+(* number text around the 18-digit fast path and the float fallback *)
+let number_text rand =
+  let digits =
+    String.init (Random.State.int rand 23) (fun _ ->
+        Char.chr (Char.code '0' + Random.State.int rand 10))
+  in
+  (if Random.State.bool rand then "-" else "")
+  ^ digits
+  ^ pick rand
+      [| ""; ""; ""; "."; ".5"; "e5"; "E-2"; "e+"; "-"; "+1"; "x"; "]" |]
+
+let mutate rand s =
+  let n = String.length s in
+  let i = Random.State.int rand (n + 1) in
+  let splice ins drop =
+    String.sub s 0 i ^ ins ^ String.sub s (i + drop) (n - i - drop)
+  in
+  match Random.State.int rand 5 with
+  | 0 -> String.sub s 0 i
+  | 1 when i < n ->
+      let bit = 1 lsl Random.State.int rand 8 in
+      splice (String.make 1 (Char.chr (Char.code s.[i] lxor bit))) 1
+  | 2 when i < n ->
+      splice
+        (pick rand
+           [| "{"; "}"; "["; "]"; ","; ":"; "\""; "\\"; " "; "-"; "."; "e";
+              "0"; "n" |])
+        1
+  | 3 ->
+      splice
+        ("\\u"
+        ^ pick rand
+            [| ""; "0041"; "00e9"; "001f"; "D83D"; "DE00"; "D83D\\uDE00";
+               "dbff\\udfff"; "12"; "zz12"; "+041" |])
+        0
+  | _ -> splice (pick rand [| " "; "\n"; "\t"; "\r" |]) 0
+
+let test_json_against_reference () =
+  let rand = Random.State.make [| 20261017 |] in
+  let inputs = ref 0 in
+  let agree input =
+    incr inputs;
+    match (Obs.Json.of_string input, Json_ref.of_string input) with
+    | Ok a, Ok b when Obs.Json.equal a b -> ()
+    | Error a, Error b when String.equal a b -> ()
+    | got, want ->
+        let show = function
+          | Ok v -> "Ok " ^ Json_ref.to_string v
+          | Error e -> "Error " ^ e
+        in
+        Alcotest.failf "%S: parsed to %s, reference %s" input (show got)
+          (show want)
+  in
+  let rendered v =
+    let s = Obs.Json.to_string v in
+    if not (String.equal s (Json_ref.to_string v)) then
+      Alcotest.failf "rendered %S, reference %S" s (Json_ref.to_string v);
+    s
+  in
+  for _ = 1 to 4_000 do
+    let s = rendered (fuzz_value rand 4) in
+    agree s;
+    for _ = 1 to 3 do agree (mutate rand s) done
+  done;
+  for _ = 1 to 2_000 do
+    let s = rendered (trace_record rand) in
+    agree s;
+    agree (mutate rand s);
+    agree (mutate rand (mutate rand s))
+  done;
+  for _ = 1 to 2_000 do
+    let t = number_text rand in
+    agree t;
+    agree ("[" ^ t ^ "]")
+  done;
+  Alcotest.(check bool) "at least 20k inputs" true (!inputs >= 20_000)
+
 (* ----- Trace JSONL round-trip ---------------------------------------------- *)
 
 let test_trace_jsonl_roundtrip () =
@@ -219,6 +436,10 @@ let suite =
         tc "json round-trip" test_json_roundtrip;
         tc "json \\uXXXX decoding" test_json_unicode_escape;
         tc "json surrogate pairs and strict hex" test_json_unicode_surrogates;
+        tc "json nesting bound" test_json_nesting_bound;
+        tc "json parse allocates only its value" test_json_parse_allocation;
+        tc "json 1M array and 100k object" test_json_scale;
+        tc "json agrees with the reference codec" test_json_against_reference;
         tc "fig3 trace JSONL round-trip" test_trace_jsonl_roundtrip;
       ] );
   ]
