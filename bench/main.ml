@@ -110,12 +110,10 @@ let hot_trees =
        Core.Histgen.atomic_history ~count:8 ~seed:3
     |> List.map Core.Treecheck.of_prefixes)
 
-(* Parallel-driver set: fewer, harder histories (deeper DFS per call), so
-   the per-call frontier split and job hand-off to the pool's parked
-   workers amortize and the rows measure search throughput, not setup.
-   Recorded at -j 1 and
-   -j 2 on whatever this machine is — on the 1-core CI container the
-   -j 2 row honestly shows the coordination overhead. *)
+(* Parallel-driver set, recorded at -j 1 and -j 2.  Every search here
+   ends within 78 DFS states, far inside [Lincheck]'s sequential budget
+   of 4,096, so the -j 2 row measures what a small search costs through
+   the [jobs] entry point: no pool hand-off. *)
 let hot_par_histories =
   lazy
     (gen_histories
@@ -124,13 +122,6 @@ let hot_par_histories =
     @ gen_histories
         { Core.Histgen.default_spec with n_ops = 16; n_procs = 5 }
         Core.Histgen.arbitrary_history ~count:4 ~seed:5)
-
-let hot_par_trees =
-  lazy
-    (gen_histories
-       { Core.Histgen.default_spec with n_ops = 10; n_procs = 4 }
-       Core.Histgen.atomic_history ~count:4 ~seed:6
-    |> List.map Core.Treecheck.of_prefixes)
 
 (* Streaming-checker set: the decide workload concatenated into one
    multi-segment JSONL stream (times shifted, op ids offset), replayed
@@ -289,24 +280,14 @@ let throughput_rows ~window_ms () =
       ~counter:"trace.responds" ~window_ms (fun m ->
         ignore (Core.Fleet.run ~metrics:m (fleet_bench_config ~batched:true)));
   ]
-  @ List.concat_map
+  @ List.map
       (fun jobs ->
-        [
-          measure_rate
-            ~name:(Printf.sprintf "hot/decide-par-j%d-states-per-sec" jobs)
-            ~counter:"linchk.states" ~window_ms (fun m ->
-              List.iter
-                (fun h ->
-                  ignore (Core.Lincheck.witness ~metrics:m ~jobs ~init h))
-                (Lazy.force hot_par_histories));
-          measure_rate
-            ~name:(Printf.sprintf "hot/treecheck-par-j%d-nodes-per-sec" jobs)
-            ~counter:"treecheck.nodes" ~window_ms (fun m ->
-              List.iter
-                (fun t ->
-                  ignore (Core.Treecheck.write_strong ~metrics:m ~jobs ~init t))
-                (Lazy.force hot_par_trees));
-        ])
+        measure_rate
+          ~name:(Printf.sprintf "hot/decide-par-j%d-states-per-sec" jobs)
+          ~counter:"linchk.states" ~window_ms (fun m ->
+            List.iter
+              (fun h -> ignore (Core.Lincheck.witness ~metrics:m ~jobs ~init h))
+              (Lazy.force hot_par_histories)))
       [ 1; 2 ]
 
 let tests =

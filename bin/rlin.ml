@@ -1701,7 +1701,7 @@ let check_cmd =
       if tree then begin
         let tverdict, torders =
           match
-            Core.Treecheck.write_strong_witness ~jobs ~init
+            Core.Treecheck.write_strong_witness ~init
               (Core.Treecheck.of_prefixes hist)
           with
           | Some assign ->
@@ -1761,9 +1761,11 @@ let check_cmd =
        ~doc:
          "Generate seeded histories and decide their linearizability \
           (optionally plus the prefix-tree write strong-linearizability \
-          check) on up to JOBS domains via the parallel \
-          checker.  Verdicts and witnesses are identical at every -j; the \
-          Too_large op cap is raised with the domain budget \
+          check).  Each decision runs sequentially first and moves to the \
+          parallel checker on up to JOBS domains only when it outgrows a \
+          fixed budget of 4096 search states; the tree check is always \
+          sequential.  Verdicts and witnesses are identical at every -j; \
+          the Too_large op cap is raised with the domain budget \
           (Lincheck.effective_cap) and surfaced in the report header.")
     Term.(
       const run $ count $ ops $ procs $ family $ tree $ seed_arg $ jobs_arg

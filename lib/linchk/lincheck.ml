@@ -216,7 +216,10 @@ let writes_only : scope = Op.is_write
    the one [Tracer.armed] branch per state. *)
 let probe_interval = 16_384
 
-let decide ?(trc = Obs.Tracer.null) ~m p ~forced ~scope =
+(* Raised by [decide] when a [budget] of DFS states runs out. *)
+exception Out_of_budget
+
+let decide ?(trc = Obs.Tracer.null) ?(budget = max_int) ~m p ~forced ~scope =
   let n = Array.length p.ops in
   let forced = Array.of_list forced in
   let nforced = Array.length forced in
@@ -227,7 +230,10 @@ let decide ?(trc = Obs.Tracer.null) ~m p ~forced ~scope =
   (* start tiny: most checked histories fail/succeed within a few dozen
      states, and the set doubles on demand for the big searches *)
   let failed = Ipset.create ~capacity:16 () in
+  let left = ref budget in
   let rec go mask cursor vid path =
+    if !left = 0 then raise Out_of_budget;
+    decr left;
     Obs.Metrics.incr_h states;
     if Obs.Tracer.armed trc then begin
       let s = Obs.Metrics.read_h states in
@@ -295,7 +301,8 @@ let decide ?(trc = Obs.Tracer.null) ~m p ~forced ~scope =
    The DFS state has been three machine ints since PR 5, so forking the
    search is cheap: expand the root into a lex-ordered frontier of
    subtree tasks, run them on [Simkit.Pool]'s parked workers, and share the
-   failure memo through a sharded concurrent set.
+   failure memo through a sharded concurrent set.  [decide_any] comes here
+   only for a search that outgrew the sequential budget ([seq_budget]).
 
    Determinism is by construction, not by luck (DESIGN.md §14):
    - the frontier lists subtrees in exactly the sequential DFS's
@@ -526,9 +533,20 @@ let decide_par ?(trc = Obs.Tracer.null) ~m ~jobs p ~forced ~scope =
     if b = max_int then None else results.(b)
   end
 
+(* Sequential first: a search that ends within [seq_budget] DFS states
+   returns the [-j 1] witness without touching the pool; only a larger one
+   restarts from the root in [decide_par], wasting at most the budget.
+   4,096 states is about 1 ms of DFS, or about 100 pool hand-offs, while
+   the largest search among 154,000 generated 8–14-op histories takes 316
+   (DESIGN.md §14). *)
+let seq_budget = 4096
+
 let decide_any ?trc ~m ~jobs p ~forced ~scope =
   if jobs <= 1 then decide ?trc ~m p ~forced ~scope
-  else decide_par ?trc ~m ~jobs p ~forced ~scope
+  else
+    match decide ?trc ~budget:seq_budget ~m p ~forced ~scope with
+    | r -> r
+    | exception Out_of_budget -> decide_par ?trc ~m ~jobs p ~forced ~scope
 
 let decide_prepped ?(metrics = Obs.Metrics.global) ?tracer ?(jobs = 1) p =
   decide_any ?trc:tracer ~m:metrics ~jobs p ~forced:[] ~scope:all_ops

@@ -58,13 +58,18 @@ val check :
     which the Perfetto export renders as counter tracks.  Disarmed, the
     probe costs one branch per state.
 
-    [jobs] (default 1) > 1 runs the search in parallel on [Simkit.Pool]:
-    it splits at the top-of-tree frontier into lex-ordered subtree
-    tasks sharing a sharded failure memo, and the lowest-index success
-    wins (higher-index tasks are skipped or cancelled), so the verdict
-    {e and} witness are identical to the sequential search at every
-    [jobs] — see DESIGN.md §14.  Parallel runs add [linchk.par.tasks] /
-    [linchk.par.cancelled] counters and a
+    [jobs] (default 1) > 1 runs the sequential search first, under a
+    fixed budget of 4,096 DFS states.  A search that ends within it
+    returns the sequential result and never touches the pool.  Only when
+    the budget runs out does the search restart from the root in
+    parallel on [Simkit.Pool]: it splits at the top-of-tree frontier into
+    lex-ordered subtree tasks sharing a sharded failure memo, and the
+    lowest-index success wins (higher-index tasks are skipped or
+    cancelled).  Either way the verdict {e and} witness are identical to
+    the sequential search at every [jobs] — see DESIGN.md §14.  After a
+    restart the counters include both phases: [linchk.states] counts the
+    budget's 4,096 states plus the parallel search's.  Parallel runs add
+    [linchk.par.tasks] / [linchk.par.cancelled] counters and a
     [linchk.par.memo_occupancy] gauge, and with an armed [tracer] emit a
     post-hoc [linchk.par.done] summary event (tasks run inside the
     parallel driver never trace — the recorder is not thread-safe).

@@ -21,7 +21,15 @@
     linearizability it makes the check conservative (it may report
     "impossible" when a function exists that linearizes a read before its
     response); the tests only apply {!strong} to trees whose internal nodes
-    have no pending reads, where it is exact. *)
+    have no pending reads, where it is exact.
+
+    Each search keeps a failure memo.  Whether a node's subtree can be
+    solved depends only on the node and the prefix committed above it, so
+    a (node, prefix) pair that failed once is answered from the memo
+    every later time a parent candidate leads to it.  Only failures are
+    recorded, so the witness — the first success in candidate order — is
+    the one the plain search finds.  On a failing tree this turns an
+    exponential number of revisits into one visit per pair. *)
 
 type tree = { hist : History.Hist.t; children : tree list }
 
@@ -46,28 +54,25 @@ val write_strong :
   bool
 (** Does a write strong-linearization function exist on this tree
     (Definition 4 restricted to the tree's histories)?  [metrics]
-    (default {!Obs.Metrics.global}) receives [treecheck.nodes] /
-    [treecheck.candidates] and the underlying {!Lincheck} counters —
-    pass a private registry to isolate a parallel run's numbers.
+    (default {!Obs.Metrics.global}) receives [treecheck.nodes] (node
+    visits), [treecheck.candidates], [treecheck.memo_prunes] (probes
+    answered by the failure memo, which are not visits) and the
+    underlying {!Lincheck} counters — pass a private registry to isolate
+    one run's numbers.
 
     An armed [tracer] (default {!Obs.Tracer.null}) receives a
     [treecheck.progress] event (category ["check"]) every 64 node visits:
     nodes visited, candidate orders generated, current tree depth.
 
-    [jobs] (default 1) > 1 preps the tree's nodes in parallel and runs
-    the parallel tree search on [Simkit.Pool]: the OR structure of the
-    search (candidate orders, nested along single-child spines) is
-    expanded into lex-ordered alternatives, each solved as a task, and
-    the lowest-index success wins — verdicts and witnesses are identical
-    to the sequential search at every [jobs] (DESIGN.md §14).  Parallel
-    runs add [treecheck.par.tasks] / [treecheck.par.cancelled] counters
-    and, with an armed [tracer], a
-    post-hoc [treecheck.par.done] summary event. *)
+    [jobs] is accepted and ignored: the search is sequential at every
+    [jobs].  With the memo a sequential search beat every parallel split
+    of it that was measured (DESIGN.md §14). *)
 
 val strong : ?metrics:Obs.Metrics.t -> init:History.Value.t -> tree -> bool
 (** Does a strong linearization function exist on this tree
     (Definition 3 restricted to the tree's histories)?  Conservative if an
-    internal node has pending reads; exact otherwise. *)
+    internal node has pending reads; exact otherwise.  The search has its
+    own failure memo and counts its hits in [treecheck.memo_prunes]. *)
 
 val write_strong_witness :
   ?metrics:Obs.Metrics.t ->

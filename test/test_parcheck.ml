@@ -1,5 +1,6 @@
 (* The parallel checker stack: the sharded failure memo
-   (Linchk.Ipset.Sharded), cancellation of beaten subtree tasks, and the
+   (Linchk.Ipset.Sharded), the sequential budget that keeps small searches
+   off the pool, cancellation of beaten subtree tasks, and the
    determinism contract — parallel verdicts and witnesses byte-identical
    to sequential at every [jobs] (DESIGN.md §14).  The runner itself,
    Simkit.Pool, is tested in test_pool.ml; the [parcheck.steal] group
@@ -169,11 +170,25 @@ let decide_oracle_tests =
         let yes = ref 0 and no = ref 0 in
         for i = 0 to 199 do
           let hist = gen_hist rand i in
-          let seq = L.witness ~init hist in
+          let m1 = Core.Metrics.create () in
+          let seq = L.witness ~metrics:m1 ~init hist in
           (match seq with Some _ -> incr yes | None -> incr no);
           List.iter
             (fun jobs ->
-              match (seq, L.witness ~jobs ~init hist) with
+              (* every one of these searches ends within the sequential
+                 budget, so [jobs] > 1 runs exactly the [-j 1] search: no
+                 task, and the same state count *)
+              let m = Core.Metrics.create () in
+              let par = L.witness ~metrics:m ~jobs ~init hist in
+              check_int
+                (Printf.sprintf "history %d: no task at jobs %d" i jobs)
+                0
+                (Core.Metrics.counter m "linchk.par.tasks");
+              check_int
+                (Printf.sprintf "history %d: states at jobs %d" i jobs)
+                (Core.Metrics.counter m1 "linchk.states")
+                (Core.Metrics.counter m "linchk.states");
+              match (seq, par) with
               | None, None -> ()
               | Some a, Some b ->
                   Alcotest.(check (list int))
@@ -192,12 +207,13 @@ let decide_oracle_tests =
 
 (* ----- cancellation ------------------------------------------------------- *)
 
-(* k concurrent writes of distinct values 1..k plus a later read of 1:
-   every linearization must place the write of 1 last among the writes,
-   so the lex-first frontier task (write-of-1 first) is a large
+(* k concurrent writes of distinct values 1..k plus a later read of
+   [last]: every linearization must place the write of [last] last among
+   the writes (none exists for [last] = 0, the initial value).  With
+   [last] = 1 the lex-first frontier task (write-of-1 first) is a large
    guaranteed-failing subtree while the lex-least success lives in task
    1 — later tasks observe the winner and cancel mid-subtree. *)
-let cancel_hist k =
+let writes_then_read k ~last =
   let ops =
     List.init k (fun i ->
         Op.make ~id:(i + 1) ~proc:(i + 1) ~obj:"R"
@@ -207,7 +223,7 @@ let cancel_hist k =
           ())
     @ [
         Op.make ~id:(k + 1) ~proc:1 ~obj:"R" ~kind:Op.Read ~invoked:300
-          ~responded:301 ~result:(V.Int 1) ();
+          ~responded:301 ~result:(V.Int last) ();
       ]
   in
   Hist.of_ops ops
@@ -215,7 +231,7 @@ let cancel_hist k =
 let cancel_tests =
   [
     tc "losing subtasks are cancelled, witness still sequential" (fun () ->
-        let h = cancel_hist 12 in
+        let h = writes_then_read 12 ~last:1 in
         let seq = L.witness ~init h in
         let expect =
           (* writes 2..12 in id order, then write 1, then the read *)
@@ -260,7 +276,37 @@ let cancel_tests =
           [ 2; 4 ]);
   ]
 
-(* ----- treecheck: parallel vs sequential --------------------------------- *)
+let budget_tests =
+  [
+    tc "searches past the budget reach the pool, witness still sequential"
+      (fun () ->
+        (* 9,282 to 56,411 states at -j 1: each outgrows the 4,096-state
+           sequential budget and restarts in the parallel driver *)
+        List.iter
+          (fun (k, last) ->
+            let h = writes_then_read k ~last in
+            let seq = Option.map ids_of (L.witness ~init h) in
+            List.iter
+              (fun jobs ->
+                let m = Core.Metrics.create () in
+                let par =
+                  Option.map ids_of (L.witness ~metrics:m ~jobs ~init h)
+                in
+                let name =
+                  Printf.sprintf "k %d, last %d, jobs %d" k last jobs
+                in
+                Alcotest.(check (option (list int)))
+                  (name ^ ": witness") seq par;
+                check_bool (name ^ ": tasks") true
+                  (Core.Metrics.counter m "linchk.par.tasks" > 0);
+                (* the budget's states count too *)
+                check_bool (name ^ ": states") true
+                  (Core.Metrics.counter m "linchk.states" > 4096))
+              [ 2; 4 ])
+          [ (10, 0); (10, 1); (11, 0); (11, 1); (11, 2); (12, 1); (12, 2) ]);
+  ]
+
+(* ----- treecheck: [jobs] changes nothing ---------------------------------- *)
 
 let op ?responded ?result ~id ~proc ~kind ~invoked () =
   Op.make ~id ~proc ~obj:"R" ~kind ~invoked ?responded ?result ()
@@ -373,6 +419,7 @@ let suite =
     ("parcheck.ipset", ipset_tests);
     ("parcheck.decide", decide_oracle_tests);
     ("parcheck.cancel", cancel_tests);
+    ("parcheck.budget", budget_tests);
     ("parcheck.tree", tree_oracle_tests);
     ("parcheck.chaos", chaos_tests);
   ]

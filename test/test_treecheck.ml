@@ -19,6 +19,64 @@ let w ?responded ~id ~proc ~invoked v =
 let r ~id ~proc ~invoked ~responded v =
   op ~id ~proc ~kind:Op.Read ~invoked ~responded ~result:(V.Int v) ()
 
+(* The Theorem-13 shape.  G: two concurrent writes, w2 complete.  A later
+   read in H1 forces w1 < w2 and one in H2 forces w2 < w1, so no
+   committed write order of f(G) extends to both. *)
+let refutation_tree () =
+  let w1 = w ~id:1 ~proc:1 ~invoked:1 100 in
+  let w2 = w ~id:2 ~proc:2 ~invoked:2 ~responded:5 200 in
+  let ext v =
+    Hist.of_ops
+      [
+        { w1 with responded = Some 7 };
+        w2;
+        r ~id:3 ~proc:3 ~invoked:8 ~responded:9 v;
+      ]
+  in
+  T.node (Hist.of_ops [ w1; w2 ]) [ T.node (ext 200) []; T.node (ext 100) [] ]
+
+(* Both extensions of G keep its write order: satisfiable. *)
+let satisfiable_tree () =
+  let w1 = w ~id:1 ~proc:1 ~invoked:1 ~responded:3 100 in
+  let w2 = w ~id:2 ~proc:2 ~invoked:4 ~responded:6 200 in
+  let g = Hist.of_ops [ w1; w2 ] in
+  let h1 =
+    Hist.of_ops [ w1; w2; r ~id:3 ~proc:3 ~invoked:8 ~responded:9 200 ]
+  in
+  let h2 =
+    Hist.of_ops [ w1; w2; w ~id:3 ~proc:3 ~invoked:8 ~responded:9 300 ]
+  in
+  T.node g [ T.node h1 []; T.node h2 [] ]
+
+(* The same histories at two places with different subtrees.  G: w2
+   complete, w1 pending; H: w1 completes too; K: a later read forces
+   w2 < w1.  Under G's first order [1; 2] the H node above K fails, so G
+   settles on [2].  The lone H node succeeds under [1; 2]: a memo keyed by
+   the history rather than the node would answer it from its twin's
+   failure and change the witness. *)
+let twin_tree () =
+  let w1 = w ~id:1 ~proc:1 ~invoked:1 100 in
+  let w2 = w ~id:2 ~proc:2 ~invoked:2 ~responded:5 200 in
+  let w1' = { w1 with responded = Some 7 } in
+  let g = Hist.of_ops [ w1; w2 ] and h = Hist.of_ops [ w1'; w2 ] in
+  let k =
+    Hist.of_ops [ w1'; w2; r ~id:3 ~proc:3 ~invoked:8 ~responded:9 100 ]
+  in
+  T.node Hist.empty
+    [ T.node g [ T.node h [ T.node k [] ] ]; T.node g [ T.node h [] ] ]
+
+(* G: one complete write w, one pending read.  H1 resolves the read to the
+   initial value (read before w), H2 to w's value (read after w). *)
+let pending_read_tree () =
+  let wo = w ~id:1 ~proc:1 ~invoked:1 ~responded:4 100 in
+  let rd = op ~id:2 ~proc:2 ~kind:Op.Read ~invoked:2 () in
+  let resolved v =
+    Hist.of_ops [ wo; { rd with responded = Some 6; result = Some (V.Int v) } ]
+  in
+  T.node
+    (Hist.of_ops [ wo; rd ])
+    [ T.node (resolved 0) []; T.node (resolved 100) [] ]
+
 let structure_tests =
   [
     tc "node rejects non-extending children" (fun () ->
@@ -139,48 +197,16 @@ let strong_tests =
         check_bool "strong" true (T.strong ~init (T.of_prefixes hist)));
     tc "WSL does not imply strong: a pending read refutes strong only"
       (fun () ->
-        (* G: one complete write w, one pending read r.  H1 resolves r to
-           the initial value (forcing r before w), H2 resolves it to w's
-           value (forcing r after w).  Since the complete w must be in
-           f(G), f(G) cannot be a prefix of both extensions: strong
+        (* Since the complete w must be in f(G), f(G) cannot be a prefix
+           of both extensions of [pending_read_tree]: strong
            linearizability fails on the tree.  Write strong-
            linearizability is untouched — the write order never changes. *)
-        let wo = w ~id:1 ~proc:1 ~invoked:1 ~responded:4 100 in
-        let rd = op ~id:2 ~proc:2 ~kind:Op.Read ~invoked:2 () in
-        let g = Hist.of_ops [ wo; rd ] in
-        let h1 =
-          Hist.of_ops
-            [ wo; { rd with responded = Some 6; result = Some (V.Int 0) } ]
-        in
-        let h2 =
-          Hist.of_ops
-            [ wo; { rd with responded = Some 6; result = Some (V.Int 100) } ]
-        in
-        let tree = T.node g [ T.node h1 []; T.node h2 [] ] in
+        let tree = pending_read_tree () in
         check_bool "wsl ok" true (T.write_strong ~init tree);
         check_bool "strong refuted" false (T.strong ~init tree));
     tc "strong refuted when a committed write order must flip" (fun () ->
-        let w1 = w ~id:1 ~proc:1 ~invoked:1 100 in
-        let w2 = w ~id:2 ~proc:2 ~invoked:2 ~responded:5 200 in
-        let g = Hist.of_ops [ w1; w2 ] in
-        let h1 =
-          Hist.of_ops
-            [
-              { w1 with responded = Some 7 };
-              w2;
-              r ~id:3 ~proc:3 ~invoked:8 ~responded:9 200;
-            ]
-        in
-        let h2 =
-          Hist.of_ops
-            [
-              { w1 with responded = Some 7 };
-              w2;
-              r ~id:3 ~proc:3 ~invoked:8 ~responded:9 100;
-            ]
-        in
         check_bool "strong refuted" false
-          (T.strong ~init (T.node g [ T.node h1 []; T.node h2 [] ])));
+          (T.strong ~init (refutation_tree ())));
   ]
 
 let fig4_tests =
@@ -214,11 +240,12 @@ let props =
          (fun hist -> T.write_strong ~init (T.of_prefixes hist)));
   ]
 
-(* ----- prep cache vs the prep-per-visit path -------------------------------
+(* ----- prep cache and failure memo vs the plain search ---------------------
    The tree search preps each node once and reuses the prepped form
-   across the candidate/recursion loop.  This reference solver is the old
-   path — Lincheck.subset_orders_extending (prep inside) on every visit —
-   and must return identical witnesses. *)
+   across the candidate/recursion loop, and it answers a (node, prefix)
+   pair that already failed from its memo.  These reference solvers are
+   the plain path — Lincheck.subset_orders_extending (prep inside) on
+   every visit, no memo — and must return identical witnesses. *)
 
 let old_solve ~init ~sel t =
   let rec go (t : T.tree) ~prefix =
@@ -247,10 +274,32 @@ let old_solve ~init ~sel t =
   in
   go t ~prefix:[]
 
+(* [Treecheck.strong] without its memo *)
+let old_strong ~init t =
+  let rec starts_with p s =
+    match (p, s) with
+    | [], _ -> true
+    | _, [] -> false
+    | x :: p', y :: s' -> x = y && starts_with p' s'
+  in
+  let rec go (t : T.tree) ~prefix =
+    let cands =
+      Core.Lincheck.enumerate ~init t.T.hist ~limit:4096
+      |> List.map (List.map (fun (o : Op.t) -> o.id))
+      |> List.filter (starts_with prefix)
+    in
+    List.exists
+      (fun seq -> List.for_all (fun c -> go c ~prefix:seq) t.T.children)
+      cands
+  in
+  go t ~prefix:[]
+
 let shape w = List.map (fun (h, ws) -> (Hist.length h, ws)) w
 
-let check_same_witness name t sel =
-  match (old_solve ~init ~sel t, T.subset_strong_witness ~init ~sel t) with
+let check_same_witness ?metrics name t sel =
+  match
+    (old_solve ~init ~sel t, T.subset_strong_witness ?metrics ~init ~sel t)
+  with
   | None, None -> ()
   | Some a, Some b ->
       Alcotest.(check (list (pair int (list int))))
@@ -273,28 +322,96 @@ let prep_cache_tests =
             (T.of_prefixes hist) Op.is_write
         done);
     tc "prep cache: identical on a branching refutation tree" (fun () ->
-        let w1 = w ~id:1 ~proc:1 ~invoked:1 100 in
-        let w2 = w ~id:2 ~proc:2 ~invoked:2 ~responded:5 200 in
-        let g = Hist.of_ops [ w1; w2 ] in
-        let h1 =
-          Hist.of_ops
-            [
-              { w1 with responded = Some 7 };
-              w2;
-              r ~id:3 ~proc:3 ~invoked:8 ~responded:9 200;
-            ]
-        in
-        let h2 =
-          Hist.of_ops
-            [
-              { w1 with responded = Some 7 };
-              w2;
-              r ~id:3 ~proc:3 ~invoked:8 ~responded:9 100;
-            ]
-        in
-        let tree = T.node g [ T.node h1 []; T.node h2 [] ] in
+        let tree = refutation_tree () in
         check_same_witness "refutation tree" tree Op.is_write;
         check_same_witness "refutation tree, read order" tree Op.is_read);
+    tc "memo: identical witnesses and strong verdicts on mixed chains and \
+        branching trees"
+      (fun () ->
+        let m = Core.Metrics.create () in
+        let rand = Random.State.make [| 0x3E30 |] in
+        let chains =
+          List.init 64 (fun i ->
+              let spec = Core.Histgen.default_spec in
+              let hist =
+                if i mod 2 = 0 then Core.Histgen.atomic_history spec rand
+                else Core.Histgen.arbitrary_history spec rand
+              in
+              (Printf.sprintf "mixed chain %d" i, T.of_prefixes hist))
+        in
+        let trees =
+          chains
+          @ [
+              ("refutation tree", refutation_tree ());
+              ("satisfiable branching tree", satisfiable_tree ());
+              ("pending-read tree", pending_read_tree ());
+              ("twin tree", twin_tree ());
+              ("fig4 tree", (Core.Scenario.fig4 ()).Core.Scenario.tree);
+            ]
+        in
+        let fails = ref 0 in
+        List.iter
+          (fun (name, t) ->
+            check_same_witness ~metrics:m name t Op.is_write;
+            check_same_witness ~metrics:m (name ^ ", read order") t Op.is_read;
+            let expect = old_strong ~init t in
+            if not expect then incr fails;
+            check_bool (name ^ ": strong") expect (T.strong ~metrics:m ~init t))
+          trees;
+        (* both verdicts occur, and the memo really answered probes *)
+        check_bool "some trees not strong" true (!fails > 0);
+        check_bool "some trees strong" true (!fails < List.length trees);
+        check_bool "memo prunes" true
+          (Core.Metrics.counter m "treecheck.memo_prunes" > 0));
+  ]
+
+(* ----- history 209 ---------------------------------------------------------
+   History 209 of [rlin check --ops 10 --procs 4 --seed 1] (20 events)
+   fails write strong-linearizability on its prefix chain.  Without the
+   memo the search re-solved each failed (node, prefix) pair once per
+   parent candidate: 1,130,784 node visits, and 149M enumeration states
+   for [strong].  With it: 1,439 visits and about 426k states. *)
+
+let history_209 () =
+  let rand = Random.State.make [| 1; 0xC0FFEE |] in
+  let spec =
+    { Core.Histgen.default_spec with Core.Histgen.n_ops = 10; n_procs = 4 }
+  in
+  let rec draw i =
+    let h =
+      if i mod 2 = 0 then Core.Histgen.atomic_history spec rand
+      else Core.Histgen.arbitrary_history spec rand
+    in
+    if i = 209 then h else draw (i + 1)
+  in
+  draw 0
+
+let history_209_tests =
+  [
+    tc "history 209: refuted within 10,000 node visits" (fun () ->
+        let h = history_209 () in
+        Alcotest.(check int) "20 events" 20 (Hist.length h);
+        let m = Core.Metrics.create () in
+        check_bool "write-strong witness" true
+          (Option.is_none
+             (T.write_strong_witness ~metrics:m ~init (T.of_prefixes h)));
+        let nodes = Core.Metrics.counter m "treecheck.nodes" in
+        check_bool
+          (Printf.sprintf "nodes %d <= 10000" nodes)
+          true (nodes <= 10_000);
+        (* the search is deterministic: a memo hit is not a visit *)
+        Alcotest.(check (pair int int))
+          "visits and memo hits" (1439, 1458)
+          (nodes, Core.Metrics.counter m "treecheck.memo_prunes"));
+    tc "history 209: strong refuted within 1M enumeration states" (fun () ->
+        let m = Core.Metrics.create () in
+        check_bool "strong" false
+          (T.strong ~metrics:m ~init (T.of_prefixes (history_209 ())));
+        let states = Core.Metrics.counter m "linchk.enum.states" in
+        check_bool
+          (Printf.sprintf "enum states %d <= 1000000" states)
+          true
+          (states <= 1_000_000));
   ]
 
 let suite =
@@ -305,4 +422,5 @@ let suite =
     ("treecheck.fig4", fig4_tests);
     ("treecheck.props", props);
     ("treecheck.prep_cache", prep_cache_tests);
+    ("treecheck.history_209", history_209_tests);
   ]
