@@ -149,10 +149,11 @@ let create ~sched ~n =
     partition_g = Obs.Metrics.gauge_h reg "net.faults.partition_active";
   }
 
+(* on every receive and every delivery: [find] builds no option box *)
 let mailbox t pid =
-  match Hashtbl.find_opt t.mailboxes pid with
-  | Some q -> q
-  | None ->
+  match Hashtbl.find t.mailboxes pid with
+  | q -> q
+  | exception Not_found ->
       let q = Queue.create () in
       Hashtbl.add t.mailboxes pid q;
       q
@@ -220,33 +221,46 @@ let broadcast t ~src payload =
     send t ~src ~dst payload
   done
 
-(* the stamped receive collect_quorum uses: payload plus (src, send-time
-   incarnation) so the collector can reject pre-crash ghosts *)
-let try_recv_stamped t ~pid =
-  let q = mailbox t pid in
-  if Queue.is_empty q then None
-  else begin
-    let payload, dseq, src, inc = Queue.pop q in
-    (* what this process does next is caused by this message *)
-    if dseq >= 0 then Obs.Tracer.set_ctx t.trc dseq;
-    Some (payload, src, inc)
-  end
+(* Pop the oldest entry of the non-empty mailbox [q]: what its process
+   does next is caused by this message.  The entry was allocated when the
+   message was delivered, so a receive builds no tuple of its own. *)
+let pop_entry t q =
+  let ((_, dseq, _, _) as entry) = Queue.pop q in
+  if dseq >= 0 then Obs.Tracer.set_ctx t.trc dseq;
+  entry
 
 let try_recv t ~pid =
-  Option.map (fun (payload, _, _) -> payload) (try_recv_stamped t ~pid)
+  let q = mailbox t pid in
+  if Queue.is_empty q then None
+  else
+    let payload, _, _, _ = pop_entry t q in
+    Some payload
 
-let recv t ~pid =
-  let rec wait () =
-    match try_recv t ~pid with
-    | Some m -> m
-    | None ->
-        Simkit.Fiber.yield ();
-        wait ()
-  in
-  wait ()
+let rec recv t ~pid =
+  match try_recv t ~pid with
+  | Some m -> m
+  | None ->
+      Simkit.Fiber.yield ();
+      recv t ~pid
 
 let in_flight t = Dq.length t.flight
 let mailbox_size t ~pid = Queue.length (mailbox t pid)
+
+(* Every fate of a delivery attempt is recorded against the send event
+   [it.ev] — the happens-before edge the exporters draw.  [fate] and
+   [enqueue] are top-level so that a delivery builds no closure. *)
+let fate t it name =
+  if Obs.Tracer.armed t.trc then
+    Obs.Tracer.emit t.trc ~track:it.m.dst ~parent:it.ev
+      ~args:[ ("src", Obs.Json.Int it.m.src) ]
+      ~sim:(Simkit.Sched.steps t.sched) ~cat:"net" name
+  else -1
+
+let enqueue t it =
+  Obs.Metrics.incr_h t.delivered_c;
+  Queue.push
+    (it.m.payload, fate t it "deliver", it.m.src, it.inc)
+    (mailbox t it.m.dst)
 
 (* The single point where an in-flight message reaches a mailbox: dead
    destinations and the fault policy are applied here, so every delivery
@@ -255,26 +269,13 @@ let mailbox_size t ~pid = Queue.length (mailbox t pid)
    duplication or partition hold pushes it (back) onto the tail. *)
 let deliver_item t it =
   let m = it.m in
-  (* every fate of a delivery attempt is recorded against the send event
-     [it.ev] — the happens-before edge the exporters draw *)
-  let fate name =
-    if Obs.Tracer.armed t.trc then
-      Obs.Tracer.emit t.trc ~track:m.dst ~parent:it.ev
-        ~args:[ ("src", Obs.Json.Int m.src) ]
-        ~sim:(Simkit.Sched.steps t.sched) ~cat:"net" name
-    else -1
-  in
-  let enqueue () =
-    Obs.Metrics.incr_h t.delivered_c;
-    Queue.push (m.payload, fate "deliver", m.src, it.inc) (mailbox t m.dst)
-  in
   if is_dead t ~pid:m.dst then begin
     Obs.Metrics.incr_h t.dead_letters_c;
-    ignore (fate "dead_letter")
+    ignore (fate t it "dead_letter")
   end
   else begin
     match t.faults with
-    | None -> enqueue ()
+    | None -> enqueue t it
     | Some f ->
         let step = Simkit.Sched.steps t.sched in
         Obs.Metrics.set_gauge_h t.partition_g
@@ -289,19 +290,26 @@ let deliver_item t it =
           match Simkit.Faults.draw f ~deferrals:it.deferrals with
           | Simkit.Faults.Drop ->
               Obs.Metrics.incr_h t.f_dropped_c;
-              ignore (fate "drop")
+              ignore (fate t it "drop")
           | Simkit.Faults.Defer ->
               it.deferrals <- it.deferrals + 1;
               Obs.Metrics.incr_h t.f_delayed_c;
               Dq.push_back t.flight it
           | Simkit.Faults.Duplicate ->
               Obs.Metrics.incr_h t.f_duplicated_c;
-              enqueue ();
+              enqueue t it;
               Dq.push_back t.flight
                 { m; deferrals = it.deferrals; ev = it.ev; inc = it.inc }
-          | Simkit.Faults.Deliver -> enqueue ()
+          | Simkit.Faults.Deliver -> enqueue t it
         end
   end
+
+let rec deliver_coalesced t = function
+  | [] -> ()
+  | extra :: rest ->
+      Obs.Metrics.incr_h t.coalesced_c;
+      deliver_item t extra;
+      deliver_coalesced t rest
 
 (* One delivery attempt: deliver the i-th oldest in-flight message and —
    when batching is on — coalesce same-destination messages found among
@@ -337,11 +345,7 @@ let deliver_nth t i =
     end
   in
   deliver_item t it;
-  List.iter
-    (fun extra ->
-      Obs.Metrics.incr_h t.coalesced_c;
-      deliver_item t extra)
-    batch;
+  deliver_coalesced t batch;
   note_in_flight t
 
 let deliver_one t ~rng =
@@ -369,34 +373,18 @@ let deliver_all t =
   (* end-of-experiment flush: bypasses the fault policy (a drain must
      terminate whatever the plan), but still respects dead destinations *)
   Dq.iter t.flight (fun it ->
-      let fate name =
-        if Obs.Tracer.armed t.trc then
-          Obs.Tracer.emit t.trc ~track:it.m.dst ~parent:it.ev
-            ~args:[ ("src", Obs.Json.Int it.m.src) ]
-            ~sim:(Simkit.Sched.steps t.sched) ~cat:"net" name
-        else -1
-      in
       if is_dead t ~pid:it.m.dst then begin
         Obs.Metrics.incr_h t.dead_letters_c;
-        ignore (fate "dead_letter")
+        ignore (fate t it "dead_letter")
       end
-      else begin
-        Obs.Metrics.incr_h t.delivered_c;
-        Queue.push
-          (it.m.payload, fate "deliver", it.m.src, it.inc)
-          (mailbox t it.m.dst)
-      end);
+      else enqueue t it);
   Dq.clear t.flight;
   note_in_flight t
 
 let drop_to t ~dst =
   if Obs.Tracer.armed t.trc then
     Dq.iter t.flight (fun it ->
-        if it.m.dst = dst then
-          ignore
-            (Obs.Tracer.emit t.trc ~track:dst ~parent:it.ev
-               ~args:[ ("src", Obs.Json.Int it.m.src) ]
-               ~sim:(Simkit.Sched.steps t.sched) ~cat:"net" "drop"));
+        if it.m.dst = dst then ignore (fate t it "drop"));
   let removed = Dq.keep_if t.flight (fun it -> it.m.dst <> dst) in
   Obs.Metrics.incr_h ~by:removed t.dropped_c;
   note_in_flight t
@@ -411,35 +399,39 @@ let collect_quorum t ~pid ~need ~seen ~classify ~stale ~retry_after ~resend =
   let count = ref 0 in
   Array.iter (fun b -> if b then incr count) seen;
   let idle = ref 0 in
+  let q = mailbox t pid in
   while !count < need do
-    match try_recv_stamped t ~pid with
-    | Some (payload, src, inc) -> (
+    if not (Queue.is_empty q) then begin
+      (* each entry carries the sender and its send-time incarnation *)
+      let payload, _, src, inc = pop_entry t q in
+      idle := 0;
+      (* the incarnation rule: a reply stamped with an older incarnation
+         of its sender was produced before that sender crashed — its
+         state may predate what the recovered incarnation re-promised,
+         so it can never count toward a post-recovery quorum *)
+      if inc <> Simkit.Sched.incarnation t.sched ~pid:src then stale ()
+      else
+        match classify payload with
+        | Some node when node >= 0 && node < Array.length seen ->
+            if not seen.(node) then begin
+              seen.(node) <- true;
+              incr count
+            end
+            (* duplicate reply from a counted node: idempotent, ignore *)
+        | Some _ | None -> stale ()
+    end
+    else begin
+      Simkit.Fiber.yield ();
+      incr idle;
+      if retry_after > 0 && !idle >= retry_after then begin
         idle := 0;
-        (* the incarnation rule: a reply stamped with an older incarnation
-           of its sender was produced before that sender crashed — its
-           state may predate what the recovered incarnation re-promised,
-           so it can never count toward a post-recovery quorum *)
-        if inc <> Simkit.Sched.incarnation t.sched ~pid:src then stale ()
-        else
-          match classify payload with
-          | Some node when node >= 0 && node < Array.length seen ->
-              if not seen.(node) then begin
-                seen.(node) <- true;
-                incr count
-              end
-              (* duplicate reply from a counted node: idempotent, ignore *)
-          | Some _ | None -> stale ())
-    | None ->
-        Simkit.Fiber.yield ();
-        incr idle;
-        if retry_after > 0 && !idle >= retry_after then begin
-          idle := 0;
-          let missing = ref [] in
-          for node = Array.length seen - 1 downto 0 do
-            if not seen.(node) then missing := node :: !missing
-          done;
-          resend ~missing:!missing
-        end
+        let missing = ref [] in
+        for node = Array.length seen - 1 downto 0 do
+          if not seen.(node) then missing := node :: !missing
+        done;
+        resend ~missing:!missing
+      end
+    end
   done
 
 (* ----- diagnostics / watchdog ------------------------------------------------ *)

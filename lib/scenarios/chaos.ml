@@ -32,7 +32,7 @@ let run ~mode ~n_procs ~ops_per_proc ~seed =
   let refused = ref 0 in
   let max_rounds = n_procs * ops_per_proc * 40 in
   let rounds = ref 0 in
-  while Sched.live_pids sched <> [] && !rounds < max_rounds do
+  while Sched.live_count sched > 0 && !rounds < max_rounds do
     incr rounds;
     let pend = Adv.pending r in
     let do_edit = pend <> [] && mode <> Adv.Atomic && Rng.bool rng in
@@ -46,8 +46,7 @@ let run ~mode ~n_procs ~ops_per_proc ~seed =
       | exception Adv.Illegal _ -> incr refused
     end
     else begin
-      let live = Sched.live_pids sched in
-      let pid = List.nth live (Rng.int rng (List.length live)) in
+      let pid = Sched.live_nth sched (Rng.int rng (Sched.live_count sched)) in
       ignore (Sched.step sched ~pid)
     end
   done;

@@ -359,29 +359,47 @@ let draw t ~deferrals =
   then Defer
   else Deliver
 
+(* [partition_active] and [partitioned] run on every delivery attempt: a
+   plan without partitions answers without building a closure. *)
 let partition_active t ~step =
-  List.exists
-    (fun (start, len, _) -> step >= start && step < start + len)
-    t.plan_.partitions
+  match t.plan_.partitions with
+  | [] -> false
+  | ps ->
+      List.exists (fun (start, len, _) -> step >= start && step < start + len) ps
 
 let partitioned t ~step ~src ~dst =
-  List.exists
-    (fun (start, len, isolated) ->
-      step >= start
-      && step < start + len
-      && List.mem src isolated <> List.mem dst isolated)
-    t.plan_.partitions
+  match t.plan_.partitions with
+  | [] -> false
+  | ps ->
+      List.exists
+        (fun (start, len, isolated) ->
+          step >= start
+          && step < start + len
+          && List.mem src isolated <> List.mem dst isolated)
+        ps
+
+(* [crashes_due] and [recoveries_due] run on every scheduling decision.
+   Their lists are ascending by step, so nothing is due unless the head
+   is, and the common case returns without partitioning. *)
+let none_due pending ~step =
+  match pending with (s, _) :: _ -> s > step | [] -> true
 
 let crashes_due t ~step =
-  let due, rest =
-    List.partition (fun (s, _) -> s <= step) t.pending_crashes
-  in
-  t.pending_crashes <- rest;
-  List.map snd due
+  if none_due t.pending_crashes ~step then []
+  else begin
+    let due, rest =
+      List.partition (fun (s, _) -> s <= step) t.pending_crashes
+    in
+    t.pending_crashes <- rest;
+    List.map snd due
+  end
 
 let recoveries_due t ~step =
-  let due, rest =
-    List.partition (fun (s, _) -> s <= step) t.pending_recoveries
-  in
-  t.pending_recoveries <- rest;
-  List.map snd due
+  if none_due t.pending_recoveries ~step then []
+  else begin
+    let due, rest =
+      List.partition (fun (s, _) -> s <= step) t.pending_recoveries
+    in
+    t.pending_recoveries <- rest;
+    List.map snd due
+  end

@@ -30,19 +30,25 @@ let status t =
   | Dead e -> Failed e
   | Running -> Runnable
 
+let is_runnable t =
+  match t.state with
+  | Not_started _ | Suspended _ | Running -> true
+  | Done | Dead _ -> false
+
 let yield () = perform Yield
 
+(* The yield handler is built once per fiber, not once per yield. *)
 let handler t =
+  let on_yield =
+    Some (fun (k : (unit, unit) continuation) -> t.state <- Suspended k)
+  in
   {
     retc = (fun () -> t.state <- Done);
     exnc = (fun e -> t.state <- Dead e);
     effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Yield ->
-            Some
-              (fun (k : (a, _) continuation) -> t.state <- Suspended k)
-        | _ -> None);
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) continuation -> unit) option ->
+        match eff with Yield -> on_yield | _ -> None);
   }
 
 let step t =

@@ -18,6 +18,10 @@ val spawn : pid:int -> (unit -> unit) -> t
 val pid : t -> int
 val status : t -> status
 
+val is_runnable : t -> bool
+(** [status t = Runnable], without building the [Failed] box that
+    {!status} allocates for a fiber that raised. *)
+
 val step : t -> status
 (** Run the fiber until its next [yield], its return, or an exception.
     Returns the status after the step.

@@ -7,6 +7,12 @@
     components and break run-for-run determinism. *)
 
 type t
+(** The 64-bit SplitMix64 state, kept unboxed in an 8-byte [Bytes.t] and
+    read and written with [Bytes.get_int64_le]/[set_int64_le], so a draw
+    boxes no state: {!int}, {!bool} and {!coin} allocate nothing, and
+    {!float} and {!next_int64} only their boxed result.  The stream from
+    each seed is plain SplitMix64 (gamma [0x9E3779B97F4A7C15]), pinned by
+    [test/test_simkit.ml]. *)
 
 val create : int64 -> t
 val copy : t -> t

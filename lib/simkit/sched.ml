@@ -1,9 +1,21 @@
+(* The slot table: one slot per spawned pid, sorted by pid.  [spawn]
+   inserts in pid order (an O(n) copy; spawns are rare), and [restart]
+   and [recycle] overwrite a slot in place, so the table only grows with
+   the set of pids, never with the number of occupants.  A lookup is a
+   binary search that builds no option, and the policies walk the live
+   slots with [live_count]/[live_nth] instead of building a list: a
+   scheduling decision allocates only its [Step] box. *)
+type slot = {
+  pid : int;
+  mutable fiber : Fiber.t;
+  mutable crashed : bool;
+  mutable inc : int; (* incarnation: how often the pid was restarted *)
+}
+
 type t = {
   tr : Trace.t;
   rng_ : Rng.t;
-  fibers : (int, Fiber.t) Hashtbl.t;
-  mutable crashed_ : int list;
-  incarnations : (int, int) Hashtbl.t; (* absent = 0 *)
+  mutable slots : slot array; (* ascending pid *)
   mutable rr_cursor : int;
   mutable steps_ : int;
   metrics_ : Obs.Metrics.t;
@@ -25,9 +37,7 @@ let create ?(seed = 1L) ?(metrics = Obs.Metrics.global)
   {
     tr = Trace.create ~metrics ();
     rng_ = Rng.create seed;
-    fibers = Hashtbl.create 16;
-    crashed_ = [];
-    incarnations = Hashtbl.create 8;
+    slots = [||];
     rr_cursor = 0;
     steps_ = 0;
     metrics_ = metrics;
@@ -50,55 +60,95 @@ let steps t = t.steps_
 let metrics t = t.metrics_
 let tracer t = t.tracer_
 
+(* binary search over [slots.(lo .. hi-1)]: the index of [pid]'s slot, or
+   -1.  Top-level and closure-free, so a lookup allocates nothing. *)
+let rec search slots pid lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let p = slots.(mid).pid in
+    if p = pid then mid
+    else if p < pid then search slots pid (mid + 1) hi
+    else search slots pid lo mid
+
+let index t pid = search t.slots pid 0 (Array.length t.slots)
+
+let slot t pid =
+  let i = index t pid in
+  if i < 0 then invalid_arg (Printf.sprintf "Sched: unknown pid %d" pid);
+  t.slots.(i)
+
 let spawn t ~pid f =
-  if Hashtbl.mem t.fibers pid then
+  if index t pid >= 0 then
     invalid_arg (Printf.sprintf "Sched.spawn: duplicate pid %d" pid);
   Obs.Metrics.incr_h t.spawns_c;
   if Obs.Tracer.armed t.tracer_ then
     ignore
       (Obs.Tracer.emit t.tracer_ ~track:pid ~parent:(-1) ~sim:t.steps_
          ~cat:"sched" "spawn");
-  Hashtbl.add t.fibers pid (Fiber.spawn ~pid f)
+  let s = { pid; fiber = Fiber.spawn ~pid f; crashed = false; inc = 0 } in
+  let old = t.slots in
+  let k = ref (Array.length old) in
+  while !k > 0 && old.(!k - 1).pid > pid do
+    decr k
+  done;
+  let k = !k in
+  t.slots <-
+    Array.init
+      (Array.length old + 1)
+      (fun i -> if i < k then old.(i) else if i = k then s else old.(i - 1))
 
-let pids t =
-  Hashtbl.fold (fun pid _ acc -> pid :: acc) t.fibers []
-  |> List.sort Int.compare
+let pids t = Array.fold_right (fun s acc -> s.pid :: acc) t.slots []
+let status t ~pid = Fiber.status (slot t pid).fiber
 
-let find t pid =
-  match Hashtbl.find_opt t.fibers pid with
-  | Some f -> f
-  | None -> invalid_arg (Printf.sprintf "Sched: unknown pid %d" pid)
+let crashed t ~pid =
+  let i = index t pid in
+  i >= 0 && t.slots.(i).crashed
 
-let status t ~pid = Fiber.status (find t pid)
-let crashed t ~pid = List.mem pid t.crashed_
+let live s = (not s.crashed) && Fiber.is_runnable s.fiber
 
-let runnable t ~pid =
-  (not (crashed t ~pid))
-  && match status t ~pid with Fiber.Runnable -> true | _ -> false
+let runnable t ~pid = live (slot t pid)
+
+let live_count t =
+  let c = ref 0 in
+  for i = 0 to Array.length t.slots - 1 do
+    if live t.slots.(i) then incr c
+  done;
+  !c
+
+let rec nth_live slots i k =
+  if i >= Array.length slots then
+    invalid_arg "Sched.live_nth: index out of range"
+  else if not (live slots.(i)) then nth_live slots (i + 1) k
+  else if k = 0 then slots.(i).pid
+  else nth_live slots (i + 1) (k - 1)
+
+let live_nth t k =
+  if k < 0 then invalid_arg "Sched.live_nth: index out of range";
+  nth_live t.slots 0 k
 
 let live_pids t = List.filter (fun pid -> runnable t ~pid) (pids t)
 
 let step t ~pid =
-  if crashed t ~pid then
+  let s = slot t pid in
+  if s.crashed then
     invalid_arg (Printf.sprintf "Sched.step: pid %d has crashed" pid);
-  let f = find t pid in
-  (match Fiber.status f with
-  | Fiber.Runnable -> ()
-  | _ -> invalid_arg (Printf.sprintf "Sched.step: pid %d is not runnable" pid));
+  if not (Fiber.is_runnable s.fiber) then
+    invalid_arg (Printf.sprintf "Sched.step: pid %d is not runnable" pid);
   Obs.Metrics.incr_h t.steps_c;
   t.steps_ <- t.steps_ + 1;
   if Obs.Tracer.armed t.tracer_ then
     ignore
       (Obs.Tracer.emit t.tracer_ ~track:pid ~parent:(-1) ~sim:t.steps_
          ~cat:"sched" "step");
-  match Fiber.step f with
+  match Fiber.step s.fiber with
   | Fiber.Failed e -> raise e
-  | s -> s
+  | st -> st
 
 let crash t ~pid =
-  ignore (find t pid);
-  if not (crashed t ~pid) then begin
-    t.crashed_ <- pid :: t.crashed_;
+  let s = slot t pid in
+  if not s.crashed then begin
+    s.crashed <- true;
     Obs.Metrics.incr_h t.crashes_c;
     if Obs.Tracer.armed t.tracer_ then
       ignore
@@ -108,17 +158,18 @@ let crash t ~pid =
   end
 
 let incarnation t ~pid =
-  Option.value (Hashtbl.find_opt t.incarnations pid) ~default:0
+  let i = index t pid in
+  if i < 0 then 0 else t.slots.(i).inc
 
 let restart t ~pid f =
-  let old = find t pid in
-  if not (crashed t ~pid) then
+  let s = slot t pid in
+  if not s.crashed then
     invalid_arg (Printf.sprintf "Sched.restart: pid %d has not crashed" pid);
-  t.crashed_ <- List.filter (fun p -> p <> pid) t.crashed_;
-  Fiber.discard old;
-  Hashtbl.replace t.fibers pid (Fiber.spawn ~pid f);
-  let inc = incarnation t ~pid + 1 in
-  Hashtbl.replace t.incarnations pid inc;
+  s.crashed <- false;
+  Fiber.discard s.fiber;
+  s.fiber <- Fiber.spawn ~pid f;
+  s.inc <- s.inc + 1;
+  let inc = s.inc in
   Obs.Metrics.incr_h t.restarts_c;
   if Obs.Tracer.armed t.tracer_ then
     ignore
@@ -129,27 +180,28 @@ let restart t ~pid f =
   inc
 
 (* Generational slot reuse: replace a finished fiber with fresh code at
-   the same pid.  Unlike [spawn] this grows no table (Hashtbl.replace on
-   an existing key), and unlike [restart] it bumps no incarnation — the
-   slot's previous occupant terminated normally, so there is no pre-crash
-   ghost for the network to reject.  This is what lets a fleet run
-   millions of short-lived client sessions through a fixed set of fiber
-   slots with flat scheduler memory. *)
+   the same pid.  Unlike [spawn] this grows no table (the slot is
+   overwritten in place), and unlike [restart] it bumps no incarnation —
+   the slot's previous occupant terminated normally, so there is no
+   pre-crash ghost for the network to reject.  This is what lets a fleet
+   run millions of short-lived client sessions through a fixed set of
+   fiber slots with flat scheduler memory. *)
 let recycle t ~pid f =
-  (match Fiber.status (find t pid) with
+  let s = slot t pid in
+  (match Fiber.status s.fiber with
   | Fiber.Finished -> ()
   | Fiber.Runnable | Fiber.Failed _ ->
       invalid_arg (Printf.sprintf "Sched.recycle: pid %d has not finished" pid));
-  if crashed t ~pid then
+  if s.crashed then
     invalid_arg (Printf.sprintf "Sched.recycle: pid %d has crashed" pid);
-  Hashtbl.replace t.fibers pid (Fiber.spawn ~pid f);
+  s.fiber <- Fiber.spawn ~pid f;
   Obs.Metrics.incr_h t.recycles_c;
   if Obs.Tracer.armed t.tracer_ then
     ignore
       (Obs.Tracer.emit t.tracer_ ~track:pid ~parent:(-1) ~sim:t.steps_
          ~cat:"sched" "recycle")
 
-let dispose t = Hashtbl.iter (fun _ f -> Fiber.discard f) t.fibers
+let dispose t = Array.iter (fun s -> Fiber.discard s.fiber) t.slots
 
 let coin t ~proc =
   let v = Rng.coin t.rng_ in
@@ -240,7 +292,7 @@ let run ?watchdog t ~policy ~max_steps =
   let since = ref 0 in
   Obs.Metrics.incr_h t.runs_c;
   while !continue_ && !steps < max_steps do
-    if live_pids t = [] then continue_ := false
+    if live_count t = 0 then continue_ := false
     else
       match policy t with
       | Halt -> continue_ := false
@@ -276,18 +328,17 @@ let run ?watchdog t ~policy ~max_steps =
   !steps
 
 let round_robin t =
-  match live_pids t with
-  | [] -> Halt
-  | live ->
-      let n = List.length live in
-      let pid = List.nth live (t.rr_cursor mod n) in
-      t.rr_cursor <- t.rr_cursor + 1;
-      Step pid
+  let n = live_count t in
+  if n = 0 then Halt
+  else begin
+    let pid = live_nth t (t.rr_cursor mod n) in
+    t.rr_cursor <- t.rr_cursor + 1;
+    Step pid
+  end
 
 let random_policy rng t =
-  match live_pids t with
-  | [] -> Halt
-  | live -> Step (List.nth live (Rng.int rng (List.length live)))
+  let n = live_count t in
+  if n = 0 then Halt else Step (live_nth t (Rng.int rng n))
 
 let scripted script =
   let remaining = ref script in

@@ -56,7 +56,19 @@ val runnable : t -> pid:int -> bool
 (** Runnable and not crashed. *)
 
 val live_pids : t -> int list
-(** Pids that are runnable and not crashed. *)
+(** Pids that are runnable and not crashed, ascending. *)
+
+val live_count : t -> int
+(** [List.length (live_pids t)], counted over the scheduler's slot table
+    without building the list: allocates nothing.  {!run} stops when it
+    reaches 0. *)
+
+val live_nth : t -> int -> int
+(** [live_nth t k] is [List.nth (live_pids t) k], the [k]-th live pid in
+    ascending order, found by a walk of the slot table that allocates
+    nothing.  A policy picks a live process with
+    [live_nth t (Rng.int rng (live_count t))].
+    @raise Invalid_argument unless [0 <= k < live_count t]. *)
 
 val step : t -> pid:int -> Fiber.status
 (** Let process [pid] run until its next yield.
@@ -163,11 +175,16 @@ val run : ?watchdog:watchdog -> t -> policy:policy -> max_steps:int -> int
     trace. *)
 
 val round_robin : policy
-(** Fair policy: cycles over live processes. *)
+(** Fair policy: cycles over live processes.  Its [k]-th decision steps
+    [live_nth t (k mod live_count t)]. *)
 
 val random_policy : Rng.t -> policy
 (** Uniformly random live process each step — the (weak) randomized
-    scheduler used by the termination experiments. *)
+    scheduler used by the termination experiments.  A decision draws one
+    [Rng.int rng (live_count t)] and steps that {!live_nth} pid, which is
+    the pid at that index of {!live_pids}: the choice is a function of
+    the RNG stream and the set of live pids alone.  It allocates only
+    its [Step] box. *)
 
 val scripted : int list -> policy
 (** Follow a fixed pid script, skipping non-runnable entries; halts when

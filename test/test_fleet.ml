@@ -214,9 +214,49 @@ let engine_tests =
         check_int "all ops ran" 600 r.Core.Fleet.total_ops);
   ]
 
+(* A scheduler step allocates only what the protocol allocates: 44 minor
+   words per step here, where a decision that built the live-pid list and
+   an RNG that boxed its state made 429.  The config is the
+   fleet-abd-faulty benchmark's shape cut to 2 shards x 2,000 ops: one-op
+   sessions under link faults, a crash and recovery, and batching. *)
+let alloc_tests =
+  [
+    tc "a faulty, batched fleet allocates at most 66 words per step"
+      (fun () ->
+        let c =
+          {
+            Core.Fleet.default with
+            Core.Fleet.shards = 2;
+            slots = 4;
+            ops = 4_000;
+            session_len = 1;
+            write_ratio = 0.2;
+            keys = 256;
+            faults =
+              {
+                faults with
+                Core.Faults.crash_at = [ (400, 2) ];
+                recover_at = [ (900, 2) ];
+              };
+            batch_window = 8;
+            batch_max = 8;
+            seed = 42L;
+            sample = 1;
+          }
+        in
+        let before = Gc.minor_words () in
+        let r = Core.Fleet.run ~jobs:1 ~metrics:(Core.Metrics.create ()) c in
+        let words = Gc.minor_words () -. before in
+        check_int "all ops ran" 4_000 r.Core.Fleet.total_ops;
+        let per_step = words /. float_of_int r.Core.Fleet.total_steps in
+        if per_step > 66. then
+          Alcotest.failf "%.1f minor words per step (at most 66)" per_step);
+  ]
+
 let suite =
   [
     ("fleet.sharding", shard_tests);
     ("fleet.determinism", determinism_tests);
     ("fleet.engine", engine_tests);
+    ("fleet.alloc", alloc_tests);
   ]

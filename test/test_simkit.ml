@@ -48,6 +48,45 @@ let rng_tests =
         ignore (Rng.next_int64 a);
         let b = Rng.copy a in
         check_bool "same" true (Rng.next_int64 a = Rng.next_int64 b));
+    tc "the stream from seed 1 is pinned" (fun () ->
+        (* in draw order; they match an independent SplitMix64 *)
+        let g = Rng.create 1L in
+        let a = Rng.next_int64 g in
+        let b = Rng.next_int64 g in
+        let i = Rng.int g 1000 in
+        let f = Rng.float g in
+        let bit = Rng.bool g in
+        let s = Rng.split g in
+        let s1 = Rng.next_int64 s in
+        let s2 = Rng.int s 1000 in
+        let after = Rng.next_int64 g in
+        let check_i64 = Alcotest.(check int64) in
+        check_i64 "1st next_int64" (-7995527694508729151L) a;
+        check_i64 "2nd next_int64" (-4689498862643123097L) b;
+        check_int "int 1000" 647 i;
+        Alcotest.(check (float 0.)) "float" 0x1.c7061a43b90b2p-2 f;
+        check_bool "bool" true bit;
+        check_i64 "split: next_int64" 3781009645926030059L s1;
+        check_int "split: int 1000" 858 s2;
+        check_i64 "parent after split" (-2262517385565684571L) after;
+        let draws n f =
+          let g = Rng.create 1L in
+          List.init n (fun _ -> f g)
+        in
+        Alcotest.(check (list int))
+          "int 1000"
+          [ 616; 129; 647; 58; 190; 512; 761; 133; 130; 237; 184; 967 ]
+          (draws 12 (fun g -> Rng.int g 1000));
+        Alcotest.(check (list bool))
+          "bool"
+          [ true; true; false; true; true; false; true; true; false; false;
+            true; false ]
+          (draws 12 Rng.bool);
+        Alcotest.(check (list (float 0.)))
+          "float"
+          [ 0x1.22145bd91204bp-1; 0x1.7dd71b42cb1ddp-1; 0x1.f12745ddf664ap-1;
+            0x1.c7061a43b90b2p-2 ]
+          (draws 4 Rng.float));
   ]
 
 (* ----- fibers ------------------------------------------------------------------ *)
@@ -127,6 +166,50 @@ let fiber_tests =
   ]
 
 (* ----- scheduler ----------------------------------------------------------------- *)
+
+(* Four 10-step [Sched.run]s of [policy] over pids spawned out of order,
+   with pid 101 crashed after the first, pid 3 run to completion after the
+   second, and 101 restarted and 3 recycled after the third; the pids the
+   policy picked, in order.  Every decision also checks that
+   [live_count]/[live_nth] agree with [live_pids]. *)
+let pinned_schedule policy =
+  let s = Sched.create ~metrics:(Obs.Metrics.create ()) () in
+  let spin n () =
+    for _ = 1 to n do
+      Fiber.yield ()
+    done
+  in
+  List.iter
+    (fun (pid, n) -> Sched.spawn s ~pid (spin n))
+    [ (100, 40); (3, 2); (0, 40); (101, 40); (7, 40) ];
+  let picks = ref [] in
+  let recording t =
+    let live = Sched.live_pids t in
+    check_int "live_count" (List.length live) (Sched.live_count t);
+    List.iteri
+      (fun k pid -> check_int "live_nth" pid (Sched.live_nth t k))
+      live;
+    match policy t with
+    | Sched.Step pid as d ->
+        picks := pid :: !picks;
+        d
+    | Sched.Halt -> Sched.Halt
+  in
+  let phase () =
+    check_int "ten steps" 10 (Sched.run s ~policy:recording ~max_steps:10)
+  in
+  phase ();
+  Sched.crash s ~pid:101;
+  phase ();
+  while Sched.runnable s ~pid:3 do
+    ignore (Sched.step s ~pid:3)
+  done;
+  phase ();
+  ignore (Sched.restart s ~pid:101 (spin 40));
+  Sched.recycle s ~pid:3 (spin 40);
+  phase ();
+  Sched.dispose s;
+  List.rev !picks
 
 let sched_tests =
   [
@@ -253,6 +336,80 @@ let sched_tests =
           List.init 20 (fun _ -> Core.Rng.coin (Sched.rng s))
         in
         Alcotest.(check (list int)) "deterministic" (flips 5L) (flips 5L));
+    tc "live_nth indexes live_pids and rejects out-of-range indices"
+      (fun () ->
+        let s = Sched.create () in
+        List.iter
+          (fun pid -> Sched.spawn s ~pid (fun () -> Fiber.yield ()))
+          [ 9; 2; 5 ];
+        Sched.crash s ~pid:5;
+        Alcotest.(check (list int)) "pids" [ 2; 5; 9 ] (Sched.pids s);
+        check_int "a never-spawned pid has incarnation 0" 0
+          (Sched.incarnation s ~pid:4);
+        check_bool "a never-spawned pid has not crashed" false
+          (Sched.crashed s ~pid:4);
+        check_int "live_count" 2 (Sched.live_count s);
+        Alcotest.(check (list int)) "in pid order" [ 2; 9 ]
+          [ Sched.live_nth s 0; Sched.live_nth s 1 ];
+        List.iter
+          (fun k ->
+            Alcotest.check_raises (Printf.sprintf "k = %d" k)
+              (Invalid_argument "Sched.live_nth: index out of range")
+              (fun () -> ignore (Sched.live_nth s k)))
+          [ -1; 2 ];
+        Sched.dispose s;
+        check_int "nothing live after dispose" 0 (Sched.live_count s));
+    tc "policies pick a pinned pid sequence" (fun () ->
+        let seen = pinned_schedule (Sched.random_policy (Rng.create 7L)) in
+        Alcotest.(check (list int)) "random_policy"
+          [ 3; 3; 3; 100; 100; 0; 7; 101; 0; 100; 7; 7; 7; 7; 7; 0; 7; 100;
+            7; 7; 7; 7; 7; 7; 100; 100; 7; 0; 0; 7; 100; 0; 100; 101; 0; 7;
+            7; 7; 3; 7 ]
+          seen;
+        Alcotest.(check (list int)) "round_robin"
+          [ 0; 3; 7; 100; 101; 0; 3; 7; 100; 101; 7; 100; 0; 3; 100; 0; 7;
+            100; 0; 7; 100; 0; 7; 100; 0; 7; 100; 0; 7; 100; 0; 3; 7; 100;
+            101; 0; 3; 7; 100; 101 ]
+          (pinned_schedule Sched.round_robin));
+  ]
+
+(* ----- allocation ceilings ------------------------------------------------------ *)
+
+(* Minor words per call of [f], averaged over [n] calls.  [Gc.minor_words],
+   not [Gc.counters]: the latter's minor count moves only at a minor
+   collection. *)
+let words_per_call ?(n = 1000) f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let at_most what ceiling words =
+  if words > ceiling then
+    Alcotest.failf "%s: %.2f minor words per call (at most %g)" what words
+      ceiling
+
+(* Ceilings on the scheduler's per-step allocation: an RNG draw boxes no
+   state, and a decision builds no list of live pids. *)
+let alloc_tests =
+  [
+    tc "Rng.int and Rng.bool allocate nothing" (fun () ->
+        let g = Rng.create 3L in
+        at_most "Rng.int" 0.01 (words_per_call (fun () -> Rng.int g 1000));
+        at_most "Rng.bool" 0.01 (words_per_call (fun () -> Rng.bool g)));
+    tc "Rng.float allocates only its result" (fun () ->
+        let g = Rng.create 3L in
+        at_most "Rng.float" 2. (words_per_call (fun () -> Rng.float g)));
+    tc "a random_policy decision allocates only its Step box" (fun () ->
+        let s = Sched.create ~metrics:(Obs.Metrics.create ()) () in
+        for pid = 0 to 8 do
+          Sched.spawn s ~pid (fun () -> Fiber.yield ())
+        done;
+        let policy = Sched.random_policy (Rng.create 3L) in
+        at_most "random_policy" 4. (words_per_call (fun () -> policy s));
+        Sched.dispose s);
   ]
 
 (* ----- fiber lifecycle: dispose, restart, memory ------------------------------- *)
@@ -413,6 +570,7 @@ let suite =
     ("simkit.rng", rng_tests);
     ("simkit.fiber", fiber_tests);
     ("simkit.sched", sched_tests);
+    ("simkit.alloc", alloc_tests);
     ("simkit.lifecycle", lifecycle_tests);
     ("simkit.trace", trace_tests);
   ]
