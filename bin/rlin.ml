@@ -34,13 +34,17 @@ let n_arg default =
   let doc = "Number of processes." in
   Arg.(value & opt int default & info [ "n" ] ~docv:"N" ~doc)
 
+(* [write ()] writes [path]; an unwritable path is one line on stderr and
+   exit 1, never an escaped [Sys_error]. *)
+let writing path write =
+  try write ()
+  with Sys_error msg ->
+    Printf.eprintf "rlin: cannot write %s (%s)\n" path msg;
+    exit 1
+
 let write_jsonl path lines =
   if path = "-" then Obs.Export.write_lines stdout lines
-  else
-    try Obs.Export.to_file path lines
-    with Sys_error msg ->
-      Printf.eprintf "rlin: cannot write %s (%s)\n" path msg;
-      exit 1
+  else writing path (fun () -> Obs.Export.to_file path lines)
 
 (* ----- fault flags ------------------------------------------------------------ *)
 
@@ -587,11 +591,13 @@ let chaos_run_cmd =
     Option.iter
       (fun dir ->
         if findings <> [] then begin
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
           let path =
             Filename.concat dir (Printf.sprintf "found-%Ld.jsonl" seed)
           in
-          List.iter (Core.Corpus.append path) (Core.Chaos.to_entries report);
+          writing dir (fun () ->
+              if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+              List.iter (Core.Corpus.append path)
+                (Core.Chaos.to_entries report));
           Printf.printf "wrote %d reproducers to %s\n" (List.length findings)
             path
         end)
@@ -703,7 +709,7 @@ let chaos_shrink_cmd =
         in
         (match out with
         | Some f ->
-            Core.Corpus.save f shrunk;
+            writing f (fun () -> Core.Corpus.save f shrunk);
             Printf.printf "wrote %d entries to %s\n" (List.length shrunk) f
         | None -> ());
         0
@@ -1442,13 +1448,11 @@ let serve_cmd =
                             loop ()))
                 | None ->
                     if in_file = "-" then ingest_channel stdin ~tail:false
-                    else (
-                      match open_in_bin in_file with
-                      | ic ->
-                          Fun.protect
-                            ~finally:(fun () -> close_in ic)
-                            (fun () -> ingest_channel ic ~tail:follow)
-                      | exception Sys_error e -> raise (Serve_io e))
+                    else
+                      let ic = open_in_bin in_file in
+                      Fun.protect
+                        ~finally:(fun () -> close_in ic)
+                        (fun () -> ingest_channel ic ~tail:follow)
               in
               match
                 (try
@@ -1466,9 +1470,17 @@ let serve_cmd =
                    let clean_end = Core.Serve.Engine.quiescent engine in
                    Core.Serve.Engine.finish engine;
                    if clean_end then maybe_checkpoint ();
+                   (match summary with
+                   | None -> ()
+                   | Some path ->
+                       let record = Core.Serve.Engine.summary_json engine in
+                       if path = "-" then (
+                         Obs.Export.write_line stdout record;
+                         flush stdout)
+                       else Obs.Export.to_file path [ record ]);
                    Ok ()
                  with
-                | Serve_io e -> Error e
+                | Serve_io e | Sys_error e -> Error e
                 | Unix.Unix_error (err, fn, _) ->
                     Error (Printf.sprintf "%s: %s" fn (Unix.error_message err)))
               with
@@ -1476,14 +1488,6 @@ let serve_cmd =
                   close_out_oc ();
                   fail2 e
               | Ok () ->
-                  (match summary with
-                  | None -> ()
-                  | Some path ->
-                      let record = Core.Serve.Engine.summary_json engine in
-                      if path = "-" then (
-                        Obs.Export.write_line stdout record;
-                        flush stdout)
-                      else Obs.Export.to_file path [ record ]);
                   let self_check_rc =
                     if not self_check then 0
                     else begin
@@ -1657,7 +1661,7 @@ let check_cmd =
     in
     let init = spec.Core.Histgen.init in
     let n_ok = ref 0 and n_fail = ref 0 and n_large = ref 0 in
-    let tree_ok = ref 0 and tree_fail = ref 0 in
+    let tree_ok = ref 0 and tree_fail = ref 0 and tree_large = ref 0 in
     let rows = ref [] in
     let emit row = rows := row :: !rows in
     for i = 0 to count - 1 do
@@ -1717,6 +1721,7 @@ let check_cmd =
               incr tree_fail;
               ("fail", Core.Json.Null)
           | exception Core.Lincheck.Too_large { n; cap } ->
+              incr tree_large;
               ( "too_large",
                 Core.Json.Obj
                   [ ("n", Core.Json.Int n); ("cap", Core.Json.Int cap) ] )
@@ -1736,8 +1741,9 @@ let check_cmd =
        not, %d too large\n"
       count seed jobs cap !n_ok !n_fail !n_large;
     if tree then
-      Printf.printf "check: prefix trees: %d write-strong, %d not\n" !tree_ok
-        !tree_fail;
+      Printf.printf
+        "check: prefix trees: %d write-strong, %d not, %d too large\n"
+        !tree_ok !tree_fail !tree_large;
     Option.iter
       (fun path ->
         let header =

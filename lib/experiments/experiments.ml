@@ -320,8 +320,7 @@ let e7_cor9 ?(jobs = 1) ~quick () =
 (* Scheduler steps consumed per operation: Algorithm 2 pays n base-register
    reads plus bookkeeping per write (vector timestamp), Algorithm 4 the
    same asymptotically but with cheaper timestamps; the atomic baseline
-   pays O(1).  We measure simulated steps (deterministic); bench/main.exe
-   adds wall-clock. *)
+   pays O(1).  We measure simulated steps, which are deterministic. *)
 let steps_per_op ~make ~write ~read ~n ~ops =
   let sched = Core.Sched.create ~seed:77L () in
   Fun.protect ~finally:(fun () -> Core.Sched.dispose sched) @@ fun () ->

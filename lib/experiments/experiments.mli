@@ -4,8 +4,7 @@
     in the shape recorded in EXPERIMENTS.md.
 
     [quick] variants use smaller run counts (used by `dune runtest`);
-    the full battery is what `dune exec bench/main.exe` and
-    `rlin experiments` print.
+    the full battery is what `rlin experiments` prints.
 
     [jobs] (default 1) runs each experiment's independent Monte-Carlo
     runs on up to that many domains ({!Core.Pool}).  Every run records

@@ -112,13 +112,3 @@ let report_json ~id ~claim ~expected ~measured ~pass ~metrics =
       ( "metrics",
         Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) metrics) );
     ]
-
-let bench_json ~name ~ns_per_run ~r_square =
-  let opt = function Some f -> Json.Float f | None -> Json.Null in
-  Json.Obj
-    [
-      ("kind", Json.Str "bench");
-      ("name", Json.Str name);
-      ("ns_per_run", opt ns_per_run);
-      ("r_square", opt r_square);
-    ]

@@ -1,7 +1,7 @@
 (** Line-delimited JSON (JSONL) export.
 
     One {!Json.t} value per line; every record carries a ["kind"] field so
-    mixed streams (metrics + reports + bench rows) stay self-describing.
+    mixed streams (metrics + reports) stay self-describing.
     Serialization of domain types that live above this library in the
     dependency graph stays with those types ([Simkit.Trace.entry_json],
     [Experiments.report_json]); this module provides the record shapes
@@ -61,8 +61,3 @@ val report_json :
   Json.t
 (** [{"kind":"report","id":…,…,"metrics":{name:value}}] — the schema of
     [rlin experiments --json]. *)
-
-val bench_json :
-  name:string -> ns_per_run:float option -> r_square:float option -> Json.t
-(** [{"kind":"bench","name":…,"ns_per_run":…,"r_square":…}] — the schema
-    of [bench/main.exe --json]. *)

@@ -320,10 +320,36 @@ let recovery_tests (module R : REG) =
             R.recover_node reg ~node:2));
   ]
 
+(* ----- allocation ceiling --------------------------------------------------------- *)
+
+(* E14's run through two crash + state-transfer recoveries with nothing
+   durable: 42.6 minor words per scheduler step on OCaml 5.1.1. *)
+let alloc_tests =
+  [
+    tc "a recovering ABD run allocates at most 64 words per step" (fun () ->
+        let config =
+          {
+            Core.Run_config.default with
+            Core.Run_config.seed = 9L;
+            persist = `Never;
+            faults =
+              {
+                Core.Faults.none with
+                Core.Faults.crash_at = [ (60, 3); (120, 4) ];
+                recover_at = [ (110, 3); (170, 4) ];
+              };
+          }
+        in
+        Alloc.at_most "ABD recovery per step" 64.
+          (Alloc.words_per ~counter:"sched.steps" (fun metrics ->
+               ignore (Runs.execute_config ~metrics config))));
+  ]
+
 let suite =
   [
     ("msgpass.net", net_tests);
     ("msgpass.abd", abd_tests);
     ("msgpass.abd.recovery", recovery_tests (module Abd_reg));
     ("msgpass.mwabd.recovery", recovery_tests (module Mw_reg));
+    ("msgpass.alloc", alloc_tests);
   ]

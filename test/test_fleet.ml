@@ -248,9 +248,8 @@ let alloc_tests =
         let r = Core.Fleet.run ~jobs:1 ~metrics:(Core.Metrics.create ()) c in
         let words = Gc.minor_words () -. before in
         check_int "all ops ran" 4_000 r.Core.Fleet.total_ops;
-        let per_step = words /. float_of_int r.Core.Fleet.total_steps in
-        if per_step > 66. then
-          Alcotest.failf "%.1f minor words per step (at most 66)" per_step);
+        Alloc.at_most "fleet per step" 66.
+          (words /. float_of_int r.Core.Fleet.total_steps));
   ]
 
 let suite =

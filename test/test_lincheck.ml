@@ -490,3 +490,19 @@ let suite =
       ("lincheck.ipset", ipset_tests);
       ("lincheck.interning", witness_equiv_tests);
     ]
+
+(* ----- allocation ceiling ------------------------------------------------------ *)
+
+(* 45.5 minor words per DFS state on OCaml 5.1.1. *)
+let alloc_tests =
+  [
+    tc "witness allocates at most 68 words per DFS state" (fun () ->
+        let hs = Alloc.decide_histories () in
+        Alloc.at_most "witness per DFS state" 68.
+          (Alloc.words_per ~counter:"linchk.states" (fun m ->
+               List.iter
+                 (fun h -> ignore (L.witness ~metrics:m ~init h))
+                 hs)));
+  ]
+
+let suite = suite @ [ ("lincheck.alloc", alloc_tests) ]

@@ -29,8 +29,8 @@ let check_str = Alcotest.(check string)
 
 (* ---------- incremental checker vs the offline decision procedure ----- *)
 
-let feed_increment ?cap ?state_budget ~entry hist =
-  let inc = Inc.create ?cap ?state_budget ~entry () in
+let feed_increment ?metrics ?cap ?state_budget ~entry hist =
+  let inc = Inc.create ?metrics ?cap ?state_budget ~entry () in
   List.iter
     (fun { Event.time; event } ->
       match event with
@@ -459,6 +459,35 @@ let monitor_tests =
              Monitor.standard swapped));
   ]
 
+(* ---------- allocation ceilings ---------------------------------------- *)
+
+(* On OCaml 5.1.1: 34.9 minor words per incremental state on the cost
+   ledger's decide histories, and 288.9 per event for the engine on the
+   recorded ABD, Algorithm 2 and Algorithm 4 traces of [workload]. *)
+let alloc_tests =
+  [
+    tc "Increment allocates at most 52 words per state" (fun () ->
+        let hs = Alloc.decide_histories () in
+        Alloc.at_most "Increment per state" 52.
+          (Alloc.words_per ~counter:"linchk.inc.states" (fun metrics ->
+               List.iter
+                 (fun h ->
+                   ignore (feed_increment ~metrics ~entry:[ spec.Gen.init ] h))
+                 hs)));
+    tc "Engine.feed_line allocates at most 435 words per event" (fun () ->
+        let traces =
+          List.init 9 (fun i -> trace_lines (fst (workload (i + 1))))
+        in
+        Alloc.at_most "feed_line per event" 435.
+          (Alloc.words_per ~counter:"serve.events" (fun metrics ->
+               List.iter
+                 (fun lines ->
+                   let engine = Engine.create ~metrics ~emit:ignore () in
+                   List.iter (Engine.feed_line engine) lines;
+                   Engine.finish engine)
+                 traces)));
+  ]
+
 let suite =
   [
     ("serve:increment", increment_tests);
@@ -469,4 +498,5 @@ let suite =
     ("serve:checkpoint", checkpoint_tests);
     ("serve:lenient-export", lenient_tests);
     ("serve:monitor", monitor_tests);
+    ("serve:alloc", alloc_tests);
   ]

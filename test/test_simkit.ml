@@ -375,40 +375,28 @@ let sched_tests =
 
 (* ----- allocation ceilings ------------------------------------------------------ *)
 
-(* Minor words per call of [f], averaged over [n] calls.  [Gc.minor_words],
-   not [Gc.counters]: the latter's minor count moves only at a minor
-   collection. *)
-let words_per_call ?(n = 1000) f =
-  ignore (Sys.opaque_identity (f ()));
-  let before = Gc.minor_words () in
-  for _ = 1 to n do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  (Gc.minor_words () -. before) /. float_of_int n
-
-let at_most what ceiling words =
-  if words > ceiling then
-    Alcotest.failf "%s: %.2f minor words per call (at most %g)" what words
-      ceiling
-
 (* Ceilings on the scheduler's per-step allocation: an RNG draw boxes no
    state, and a decision builds no list of live pids. *)
 let alloc_tests =
   [
     tc "Rng.int and Rng.bool allocate nothing" (fun () ->
         let g = Rng.create 3L in
-        at_most "Rng.int" 0.01 (words_per_call (fun () -> Rng.int g 1000));
-        at_most "Rng.bool" 0.01 (words_per_call (fun () -> Rng.bool g)));
+        Alloc.at_most "Rng.int per call" 0.01
+          (Alloc.words_per_call (fun () -> Rng.int g 1000));
+        Alloc.at_most "Rng.bool per call" 0.01
+          (Alloc.words_per_call (fun () -> Rng.bool g)));
     tc "Rng.float allocates only its result" (fun () ->
         let g = Rng.create 3L in
-        at_most "Rng.float" 2. (words_per_call (fun () -> Rng.float g)));
+        Alloc.at_most "Rng.float per call" 2.
+          (Alloc.words_per_call (fun () -> Rng.float g)));
     tc "a random_policy decision allocates only its Step box" (fun () ->
         let s = Sched.create ~metrics:(Obs.Metrics.create ()) () in
         for pid = 0 to 8 do
           Sched.spawn s ~pid (fun () -> Fiber.yield ())
         done;
         let policy = Sched.random_policy (Rng.create 3L) in
-        at_most "random_policy" 4. (words_per_call (fun () -> policy s));
+        Alloc.at_most "random_policy per call" 4.
+          (Alloc.words_per_call (fun () -> policy s));
         Sched.dispose s);
   ]
 

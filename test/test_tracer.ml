@@ -453,6 +453,51 @@ let probe_tests =
         check_int "nothing recorded" 0 (Tracer.emitted tracer));
   ]
 
+(* ----- a disarmed tracer allocates nothing ------------------------------------- *)
+
+(* Minor words of one steady-state call of [f]. *)
+let words f = Alloc.words_per_call ~n:1 f
+
+(* Both sides of each comparison run one closure that differs only in
+   the tracer.  The decide pair passes the option itself ([?tracer]),
+   built once outside the measured call: comparing [~tracer:t] at a call
+   site against no argument would charge the per-call [Some] box to the
+   tracer. *)
+let alloc_tests =
+  [
+    tc "decide allocates the same with a disarmed tracer as with none"
+      (fun () ->
+        let hs = Alloc.decide_histories () in
+        let m = Obs.Metrics.create () in
+        let init = Core.Value.Int 0 in
+        let pass tracer () =
+          List.iter
+            (fun h ->
+              ignore (Core.Lincheck.witness ~metrics:m ?tracer ~init h))
+            hs
+        in
+        let none = None
+        and disarmed = Some (Tracer.create ~capacity:256 ~armed:false ()) in
+        Alcotest.(check (float 0.))
+          "minor words" (words (pass none)) (words (pass disarmed)));
+    tc "an ABD run allocates the same with a disarmed tracer as with null"
+      (fun () ->
+        (* a fresh registry per run: the global one's histograms would
+           grow their reservoirs at run-dependent moments *)
+        let run tracer () =
+          ignore
+            (Runs.execute ~metrics:(Obs.Metrics.create ()) ~tracer
+               { Runs.default with Runs.seed = 9L })
+        in
+        let null = words (run Tracer.null) in
+        Alcotest.(check (float 0.))
+          "minor words" null
+          (words (run (Tracer.create ~armed:false ())));
+        (* the measurement sees tracer work when there is some *)
+        check_bool "an armed tracer allocates more" true
+          (words (run (Tracer.create ())) > null));
+  ]
+
 let suite =
   [
     ("tracer:ring", ring_tests);
@@ -462,4 +507,5 @@ let suite =
     ("tracer:spans", span_tests);
     ("tracer:postmortem", postmortem_tests);
     ("tracer:probes", probe_tests);
+    ("tracer:alloc", alloc_tests);
   ]

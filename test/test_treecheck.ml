@@ -414,6 +414,25 @@ let history_209_tests =
           (states <= 1_000_000));
   ]
 
+(* ----- allocation ceiling ------------------------------------------------------ *)
+
+(* The cost ledger's trees: 646 minor words per node on OCaml 5.1.1. *)
+let alloc_tests =
+  [
+    tc "write_strong allocates at most 970 words per node" (fun () ->
+        let trees =
+          Alloc.histories
+            { Core.Histgen.default_spec with n_ops = 8; n_procs = 3 }
+            Core.Histgen.atomic_history ~count:8 ~seed:3
+          |> List.map T.of_prefixes
+        in
+        Alloc.at_most "write_strong per node" 970.
+          (Alloc.words_per ~counter:"treecheck.nodes" (fun m ->
+               List.iter
+                 (fun t -> ignore (T.write_strong ~metrics:m ~init t))
+                 trees)));
+  ]
+
 let suite =
   [
     ("treecheck.structure", structure_tests);
@@ -423,4 +442,5 @@ let suite =
     ("treecheck.props", props);
     ("treecheck.prep_cache", prep_cache_tests);
     ("treecheck.history_209", history_209_tests);
+    ("treecheck.alloc", alloc_tests);
   ]
