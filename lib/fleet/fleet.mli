@@ -9,7 +9,7 @@
     certifies: the trace is drained on a fixed decision cadence (sampled
     shards feed the drained events to the streaming linearizability
     checker, {!Serve.Segmenter}; the rest drop them), replica stable logs
-    auto-compact, and the metric histograms are capped reservoirs — every
+    auto-compact, and the metric histograms are log-linear buckets — every
     structure is bounded by the configuration, not the operation count.
 
     Shards share no mutable state, so they fan out over domains

@@ -196,7 +196,7 @@ let revive t ~pid =
   end
 
 let note_in_flight t =
-  Obs.Metrics.set_gauge_h t.in_flight_g (float_of_int (Dq.length t.flight))
+  Obs.Metrics.set_gauge_int_h t.in_flight_g (Dq.length t.flight)
 
 let send t ~src ~dst payload =
   Obs.Metrics.incr_h t.sends_c;

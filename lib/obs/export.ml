@@ -67,21 +67,17 @@ let parse_file_lenient path =
 
 let summary_json (s : Metrics.summary) =
   Json.Obj
-    ([
-       ("count", Json.Int s.count);
-       ("sum", Json.Float s.sum);
-       ("min", Json.Float s.min);
-       ("max", Json.Float s.max);
-       ("mean", Json.Float s.mean);
-       ("p50", Json.Float s.p50);
-       ("p90", Json.Float s.p90);
-       ("p95", Json.Float s.p95);
-       ("p99", Json.Float s.p99);
-     ]
-    (* only once truncation happened: small-run dumps stay byte-stable *)
-    @
-    if s.retained < s.count then [ ("retained", Json.Int s.retained) ]
-    else [])
+    [
+      ("count", Json.Int s.count);
+      ("sum", Json.Float s.sum);
+      ("min", Json.Float s.min);
+      ("max", Json.Float s.max);
+      ("mean", Json.Float s.mean);
+      ("p50", Json.Float s.p50);
+      ("p90", Json.Float s.p90);
+      ("p95", Json.Float s.p95);
+      ("p99", Json.Float s.p99);
+    ]
 
 let metrics_json ?label (s : Metrics.snapshot) =
   let base = [ ("kind", Json.Str "metrics") ] in

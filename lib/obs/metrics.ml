@@ -1,24 +1,45 @@
-(* Sample retention cap: quantiles are exact up to this many samples per
-   histogram; count/sum/min/max stay exact forever.  Million-sample runs
-   (the fleet workloads) keep the first [reservoir_cap] samples as their
-   quantile basis — [summary.retained] states that basis explicitly, and
-   [delta] emits a [".sampled"] row whenever it is smaller than the
-   window's sample count, so reporting at scale never silently pretends
-   its percentiles cover every sample. *)
-let reservoir_cap = 4096
+(* Histograms are log-linear, HDR-style.  Each power of two (an
+   "octave") splits into [subs] = 32 equal sub-buckets, and a positive
+   sample's bucket key is its octave and the top [sub_bits] bits of its
+   mantissa, read straight off its IEEE-754 bits.  So the integers 0..63
+   have buckets of their own, and any other quantile is reported as the
+   lower edge of the bucket holding the exact order statistic, at most
+   1/32 below it.  Count, sum, min and max stay exact.  Samples <= 0
+   share one exact zero bucket; NaN, infinities and magnitudes outside
+   [2^min_octave, 2^(max_octave + 1)) go to the edge buckets.  The
+   bucket array covers whole octaves from the lowest seen to the
+   highest, so it never holds more than [max_buckets] ints, and a merge
+   is a per-bucket add. *)
+let sub_bits = 5
+let subs = 1 lsl sub_bits
+let min_octave = -32
+let max_octave = 63
+let min_key = min_octave * subs
+let max_key = ((max_octave + 1) * subs) - 1
+let max_buckets = max_key - min_key + 1
 
-type hist = {
-  mutable count : int;
+(* sum, min and max in an all-float record, stored unboxed: recording a
+   sample allocates nothing *)
+type stats = {
   mutable sum : float;
   mutable min_v : float;
   mutable max_v : float;
-  mutable samples : floatarray;
-  mutable filled : int;
 }
+
+type hist = {
+  mutable count : int;
+  mutable zeros : int;  (* samples <= 0 *)
+  mutable base : int;  (* key of [buckets.(0)]; a multiple of [subs] *)
+  mutable buckets : int array;
+  stats : stats;
+}
+
+(* a gauge's value, unboxed: setting it allocates nothing *)
+type cell = { mutable v : float }
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
+  gauges : (string, cell) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
 }
 
@@ -57,9 +78,9 @@ module Gauge = struct
      value — reporting an unset gauge as 0 would change deltas).  The
      cell is therefore bound lazily on the first [set]. *)
   type t = {
-    tbl : (string, float ref) Hashtbl.t;
+    tbl : (string, cell) Hashtbl.t;
     name : string;
-    mutable cell : float ref option;
+    mutable cell : cell option;
   }
 end
 
@@ -68,9 +89,9 @@ module Hist = struct
 end
 
 let counter_h t name : Counter.t =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.counters name with
+  | r -> r
+  | exception Not_found ->
       let r = ref 0 in
       Hashtbl.add t.counters name r;
       r
@@ -81,56 +102,93 @@ let incr_h ?(by = 1) (c : Counter.t) =
 
 let read_h (c : Counter.t) = !c
 
+let gauge_cell tbl name =
+  match Hashtbl.find tbl name with
+  | c -> c
+  | exception Not_found ->
+      let c = { v = 0. } in
+      Hashtbl.add tbl name c;
+      c
+
 let gauge_h t name : Gauge.t =
   { Gauge.tbl = t.gauges; name; cell = Hashtbl.find_opt t.gauges name }
 
-let set_gauge_h (g : Gauge.t) v =
+let bind (g : Gauge.t) =
   match g.Gauge.cell with
-  | Some r -> r := v
-  | None -> (
-      match Hashtbl.find_opt g.Gauge.tbl g.Gauge.name with
-      | Some r ->
-          g.Gauge.cell <- Some r;
-          r := v
-      | None ->
-          let r = ref v in
-          Hashtbl.add g.Gauge.tbl g.Gauge.name r;
-          g.Gauge.cell <- Some r)
+  | Some c -> c
+  | None ->
+      let c = gauge_cell g.Gauge.tbl g.Gauge.name in
+      g.Gauge.cell <- Some c;
+      c
+
+let set_gauge_h g v = (bind g).v <- v
+let set_gauge_int_h g n = (bind g).v <- float_of_int n
 
 let hist_h t name : Hist.t =
-  match Hashtbl.find_opt t.hists name with
-  | Some h -> h
-  | None ->
+  match Hashtbl.find t.hists name with
+  | h -> h
+  | exception Not_found ->
       let h =
         {
           count = 0;
-          sum = 0.;
-          min_v = Float.infinity;
-          max_v = Float.neg_infinity;
-          samples = Float.Array.create 16;
-          filled = 0;
+          zeros = 0;
+          base = 0;
+          buckets = [||];
+          stats =
+            { sum = 0.; min_v = Float.infinity; max_v = Float.neg_infinity };
         }
       in
       Hashtbl.add t.hists name h;
       h
 
+(* The bucket key of a sample that is positive or NaN: octave * [subs]
+   plus the top [sub_bits] mantissa bits, which are the 16 bits below
+   the sign bit once shifted down.  The bits, not [Float.frexp], whose
+   tuple would be allocated per sample.  Subnormals, infinities and NaN
+   fall off the octave range and clamp to its edges. *)
+let key v =
+  let k =
+    Int64.to_int
+      (Int64.shift_right_logical (Int64.bits_of_float v) (52 - sub_bits))
+    land ((1 lsl (11 + sub_bits)) - 1)
+    - (1023 * subs)
+  in
+  if k < min_key then min_key else if k > max_key then max_key else k
+
+(* a bucket's lower edge: (1 + sub/32) * 2^octave *)
+let lower_edge k =
+  Float.ldexp
+    (float_of_int (subs + (k land (subs - 1))))
+    ((k asr sub_bits) - sub_bits)
+
+(* The index of key [k] in [h.buckets], first widening the array to
+   whole octaves reaching [k] if it falls outside. *)
+let slot (h : hist) k =
+  let i = k - h.base and n = Array.length h.buckets in
+  if i >= 0 && i < n then i
+  else begin
+    let lo = k land lnot (subs - 1) in
+    let base, top =
+      if n = 0 then (lo, lo + subs)
+      else (Stdlib.min h.base lo, Stdlib.max (h.base + n) (lo + subs))
+    in
+    let a = Array.make (top - base) 0 in
+    if n > 0 then Array.blit h.buckets 0 a (h.base - base) n;
+    h.base <- base;
+    h.buckets <- a;
+    k - base
+  end
+
 let observe_h (h : Hist.t) v =
   h.count <- h.count + 1;
-  h.sum <- h.sum +. v;
-  if v < h.min_v then h.min_v <- v;
-  if v > h.max_v then h.max_v <- v;
-  assert (h.filled <= reservoir_cap);
-  if h.filled < reservoir_cap then begin
-    if h.filled = Float.Array.length h.samples then begin
-      let bigger =
-        Float.Array.create (Stdlib.min reservoir_cap (2 * h.filled))
-      in
-      Float.Array.blit h.samples 0 bigger 0 h.filled;
-      h.samples <- bigger
-    end;
-    Float.Array.set h.samples h.filled v;
-    h.filled <- h.filled + 1
-  end
+  let s = h.stats in
+  s.sum <- s.sum +. v;
+  if v < s.min_v then s.min_v <- v;
+  if v > s.max_v then s.max_v <- v;
+  if v <= 0. then h.zeros <- h.zeros + 1
+  else
+    let i = slot h (key v) in
+    h.buckets.(i) <- h.buckets.(i) + 1
 
 (* ----- string API: thin wrappers over the handles ------------------------- *)
 
@@ -143,55 +201,42 @@ let counter t name =
 
 (* Fold [src] into [into], exactly as if every recording made into [src]
    had been made into [into] instead, in the same order: counters add,
-   gauges overwrite (last write wins), histograms concatenate (count, sum
-   and extrema are exact; reservoir samples append until the cap).  Used
-   by the parallel run harness (Simkit.Pool.map_runs) to fold each run's
-   registry into the experiment's registry, in run order, as soon as
-   every earlier run has finished; those merges are serialized but may
-   happen on any domain. *)
+   gauges overwrite (last write wins), histograms add bucket by bucket
+   (count, extrema and every bucket exact).  Used by the parallel
+   run harness (Simkit.Pool.map_runs) to fold each run's registry into
+   the experiment's registry, in run order, as soon as every earlier run
+   has finished; those merges are serialized but may happen on any
+   domain. *)
 let merge ~into src =
-  Hashtbl.iter (fun name r -> incr ~by:!r into name) src.counters;
-  Hashtbl.iter (fun name r -> set_gauge into name !r) src.gauges;
+  Hashtbl.iter
+    (fun name r ->
+      let d = counter_h into name in
+      d := !d + !r)
+    src.counters;
+  Hashtbl.iter
+    (fun name c -> (gauge_cell into.gauges name).v <- c.v)
+    src.gauges;
   Hashtbl.iter
     (fun name (h : hist) ->
       if h.count > 0 then begin
-        let d =
-          match Hashtbl.find_opt into.hists name with
-          | Some d -> d
-          | None ->
-              let d =
-                {
-                  count = 0;
-                  sum = 0.;
-                  min_v = Float.infinity;
-                  max_v = Float.neg_infinity;
-                  samples = Float.Array.create 16;
-                  filled = 0;
-                }
-              in
-              Hashtbl.add into.hists name d;
-              d
-        in
+        let d = hist_h into name in
         d.count <- d.count + h.count;
-        d.sum <- d.sum +. h.sum;
-        if h.min_v < d.min_v then d.min_v <- h.min_v;
-        if h.max_v > d.max_v then d.max_v <- h.max_v;
-        let want = Stdlib.min reservoir_cap (d.filled + h.filled) in
-        if want > Float.Array.length d.samples then begin
-          let bigger = Float.Array.create want in
-          Float.Array.blit d.samples 0 bigger 0 d.filled;
-          d.samples <- bigger
-        end;
-        let extra = want - d.filled in
-        if extra > 0 then begin
-          Float.Array.blit h.samples 0 d.samples d.filled extra;
-          d.filled <- want
+        d.zeros <- d.zeros + h.zeros;
+        d.stats.sum <- d.stats.sum +. h.stats.sum;
+        if h.stats.min_v < d.stats.min_v then d.stats.min_v <- h.stats.min_v;
+        if h.stats.max_v > d.stats.max_v then d.stats.max_v <- h.stats.max_v;
+        let n = Array.length h.buckets in
+        if n > 0 then begin
+          ignore (slot d h.base);
+          let off = slot d (h.base + n - 1) - (n - 1) in
+          for i = 0 to n - 1 do
+            d.buckets.(off + i) <- d.buckets.(off + i) + h.buckets.(i)
+          done
         end
       end)
     src.hists
 
-let gauge t name =
-  Option.map (fun r -> !r) (Hashtbl.find_opt t.gauges name)
+let gauge t name = Option.map (fun c -> c.v) (Hashtbl.find_opt t.gauges name)
 
 type summary = {
   count : int;
@@ -199,64 +244,100 @@ type summary = {
   min : float;
   max : float;
   mean : float;
-  retained : int;
   p50 : float;
   p90 : float;
   p95 : float;
   p99 : float;
 }
 
-let summarize (h : hist) =
-  if h.count = 0 then None
-  else begin
-    let sorted = Float.Array.sub h.samples 0 h.filled in
-    Float.Array.sort Float.compare sorted;
-    let quantile q =
-      let i =
-        int_of_float (Float.round (q *. float_of_int (h.filled - 1)))
-      in
-      Float.Array.get sorted (Stdlib.max 0 (Stdlib.min (h.filled - 1) i))
-    in
-    Some
-      {
-        count = h.count;
-        sum = h.sum;
-        min = h.min_v;
-        max = h.max_v;
-        mean = h.sum /. float_of_int h.count;
-        retained = h.filled;
-        p50 = quantile 0.5;
-        p90 = quantile 0.9;
-        p95 = quantile 0.95;
-        p99 = quantile 0.99;
-      }
-  end
+(* The sample of 0-based rank round(q * (count - 1)), the rank an exact
+   sort would read, reported as its bucket's lower edge clamped into
+   [lo, hi].  Every sample lies in [lo, hi], so the clamp never lifts
+   the report above the exact value, and it makes the report exact when
+   that sample is the minimum (so one repeated value reads exactly). *)
+let quantile (h : hist) ~lo ~hi q =
+  let r = int_of_float (Float.round (q *. float_of_int (h.count - 1))) in
+  let rec walk r i =
+    if r < h.buckets.(i) then lower_edge (h.base + i)
+    else walk (r - h.buckets.(i)) (i + 1)
+  in
+  let v = if r < h.zeros then 0. else walk (r - h.zeros) 0 in
+  Float.min hi (Float.max lo v)
 
-let summary t name = Option.join (Option.map summarize (Hashtbl.find_opt t.hists name))
+let summarize (h : hist) =
+  let s = h.stats in
+  let q = quantile h ~lo:s.min_v ~hi:s.max_v in
+  {
+    count = h.count;
+    sum = s.sum;
+    min = s.min_v;
+    max = s.max_v;
+    mean = s.sum /. float_of_int h.count;
+    p50 = q 0.5;
+    p90 = q 0.9;
+    p95 = q 0.95;
+    p99 = q 0.99;
+  }
+
+let summary t name =
+  match Hashtbl.find_opt t.hists name with
+  | Some h when h.count > 0 -> Some (summarize h)
+  | _ -> None
+
+type counts = hist
 
 type snapshot = {
   counters : (string * int) list;
   gauges : (string * float) list;
   histograms : (string * summary) list;
+  counts : (string * counts) list;
 }
 
 let by_name (a, _) (b, _) = String.compare a b
 
 let snapshot (t : t) =
+  let counts =
+    Hashtbl.fold
+      (fun k (h : hist) acc ->
+        if h.count = 0 then acc
+        else
+          ( k,
+            {
+              h with
+              buckets = Array.copy h.buckets;
+              stats = { h.stats with sum = h.stats.sum };
+            } )
+          :: acc)
+      t.hists []
+    |> List.sort by_name
+  in
   {
     counters =
       Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
       |> List.sort by_name;
     gauges =
-      Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.gauges []
+      Hashtbl.fold (fun k c acc -> (k, c.v) :: acc) t.gauges []
       |> List.sort by_name;
-    histograms =
-      Hashtbl.fold
-        (fun k h acc ->
-          match summarize h with Some s -> (k, s) :: acc | None -> acc)
-        t.hists []
-      |> List.sort by_name;
+    histograms = List.map (fun (k, h) -> (k, summarize h)) counts;
+    counts;
   }
+
+(* The samples [a] holds beyond [b], an earlier copy of the same
+   histogram, sharing [a]'s extrema (which bracket every one of them).
+   If [b] is not a prefix of [a] (a [reset] came between), the window
+   is all of [a]. *)
+let window (a : hist) (b : hist) =
+  let off = b.base - a.base and n = Array.length b.buckets in
+  if n > 0 && (off < 0 || off + n > Array.length a.buckets) then a
+  else begin
+    let buckets = Array.copy a.buckets in
+    for i = 0 to n - 1 do
+      buckets.(off + i) <- buckets.(off + i) - b.buckets.(i)
+    done;
+    if b.zeros > a.zeros || Array.exists (fun c -> c < 0) buckets then a
+    else
+      { a with count = a.count - b.count; zeros = a.zeros - b.zeros; buckets }
+  end
 
 let delta ~before ~after =
   let counter_before n =
@@ -279,31 +360,24 @@ let delta ~before ~after =
   in
   let hists =
     List.concat_map
-      (fun (n, (s : summary)) ->
-        let before_s = List.assoc_opt n before.histograms in
-        let c0, sum0 =
-          match before_s with Some b -> (b.count, b.sum) | None -> (0, 0.)
+      (fun (n, (a : hist)) ->
+        let w, dc, dsum =
+          match List.assoc_opt n before.counts with
+          | Some b ->
+              (window a b, a.count - b.count, a.stats.sum -. b.stats.sum)
+          | None -> (a, a.count, a.stats.sum)
         in
-        let dc = s.count - c0 in
         if dc <= 0 then []
         else
-          (* Quantiles are read from the [after] summary: exact when the
-             histogram is new in this window (the common case — each
-             experiment names its own), approximate (whole-reservoir)
-             when samples predate the window.  Past the reservoir cap the
-             basis shrinks below the sample count; the [".sampled"] row
-             states how many samples the percentiles actually cover, so
-             million-sample fleet reports declare their sampling basis. *)
-          (n ^ ".n", float_of_int dc)
-          :: (n ^ ".mean", (s.sum -. sum0) /. float_of_int dc)
-          :: (n ^ ".p50", s.p50)
-          :: (n ^ ".p95", s.p95)
-          :: (n ^ ".p99", s.p99)
-          ::
-          (if s.retained < s.count then
-             [ (n ^ ".sampled", float_of_int s.retained) ]
-           else []))
-      after.histograms
+          let q = quantile w ~lo:a.stats.min_v ~hi:a.stats.max_v in
+          [
+            (n ^ ".n", float_of_int dc);
+            (n ^ ".mean", dsum /. float_of_int dc);
+            (n ^ ".p50", q 0.5);
+            (n ^ ".p95", q 0.95);
+            (n ^ ".p99", q 0.99);
+          ])
+      after.counts
   in
   List.sort by_name (counters @ gauges @ hists)
 
@@ -327,11 +401,8 @@ let pp fmt t =
       "n" "mean" "p50" "p95" "p99" "max";
     List.iter
       (fun (n, (h : summary)) ->
-        Format.fprintf fmt "%-34s %8d %10.2f %10.2f %10.2f %10.2f %10.2f%s@,"
-          n h.count h.mean h.p50 h.p95 h.p99 h.max
-          (if h.retained < h.count then
-             Printf.sprintf "  (quantiles over first %d)" h.retained
-           else ""))
+        Format.fprintf fmt "%-34s %8d %10.2f %10.2f %10.2f %10.2f %10.2f@," n
+          h.count h.mean h.p50 h.p95 h.p99 h.max)
       s.histograms
   end;
   Format.fprintf fmt "@]"

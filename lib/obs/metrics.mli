@@ -14,11 +14,15 @@
 type t
 (** A registry. *)
 
-val reservoir_cap : int
-(** Histogram sample-retention cap (4096): quantiles are computed over at
-    most this many samples per histogram, while count/sum/min/max/mean
-    stay exact at any scale.  {!summary.retained} and the [".sampled"]
-    {!delta} row state the basis whenever a histogram outgrows it. *)
+val max_buckets : int
+(** Upper bound on a histogram's bucket array (3,072 ints).  Histograms
+    are log-linear: 32 sub-buckets per power of two, so the integers
+    0..63 are exact and any other quantile is reported at most 1/32 below
+    the exact order statistic, while count/sum/min/max stay exact.
+    Samples [<= 0] share one zero bucket.  The array is sized lazily to
+    the octaves actually seen, and NaN, infinities and magnitudes below
+    2^-32 or from 2^64 up go to the edge buckets, so no sample grows it
+    past this bound. *)
 
 val create : unit -> t
 
@@ -88,6 +92,12 @@ val gauge_h : t -> string -> Gauge.t
 
 val set_gauge_h : Gauge.t -> float -> unit
 
+val set_gauge_int_h : Gauge.t -> int -> unit
+(** [set_gauge_int_h g n] sets [g] to [float_of_int n].  The gauge's
+    cell holds its float unboxed, so this allocates nothing; the float
+    argument of {!set_gauge_h} is boxed by any caller that cannot inline
+    it. *)
+
 val hist_h : t -> string -> Hist.t
 (** Resolve (creating empty if absent) a histogram handle.  An empty
     histogram is invisible to {!snapshot} until its first sample. *)
@@ -97,8 +107,8 @@ val observe_h : Hist.t -> float -> unit
 val merge : into:t -> t -> unit
 (** [merge ~into src] folds [src] into [into] as if every recording made
     into [src] had been made into [into] instead, in the same order:
-    counters add, gauges overwrite, histograms concatenate (count, sum,
-    min, max exact; retained samples appended until the reservoir cap).
+    counters add, gauges overwrite, histograms add bucket by bucket
+    (count, min, max and every bucket exact).
     The parallel run harness ({!Simkit.Pool.map_runs}) gives each run a
     private registry and folds each one, in run order, as soon as every
     earlier run has finished, so the merged registry
@@ -113,35 +123,36 @@ val counter : t -> string -> int
 val gauge : t -> string -> float option
 
 type summary = {
-  count : int;  (** samples seen — exact forever, never truncated *)
+  count : int;  (** samples seen *)
   sum : float;
   min : float;
   max : float;
   mean : float;
-  retained : int;
-      (** samples retained in the reservoir — the quantile basis.  Equal
-          to [count] up to {!reservoir_cap}; strictly smaller past it
-          (million-sample fleet runs), where [p50/p90/p95/p99] cover only
-          the first [retained] samples. *)
   p50 : float;
   p90 : float;
   p95 : float;
   p99 : float;
-      (** Quantiles are exact over the first {!reservoir_cap} samples;
-          beyond that, count/sum/min/max/mean stay exact and quantiles
-          are computed on the retained prefix ([retained] states the
-          basis). *)
+      (** Quantiles over every sample: the sample of 0-based rank
+          [round (q *. float (count - 1))], reported as the lower edge of
+          its bucket clamped into [\[min, max\]] — exact for integers
+          0..63, otherwise at most 1/32 below the exact value (see
+          {!max_buckets}). *)
 }
 
 val summary : t -> string -> summary option
 (** Summary of a histogram; [None] if it has no samples. *)
 
+type counts
+(** A copy of one histogram's bucket counts. *)
+
 type snapshot = {
   counters : (string * int) list;
   gauges : (string * float) list;
   histograms : (string * summary) list;
+  counts : (string * counts) list;
+      (** the histograms' bucket counts, for {!delta}'s window quantiles *)
 }
-(** All three families, each sorted by name. *)
+(** All three families and the bucket counts, each sorted by name. *)
 
 val snapshot : t -> snapshot
 
@@ -150,11 +161,9 @@ val delta : before:snapshot -> after:snapshot -> (string * float) list
     for an experiment report: counter increments (only those [> 0]),
     gauges at their [after] value (only those set or changed), and for
     each histogram the sample-count increment as [name ^ ".n"], the mean
-    over the new samples as [name ^ ".mean"], and the [after]-reservoir
-    quantiles as [name ^ ".p50"/".p95"/".p99"] (exact for the window when
-    the histogram is new in it, whole-reservoir otherwise).  When the
-    histogram outgrew {!reservoir_cap}, a [name ^ ".sampled"] row states
-    how many samples the quantiles cover.  Sorted by name. *)
+    over the new samples as [name ^ ".mean"], and the quantiles of the new
+    samples alone, from the after-minus-before bucket counts, as
+    [name ^ ".p50"/".p95"/".p99"].  Sorted by name. *)
 
 val pp : Format.formatter -> t -> unit
 (** A human-readable table of the whole registry. *)

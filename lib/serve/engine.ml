@@ -157,7 +157,7 @@ let with_cost t seg f =
       t.shed_events <- t.shed_events + 1;
       Obs.Metrics.incr_h t.shed_c
   | _ -> ());
-  Obs.Metrics.set_gauge_h t.pending_g (float_of_int t.open_events);
+  Obs.Metrics.set_gauge_int_h t.pending_g t.open_events;
   r
 
 let backpressure t seg =
@@ -165,7 +165,7 @@ let backpressure t seg =
     let cost = Segmenter.open_cost seg in
     Segmenter.shed seg ~pending:t.open_events ~max_pending:t.cfg.max_pending;
     t.open_events <- t.open_events - cost;
-    Obs.Metrics.set_gauge_h t.pending_g (float_of_int t.open_events)
+    Obs.Metrics.set_gauge_int_h t.pending_g t.open_events
   end
 
 let process t time ev =
@@ -272,7 +272,7 @@ let finish t =
     (sorted_objects t);
   t.open_events <- 0;
   Hashtbl.reset t.open_ids;
-  Obs.Metrics.set_gauge_h t.pending_g 0.
+  Obs.Metrics.set_gauge_int_h t.pending_g 0
 
 let summary_json t =
   Obs.Json.Obj

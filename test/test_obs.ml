@@ -101,10 +101,19 @@ let test_merge_after_handle_use () =
   Obs.Metrics.incr_h ca;
   Alcotest.(check int) "handle live after merge" 8 (Obs.Metrics.counter a "n")
 
+(* A reported quantile never exceeds the exact one and reads at most
+   1/32 below it. *)
+let within what exact v =
+  if v > exact || v < exact *. (1. -. (1. /. 32.)) then
+    Alcotest.failf "%s: %.17g, exact %.17g" what v exact
+
+(* The bucket array grows by whole octaves as samples arrive, never past
+   [max_buckets]; count, sum and max stay exact across growth, and over
+   1..5000 the quantiles stay within 1/32 of the exact order statistic
+   (the sample of rank round(q * 4999), i.e. that rank plus one). *)
 let test_reservoir_growth_and_cap () =
   let m = Obs.Metrics.create () in
   let h = Obs.Metrics.hist_h m "h" in
-  (* crossing the 16-slot initial reservoir must lose nothing *)
   for i = 1 to 17 do
     Obs.Metrics.observe_h h (float_of_int i)
   done;
@@ -114,25 +123,130 @@ let test_reservoir_growth_and_cap () =
       Alcotest.(check int) "count across growth" 17 s.Obs.Metrics.count;
       Alcotest.(check (float 1e-9)) "sum exact" 153. s.Obs.Metrics.sum;
       Alcotest.(check (float 1e-9)) "max exact" 17. s.Obs.Metrics.max);
-  (* beyond reservoir_cap: count/sum/min/max stay exact, quantiles are
-     computed over the first [reservoir_cap] retained samples *)
   let m2 = Obs.Metrics.create () in
   let h2 = Obs.Metrics.hist_h m2 "h" in
   for i = 1 to 5000 do
     Obs.Metrics.observe_h h2 (float_of_int i)
   done;
-  match Obs.Metrics.summary m2 "h" with
+  (match Obs.Metrics.summary m2 "h" with
   | None -> Alcotest.fail "histogram missing"
   | Some s ->
-      Alcotest.(check int) "count past the cap" 5000 s.Obs.Metrics.count;
-      Alcotest.(check (float 1e-9)) "max past the cap" 5000. s.Obs.Metrics.max;
-      Alcotest.(check (float 1e-9)) "sum exact past the cap" 12502500.
-        s.Obs.Metrics.sum;
-      (* reservoir retains samples 1..4096: p50 = round(0.5 * 4095) + 1 *)
-      Alcotest.(check (float 1e-9)) "p50 over the retained prefix" 2049.
-        s.Obs.Metrics.p50;
-      Alcotest.(check bool) "p99 bounded by the cap" true
-        (s.Obs.Metrics.p99 <= 4096.)
+      Alcotest.(check int) "count" 5000 s.Obs.Metrics.count;
+      Alcotest.(check (float 1e-9)) "max exact" 5000. s.Obs.Metrics.max;
+      Alcotest.(check (float 1e-9)) "sum exact" 12502500. s.Obs.Metrics.sum;
+      within "p50" 2501. s.Obs.Metrics.p50;
+      within "p99" 4950. s.Obs.Metrics.p99);
+  (* 13 octaves of 32 buckets, plus the records around them *)
+  Alcotest.(check bool) "bucket array within its bound" true
+    (Obj.reachable_words (Obj.repr h2) <= 13 * 32 + 16)
+
+let summary_of samples =
+  let m = Obs.Metrics.create () in
+  List.iter (Obs.Metrics.observe m "h") samples;
+  Option.get (Obs.Metrics.summary m "h")
+
+(* Quantiles against an exact sort, which reads rank round(q * (n - 1)):
+   equal on integers below 64, within 1/32 on floats from 1e-7 to 1e10. *)
+let test_quantiles_against_sort () =
+  let rand = Random.State.make [| 64 |] in
+  for trial = 1 to 400 do
+    let small = trial mod 2 = 0 in
+    let scale = Float.pow 10. (float_of_int (Random.State.int rand 12 - 4)) in
+    let samples =
+      List.init
+        (1 + Random.State.int rand 500)
+        (fun _ ->
+          if small then float_of_int (Random.State.int rand 64)
+          else scale *. (0.001 +. Random.State.float rand 1000.))
+    in
+    let sorted = Array.of_list samples in
+    Array.sort Float.compare sorted;
+    let s = summary_of samples in
+    List.iter
+      (fun (q, v) ->
+        let exact =
+          sorted.(int_of_float
+                    (Float.round (q *. float_of_int (Array.length sorted - 1))))
+        in
+        let what = Printf.sprintf "q%g of %d samples" q (Array.length sorted) in
+        if small then Alcotest.(check (float 0.)) what exact v
+        else within what exact v)
+      [ (0.5, s.p50); (0.9, s.p90); (0.95, s.p95); (0.99, s.p99) ]
+  done;
+  (* clamped into [min, max]: one repeated value reads exactly, though
+     1000 lies inside the bucket [992, 1024) *)
+  Alcotest.(check (float 0.)) "a repeated 1000" 1000.
+    (summary_of [ 1000.; 1000. ]).p99
+
+(* A merge is a per-bucket add: two halves folded in either order read
+   the same as one histogram that saw every sample.  The halves span
+   different octaves, so the destination's array widens upwards in one
+   order and downwards in the other. *)
+let test_merge_halves () =
+  let samples = List.init 2000 (fun i -> float_of_int (i * 7919 mod 100_003)) in
+  let low, high = List.partition (fun v -> v < 5000.) samples in
+  let registry vs =
+    let m = Obs.Metrics.create () in
+    List.iter (Obs.Metrics.observe m "h") vs;
+    m
+  in
+  let merged first second =
+    let m = Obs.Metrics.create () in
+    Obs.Metrics.merge ~into:m (registry first);
+    Obs.Metrics.merge ~into:m (registry second);
+    m
+  in
+  let whole = registry samples in
+  List.iter
+    (fun (what, m) ->
+      Alcotest.(check bool) what true
+        (Obs.Metrics.summary m "h" = Obs.Metrics.summary whole "h"
+        && Obs.Metrics.snapshot m = Obs.Metrics.snapshot whole))
+    [ ("low then high", merged low high); ("high then low", merged high low) ]
+
+let test_edge_samples () =
+  let m = Obs.Metrics.create () in
+  let h = Obs.Metrics.hist_h m "h" in
+  let edges =
+    [ 0.; -1.; Float.nan; Float.infinity; Float.neg_infinity; 5e-324;
+      1e-300; Float.min_float; 1e300; Float.max_float; -0. ]
+  in
+  List.iter (Obs.Metrics.observe_h h) edges;
+  Alcotest.(check bool) "bucket array within max_buckets" true
+    (Obj.reachable_words (Obj.repr h) <= Obs.Metrics.max_buckets + 16);
+  (match Obs.Metrics.summary m "h" with
+  | None -> Alcotest.fail "histogram missing"
+  | Some s ->
+      Alcotest.(check int) "every sample counted" (List.length edges)
+        s.Obs.Metrics.count;
+      Alcotest.(check (float 0.)) "min exact" Float.neg_infinity
+        s.Obs.Metrics.min;
+      Alcotest.(check (float 0.)) "max exact" Float.infinity s.Obs.Metrics.max);
+  ignore
+    (Obs.Metrics.delta
+       ~before:(Obs.Metrics.snapshot (Obs.Metrics.create ()))
+       ~after:(Obs.Metrics.snapshot m));
+  Alcotest.(check (float 0.)) "samples <= 0 share the exact zero bucket" 0.
+    (summary_of [ 0.; -1.; 3.; 0. ]).p50;
+  Alcotest.(check (float 0.)) "the zero bucket reads at most max" (-1.)
+    (summary_of [ -2.; -1. ]).p50
+
+(* [delta]'s quantiles cover the window alone, not samples recorded
+   before it *)
+let test_delta_window_quantiles () =
+  let m = Obs.Metrics.create () in
+  for _ = 1 to 1000 do
+    Obs.Metrics.observe m "h" 100.
+  done;
+  let before = Obs.Metrics.snapshot m in
+  for _ = 1 to 3 do
+    Obs.Metrics.observe m "h" 1.
+  done;
+  let d = Obs.Metrics.delta ~before ~after:(Obs.Metrics.snapshot m) in
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check (option (float 0.))) k (Some v) (List.assoc_opt k d))
+    [ ("h.n", 3.); ("h.mean", 1.); ("h.p50", 1.); ("h.p95", 1.); ("h.p99", 1.) ]
 
 (* ----- Json ---------------------------------------------------------------- *)
 
@@ -423,6 +537,47 @@ let test_trace_jsonl_roundtrip () =
         "entries equal in Trace.entries order" true
         (List.equal Obs.Json.equal entries back)
 
+(* ----- allocation ceilings ------------------------------------------------ *)
+
+(* A registry shaped like one chaos run's: counters, a gauge, and two
+   histograms of 12 samples each. *)
+let run_registry i =
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.incr m "sched.steps" ~by:(200 + (i mod 50));
+  Obs.Metrics.incr m "net.sends" ~by:(90 + (i mod 7));
+  Obs.Metrics.set_gauge m "net.in_flight" (float_of_int (i mod 5));
+  for k = 1 to 12 do
+    Obs.Metrics.observe m "op.latency.sim"
+      (float_of_int (((i + k) mod 60) + 1));
+    Obs.Metrics.observe m "reg.abd.quorum.need" 3.
+  done;
+  m
+
+let alloc_tests =
+  [
+    tc "observe_h allocates nothing" (fun () ->
+        let h = Obs.Metrics.hist_h (Obs.Metrics.create ()) "h" in
+        Alloc.at_most "observe_h per call" 0.01
+          (Alloc.words_per_call ~n:100_000 (fun () ->
+               Obs.Metrics.observe_h h 42.)));
+    tc "set_gauge_int_h allocates nothing" (fun () ->
+        let g = Obs.Metrics.gauge_h (Obs.Metrics.create ()) "g" in
+        let n = ref 0 in
+        Alloc.at_most "set_gauge_int_h per call" 0.01
+          (Alloc.words_per_call ~n:100_000 (fun () ->
+               incr n;
+               Obs.Metrics.set_gauge_int_h g !n)));
+    tc "10,000 registry merges allocate at most 64 words each" (fun () ->
+        let regs = Array.init 100 run_registry in
+        let into = Obs.Metrics.create () and next = ref 0 in
+        Alloc.at_most "merge per registry" 64.
+          (Alloc.heap_words_per_call ~n:9_999 (fun () ->
+               Obs.Metrics.merge ~into regs.(!next mod 100);
+               incr next));
+        Alcotest.(check int) "every sample merged" 120_000
+          (Option.get (Obs.Metrics.summary into "op.latency.sim")).count);
+  ]
+
 let suite =
   [
     ( "obs",
@@ -433,6 +588,10 @@ let suite =
         tc "handles alias the string API" test_handles_alias_string_api;
         tc "merge after handle use" test_merge_after_handle_use;
         tc "reservoir growth and cap" test_reservoir_growth_and_cap;
+        tc "histogram quantiles against a sort" test_quantiles_against_sort;
+        tc "histogram merge of halves in either order" test_merge_halves;
+        tc "histogram edge samples stay bounded" test_edge_samples;
+        tc "delta quantiles cover only the window" test_delta_window_quantiles;
         tc "json round-trip" test_json_roundtrip;
         tc "json \\uXXXX decoding" test_json_unicode_escape;
         tc "json surrogate pairs and strict hex" test_json_unicode_surrogates;
@@ -442,4 +601,5 @@ let suite =
         tc "json agrees with the reference codec" test_json_against_reference;
         tc "fig3 trace JSONL round-trip" test_trace_jsonl_roundtrip;
       ] );
+    ("obs.alloc", alloc_tests);
   ]

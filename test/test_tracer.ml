@@ -483,7 +483,7 @@ let alloc_tests =
     tc "an ABD run allocates the same with a disarmed tracer as with null"
       (fun () ->
         (* a fresh registry per run: the global one's histograms would
-           grow their reservoirs at run-dependent moments *)
+           grow their bucket arrays at run-dependent moments *)
         let run tracer () =
           ignore
             (Runs.execute ~metrics:(Obs.Metrics.create ()) ~tracer
