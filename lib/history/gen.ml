@@ -20,9 +20,13 @@ type sim_op = {
   mutable lin_result : Value.t option; (* captured at linearization *)
 }
 
-let atomic_history_with_witness spec : (Hist.t * Op.t list) QCheck.Gen.t =
- fun st ->
-  let open QCheck.Gen in
+(* Every draw is [Random.State.int st n] or [Random.State.bool st], bit for
+   bit the draws of [QCheck.Gen.int_bound (n - 1)] and [QCheck.Gen.bool].
+   Any other draw changes the histories of every seed: the cost ledger's,
+   the benchmark's and the fingerprints in test/test_history.ml. *)
+let pick st xs = List.nth xs (Random.State.int st (List.length xs))
+
+let atomic_history_with_witness spec st =
   let n_procs = max 1 spec.n_procs and n_ops = max 1 spec.n_ops in
   let time = ref 0 in
   let next_time () =
@@ -34,7 +38,7 @@ let atomic_history_with_witness spec : (Hist.t * Op.t list) QCheck.Gen.t =
   let fresh_value () =
     incr next_val;
     if spec.distinct_writes then Value.Int (100 + !next_val)
-    else Value.Int (int_bound 2 st)
+    else Value.Int (Random.State.int st 3)
   in
   let events = ref [] in
   let emit e = events := e :: !events in
@@ -70,11 +74,11 @@ let atomic_history_with_witness spec : (Hist.t * Op.t list) QCheck.Gen.t =
     match choices with
     | [] -> steps_left := 0
     | _ -> (
-        match List.nth choices (int_bound (List.length choices - 1) st) with
+        match pick st choices with
         | `Invoke ->
-            let p = List.nth idle_procs (int_bound (List.length idle_procs - 1) st) in
+            let p = pick st idle_procs in
             let kind =
-              if bool st then Op.Read else Op.Write (fresh_value ())
+              if Random.State.bool st then Op.Read else Op.Write (fresh_value ())
             in
             incr next_id;
             let id = !next_id in
@@ -92,18 +96,14 @@ let atomic_history_with_witness spec : (Hist.t * Op.t list) QCheck.Gen.t =
                 lin_result = None;
               }
         | `Linearize ->
-            let so =
-              List.nth lin_candidates (int_bound (List.length lin_candidates - 1) st)
-            in
+            let so = pick st lin_candidates in
             so.linearized <- true;
             (match so.o.kind with
             | Op.Write v -> value := v
             | Op.Read -> so.lin_result <- Some !value);
             witness := so :: !witness
         | `Respond ->
-            let so =
-              List.nth resp_candidates (int_bound (List.length resp_candidates - 1) st)
-            in
+            let so = pick st resp_candidates in
             let t = next_time () in
             let result =
               match so.o.kind with Op.Read -> so.lin_result | Op.Write _ -> None
@@ -125,11 +125,9 @@ let atomic_history_with_witness spec : (Hist.t * Op.t list) QCheck.Gen.t =
   in
   (h, wit)
 
-let atomic_history spec = QCheck.Gen.map fst (atomic_history_with_witness spec)
+let atomic_history spec st = fst (atomic_history_with_witness spec st)
 
-let arbitrary_history spec : Hist.t QCheck.Gen.t =
- fun st ->
-  let open QCheck.Gen in
+let arbitrary_history spec st =
   let n_procs = max 1 spec.n_procs and n_ops = max 1 spec.n_ops in
   let time = ref 0 in
   let next_time () =
@@ -152,17 +150,17 @@ let arbitrary_history spec : Hist.t QCheck.Gen.t =
     let can_invoke = !invoked < n_ops && idle_procs <> [] in
     let can_respond = Hashtbl.length pending > 0 in
     let do_invoke =
-      if can_invoke && can_respond then bool st else can_invoke
+      if can_invoke && can_respond then Random.State.bool st else can_invoke
     in
     if do_invoke then begin
-      let p = List.nth idle_procs (int_bound (List.length idle_procs - 1) st) in
+      let p = pick st idle_procs in
       let kind =
-        if bool st then Op.Read
+        if Random.State.bool st then Op.Read
         else begin
           incr next_val;
           let v =
             if spec.distinct_writes then Value.Int (100 + !next_val)
-            else Value.Int (int_bound 2 st)
+            else Value.Int (Random.State.int st 3)
           in
           written := v :: !written;
           Op.Write v
@@ -181,14 +179,14 @@ let arbitrary_history spec : Hist.t QCheck.Gen.t =
     end
     else if can_respond then begin
       let procs = Hashtbl.fold (fun p _ acc -> p :: acc) pending [] in
-      let p = List.nth procs (int_bound (List.length procs - 1) st) in
+      let p = pick st procs in
       let kind, id = Hashtbl.find pending p in
       let result =
         match kind with
         | Op.Write _ -> None
         | Op.Read ->
             let ws = !written in
-            Some (List.nth ws (int_bound (List.length ws - 1) st))
+            Some (pick st ws)
       in
       events :=
         { Event.time = next_time (); event = Event.Respond { op_id = id; result } }
@@ -197,7 +195,3 @@ let arbitrary_history spec : Hist.t QCheck.Gen.t =
     end
   done;
   Hist.of_events_exn (List.rev !events)
-
-let print_hist h = Format.asprintf "%a" Hist.pp h
-let arb_atomic spec = QCheck.make ~print:print_hist (atomic_history spec)
-let arb_arbitrary spec = QCheck.make ~print:print_hist (arbitrary_history spec)

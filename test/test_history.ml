@@ -257,6 +257,81 @@ let seq_tests =
 
 (* ----- generators -------------------------------------------------------------- *)
 
+(* Generator fingerprints.  Every generated history feeds the cost ledger,
+   the benchmark's inputs and `rlin check`, so the draw sequence is pinned:
+   per (spec, seed), an MD5 of 200 atomic histories with their witness ids,
+   an MD5 of 200 arbitrary histories, and the RNG's next [bits] after each
+   family (a change in the number of draws shows there even when the
+   histories agree). *)
+
+let fingerprint_hist b h =
+  let value = function V.Int n -> string_of_int n | v -> V.to_string v in
+  List.iter
+    (fun { Event.time; event } ->
+      match event with
+      | Event.Invoke { op_id; proc; obj; kind } ->
+          Printf.bprintf b "%d i%d p%d %s %s;" time op_id proc obj
+            (match kind with Op.Read -> "r" | Op.Write v -> "w" ^ value v)
+      | Event.Respond { op_id; result } ->
+          Printf.bprintf b "%d r%d %s;" time op_id
+            (match result with None -> "-" | Some v -> value v))
+    (Hist.events h);
+  Buffer.add_char b '\n'
+
+let fingerprint spec ~seed =
+  let family draw =
+    let rand = Random.State.make [| seed |] and b = Buffer.create 4096 in
+    for _ = 1 to 200 do
+      draw b rand
+    done;
+    Printf.sprintf "%s/%d"
+      (Digest.to_hex (Digest.string (Buffer.contents b)))
+      (Random.State.bits rand)
+  in
+  let atomic =
+    family (fun b rand ->
+        let h, wit = Gen.atomic_history_with_witness spec rand in
+        fingerprint_hist b h;
+        List.iter (fun (o : Op.t) -> Printf.bprintf b "%d," o.id) wit)
+  in
+  let arbitrary =
+    family (fun b rand -> fingerprint_hist b (Gen.arbitrary_history spec rand))
+  in
+  atomic ^ " " ^ arbitrary
+
+let fingerprint_cases =
+  let d = Gen.default_spec in
+  [
+    ( "default, seed 1",
+      d,
+      1,
+      "6e753e012e88675bbd008c4fa0983b49/377326861 \
+       bcc92e737247ff06a3aa91f6cef29028/703250883" );
+    ( "2 procs, 6 ops, repeated values, seed 42",
+      { d with n_procs = 2; n_ops = 6; distinct_writes = false },
+      42,
+      "dbd0d739b83d2f15772cefe7bde5ca63/1034751386 \
+       0a5e84c0de150db091cae8717e01c986/540183215" );
+    ( "5 procs, 12 ops, seed 7",
+      { d with n_procs = 5; n_ops = 12 },
+      7,
+      "7db683dc721ba19b51164c5ae52bff66/792998740 \
+       eaed5f6de0a4539a152acb50263ac646/174725443" );
+    ( "6 procs, 16 ops, repeated values, seed 20260807",
+      { d with n_procs = 6; n_ops = 16; distinct_writes = false },
+      20260807,
+      "c55fdf1353a68fbfae64c63c8d7115b5/290234316 \
+       6bf96f901f1e10c16c0899755107adad/832408996" );
+  ]
+
+let fingerprint_tests =
+  List.map
+    (fun (name, spec, seed, want) ->
+      tc ("fingerprint: " ^ name) (fun () ->
+          Alcotest.(check string) "atomic/bits arbitrary/bits" want
+            (fingerprint spec ~seed)))
+    fingerprint_cases
+
 let gen_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -267,7 +342,7 @@ let gen_tests =
            Hist.Seq.is_linearization_of ~init:Gen.default_spec.Gen.init h wit));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"arbitrary generator: well-formed" ~count:100
-         (Gen.arb_arbitrary Gen.default_spec) (fun h ->
+         (Arb.arbitrary Gen.default_spec) (fun h ->
            (* of_events_exn already validated; check ops are on one object *)
            List.length (Hist.objects h) <= 1));
     tc "timeline renders something" (fun () ->
@@ -287,5 +362,5 @@ let suite =
     ("history.wellformed", hist_wf_tests);
     ("history.views", hist_view_tests);
     ("history.seq", seq_tests);
-    ("history.gen", gen_tests);
+    ("history.gen", gen_tests @ fingerprint_tests);
   ]

@@ -237,11 +237,11 @@ let props =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"atomic histories always linearizable" ~count:150
-         (Gen.arb_atomic Gen.default_spec) (fun hist ->
+         (Arb.atomic Gen.default_spec) (fun hist ->
            L.check ~init:Gen.default_spec.Gen.init hist));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"checker witness always validates" ~count:150
-         (Gen.arb_atomic Gen.default_spec) (fun hist ->
+         (Arb.atomic Gen.default_spec) (fun hist ->
            match L.witness ~init:Gen.default_spec.Gen.init hist with
            | Some s ->
                Hist.Seq.is_linearization_of ~init:Gen.default_spec.Gen.init
@@ -250,7 +250,7 @@ let props =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"on arbitrary histories, check = witness existence" ~count:150
-         (Gen.arb_arbitrary { Gen.default_spec with n_ops = 6 })
+         (Arb.arbitrary { Gen.default_spec with n_ops = 6 })
          (fun hist ->
            L.check ~init:Gen.default_spec.Gen.init hist
            = Option.is_some (L.witness ~init:Gen.default_spec.Gen.init hist)));
@@ -258,7 +258,7 @@ let props =
       (QCheck.Test.make
          ~name:"non-distinct write values: atomic histories still accepted"
          ~count:100
-         (Gen.arb_atomic { Gen.default_spec with distinct_writes = false })
+         (Arb.atomic { Gen.default_spec with distinct_writes = false })
          (fun hist -> L.check ~init:Gen.default_spec.Gen.init hist));
   ]
 
@@ -310,7 +310,7 @@ let oracle_tests =
       (QCheck.Test.make
          ~name:"DFS checker agrees with the brute-force oracle (arbitrary)"
          ~count:120
-         (Gen.arb_arbitrary { Gen.default_spec with n_ops = 5; n_procs = 3 })
+         (Arb.arbitrary { Gen.default_spec with n_ops = 5; n_procs = 3 })
          (fun hist ->
            QCheck.assume (List.length (Hist.ops hist) <= 6);
            L.check ~init hist = brute_force ~init hist));
@@ -318,7 +318,7 @@ let oracle_tests =
       (QCheck.Test.make
          ~name:"DFS checker agrees with the oracle (repeated write values)"
          ~count:120
-         (Gen.arb_arbitrary
+         (Arb.arbitrary
             { Gen.default_spec with n_ops = 5; n_procs = 3; distinct_writes = false })
          (fun hist ->
            QCheck.assume (List.length (Hist.ops hist) <= 6);
@@ -327,7 +327,7 @@ let oracle_tests =
       (QCheck.Test.make
          ~name:"DFS checker agrees with the oracle (atomic histories)"
          ~count:80
-         (Gen.arb_atomic { Gen.default_spec with n_ops = 5 })
+         (Arb.atomic { Gen.default_spec with n_ops = 5 })
          (fun hist ->
            QCheck.assume (List.length (Hist.ops hist) <= 6);
            L.check ~init hist && brute_force ~init hist));

@@ -235,8 +235,7 @@ let props =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"atomic history prefix-chains admit WSL"
          ~count:40
-         (Core.Histgen.arb_atomic
-            { Core.Histgen.default_spec with n_ops = 6 })
+         (Arb.atomic { Core.Histgen.default_spec with n_ops = 6 })
          (fun hist -> T.write_strong ~init (T.of_prefixes hist)));
   ]
 
