@@ -10,8 +10,8 @@
      rlin fig3 | rlin fig4             replay the paper's figures
      rlin abd ...                      run an ABD workload and check it
      rlin mwabd                        multi-writer ABD + its non-WSL refutation
-     rlin check -j N ...               seeded history batteries through the
-                                       (parallel) checker
+     rlin check ...                    seeded history batteries through the
+                                       checker
      rlin chaos run ...                random config search + online monitors
      rlin chaos replay PATH            replay the regression corpus verbatim
      rlin chaos shrink PATH            re-minimize corpus entries
@@ -546,18 +546,11 @@ let chaos_run_cmd =
              corpus entry as a post-mortem (sequential, deterministic; \
              reports still diff clean across -j).")
   in
-  let check_jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "check-jobs" ] ~docv:"JOBS"
-          ~doc:
-            "Run the linearizability monitor's checker on up to $(docv) \
-             domains per audited run (the parallel checker).  \
-             Verdicts, reports and corpora are identical whatever $(docv) \
-             is.")
-  in
-  let run budget seed jobs check_jobs inject inject_recovery corpus json
-      flight =
+  let run budget seed jobs inject inject_recovery corpus json flight =
+    if budget < 0 then begin
+      Printf.eprintf "rlin: --budget must be >= 0\n";
+      exit 2
+    end;
     if inject && inject_recovery then begin
       Printf.eprintf
         "rlin: --inject-quorum-bug and --inject-recovery-bug are mutually \
@@ -570,7 +563,7 @@ let chaos_run_cmd =
       else None
     in
     let report =
-      Core.Chaos.search ~jobs ~check_jobs ?inject ~flight
+      Core.Chaos.search ~jobs ?inject ~flight
         ~telemetry:Obs.Metrics.global ~seed ~budget ()
     in
     let findings = report.Core.Chaos.findings in
@@ -617,8 +610,8 @@ let chaos_run_cmd =
           every violation to a minimal reproducer.  Exits non-zero when \
           violations were found.")
     Term.(
-      const run $ budget $ seed_arg $ jobs_arg $ check_jobs $ inject
-      $ inject_recovery $ corpus $ json $ flight)
+      const run $ budget $ seed_arg $ jobs_arg $ inject $ inject_recovery
+      $ corpus $ json $ flight)
 
 let replay_path path =
   match Core.Corpus.load path with
@@ -1600,7 +1593,7 @@ let metrics_cmd =
 
 (* ----- main ------------------------------------------------------------------ *)
 
-(* ----- check: seeded history batteries through the (parallel) checker ------- *)
+(* ----- check: seeded history batteries through the checker ------------------ *)
 
 let check_cmd =
   let count =
@@ -1649,9 +1642,29 @@ let check_cmd =
             "Write a JSONL report ('-' for stdout): one check_run header \
              (which carries the jobs count and the effective op cap), then \
              one record per history.  Per-history records are identical at \
-             every -j; only the header differs.")
+             every -j that keeps every history under the op cap; only the \
+             header differs.")
+  in
+  let jobs =
+    Arg.(
+      value
+      & opt int (Core.Pool.default_jobs ())
+      & info [ "j"; "jobs" ] ~docv:"JOBS"
+          ~doc:
+            "Set the Too_large op cap to Lincheck.effective_cap $(docv) \
+             (default: the machine's recommended domain count).  Every \
+             search runs sequentially on one domain whatever $(docv) is; \
+             the cap and the check_run header are all that $(docv) \
+             changes.")
   in
   let run count ops procs family tree seed jobs json =
+    let reject msg =
+      Printf.eprintf "rlin: %s\n" msg;
+      exit 2
+    in
+    if count < 0 then reject "--count must be >= 0";
+    if ops < 1 then reject "--ops must be >= 1";
+    if procs < 1 then reject "--procs must be >= 1";
     let cap = Core.Lincheck.effective_cap ~jobs in
     let rand =
       Random.State.make [| Int64.to_int seed land 0x3FFFFFFF; 0xC0FFEE |]
@@ -1767,15 +1780,11 @@ let check_cmd =
        ~doc:
          "Generate seeded histories and decide their linearizability \
           (optionally plus the prefix-tree write strong-linearizability \
-          check).  Each decision runs sequentially first and moves to the \
-          parallel checker on up to JOBS domains only when it outgrows a \
-          fixed budget of 4096 search states; the tree check is always \
-          sequential.  Verdicts and witnesses are identical at every -j; \
-          the Too_large op cap is raised with the domain budget \
-          (Lincheck.effective_cap) and surfaced in the report header.")
+          check).  Both searches are sequential.  -j only sets the \
+          Too_large op cap (Lincheck.effective_cap), which the report \
+          header records.")
     Term.(
-      const run $ count $ ops $ procs $ family $ tree $ seed_arg $ jobs_arg
-      $ json)
+      const run $ count $ ops $ procs $ family $ tree $ seed_arg $ jobs $ json)
 
 (* ----- fleet ----------------------------------------------------------------- *)
 

@@ -154,13 +154,9 @@ type finding = {
 
 type report = { seed : int64; budget : int; findings : finding list }
 
-let search ?(monitors = Monitor.standard) ?(jobs = 1) ?(check_jobs = 1) ?inject
+let search ?(monitors = Monitor.standard) ?(jobs = 1) ?inject
     ?(shrink_attempts = 400) ?(flight = false) ?(flight_k = 200) ?telemetry
     ~seed ~budget () =
-  (* substitute once: the find phase, the shrinker's oracle and the
-     post-mortems then all audit with the same (jobs-invariant) monitor
-     list, so reports stay byte-identical at every [check_jobs] *)
-  let monitors = Monitor.with_check_jobs ~jobs:check_jobs monitors in
   let metrics =
     match telemetry with Some m -> m | None -> Obs.Metrics.create ()
   in

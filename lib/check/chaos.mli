@@ -43,7 +43,6 @@ type report = { seed : int64; budget : int; findings : finding list }
 val search :
   ?monitors:Monitor.t list ->
   ?jobs:int ->
-  ?check_jobs:int ->
   ?inject:bug ->
   ?shrink_attempts:int ->
   ?flight:bool ->
@@ -56,17 +55,15 @@ val search :
 (** Execute configs [0..budget-1] on [jobs] domains (default 1), shrink
     every violation ([shrink_attempts] oracle executions each, default
     400).  Per-run metrics are folded into [telemetry] in index order
-    when given.  [check_jobs] (default 1) runs the linearizability
-    monitor's checker on that many domains ({!Monitor.with_check_jobs})
-    throughout — find phase, shrink oracle and post-mortems; reports
-    stay byte-identical at every [check_jobs] (and [jobs]) value.
+    when given.  Reports stay byte-identical at every [jobs] value.
 
     With [flight:true] every finding's shrunk config is re-executed
     sequentially under an armed flight recorder of capacity [flight_k]
     (default 200, see {!Monitor.postmortem}) and the retained events are
     attached.  The re-executions happen after the parallel phase and are
     deterministic, so reports and corpora stay byte-identical across
-    [-j] values. *)
+    [-j] values.
+    @raise Invalid_argument if [budget < 0]. *)
 
 val to_entries : report -> Corpus.entry list
 (** The findings as corpus entries (minimal config + violation +

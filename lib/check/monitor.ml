@@ -30,17 +30,14 @@ type t = {
 
 (* Lincheck is exact on partial histories (pending operations are
    handled), so a stalled or budget-exhausted run is still audited: an
-   incomplete run must merely be linearizable so far.  [jobs] selects
-   the checker's parallel driver; its verdicts are identical at every
-   [jobs] (Lincheck's lowest-index-success rule), so swapping it in
-   never changes what a monitor reports. *)
-let linearizability_jobs ~jobs =
+   incomplete run must merely be linearizable so far. *)
+let linearizability =
   {
     name = "linearizability";
     check =
       (fun ~config:_ ~run ~metrics ->
         match
-          Linchk.Lincheck.check ~metrics ~jobs ~init:(History.Value.Int 0)
+          Linchk.Lincheck.check ~metrics ~init:(History.Value.Int 0)
             run.Runs.history
         with
         | true -> None
@@ -56,8 +53,6 @@ let linearizability_jobs ~jobs =
             (* unreachable for chaos-sized workloads; never misreport *)
             None);
   }
-
-let linearizability = linearizability_jobs ~jobs:1
 
 (* Two distinct names on purpose: a watchdog stall and a plain budget
    exhaustion are different bugs, and the shrinker's same-monitor oracle
@@ -205,17 +200,6 @@ let linearizability_streaming =
 
 let standard = [ linearizability; termination; quorum_sanity; recovery_sanity ]
 
-(* Swap the stock linearizability monitor for its [jobs]-domain variant.
-   Sound because the checker's verdicts are [jobs]-invariant; a no-op on
-   lists that don't contain the stock monitor. *)
-let with_check_jobs ~jobs monitors =
-  if jobs <= 1 then monitors
-  else
-    List.map
-      (fun m ->
-        if m.name = "linearizability" then linearizability_jobs ~jobs else m)
-      monitors
-
 (* Swap the stock linearizability monitor for the streaming decision
    path — same violations on every run where no segment outgrows the op
    cap (where both stay silent). *)
@@ -225,9 +209,7 @@ let with_streaming_check monitors =
       if m.name = "linearizability" then linearizability_streaming else m)
     monitors
 
-let run_config ?(monitors = standard) ?(check_jobs = 1) ?telemetry ?tracer
-    config =
-  let monitors = with_check_jobs ~jobs:check_jobs monitors in
+let run_config ?(monitors = standard) ?telemetry ?tracer config =
   let metrics = Obs.Metrics.create () in
   let run = Runs.execute_config ~metrics ?tracer config in
   let v = List.find_map (fun m -> m.check ~config ~run ~metrics) monitors in
@@ -238,8 +220,8 @@ let run_config ?(monitors = standard) ?(check_jobs = 1) ?telemetry ?tracer
    capacity and keep what the ring retained.  Configs re-execute
    deterministically from their own seeds, so the violation — if still
    reported — is the same one, now with its last-K causal events. *)
-let postmortem ?monitors ?check_jobs ?(k = 200) config =
+let postmortem ?monitors ?(k = 200) config =
   let tracer = Obs.Tracer.create ~capacity:k () in
-  match run_config ?monitors ?check_jobs ~tracer config with
+  match run_config ?monitors ~tracer config with
   | None -> None
   | Some v -> Some (v, Obs.Tracer.events tracer)

@@ -32,17 +32,6 @@ val linearizability : t
 (** The run's projected history passes {!Linchk.Lincheck.check}.  Applies
     to incomplete runs too (pending operations are handled exactly). *)
 
-val linearizability_jobs : jobs:int -> t
-(** {!linearizability} with the checker's parallel search
-    on [jobs] domains.  Reports the exact same violations at every
-    [jobs] (the checker's verdicts are [jobs]-invariant), so the two are
-    interchangeable; [jobs:1] {e is} {!linearizability}. *)
-
-val with_check_jobs : jobs:int -> t list -> t list
-(** Replace any monitor named ["linearizability"] with
-    {!linearizability_jobs}[ ~jobs]; identity when [jobs <= 1] or the
-    list has no such monitor. *)
-
 val linearizability_streaming : t
 (** The same invariant decided by the streaming path: the run's events
     fed one at a time through {!Serve.Segmenter}, segments retired at
@@ -83,7 +72,6 @@ val standard : t list
 
 val run_config :
   ?monitors:t list ->
-  ?check_jobs:int ->
   ?telemetry:Obs.Metrics.t ->
   ?tracer:Obs.Tracer.t ->
   Msgpass.Runs.Config.t ->
@@ -94,12 +82,10 @@ val run_config :
     parallel searches can aggregate without polluting the monitors'
     per-run view.  An armed [tracer] (default {!Obs.Tracer.null})
     receives the run's scheduler/network/register events.
-    [check_jobs] (default 1) applies {!with_check_jobs} to [monitors].
-    Deterministic in the config, at every [check_jobs]. *)
+    Deterministic in the config. *)
 
 val postmortem :
   ?monitors:t list ->
-  ?check_jobs:int ->
   ?k:int ->
   Msgpass.Runs.Config.t ->
   (violation * Obs.Tracer.event list) option

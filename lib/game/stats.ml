@@ -86,13 +86,6 @@ let atomic_termination ?(jobs = 1) ?(metrics = Obs.Metrics.global) ~n
   in
   summarize rounds
 
-let pp_survival fmt (s : survival) =
-  Format.fprintf fmt "@[<v>%-12s %-10s (%d runs each)@," "budget" "alive" s.runs;
-  List.iter2
-    (fun b f -> Format.fprintf fmt "%-12d %-10.3f@," b f)
-    s.budgets s.alive_fraction;
-  Format.fprintf fmt "@]"
-
 let pp_termination fmt (t : termination) =
   Format.fprintf fmt
     "@[<v>%d runs: mean termination round %.2f, max %d@,%-6s %-12s %-12s@,"

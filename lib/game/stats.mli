@@ -50,5 +50,4 @@ val atomic_termination :
     which the paper's footnote observes the adversary has no power at all.
     [jobs]/[metrics] as in {!e1_survival}. *)
 
-val pp_survival : Format.formatter -> survival -> unit
 val pp_termination : Format.formatter -> termination -> unit

@@ -6,8 +6,6 @@ type t =
 type timed = { time : int; event : t } [@@deriving eq]
 
 let op_id = function Invoke { op_id; _ } -> op_id | Respond { op_id; _ } -> op_id
-let is_invoke = function Invoke _ -> true | Respond _ -> false
-let is_respond = function Respond _ -> true | Invoke _ -> false
 
 let pp fmt = function
   | Invoke { op_id; proc; obj; kind } ->

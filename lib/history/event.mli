@@ -10,7 +10,5 @@ type t =
 type timed = { time : int; event : t } [@@deriving eq]
 
 val op_id : t -> int
-val is_invoke : t -> bool
-val is_respond : t -> bool
 val pp : Format.formatter -> t -> unit
 val pp_timed : Format.formatter -> timed -> unit

@@ -107,7 +107,6 @@ let ops h =
     h.evs;
   List.rev_map (fun id -> Hashtbl.find tbl id) !order
 
-let find_op h id = List.find_opt (fun (o : Op.t) -> o.id = id) (ops h)
 let complete_ops h = List.filter Op.is_complete (ops h)
 let pending_ops h = List.filter Op.is_pending (ops h)
 

@@ -31,7 +31,6 @@ val ops : t -> Op.t list
 (** All operations, in invocation order.  Pending operations have
     [responded = None]. *)
 
-val find_op : t -> int -> Op.t option
 val complete_ops : t -> Op.t list
 val pending_ops : t -> Op.t list
 val objects : t -> string list

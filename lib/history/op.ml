@@ -37,7 +37,6 @@ let active_at o t =
   && match o.responded with None -> true | Some r -> t <= r
 
 let equal a b = a.id = b.id
-let compare_by_invocation a b = Int.compare a.invoked b.invoked
 
 let pp_kind fmt = function
   | Read -> Format.pp_print_string fmt "read"

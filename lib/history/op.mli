@@ -52,6 +52,5 @@ val active_at : t -> int -> bool
 val equal : t -> t -> bool
 (** Equality on [id]. *)
 
-val compare_by_invocation : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val pp_kind : Format.formatter -> kind -> unit

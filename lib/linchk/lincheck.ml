@@ -4,7 +4,7 @@ module Hist = History.Hist
 
 (* Checker observability: counters accumulate in the caller's registry
    (default: the global one); drivers measure a run by snapshot/delta,
-   and parallel drivers pass the run's private registry (see Obs.Metrics
+   and a pool task passes its run's private registry (see Obs.Metrics
    and Simkit.Pool).  Counter handles are resolved once per search entry
    (never per DFS state) — see DESIGN.md "hot-path discipline". *)
 
@@ -14,12 +14,10 @@ let max_ops = 62
 
 exception Too_large of { n : int; cap : int }
 
-(* The cap a driver should impose given its domain budget.  The bitmask
-   encoding pins the hard ceiling at [max_ops]; below it, the practical
-   ceiling is time, and parallel search buys headroom — each extra domain
-   is worth roughly a 9-op raise before wall-clock parity breaks down.
-   Only the [rlin check] driver applies this (library entry points keep
-   the full [max_ops] default so verdicts never depend on [-j]). *)
+(* The cap [rlin check] imposes for a given [-j].  The search is
+   sequential at every [-j]; the formula is kept so that [rlin check]
+   reports stay byte-identical, header included, until the argument is
+   dropped.  Library entry points keep the full [max_ops] default. *)
 let effective_cap ~jobs =
   let jobs = max 1 jobs in
   min max_ops (53 + (9 * (jobs - 1)))
@@ -216,10 +214,7 @@ let writes_only : scope = Op.is_write
    the one [Tracer.armed] branch per state. *)
 let probe_interval = 16_384
 
-(* Raised by [decide] when a [budget] of DFS states runs out. *)
-exception Out_of_budget
-
-let decide ?(trc = Obs.Tracer.null) ?(budget = max_int) ~m p ~forced ~scope =
+let decide ?(trc = Obs.Tracer.null) ~m p ~forced ~scope =
   let n = Array.length p.ops in
   let forced = Array.of_list forced in
   let nforced = Array.length forced in
@@ -230,10 +225,7 @@ let decide ?(trc = Obs.Tracer.null) ?(budget = max_int) ~m p ~forced ~scope =
   (* start tiny: most checked histories fail/succeed within a few dozen
      states, and the set doubles on demand for the big searches *)
   let failed = Ipset.create ~capacity:16 () in
-  let left = ref budget in
   let rec go mask cursor vid path =
-    if !left = 0 then raise Out_of_budget;
-    decr left;
     Obs.Metrics.incr_h states;
     if Obs.Tracer.armed trc then begin
       let s = Obs.Metrics.read_h states in
@@ -296,271 +288,18 @@ let decide ?(trc = Obs.Tracer.null) ?(budget = max_int) ~m p ~forced ~scope =
   in
   go 0 0 p.init_vid []
 
-(* {2 Parallel driver}
+let decide_prepped ?(metrics = Obs.Metrics.global) ?tracer ?jobs:_ p =
+  decide ?trc:tracer ~m:metrics p ~forced:[] ~scope:all_ops
 
-   The DFS state has been three machine ints since PR 5, so forking the
-   search is cheap: expand the root into a lex-ordered frontier of
-   subtree tasks, run them on [Simkit.Pool]'s parked workers, and share the
-   failure memo through a sharded concurrent set.  [decide_any] comes here
-   only for a search that outgrew the sequential budget ([seq_budget]).
+let witness ?metrics ?tracer ~init h =
+  decide_prepped ?metrics ?tracer (prep ~init h)
 
-   Determinism is by construction, not by luck (DESIGN.md §14):
-   - the frontier lists subtrees in exactly the sequential DFS's
-     candidate order, so task i's whole subtree precedes task i+1's in
-     DFS order;
-   - the winner is the lowest-index successful task ([best] is
-     CAS-min'ed), and a task is cancelled only when a strictly lower
-     index has already succeeded — so the surviving witness is the
-     lex-least successful path, which is what the sequential search
-     returns;
-   - memo entries are only written when a subtree has been fully
-     explored and failed, and "no completion from (mask, cursor, vid)"
-     is path-independent, so sharing them across tasks prunes only
-     genuinely dead subtrees and can never change a verdict or witness
-     (a racing miss just re-explores — sound, merely slower). *)
+let check ?metrics ?tracer ~init h =
+  Option.is_some (witness ?metrics ?tracer ~init h)
 
-exception Cancelled
-
-type fstate = { fmask : int; fcursor : int; fvid : int; frpath : Op.t list }
-
-(* How often a task polls the shared [best] cell, in DFS states.  Large
-   enough that the atomic read vanishes in the state cost, small enough
-   that losing tasks die within microseconds of a winner. *)
-let cancel_interval = 512
-
-(* One level of frontier expansion mirrors [decide]'s candidate loop
-   exactly (same order, same forced/scope gating, same read/write value
-   rules); a state with no children is a dead end and is dropped —
-   exactly the subtree the sequential search would backtrack out of. *)
-let children p ~forced ~nforced ~scope s =
-  let n = Array.length p.ops in
-  let out = ref [] in
-  for idx = n - 1 downto 0 do
-    if s.fmask land (1 lsl idx) = 0 && p.pred.(idx) land s.fmask = p.pred.(idx)
-    then begin
-      let o = p.ops.(idx) in
-      let allowed_by_forced, cursor' =
-        if s.fcursor < nforced && scope o then
-          if o.id = forced.(s.fcursor) then (true, s.fcursor + 1)
-          else (false, s.fcursor)
-        else (true, s.fcursor)
-      in
-      if allowed_by_forced then
-        if p.wvid.(idx) >= 0 then
-          out :=
-            {
-              fmask = s.fmask lor (1 lsl idx);
-              fcursor = cursor';
-              fvid = p.wvid.(idx);
-              frpath = o :: s.frpath;
-            }
-            :: !out
-        else if p.rvid.(idx) = s.fvid then
-          out :=
-            {
-              fmask = s.fmask lor (1 lsl idx);
-              fcursor = cursor';
-              fvid = s.fvid;
-              frpath = o :: s.frpath;
-            }
-            :: !out
-    end
-  done;
-  !out
-
-(* Expand breadth-first until the frontier holds at least [target]
-   subtree tasks.  Stops early at the first {e terminal} state produced
-   (a terminal's task succeeds instantly, and by the lowest-index rule
-   no deeper split of the states after it could ever win against it —
-   though states before it must keep their place, so they stay whole).
-   An empty result means every path died during expansion: verdict
-   [None] with no tasks to run. *)
-let expand_frontier p ~forced ~nforced ~scope ~target root =
-  let terminal s =
-    p.complete_mask land s.fmask = p.complete_mask && s.fcursor = nforced
-  in
-  let rec level frontier =
-    if List.length frontier >= target then frontier
-    else begin
-      let hit_terminal = ref false in
-      let expanded = ref false in
-      let out = ref [] in
-      List.iter
-        (fun s ->
-          if !hit_terminal then out := s :: !out
-          else if terminal s then begin
-            hit_terminal := true;
-            out := s :: !out
-          end
-          else begin
-            expanded := true;
-            List.iter
-              (fun c -> out := c :: !out)
-              (children p ~forced ~nforced ~scope s)
-          end)
-        frontier;
-      let frontier' = List.rev !out in
-      if !hit_terminal || not !expanded then frontier'
-      else if frontier' = [] then []
-      else level frontier'
-    end
-  in
-  let root_terminal = terminal root in
-  if root_terminal then [ root ] else level [ root ]
-
-let decide_par ?(trc = Obs.Tracer.null) ~m ~jobs p ~forced ~scope =
-  let forced_arr = Array.of_list forced in
-  let nforced = Array.length forced_arr in
-  let nvals = p.nvals in
-  let root = { fmask = 0; fcursor = 0; fvid = p.init_vid; frpath = [] } in
-  let tasks =
-    Array.of_list
-      (expand_frontier p ~forced:forced_arr ~nforced ~scope ~target:(4 * jobs)
-         root)
-  in
-  let ntasks = Array.length tasks in
-  let par_tasks = Obs.Metrics.counter_h m "linchk.par.tasks" in
-  let par_cancelled = Obs.Metrics.counter_h m "linchk.par.cancelled" in
-  if ntasks = 0 then None
-  else begin
-    let memo =
-      Ipset.Sharded.create ~shards:(min 16 (2 * jobs)) ~capacity:64 ()
-    in
-    let regs = Array.init ntasks (fun _ -> Obs.Metrics.create ()) in
-    let best = Atomic.make max_int in
-    let results = Array.make ntasks None in
-    let n_cancelled = Atomic.make 0 in
-    let run_task ti =
-      let m = regs.(ti) in
-      let states = Obs.Metrics.counter_h m "linchk.states" in
-      let memo_prunes = Obs.Metrics.counter_h m "linchk.memo_prunes" in
-      let backtracks = Obs.Metrics.counter_h m "linchk.backtracks" in
-      let poll = ref cancel_interval in
-      (* the sequential [go] loop, with the shared sharded memo and a
-         periodic cancellation poll in place of the tracer probe *)
-      let rec go mask cursor vid path =
-        Obs.Metrics.incr_h states;
-        decr poll;
-        if !poll <= 0 then begin
-          poll := cancel_interval;
-          if Atomic.get best < ti then raise Cancelled
-        end;
-        if p.complete_mask land mask = p.complete_mask && cursor = nforced then
-          Some (List.rev path)
-        else if Ipset.Sharded.mem memo ~k1:mask ~k2:((cursor * nvals) + vid)
-        then begin
-          Obs.Metrics.incr_h memo_prunes;
-          None
-        end
-        else begin
-          let result = ref None in
-          let i = ref 0 in
-          let n = Array.length p.ops in
-          while Option.is_none !result && !i < n do
-            let idx = !i in
-            incr i;
-            if
-              mask land (1 lsl idx) = 0
-              && p.pred.(idx) land mask = p.pred.(idx)
-            then begin
-              let o = p.ops.(idx) in
-              let allowed_by_forced, cursor' =
-                if cursor < nforced && scope o then
-                  if o.id = forced_arr.(cursor) then (true, cursor + 1)
-                  else (false, cursor)
-                else (true, cursor)
-              in
-              if allowed_by_forced then
-                if p.wvid.(idx) >= 0 then begin
-                  match
-                    go (mask lor (1 lsl idx)) cursor' p.wvid.(idx) (o :: path)
-                  with
-                  | Some _ as r -> result := r
-                  | None -> ()
-                end
-                else if p.rvid.(idx) = vid then begin
-                  match go (mask lor (1 lsl idx)) cursor' vid (o :: path) with
-                  | Some _ as res -> result := res
-                  | None -> ()
-                end
-            end
-          done;
-          if Option.is_none !result then begin
-            Obs.Metrics.incr_h backtracks;
-            Ipset.Sharded.add memo ~k1:mask ~k2:((cursor * nvals) + vid)
-          end;
-          !result
-        end
-      in
-      let s0 = tasks.(ti) in
-      (* a task that has already lost is skipped, not merely cut short at
-         its first poll *)
-      match
-        if Atomic.get best < ti then raise Cancelled
-        else go s0.fmask s0.fcursor s0.fvid s0.frpath
-      with
-      | Some w ->
-          results.(ti) <- Some w;
-          let rec cas_min () =
-            let b = Atomic.get best in
-            if ti < b && not (Atomic.compare_and_set best b ti) then cas_min ()
-          in
-          cas_min ()
-      | None -> ()
-      | exception Cancelled -> Atomic.incr n_cancelled
-    in
-    Simkit.Pool.iter ~jobs ntasks run_task;
-    Array.iter (fun r -> Obs.Metrics.merge ~into:m r) regs;
-    Obs.Metrics.incr_h ~by:ntasks par_tasks;
-    Obs.Metrics.incr_h ~by:(Atomic.get n_cancelled) par_cancelled;
-    Obs.Metrics.set_gauge m "linchk.par.memo_occupancy"
-      (Ipset.Sharded.occupancy memo);
-    if Obs.Tracer.armed trc then begin
-      let mstats = Ipset.Sharded.stats memo in
-      ignore
-        (Obs.Tracer.emit trc ~parent:(-1)
-           ~args:
-             [
-               ("tasks", Obs.Json.Int ntasks);
-               ("cancelled", Obs.Json.Int (Atomic.get n_cancelled));
-               ("memo_size", Obs.Json.Int mstats.Ipset.size);
-               ("memo_shards", Obs.Json.Int (Ipset.Sharded.shards memo));
-               ("memo_occupancy", Obs.Json.Float mstats.Ipset.occupancy);
-             ]
-           ~sim:0 ~cat:"check" "linchk.par.done")
-    end;
-    let b = Atomic.get best in
-    if b = max_int then None else results.(b)
-  end
-
-(* Sequential first: a search that ends within [seq_budget] DFS states
-   returns the [-j 1] witness without touching the pool; only a larger one
-   restarts from the root in [decide_par], wasting at most the budget.
-   4,096 states is about 1 ms of DFS, or about 100 pool hand-offs, while
-   the largest search among 154,000 generated 8–14-op histories takes 316
-   (DESIGN.md §14). *)
-let seq_budget = 4096
-
-let decide_any ?trc ~m ~jobs p ~forced ~scope =
-  if jobs <= 1 then decide ?trc ~m p ~forced ~scope
-  else
-    match decide ?trc ~budget:seq_budget ~m p ~forced ~scope with
-    | r -> r
-    | exception Out_of_budget -> decide_par ?trc ~m ~jobs p ~forced ~scope
-
-let decide_prepped ?(metrics = Obs.Metrics.global) ?tracer ?(jobs = 1) p =
-  decide_any ?trc:tracer ~m:metrics ~jobs p ~forced:[] ~scope:all_ops
-
-let witness ?(metrics = Obs.Metrics.global) ?tracer ?(jobs = 1) ~init h =
-  let p = prep ~init h in
-  decide_any ?trc:tracer ~m:metrics ~jobs p ~forced:[] ~scope:all_ops
-
-let check ?metrics ?tracer ?jobs ~init h =
-  Option.is_some (witness ?metrics ?tracer ?jobs ~init h)
-
-let check_multi ?metrics ?jobs ~init_of h =
+let check_multi ?metrics ~init_of h =
   List.for_all
-    (fun obj -> check ?metrics ?jobs ~init:(init_of obj) (Hist.project h ~obj))
+    (fun obj -> check ?metrics ~init:(init_of obj) (Hist.project h ~obj))
     (Hist.objects h)
 
 (* Enumeration (no memoization: we need all solutions, bounded by limit). *)
@@ -640,11 +379,6 @@ let check_with_forced_write_prefix ?(metrics = Obs.Metrics.global) ~init h
 let check_with_forced_prefix ?(metrics = Obs.Metrics.global) ~init h ~prefix =
   let p = prep ~init h in
   Option.is_some (decide ~m:metrics p ~forced:prefix ~scope:all_ops)
-
-let check_with_forced_subset_prefix ?(metrics = Obs.Metrics.global) ~init h
-    ~sel ~prefix =
-  let p = prep ~init h in
-  Option.is_some (decide ~m:metrics p ~forced:prefix ~scope:sel)
 
 (* [enum ~collect] already dedups solutions by their [collect] projection,
    so each returned linearization has a distinct key: one projection per

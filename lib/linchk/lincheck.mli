@@ -30,18 +30,15 @@ exception Too_large of { n : int; cap : int }
     impose a lower one via {!prep}'s [?cap]). *)
 
 val effective_cap : jobs:int -> int
-(** The operation cap a driver should impose given [jobs] domains:
-    [min max_ops (53 + 9 * (jobs - 1))].  The bitmask encoding pins the
-    hard ceiling at {!max_ops}; below it the ceiling is wall-clock, and
-    each extra domain buys roughly nine more ops.  Library entry points
-    do {e not} apply this — their cap stays {!max_ops} at every [jobs],
-    so verdicts (including [Too_large]) never depend on [-j]; the
-    [rlin check] driver applies it and reports the cap it used. *)
+(** The operation cap [rlin check] imposes at [-j jobs]:
+    [min max_ops (53 + 9 * (jobs - 1))].  The search is sequential at
+    every [jobs]; the formula is kept so that [rlin check] reports stay
+    byte-identical, header included.  Library entry points do {e not}
+    apply it — their cap stays {!max_ops}. *)
 
 val check :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Tracer.t ->
-  ?jobs:int ->
   init:History.Value.t ->
   History.Hist.t ->
   bool
@@ -49,8 +46,8 @@ val check :
     initial register value [init]?  [metrics] (default
     {!Obs.Metrics.global}) receives the checker's counters
     ([linchk.states], [linchk.memo_prunes], [linchk.backtracks]) — every
-    entry point below takes the same optional registry, so parallel
-    drivers can isolate each run's numbers (see [Simkit.Pool]).
+    entry point below takes the same optional registry, so a pool task
+    can isolate its run's numbers (see [Simkit.Pool]).
 
     With an armed [tracer] (default {!Obs.Tracer.null}), the DFS emits a
     [linchk.progress] event (category ["check"]) every 16384 states —
@@ -58,37 +55,21 @@ val check :
     which the Perfetto export renders as counter tracks.  Disarmed, the
     probe costs one branch per state.
 
-    [jobs] (default 1) > 1 runs the sequential search first, under a
-    fixed budget of 4,096 DFS states.  A search that ends within it
-    returns the sequential result and never touches the pool.  Only when
-    the budget runs out does the search restart from the root in
-    parallel on [Simkit.Pool]: it splits at the top-of-tree frontier into
-    lex-ordered subtree tasks sharing a sharded failure memo, and the
-    lowest-index success wins (higher-index tasks are skipped or
-    cancelled).  Either way the verdict {e and} witness are identical to
-    the sequential search at every [jobs] — see DESIGN.md §14.  After a
-    restart the counters include both phases: [linchk.states] counts the
-    budget's 4,096 states plus the parallel search's.  Parallel runs add
-    [linchk.par.tasks] / [linchk.par.cancelled] counters and a
-    [linchk.par.memo_occupancy] gauge, and with an armed [tracer] emit a
-    post-hoc [linchk.par.done] summary event (tasks run inside the
-    parallel driver never trace — the recorder is not thread-safe).
+    The search is sequential; DESIGN.md §14 records why.
     @raise Invalid_argument if [h] spans several objects. *)
 
 val witness :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Tracer.t ->
-  ?jobs:int ->
   init:History.Value.t ->
   History.Hist.t ->
   History.Op.t list option
-(** A linearization order, if one exists.  Pending writes that the witness
-    chose to linearize appear in place; pending reads never appear.
-    Byte-identical at every [jobs] (lowest-index-success rule). *)
+(** A linearization order, if one exists: the lex-least one, in op-index
+    order.  Pending writes that the witness chose to linearize appear in
+    place; pending reads never appear. *)
 
 val check_multi :
   ?metrics:Obs.Metrics.t ->
-  ?jobs:int ->
   init_of:(string -> History.Value.t) ->
   History.Hist.t ->
   bool
@@ -143,19 +124,6 @@ val write_orders_extending :
 (** Distinct write-order id sequences of linearizations of [h] extending
     [prefix], up to [limit]. *)
 
-val check_with_forced_subset_prefix :
-  ?metrics:Obs.Metrics.t ->
-  init:History.Value.t ->
-  History.Hist.t ->
-  sel:(History.Op.t -> bool) ->
-  prefix:int list ->
-  bool
-(** §7 of the paper generalizes write strong-linearizability to strong
-    linearizability {e with respect to a subset O of operations}: only the
-    O-subsequence of the linearization must be fixed on-line.  This asks
-    whether a linearization exists whose [sel]-subsequence starts with
-    exactly the given op ids. *)
-
 val subset_orders_extending :
   ?metrics:Obs.Metrics.t ->
   init:History.Value.t ->
@@ -189,7 +157,7 @@ val decide_prepped :
   ?jobs:int ->
   prepped ->
   History.Op.t list option
-(** {!witness} on a prepped history ([jobs] as in {!check}). *)
+(** {!witness} on a prepped history.  [jobs] is accepted and ignored. *)
 
 val enumerate_prepped :
   ?metrics:Obs.Metrics.t -> prepped -> limit:int -> History.Op.t list list

@@ -320,14 +320,6 @@ let shrink_plan p =
   in
   probs @ crashes @ recoveries @ partitions @ window
 
-let pp_plan fmt p =
-  Format.fprintf fmt
-    "drop=%g dup=%g delay=%g(<=%d) crashes=%d recoveries=%d partitions=%d"
-    p.drop p.duplicate p.delay p.delay_bound
-    (List.length p.crash_at)
-    (List.length p.recover_at)
-    (List.length p.partitions)
-
 type action = Deliver | Drop | Duplicate | Defer
 
 type t = {

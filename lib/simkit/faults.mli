@@ -93,9 +93,6 @@ val shrink_plan : plan -> plan list
     Every candidate {!validate}s; a fully-benign plan has no
     candidates. *)
 
-val pp_plan : Format.formatter -> plan -> unit
-(** One-line rendering, e.g. [drop=0.1 dup=0.05 delay=0 crashes=2]. *)
-
 type action = Deliver | Drop | Duplicate | Defer
 
 type t

@@ -168,6 +168,7 @@ let iter ~jobs n f = ignore (map ~jobs n f : unit array)
    fold stops there: after a failure at task k (the lowest, which [map]
    re-raises), [metrics] holds exactly tasks 0..k-1. *)
 let map_runs ~jobs ~metrics n f =
+  if n < 0 then invalid_arg "Pool.map: negative task count";
   let finished = Array.make n None in
   let next = ref 0 in
   let lock = Mutex.create () in

@@ -1,6 +1,7 @@
 (** The repo's one parallel runner: run batteries (Monte-Carlo adversary
-    games, random-run checkers, fleet shards) and the checkers' parallel
-    searches ([Lincheck], [Treecheck]) all go through it.
+    games, random-run checkers, chaos searches, fleet shards) all go
+    through it.  A single checker search ([Lincheck], [Treecheck]) is
+    sequential and never uses it.
 
     Tasks are identified by their index [0..n-1] and claimed from a
     shared cursor, so load balances automatically however uneven the
@@ -60,4 +61,5 @@ val map_runs :
 
     If task [k] is the lowest-index task that raises, [map_runs]
     re-raises its exception (as {!map} does) and [metrics] then holds
-    exactly the merge of tasks [0..k-1], at any [jobs]. *)
+    exactly the merge of tasks [0..k-1], at any [jobs].
+    @raise Invalid_argument if [n < 0], as {!map} does. *)

@@ -1,7 +1,7 @@
-(* Simkit.Pool: the parked domain pool behind every `-j N` path (run
-   batteries and the checkers' parallel searches), and the determinism
-   contract the experiment battery relies on (reports and merged metrics
-   independent of the degree of parallelism). *)
+(* Simkit.Pool: the parked domain pool behind every `-j N` run battery
+   (experiments, chaos, fleet), and the determinism contract the battery
+   relies on (reports and merged metrics independent of the degree of
+   parallelism). *)
 
 module Pool = Simkit.Pool
 
@@ -47,7 +47,12 @@ let test_degenerate () =
      out);
   Alcotest.check_raises "negative task count rejected"
     (Invalid_argument "Pool.map: negative task count") (fun () ->
-      ignore (Pool.map ~jobs:2 (-1) (fun i -> i)))
+      ignore (Pool.map ~jobs:2 (-1) (fun i -> i)));
+  Alcotest.check_raises "map_runs rejects a negative count too"
+    (Invalid_argument "Pool.map: negative task count") (fun () ->
+      ignore
+        (Pool.map_runs ~jobs:2 ~metrics:(Obs.Metrics.create ()) (-1)
+           (fun ~metrics:_ i -> i)))
 
 exception Boom of int
 
