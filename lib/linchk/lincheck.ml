@@ -23,17 +23,16 @@ let effective_cap ~jobs =
   min max_ops (53 + (9 * (jobs - 1)))
 
 (* The preprocessed search form of a history.  Write values are interned
-   into dense ids ([0 .. nvals-1], the initial value first) so a DFS
-   state packs into two machine ints: the done-mask and
-   [cursor * nvals + vid].  [wvid]/[rvid] carry, per op index, the
-   interned id a write installs / a completed read requires ([rvid = -1]
-   when the result can never be produced, or for writes). *)
+   into dense ids (the initial value first) so a DFS state packs into two
+   machine ints: the done-mask and the value id.  [wvid]/[rvid] carry,
+   per op index, the interned id a write installs / a completed read
+   requires ([rvid = -1] when the result can never be produced, or for
+   writes). *)
 type prepped = {
   ops : Op.t array; (* pending reads removed *)
   pred : int array; (* bitmask of ops that must precede op i *)
   complete_mask : int;
   init : V.t;
-  nvals : int;
   init_vid : int;
   wvid : int array;
   rvid : int array;
@@ -184,29 +183,18 @@ let prep ?(cap = max_ops) ~init h =
     pred;
     complete_mask = !complete_mask;
     init;
-    nvals = !nvals;
     init_vid = 0;
     wvid;
     rvid;
   }
 
-(* The scope of a forced id prefix: the selected subsequence of the
-   linearization (e.g. all ops, only writes, only reads) must follow the
-   prefix.  This implements the paper's §7 generalization — strong
-   linearizability with respect to a subset O of operations. *)
-type scope = Op.t -> bool
+(* Core decision DFS with failure memoization.
 
-let all_ops : scope = fun _ -> true
-let writes_only : scope = Op.is_write
-
-(* Core decision DFS with failure memoization.  [forced] is an id list the
-   (write) subsequence of the linearization must start with.
-
-   The inner loop is allocation-free: the state is (done-mask, forced
-   cursor, interned value id), the failure memo is an open-addressed
-   int-pair set keyed by (mask, cursor * nvals + vid), and the counters
-   are pre-resolved handles.  Candidate order (op index ascending) is the
-   same as it ever was, so witnesses are unchanged.
+   The inner loop is allocation-free: the state is (done-mask, interned
+   value id), the failure memo is an open-addressed int-pair set keyed
+   by that pair, and the counters are pre-resolved handles.  Candidate
+   order (op index ascending) is the same as it ever was, so witnesses
+   are unchanged.
 
    With an armed [trc], every [probe_interval] states a progress event
    (category "check") reports the search counters and frontier depth —
@@ -214,18 +202,15 @@ let writes_only : scope = Op.is_write
    the one [Tracer.armed] branch per state. *)
 let probe_interval = 16_384
 
-let decide ?(trc = Obs.Tracer.null) ~m p ~forced ~scope =
+let decide ?(trc = Obs.Tracer.null) ~m p =
   let n = Array.length p.ops in
-  let forced = Array.of_list forced in
-  let nforced = Array.length forced in
   let states = Obs.Metrics.counter_h m "linchk.states" in
   let memo_prunes = Obs.Metrics.counter_h m "linchk.memo_prunes" in
   let backtracks = Obs.Metrics.counter_h m "linchk.backtracks" in
-  let nvals = p.nvals in
   (* start tiny: most checked histories fail/succeed within a few dozen
      states, and the set doubles on demand for the big searches *)
   let failed = Ipset.create ~capacity:16 () in
-  let rec go mask cursor vid path =
+  let rec go mask vid path =
     Obs.Metrics.incr_h states;
     if Obs.Tracer.armed trc then begin
       let s = Obs.Metrics.read_h states in
@@ -243,9 +228,8 @@ let decide ?(trc = Obs.Tracer.null) ~m p ~forced ~scope =
                ]
              ~sim:s ~cat:"check" "linchk.progress")
     end;
-    if p.complete_mask land mask = p.complete_mask && cursor = nforced then
-      Some (List.rev path)
-    else if Ipset.mem failed ~k1:mask ~k2:((cursor * nvals) + vid) then begin
+    if p.complete_mask land mask = p.complete_mask then Some (List.rev path)
+    else if Ipset.mem failed ~k1:mask ~k2:vid then begin
       Obs.Metrics.incr_h memo_prunes;
       None
     end
@@ -258,38 +242,31 @@ let decide ?(trc = Obs.Tracer.null) ~m p ~forced ~scope =
         if mask land (1 lsl idx) = 0 && p.pred.(idx) land mask = p.pred.(idx)
         then begin
           let o = p.ops.(idx) in
-          let allowed_by_forced, cursor' =
-            if cursor < nforced && scope o then
-              if o.id = forced.(cursor) then (true, cursor + 1)
-              else (false, cursor)
-            else (true, cursor)
-          in
-          if allowed_by_forced then
-            if p.wvid.(idx) >= 0 then begin
-              (* write: installs its interned value *)
-              match go (mask lor (1 lsl idx)) cursor' p.wvid.(idx) (o :: path) with
-              | Some _ as r -> result := r
-              | None -> ()
-            end
-            else if p.rvid.(idx) = vid then begin
-              (* read: linearizable only against the value it returned *)
-              match go (mask lor (1 lsl idx)) cursor' vid (o :: path) with
-              | Some _ as res -> result := res
-              | None -> ()
-            end
+          if p.wvid.(idx) >= 0 then begin
+            (* write: installs its interned value *)
+            match go (mask lor (1 lsl idx)) p.wvid.(idx) (o :: path) with
+            | Some _ as r -> result := r
+            | None -> ()
+          end
+          else if p.rvid.(idx) = vid then begin
+            (* read: linearizable only against the value it returned *)
+            match go (mask lor (1 lsl idx)) vid (o :: path) with
+            | Some _ as res -> result := res
+            | None -> ()
+          end
         end
       done;
       if Option.is_none !result then begin
         Obs.Metrics.incr_h backtracks;
-        Ipset.add failed ~k1:mask ~k2:((cursor * nvals) + vid)
+        Ipset.add failed ~k1:mask ~k2:vid
       end;
       !result
     end
   in
-  go 0 0 p.init_vid []
+  go 0 p.init_vid []
 
 let decide_prepped ?(metrics = Obs.Metrics.global) ?tracer ?jobs:_ p =
-  decide ?trc:tracer ~m:metrics p ~forced:[] ~scope:all_ops
+  decide ?trc:tracer ~m:metrics p
 
 let witness ?metrics ?tracer ~init h =
   decide_prepped ?metrics ?tracer (prep ~init h)
@@ -301,6 +278,14 @@ let check_multi ?metrics ~init_of h =
   List.for_all
     (fun obj -> check ?metrics ~init:(init_of obj) (Hist.project h ~obj))
     (Hist.objects h)
+
+(* The scope of a forced id prefix: the selected subsequence of the
+   linearization (e.g. all ops, only writes, only reads) must follow the
+   prefix.  This implements the paper's §7 generalization — strong
+   linearizability with respect to a subset O of operations. *)
+type scope = Op.t -> bool
+
+let all_ops : scope = fun _ -> true
 
 (* Enumeration (no memoization: we need all solutions, bounded by limit). *)
 let enum ~m p ~forced ~scope ~limit ~collect =
@@ -356,7 +341,6 @@ let enum ~m p ~forced ~scope ~limit ~collect =
   List.rev !out
 
 let ids ops = List.map (fun (o : Op.t) -> o.id) ops
-let write_ids ops = ids (List.filter Op.is_write ops)
 
 let enumerate_prepped ?(metrics = Obs.Metrics.global) p ~limit =
   enum ~m:metrics p ~forced:[] ~scope:all_ops ~limit ~collect:ids
@@ -365,20 +349,6 @@ let enumerate ?metrics ~init h ~limit =
   enumerate_prepped ?metrics (prep ~init h) ~limit
 
 let sel_ids sel ops = ids (List.filter sel ops)
-
-let enumerate_write_orders ?(metrics = Obs.Metrics.global) ~init h ~limit =
-  let p = prep ~init h in
-  enum ~m:metrics p ~forced:[] ~scope:writes_only ~limit ~collect:write_ids
-  |> List.map (List.filter Op.is_write)
-
-let check_with_forced_write_prefix ?(metrics = Obs.Metrics.global) ~init h
-    ~prefix =
-  let p = prep ~init h in
-  Option.is_some (decide ~m:metrics p ~forced:prefix ~scope:writes_only)
-
-let check_with_forced_prefix ?(metrics = Obs.Metrics.global) ~init h ~prefix =
-  let p = prep ~init h in
-  Option.is_some (decide ~m:metrics p ~forced:prefix ~scope:all_ops)
 
 (* [enum ~collect] already dedups solutions by their [collect] projection,
    so each returned linearization has a distinct key: one projection per
@@ -391,10 +361,3 @@ let orders_extending_prepped ?(metrics = Obs.Metrics.global) p ~sel ~prefix
   enum ~m:metrics p ~forced:prefix ~scope:sel ~limit ~collect:(sel_ids sel)
   |> List.map (sel_ids sel)
   |> List.sort compare
-
-let write_orders_extending ?metrics ~init h ~prefix ~limit =
-  orders_extending_prepped ?metrics (prep ~init h) ~sel:Op.is_write ~prefix
-    ~limit
-
-let subset_orders_extending ?metrics ~init h ~sel ~prefix ~limit =
-  orders_extending_prepped ?metrics (prep ~init h) ~sel ~prefix ~limit

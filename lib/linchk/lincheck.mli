@@ -86,55 +86,6 @@ val enumerate :
 (** Up to [limit] distinct linearizations (used by the history-tree
     checkers in {!Treecheck}). *)
 
-val enumerate_write_orders :
-  ?metrics:Obs.Metrics.t ->
-  init:History.Value.t ->
-  History.Hist.t ->
-  limit:int ->
-  History.Op.t list list
-(** The distinct {e write subsequences} of linearizations of [h], each
-    returned once (used by the write strong-linearizability tree check). *)
-
-val check_with_forced_write_prefix :
-  ?metrics:Obs.Metrics.t ->
-  init:History.Value.t ->
-  History.Hist.t ->
-  prefix:int list ->
-  bool
-(** Is there a linearization whose write subsequence starts with exactly
-    the given op ids, in order?  (Used to test extendability of a parent's
-    committed write order — property (P) of Definition 4.) *)
-
-val check_with_forced_prefix :
-  ?metrics:Obs.Metrics.t ->
-  init:History.Value.t ->
-  History.Hist.t ->
-  prefix:int list ->
-  bool
-(** Is there a linearization whose full op sequence starts with exactly the
-    given op ids?  (Property (P) of Definition 3.) *)
-
-val write_orders_extending :
-  ?metrics:Obs.Metrics.t ->
-  init:History.Value.t ->
-  History.Hist.t ->
-  prefix:int list ->
-  limit:int ->
-  int list list
-(** Distinct write-order id sequences of linearizations of [h] extending
-    [prefix], up to [limit]. *)
-
-val subset_orders_extending :
-  ?metrics:Obs.Metrics.t ->
-  init:History.Value.t ->
-  History.Hist.t ->
-  sel:(History.Op.t -> bool) ->
-  prefix:int list ->
-  limit:int ->
-  int list list
-(** Distinct [sel]-subsequence id orders of linearizations of [h] extending
-    [prefix]. *)
-
 (** {2 Prepped histories}
 
     Every entry point above starts by preprocessing the history — an
@@ -170,5 +121,9 @@ val orders_extending_prepped :
   prefix:int list ->
   limit:int ->
   int list list
-(** {!subset_orders_extending} on a prepped history: same results, same
-    (sorted) candidate order. *)
+(** The distinct [sel]-subsequence id orders of linearizations whose
+    [sel]-subsequence starts with exactly the ids of [prefix], up to
+    [limit], sorted.  [sel = Op.is_write] gives write orders (property
+    (P) of Definition 4), every op selected gives full orders
+    (Definition 3), and [~limit:1 <> []] asks whether [prefix] extends
+    at all. *)

@@ -24,9 +24,9 @@ let default_config =
 type t = {
   cfg : config;
   metrics : Obs.Metrics.t;
+  decide : Segmenter.decide;
   emit : Verdict.t -> unit;
   on_quarantine : line:int -> string -> unit;
-  reader : Ingest.Reader.t;
   objects : (string, Segmenter.t) Hashtbl.t;
   open_ids : (int, string) Hashtbl.t; (* open op id -> object *)
   mutable lines : int;
@@ -49,14 +49,14 @@ type t = {
   pending_g : Obs.Metrics.Gauge.t;
 }
 
-let make ?(metrics = Obs.Metrics.global) ?(config = default_config) ~emit
-    ?(on_quarantine = fun ~line:_ _ -> ()) () =
+let create ?(metrics = Obs.Metrics.global) ?(decide = Segmenter.incremental)
+    ?(config = default_config) ~emit ?(on_quarantine = fun ~line:_ _ -> ()) () =
   {
     cfg = config;
     metrics;
+    decide;
     emit;
     on_quarantine;
-    reader = Ingest.Reader.create ();
     objects = Hashtbl.create 8;
     open_ids = Hashtbl.create 256;
     lines = 0;
@@ -79,11 +79,8 @@ let make ?(metrics = Obs.Metrics.global) ?(config = default_config) ~emit
     pending_g = Obs.Metrics.gauge_h metrics "serve.open_events";
   }
 
-let create ?metrics ?config ~emit ?on_quarantine () =
-  make ?metrics ?config ~emit ?on_quarantine ()
-
 let restore ?metrics ?config ~emit ?on_quarantine (ck : Checkpoint.t) =
-  let t = make ?metrics ?config ~emit ?on_quarantine () in
+  let t = create ?metrics ?config ~emit ?on_quarantine () in
   t.lines <- ck.Checkpoint.cursor;
   t.last_time <- ck.Checkpoint.last_time;
   t.events <- ck.Checkpoint.events;
@@ -135,8 +132,8 @@ let segmenter t obj =
   | Some s -> s
   | None ->
       let s =
-        Segmenter.create ~metrics:t.metrics ~config:t.cfg.seg ~obj
-          ~entry:(Segmenter.entry_exact [ t.cfg.init ])
+        Segmenter.create ~metrics:t.metrics ~decide:t.decide ~config:t.cfg.seg
+          ~obj ~entry:(Segmenter.entry_exact [ t.cfg.init ])
           ~index:0 ()
       in
       Hashtbl.replace t.objects obj s;
@@ -222,9 +219,6 @@ let feed_line t line =
     | Ok (Ingest.Annotation _) -> t.annotations <- t.annotations + 1
     | Ok (Ingest.Event { time; ev }) -> process t time ev
 
-let feed_chunk t chunk =
-  List.iter (feed_line t) (Ingest.Reader.feed t.reader chunk)
-
 let sorted_objects t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.objects []
   |> List.sort String.compare
@@ -261,9 +255,6 @@ let checkpoint t =
       }
 
 let finish t =
-  (match Ingest.Reader.take_rest t.reader with
-  | Some fragment -> feed_line t fragment
-  | None -> ());
   List.iter
     (fun obj ->
       match Segmenter.flush (Hashtbl.find t.objects obj) with

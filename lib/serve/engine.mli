@@ -1,6 +1,8 @@
 (** The [rlin serve] engine: line-oriented ingest over any number of
     registers, dispatching events to per-object {!Segmenter}s and
-    emitting {!Verdict} records as segments retire.
+    emitting {!Verdict} records as segments retire.  It is also the
+    self-check's oracle: {!Reference.run} is this engine with
+    {!Reference.offline} deciding each segment.
 
     Robustness properties:
     - {b quarantine} — malformed or semantically impossible lines
@@ -27,11 +29,13 @@ type t
 
 val create :
   ?metrics:Obs.Metrics.t ->
+  ?decide:Segmenter.decide ->
   ?config:config ->
   emit:(Verdict.t -> unit) ->
   ?on_quarantine:(line:int -> string -> unit) ->
   unit ->
   t
+(** [decide] (default {!Segmenter.incremental}) decides each segment. *)
 
 val restore :
   ?metrics:Obs.Metrics.t ->
@@ -47,13 +51,9 @@ val restore :
 val feed_line : t -> string -> unit
 (** One input line (no trailing newline needed; blank lines ignored). *)
 
-val feed_chunk : t -> string -> unit
-(** Arbitrary bytes; complete lines are processed, a partial tail is
-    buffered ({!Ingest.Reader}).  Call {!finish} to flush the tail. *)
-
 val finish : t -> unit
-(** End of stream: process any buffered partial line, then flush every
-    open segment to a [closed = false] verdict. *)
+(** End of stream: flush every open segment to a [closed = false]
+    verdict. *)
 
 val checkpoint : t -> Checkpoint.t option
 (** [Some _] only at globally quiescent points (no open op anywhere). *)

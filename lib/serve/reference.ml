@@ -4,300 +4,127 @@ module E = History.Event
 module Hist = History.Hist
 module Inc = Linchk.Increment
 
-(* The offline oracle behind [rlin serve --self-check]: re-run the same
-   stream through the same screens and segmentation, but decide each
-   segment with the offline [Lincheck.check] instead of the incremental
-   reachable-set engine.
+(* The offline oracle behind [rlin serve --self-check]: the engine with
+   its per-segment decider swapped.  [offline] buffers a segment's events
+   and decides them with [Lincheck.check]; the screens, boundaries and
+   entry sets are the engine's own.  Resource degradations (state
+   budget, wall budget, shed) have no offline counterpart, which is why
+   [compare_verdicts] skips an object's tail after its first one. *)
 
-   The screens (quarantine rules), the segment boundaries, the op-cap
-   and entry-overflow degradations and the entry-set propagation mirror
-   {!Engine}/{!Segmenter} exactly, so on a run where no *resource*
-   degradation fires (state budget, wall budget, shed — which this
-   oracle, being offline and unbounded, cannot mirror) the verdict
-   records are byte-identical.  {!compare_verdicts} encodes that rule:
-   strict equality until an object's first resource-[Unknown], skipped
-   from there on (its entry sets legitimately diverge). *)
-
-type result = {
-  verdicts : Verdict.t list;
-  lines : int;
-  events : int;
-  annotations : int;
-  quarantined : int;
-}
+type result = { verdicts : Verdict.t list }
 
 (* ---- offline decision of one segment ---- *)
 
-(* [Hist] well-formedness also demands sequential processes; the stream's
-   proc ids are irrelevant to linearizability (only intervals matter),
-   so give every op its own process and the constraint holds vacuously. *)
-let mk_hist events =
-  let events =
-    List.map
-      (fun ({ E.time; event } as te) ->
-        match event with
-        | E.Invoke { op_id; obj; kind; proc = _ } ->
-            { E.time; event = E.Invoke { op_id; proc = op_id; obj; kind } }
-        | E.Respond _ -> te)
-      events
-  in
-  match Hist.of_events events with
-  | Ok h -> h
-  | Error e -> invalid_arg (Printf.sprintf "Reference: internal: %s" e)
+(* The decider sees one object, whose name it is not told. *)
+let obj = "offline"
 
-let dedup_mem vs v = List.exists (V.equal v) vs
+let linearizes metrics ~entry h =
+  List.exists (fun e -> Linchk.Lincheck.check ~metrics ~init:e h) entry
 
-let dedup_append base extra =
-  List.fold_left
-    (fun acc v -> if dedup_mem acc v then acc else acc @ [ v ])
-    base extra
-
-(* Is [v] a feasible final register value of the (linearizable) closed
+(* Is [v] a feasible final register value of the (linearizable)
    segment?  Append a synthetic completed read returning [v] after every
    real event: the extended history linearizes from some entry value iff
    a linearization of the segment leaves the register holding [v]. *)
-let feasible_final metrics ~entries ~obj ~events v =
+let feasible_final metrics ~entry ~events v =
   let last_t, max_id =
     List.fold_left
       (fun (t, m) { E.time; event } -> (max t time, max m (E.op_id event)))
       (0, 0) events
   in
   let probe = max_id + 1 in
-  let events =
-    events
-    @ [
-        {
-          E.time = last_t + 1;
-          event = E.Invoke { op_id = probe; proc = probe; obj; kind = Op.Read };
-        };
-        {
-          E.time = last_t + 2;
-          event = E.Respond { op_id = probe; result = Some v };
-        };
-      ]
-  in
-  let h = mk_hist events in
-  List.exists (fun e -> Linchk.Lincheck.check ~metrics ~init:e h) entries
+  let read = E.Invoke { op_id = probe; proc = probe; obj; kind = Op.Read } in
+  let answer = E.Respond { op_id = probe; result = Some v } in
+  linearizes metrics ~entry
+    (Hist.of_events_exn
+       (events
+       @ [
+           { E.time = last_t + 1; event = read };
+           { E.time = last_t + 2; event = answer };
+         ]))
 
-(* ---- stream state, mirroring Engine/Segmenter ---- *)
-
-type op_state = Open of bool (* is_read *) | Done
-
-type seg_state = {
-  mutable revents : E.timed list;
-  ids : (int, op_state) Hashtbl.t;
-  mutable seg_writes : V.t list; (* distinct, reverse first-write order *)
-  mutable wcount : int;
-  mutable woverflow : bool;
-  mutable first_t : int;
-  mutable last_t : int;
-  mutable ops : int;
-  mutable open_ops : int;
-}
-
-type obj_state = {
-  mutable index : int;
-  mutable entry : Segmenter.entry;
-  mutable seg : seg_state option;
-}
-
-let fresh_seg () =
-  {
-    revents = [];
-    ids = Hashtbl.create 64;
-    seg_writes = [];
-    wcount = 0;
-    woverflow = false;
-    first_t = 0;
-    last_t = 0;
-    ops = 0;
-    open_ops = 0;
-  }
-
-let note_write cfg seg v =
-  if not (dedup_mem seg.seg_writes v) then begin
-    if seg.wcount >= cfg.Segmenter.values_cap then seg.woverflow <- true
-    else begin
-      seg.seg_writes <- v :: seg.seg_writes;
-      seg.wcount <- seg.wcount + 1
+(* Buffer the segment's events and decide them at [outcome].  The op cap
+   trips at the (cap+1)-th invoke, as in [Increment]; no other budget
+   applies. *)
+let offline ~metrics (cfg : Segmenter.config) ~entry =
+  let revents = ref [] in
+  let n = ref 0 in
+  let pending = ref 0 in
+  let degraded = ref None in
+  let degrade r =
+    if Option.is_none !degraded then begin
+      degraded := Some r;
+      revents := []
     end
-  end
-
-let retire metrics (cfg : Segmenter.config) ~obj (st : obj_state) seg ~closed =
-  let entries =
-    if st.entry.Segmenter.values = [] then [ V.Bot ]
-    else st.entry.Segmenter.values
   in
-  let events = List.rev seg.revents in
-  let inexact () =
-    let values =
-      dedup_append st.entry.Segmenter.values (List.rev seg.seg_writes)
-    in
-    let overflow =
-      st.entry.Segmenter.overflow || seg.woverflow
-      || List.length values > cfg.values_cap
-    in
-    let values =
-      if overflow then List.filteri (fun i _ -> i < cfg.values_cap) values
-      else values
-    in
-    { Segmenter.exact = false; values; overflow }
+  let buffer time event =
+    if Option.is_none !degraded then revents := { E.time; event } :: !revents
   in
-  let outcome, final_vals, next_entry =
-    if st.entry.Segmenter.overflow then
-      (Verdict.Unknown (Inc.Entry_overflow { cap = cfg.values_cap }), 0, inexact ())
-    else if seg.ops > cfg.seg_cap then
-      (Verdict.Unknown (Inc.Op_cap { n = seg.ops; cap = cfg.seg_cap }), 0, inexact ())
-    else
-      let h = mk_hist events in
-      let pass =
-        List.exists (fun e -> Linchk.Lincheck.check ~metrics ~init:e h) entries
-      in
-      if not pass then (Verdict.Fail, 0, inexact ())
-      else if not closed then (Verdict.Ok_, 0, st.entry)
-      else
-        let candidates = dedup_append entries (List.rev seg.seg_writes) in
-        let finals =
-          List.filter (feasible_final metrics ~entries ~obj ~events) candidates
-        in
-        (Verdict.Ok_, List.length finals, Segmenter.entry_exact finals)
+  (* [Hist] well-formedness also demands sequential processes; the
+     stream's proc ids are irrelevant to linearizability (only intervals
+     matter), so every op gets its own process and the constraint holds
+     vacuously *)
+  let invoke ~id ~kind ~time =
+    incr pending;
+    if !n >= cfg.seg_cap then
+      degrade (Inc.Op_cap { n = !n + 1; cap = cfg.seg_cap });
+    incr n;
+    buffer time (E.Invoke { op_id = id; proc = id; obj; kind })
   in
-  let v =
-    {
-      Verdict.obj;
-      segment = st.index;
-      from_t = seg.first_t;
-      to_t = seg.last_t;
-      ops = seg.ops;
-      closed;
-      outcome;
-      entry_vals = List.length st.entry.Segmenter.values;
-      entry_any =
-        (not st.entry.Segmenter.exact) || st.entry.Segmenter.overflow;
-      final_vals;
-    }
+  let respond ~id ~result ~time =
+    decr pending;
+    buffer time (E.Respond { op_id = id; result })
   in
-  st.seg <- None;
-  st.index <- st.index + 1;
-  st.entry <- next_entry;
-  v
+  let outcome () =
+    match !degraded with
+    (* the final op count, as [Increment.outcome] reports it *)
+    | Some (Inc.Op_cap { cap; _ }) -> Inc.Unknown (Inc.Op_cap { n = !n; cap })
+    | Some r -> Inc.Unknown r
+    | None ->
+        let events = List.rev !revents in
+        let h = Hist.of_events_exn events in
+        if not (linearizes metrics ~entry h) then Inc.Fail
+        else
+          (* the entry values, then every value the segment wrote, in
+             first-write order, each once *)
+          let written =
+            List.filter_map
+              (fun { E.event; _ } ->
+                match event with
+                | E.Invoke { kind = Op.Write v; _ } -> Some v
+                | _ -> None)
+              events
+          in
+          let add acc v =
+            if List.exists (V.equal v) acc then acc else acc @ [ v ]
+          in
+          let candidates = List.fold_left add [] (entry @ written) in
+          Inc.Pass
+            (List.filter (feasible_final metrics ~entry ~events) candidates)
+  in
+  {
+    Segmenter.invoke;
+    respond;
+    degrade;
+    degraded = (fun () -> !degraded);
+    pending = (fun () -> !pending);
+    outcome;
+  }
 
 let run ?(config = Engine.default_config) lines =
-  let metrics = Obs.Metrics.create () in
-  let cfg = config.Engine.seg in
-  let objects : (string, obj_state) Hashtbl.t = Hashtbl.create 8 in
-  let open_ids : (int, string) Hashtbl.t = Hashtbl.create 256 in
-  let nlines = ref 0 in
-  let events = ref 0 in
-  let annotations = ref 0 in
-  let quarantined = ref 0 in
-  let last_time = ref (-1) in
   let rverdicts = ref [] in
-  let emit v = rverdicts := v :: !rverdicts in
-  let quarantine () = incr quarantined in
-  let obj_state obj =
-    match Hashtbl.find_opt objects obj with
-    | Some st -> st
-    | None ->
-        let st =
-          {
-            index = 0;
-            entry = Segmenter.entry_exact [ config.Engine.init ];
-            seg = None;
-          }
-        in
-        Hashtbl.replace objects obj st;
-        st
+  let engine =
+    Engine.create ~metrics:(Obs.Metrics.create ()) ~decide:offline
+      ~config:{ config with Engine.max_pending = max_int }
+      ~emit:(fun v -> rverdicts := v :: !rverdicts)
+      ()
   in
-  let accept time = last_time := time; incr events in
-  let process time ev =
-    if time < 0 || time <= !last_time then quarantine ()
-    else
-      match ev with
-      | Ingest.Invoke { op_id; obj; kind; proc } ->
-          if Hashtbl.mem open_ids op_id then quarantine ()
-          else begin
-            let st = obj_state obj in
-            let seg =
-              match st.seg with
-              | Some s -> s
-              | None ->
-                  let s = fresh_seg () in
-                  st.seg <- Some s;
-                  s
-            in
-            if Hashtbl.mem seg.ids op_id then quarantine ()
-            else begin
-              if seg.ops = 0 then seg.first_t <- time;
-              seg.last_t <- time;
-              seg.ops <- seg.ops + 1;
-              seg.open_ops <- seg.open_ops + 1;
-              (match kind with
-              | Op.Write v -> note_write cfg seg v
-              | Op.Read -> ());
-              Hashtbl.replace seg.ids op_id (Open (kind = Op.Read));
-              seg.revents <-
-                { E.time; event = E.Invoke { op_id; proc; obj; kind } }
-                :: seg.revents;
-              Hashtbl.replace open_ids op_id obj;
-              accept time
-            end
-          end
-      | Ingest.Respond { op_id; result } -> (
-          match Hashtbl.find_opt open_ids op_id with
-          | None -> quarantine ()
-          | Some obj -> (
-              let st = obj_state obj in
-              let seg =
-                match st.seg with Some s -> s | None -> assert false
-              in
-              match Hashtbl.find_opt seg.ids op_id with
-              | None | Some Done -> quarantine ()
-              | Some (Open is_read) ->
-                  if is_read && Option.is_none result then quarantine ()
-                  else begin
-                    seg.last_t <- time;
-                    Hashtbl.replace seg.ids op_id Done;
-                    seg.open_ops <- seg.open_ops - 1;
-                    seg.revents <-
-                      { E.time; event = E.Respond { op_id; result } }
-                      :: seg.revents;
-                    Hashtbl.remove open_ids op_id;
-                    accept time;
-                    if seg.open_ops = 0 then
-                      emit (retire metrics cfg ~obj st seg ~closed:true)
-                  end))
-  in
-  List.iter
-    (fun line ->
-      incr nlines;
-      if String.trim line = "" then ()
-      else
-        match Ingest.parse_line line with
-        | Error _ -> quarantine ()
-        | Ok (Ingest.Annotation _) -> incr annotations
-        | Ok (Ingest.Event { time; ev }) -> process time ev)
-    lines;
-  let sorted =
-    Hashtbl.fold (fun k _ acc -> k :: acc) objects [] |> List.sort String.compare
-  in
-  List.iter
-    (fun obj ->
-      let st = Hashtbl.find objects obj in
-      match st.seg with
-      | Some seg -> emit (retire metrics cfg ~obj st seg ~closed:false)
-      | None -> ())
-    sorted;
-  {
-    verdicts = List.rev !rverdicts;
-    lines = !nlines;
-    events = !events;
-    annotations = !annotations;
-    quarantined = !quarantined;
-  }
+  List.iter (Engine.feed_line engine) lines;
+  Engine.finish engine;
+  { verdicts = List.rev !rverdicts }
 
 (* ---- comparison, the --self-check core ---- *)
 
+(* An [Unknown] whose reason the offline decider cannot mirror. *)
 let resource_unknown (v : Verdict.t) =
   match v.Verdict.outcome with
   | Verdict.Unknown (Inc.State_budget _ | Inc.Wall_budget _ | Inc.Shed _) ->
@@ -306,9 +133,8 @@ let resource_unknown (v : Verdict.t) =
 
 type comparison = {
   matched : int;
-  skipped : int;  (** resource-degraded objects' tails — not comparable *)
+  skipped : int;
   mismatches : (Verdict.t option * Verdict.t option) list;
-      (** (engine, reference) pairs that should have agreed but differ *)
 }
 
 let agreed c = c.mismatches = []

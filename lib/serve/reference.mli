@@ -1,26 +1,26 @@
-(** The offline oracle behind [rlin serve --self-check]: same screens,
-    same segmentation, same entry-set propagation as {!Engine}, but each
-    segment is decided by the offline {!Linchk.Lincheck.check} (feasible
-    final values via a synthetic appended read).  On a run with no
-    resource degradation the verdict records are byte-identical to the
-    engine's. *)
+(** The offline oracle behind [rlin serve --self-check]: the {!Engine}
+    itself with its per-segment decider swapped for {!offline}.  The
+    screens, segment boundaries, entry-set propagation and verdict
+    assembly are the engine's own, so only the decision differs; on a run
+    with no resource degradation the verdict records are byte-identical
+    to the engine's. *)
 
-type result = {
-  verdicts : Verdict.t list;
-  lines : int;
-  events : int;
-  annotations : int;
-  quarantined : int;
-}
+val offline : Segmenter.decide
+(** Buffer the segment's events and decide them with
+    {!Linchk.Lincheck.check} from each entry value.  [Pass] keeps the
+    candidates — the entry values, then every distinct value the segment
+    wrote, in first-write order — for which the segment extended by a
+    synthetic completed read of that value still linearizes.  The op cap
+    trips at the (cap+1)-th invoke and reports the final count; the state
+    and wall budgets do not apply. *)
+
+type result = { verdicts : Verdict.t list }
 
 val run : ?config:Engine.config -> string list -> result
-(** Replay the raw input lines offline.  [config]'s [state_budget],
-    [wall_budget_ms] and [max_pending] are ignored — this oracle is
-    unbounded by construction. *)
-
-val resource_unknown : Verdict.t -> bool
-(** An [Unknown] whose reason (state budget, wall budget, shed) the
-    oracle cannot mirror. *)
+(** Replay the raw input lines through [Engine.create ~decide:offline]
+    with backpressure off.  [config]'s [state_budget], [wall_budget_ms]
+    and [max_pending] are ignored — this oracle is unbounded by
+    construction. *)
 
 type comparison = {
   matched : int;

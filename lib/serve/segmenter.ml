@@ -20,7 +20,11 @@ module Inc = Linchk.Increment
    the segment wrote — flagged [exact = false] in subsequent verdicts.
    If that set outgrows [values_cap] it cannot be materialized and
    later segments degrade to an explicit [Entry_overflow] unknown
-   rather than guessing. *)
+   rather than guessing.
+
+   Each segment is decided by a [decider]: [incremental] for
+   [rlin serve], [Reference.offline] for its self-check.  The screens,
+   boundaries and entry sets here are shared by both. *)
 
 type config = {
   seg_cap : int;
@@ -37,6 +41,31 @@ let default_config =
     values_cap = 64;
   }
 
+type decider = {
+  invoke : id:int -> kind:Op.kind -> time:int -> unit;
+  respond : id:int -> result:V.t option -> time:int -> unit;
+  degrade : Inc.reason -> unit;
+  degraded : unit -> Inc.reason option;
+  pending : unit -> int;
+  outcome : unit -> Inc.outcome;
+}
+
+type decide = metrics:Obs.Metrics.t -> config -> entry:V.t list -> decider
+
+let incremental ~metrics cfg ~entry =
+  let inc =
+    Inc.create ~metrics ~cap:cfg.seg_cap ~state_budget:cfg.state_budget
+      ?wall_budget_ms:cfg.wall_budget_ms ~entry ()
+  in
+  {
+    invoke = Inc.invoke inc;
+    respond = Inc.respond inc;
+    degrade = Inc.degrade inc;
+    degraded = (fun () -> Inc.degraded inc);
+    pending = (fun () -> Inc.pending inc);
+    outcome = (fun () -> Inc.outcome inc);
+  }
+
 type entry = { exact : bool; values : V.t list; overflow : bool }
 
 let entry_exact values = { exact = true; values; overflow = false }
@@ -47,9 +76,10 @@ type t = {
   obj : string;
   cfg : config;
   metrics : Obs.Metrics.t;
+  decide : decide;
   mutable index : int;
   mutable entry : entry;
-  mutable inc : Inc.t option;
+  mutable inc : decider option;
   ids : (int, op_state) Hashtbl.t; (* this segment's op ids *)
   mutable seg_writes : V.t list; (* distinct, reverse first-write order *)
   mutable seg_write_count : int;
@@ -60,11 +90,13 @@ type t = {
   mutable open_cost : int; (* events buffered while not degraded *)
 }
 
-let create ?(metrics = Obs.Metrics.global) ~config ~obj ~entry ~index () =
+let create ?(metrics = Obs.Metrics.global) ?(decide = incremental) ~config ~obj
+    ~entry ~index () =
   {
     obj;
     cfg = config;
     metrics;
+    decide;
     index;
     entry;
     inc = None;
@@ -86,13 +118,11 @@ let open_cost t = t.open_cost
 
 let start_segment t =
   let inc =
-    Inc.create ~metrics:t.metrics ~cap:t.cfg.seg_cap
-      ~state_budget:t.cfg.state_budget ?wall_budget_ms:t.cfg.wall_budget_ms
+    t.decide ~metrics:t.metrics t.cfg
       ~entry:(if t.entry.values = [] then [ V.Bot ] else t.entry.values)
-      ()
   in
   if t.entry.overflow then
-    Inc.degrade inc (Inc.Entry_overflow { cap = t.cfg.values_cap });
+    inc.degrade (Inc.Entry_overflow { cap = t.cfg.values_cap });
   t.inc <- Some inc;
   inc
 
@@ -111,13 +141,13 @@ let shed t ~pending ~max_pending =
   match t.inc with
   | None -> ()
   | Some inc ->
-      Inc.degrade inc (Inc.Shed { pending; max_pending });
+      inc.degrade (Inc.Shed { pending; max_pending });
       t.open_cost <- 0
 
 (* Retire the current segment: decide it, compute the next entry set,
    reset per-segment state.  [closed] is false only at EOF flush. *)
 let retire t inc ~closed =
-  let outcome = Inc.outcome inc in
+  let outcome = inc.outcome () in
   let verdict_outcome, final_vals, next_entry =
     match outcome with
     | Inc.Pass finals ->
@@ -186,8 +216,8 @@ let invoke t ~id ~kind ~time =
     t.ops <- t.ops + 1;
     (match kind with Op.Write v -> note_write t v | Op.Read -> ());
     Hashtbl.replace t.ids id (Open (kind = Op.Read));
-    Inc.invoke inc ~id ~kind ~time;
-    if Option.is_none (Inc.degraded inc) then
+    inc.invoke ~id ~kind ~time;
+    if Option.is_none (inc.degraded ()) then
       t.open_cost <- t.open_cost + 1;
     Ok ()
   end
@@ -205,10 +235,10 @@ let respond t ~id ~result ~time =
         let inc = match t.inc with Some i -> i | None -> assert false in
         t.last_t <- time;
         Hashtbl.replace t.ids id Done;
-        Inc.respond inc ~id ~result ~time;
-        if Option.is_none (Inc.degraded inc) then
+        inc.respond ~id ~result ~time;
+        if Option.is_none (inc.degraded ()) then
           t.open_cost <- t.open_cost + 1;
-        if Inc.pending inc = 0 then Ok (Some (retire t inc ~closed:true))
+        if inc.pending () = 0 then Ok (Some (retire t inc ~closed:true))
         else Ok None
       end
 

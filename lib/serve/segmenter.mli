@@ -1,4 +1,4 @@
-(** Per-object streaming segmentation over {!Linchk.Increment}.
+(** Per-object streaming segmentation over a per-segment {!decider}.
 
     The segmentation invariant (DESIGN.md §15): a quiescent point — an
     event after which every invoked op on the object has responded —
@@ -6,7 +6,12 @@
     state crossing a boundary is the register's value, so segment [k+1]
     starts from segment [k]'s feasible boundary values and the
     conjunction of segment verdicts equals the offline verdict on the
-    whole history. *)
+    whole history.
+
+    The segment bookkeeping, the screens on op ids and the entry-set
+    propagation live here once.  Only the decider varies: {!incremental}
+    ({!Linchk.Increment}) serves, and {!Reference.offline}
+    ({!Linchk.Lincheck.check}) is the self-check's oracle. *)
 
 type config = {
   seg_cap : int;  (** max ops per segment (≤ {!Linchk.Lincheck.max_ops}) *)
@@ -20,6 +25,29 @@ type config = {
 
 val default_config : config
 
+type decider = {
+  invoke : id:int -> kind:History.Op.kind -> time:int -> unit;
+  respond : id:int -> result:History.Value.t option -> time:int -> unit;
+  degrade : Linchk.Increment.reason -> unit;
+  degraded : unit -> Linchk.Increment.reason option;
+  pending : unit -> int;
+  outcome : unit -> Linchk.Increment.outcome;
+}
+(** One segment's decision procedure, with the contract of the
+    {!Linchk.Increment} operations of the same names: the decider trips
+    its own budgets (the op cap, and for {!incremental} the state and
+    wall budgets), the segmenter's entry overflow and shed come through
+    [degrade], and [outcome]'s [Pass] lists the feasible boundary
+    values, entry values first, then first-write order. *)
+
+type decide =
+  metrics:Obs.Metrics.t -> config -> entry:History.Value.t list -> decider
+(** Start a segment whose register may hold any value of [entry]. *)
+
+val incremental : decide
+(** {!Linchk.Increment.create} under the config's [seg_cap],
+    [state_budget] and [wall_budget_ms]. *)
+
 type entry = { exact : bool; values : History.Value.t list; overflow : bool }
 (** A segment's entry set: the register values it may start from.
     [exact = false] marks the over-approximation used after a [Fail] or
@@ -32,12 +60,14 @@ type t
 
 val create :
   ?metrics:Obs.Metrics.t ->
+  ?decide:decide ->
   config:config ->
   obj:string ->
   entry:entry ->
   index:int ->
   unit ->
   t
+(** [decide] defaults to {!incremental}. *)
 
 val obj : t -> string
 val index : t -> int

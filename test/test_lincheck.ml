@@ -148,6 +148,13 @@ let unit_tests =
         with Invalid_argument _ -> ());
   ]
 
+(* [sel]-subsequence orders of [hist]'s linearizations that extend
+   [prefix]; [extends] is the yes/no form *)
+let orders ?(sel = Op.is_write) hist ~prefix ~limit =
+  L.orders_extending_prepped (L.prep ~init hist) ~sel ~prefix ~limit
+
+let extends ?sel hist ~prefix = orders ?sel hist ~prefix ~limit:1 <> []
+
 let enumerate_tests =
   [
     tc "enumerate finds both orders of concurrent writes" (fun () ->
@@ -171,7 +178,7 @@ let enumerate_tests =
         in
         (* only one write order is consistent with the read *)
         Alcotest.(check int) "one" 1
-          (List.length (L.enumerate_write_orders ~init hist ~limit:100)));
+          (List.length (orders hist ~prefix:[] ~limit:100)));
     tc "forced write prefix accepts consistent order" (fun () ->
         let hist =
           h
@@ -180,10 +187,8 @@ let enumerate_tests =
               w ~id:2 ~proc:2 ~invoked:2 ~responded:9 200;
             ]
         in
-        check_bool "1 then 2" true
-          (L.check_with_forced_write_prefix ~init hist ~prefix:[ 1; 2 ]);
-        check_bool "2 then 1" true
-          (L.check_with_forced_write_prefix ~init hist ~prefix:[ 2; 1 ]));
+        check_bool "1 then 2" true (extends hist ~prefix:[ 1; 2 ]);
+        check_bool "2 then 1" true (extends hist ~prefix:[ 2; 1 ]));
     tc "forced write prefix rejects contradicted order" (fun () ->
         let hist =
           h
@@ -194,18 +199,16 @@ let enumerate_tests =
             ]
         in
         (* the read of 200 forces write 2 last *)
-        check_bool "2 then 1 impossible" false
-          (L.check_with_forced_write_prefix ~init hist ~prefix:[ 2; 1 ]);
-        check_bool "1 then 2 fine" true
-          (L.check_with_forced_write_prefix ~init hist ~prefix:[ 1; 2 ]));
+        check_bool "2 then 1 impossible" false (extends hist ~prefix:[ 2; 1 ]);
+        check_bool "1 then 2 fine" true (extends hist ~prefix:[ 1; 2 ]));
     tc "forced full prefix" (fun () ->
         let a = w ~id:1 ~proc:1 ~invoked:1 ~responded:10 100 in
         let b = r ~id:2 ~proc:2 ~invoked:2 ~responded:9 0 in
         let hist = h [ a; b ] in
-        check_bool "read first" true
-          (L.check_with_forced_prefix ~init hist ~prefix:[ 2; 1 ]);
+        let all _ = true in
+        check_bool "read first" true (extends ~sel:all hist ~prefix:[ 2; 1 ]);
         check_bool "write first breaks read" false
-          (L.check_with_forced_prefix ~init hist ~prefix:[ 1; 2 ]));
+          (extends ~sel:all hist ~prefix:[ 1; 2 ]));
     tc "write_orders_extending" (fun () ->
         let hist =
           h
@@ -215,7 +218,7 @@ let enumerate_tests =
             ]
         in
         Alcotest.(check int) "extending [1]" 1
-          (List.length (L.write_orders_extending ~init hist ~prefix:[ 1 ] ~limit:50)));
+          (List.length (orders hist ~prefix:[ 1 ] ~limit:50)));
     tc "too large raises" (fun () ->
         let ops =
           List.init 63 (fun i ->

@@ -40,6 +40,20 @@ let feed_increment ?metrics ?cap ?state_budget ~entry hist =
     (Hist.events hist);
   Inc.outcome inc
 
+(* the self-check's decider, fed the same events *)
+let feed_offline ~entry hist =
+  let d =
+    Reference.offline ~metrics:(Obs.Metrics.create ()) Seg.default_config
+      ~entry
+  in
+  List.iter
+    (fun { Event.time; event } ->
+      match event with
+      | Event.Invoke { op_id; kind; _ } -> d.Seg.invoke ~id:op_id ~kind ~time
+      | Event.Respond { op_id; result } -> d.Seg.respond ~id:op_id ~result ~time)
+    (Hist.events hist);
+  d.Seg.outcome ()
+
 let spec = { Gen.default_spec with Gen.n_procs = 3; n_ops = 12 }
 
 let increment_tests =
@@ -50,7 +64,11 @@ let increment_tests =
         let run gen =
           let h = QCheck.Gen.generate1 ~rand gen in
           let offline = L.check ~init:spec.Gen.init h in
-          match feed_increment ~entry:[ spec.Gen.init ] h with
+          let outcome = feed_increment ~entry:[ spec.Gen.init ] h in
+          (* the same feasible final values, in the same order *)
+          check_bool "offline decider agrees" true
+            (feed_offline ~entry:[ spec.Gen.init ] h = outcome);
+          match outcome with
           | Inc.Pass _ -> check_bool "offline agrees on pass" true offline
           | Inc.Fail -> check_bool "offline agrees on fail" false offline
           | Inc.Unknown _ ->
@@ -143,27 +161,37 @@ let workload i =
     in
     (r.Core.Scenario.trace, r.Core.Scenario.history))
 
+let with_seg seg = { Engine.default_config with Engine.seg }
+
 let engine_tests =
   [
     tc "engine = reference oracle = offline on benign and faulty traces"
       (fun () ->
-        for i = 1 to 9 do
-          let trace, hist = workload i in
-          let lines = trace_lines trace in
-          let engine, verdicts, _ = serve lines in
-          check_int "no quarantine on a clean stream" 0
-            (Engine.quarantined engine);
-          let offline = L.check ~init:(V.Int 0) hist in
-          check_bool "verdict conjunction = offline" offline
-            (Engine.fail engine = 0);
-          let r = Reference.run lines in
-          let cmp =
-            Reference.compare_verdicts ~engine:verdicts
-              ~reference:r.Reference.verdicts
-          in
-          check_bool "reference agrees" true (Reference.agreed cmp);
-          check_int "no skipped objects" 0 cmp.Reference.skipped
-        done);
+        (* a small [values_cap] must not change what the oracle says:
+           feasible finals range over every value a segment wrote *)
+        List.iter
+          (fun values_cap ->
+            let config =
+              with_seg { Seg.default_config with Seg.values_cap }
+            in
+            for i = 1 to 9 do
+              let trace, hist = workload i in
+              let lines = trace_lines trace in
+              let engine, verdicts, _ = serve ~config lines in
+              check_int "no quarantine on a clean stream" 0
+                (Engine.quarantined engine);
+              let offline = L.check ~init:(V.Int 0) hist in
+              check_bool "verdict conjunction = offline" offline
+                (Engine.fail engine = 0);
+              let r = Reference.run ~config lines in
+              let cmp =
+                Reference.compare_verdicts ~engine:verdicts
+                  ~reference:r.Reference.verdicts
+              in
+              check_bool "reference agrees" true (Reference.agreed cmp);
+              check_int "no skipped objects" 0 cmp.Reference.skipped
+            done)
+          [ 64; 3; 1 ]);
     tc "summary json carries the counters" (fun () ->
         let trace, _ = workload 1 in
         let engine, verdicts, _ = serve (trace_lines trace) in
@@ -235,8 +263,6 @@ let quarantine_tests =
   ]
 
 (* ---------- budget degradation and backpressure ------------------------ *)
-
-let with_seg seg = { Engine.default_config with Engine.seg }
 
 let degradation_tests =
   [

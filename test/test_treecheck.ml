@@ -243,14 +243,15 @@ let props =
    The tree search preps each node once and reuses the prepped form
    across the candidate/recursion loop, and it answers a (node, prefix)
    pair that already failed from its memo.  These reference solvers are
-   the plain path — Lincheck.subset_orders_extending (prep inside) on
-   every visit, no memo — and must return identical witnesses. *)
+   the plain path — a fresh Lincheck.prep and orders_extending_prepped
+   on every visit, no memo — and must return identical witnesses. *)
 
 let old_solve ~init ~sel t =
   let rec go (t : T.tree) ~prefix =
     let cands =
-      Core.Lincheck.subset_orders_extending ~init t.T.hist ~sel ~prefix
-        ~limit:4096
+      Core.Lincheck.orders_extending_prepped
+        (Core.Lincheck.prep ~init t.T.hist)
+        ~sel ~prefix ~limit:4096
     in
     let rec try_cands = function
       | [] -> None
