@@ -167,15 +167,16 @@ let search ?(monitors = Monitor.standard) ?(jobs = 1) ?inject
      of the (deterministic) shrunk configs: the tracer is not shared
      across domains, and the canonical events carry no wall clock. *)
   let hits =
-    Pool.map_runs ~jobs ~metrics budget (fun ~metrics i ->
+    Pool.fold_runs ~jobs ~metrics budget ~init:[]
+      ~fold:(fun hits -> function None -> hits | Some hit -> hit :: hits)
+      (fun ~metrics i ->
         let c = gen_config ?inject ~seed i in
         match Monitor.run_config ~monitors ~telemetry:metrics c with
         | None -> None
         | Some v -> Some (i, c, v))
   in
   let findings =
-    Array.to_list hits
-    |> List.filter_map Fun.id
+    List.rev hits
     |> List.map (fun (index, original, first) ->
            let shrunk =
              Shrink.minimize ~monitors ~max_attempts:shrink_attempts

@@ -47,9 +47,6 @@ let report_json r =
   Obs.Export.report_json ~id:r.id ~claim:r.claim ~expected:r.expected
     ~measured:r.measured ~pass:r.pass ~metrics:r.metrics
 
-let export_jsonl reports oc =
-  Obs.Export.write_lines oc (List.map report_json reports)
-
 (* ---------- E1 ------------------------------------------------------------- *)
 
 let pool_metrics = Obs.Metrics.global
@@ -134,8 +131,9 @@ let e3_alg2_wsl ?(jobs = 1) ~quick () =
       "100% of random runs pass (L) + (P); Fig-3 order w3 < w2 committed at \
        w2's completion, w1 appended later"
     (fun () ->
-      let oks =
-        Core.Pool.map_runs ~jobs ~metrics:pool_metrics runs (fun ~metrics i ->
+      let ok =
+        Core.Pool.fold_runs ~jobs ~metrics:pool_metrics runs ~init:0 ~fold:( + )
+          (fun ~metrics i ->
             let seed = i + 1 in
             let n = 2 + (seed mod 3) in
             let run =
@@ -148,19 +146,18 @@ let e3_alg2_wsl ?(jobs = 1) ~quick () =
             | Ok () -> 1
             | Error _ -> 0)
       in
-      let ok = ref (Array.fold_left ( + ) 0 oks) in
       let f3 = Core.Scenario.fig3 () in
       let fig3_ok =
         f3.Core.Scenario.ws_at_t = [ f3.Core.Scenario.w3; f3.Core.Scenario.w2 ]
         && f3.Core.Scenario.final_ws
            = [ f3.Core.Scenario.w3; f3.Core.Scenario.w2; f3.Core.Scenario.w1 ]
       in
-      ( Printf.sprintf "%d/%d runs pass; Fig-3 order reproduced: %b" !ok runs
+      ( Printf.sprintf "%d/%d runs pass; Fig-3 order reproduced: %b" ok runs
           fig3_ok,
-        !ok = runs && fig3_ok,
+        ok = runs && fig3_ok,
         [
           ("runs", float_of_int runs);
-          ("runs_ok", float_of_int !ok);
+          ("runs_ok", float_of_int ok);
           ("fig3_ok", if fig3_ok then 1. else 0.);
         ] ))
 
@@ -195,8 +192,9 @@ let e5_alg4_linearizable ?(jobs = 1) ~quick () =
     ~claim:"Thm 12: Algorithm 4 is a linearizable MWMR register"
     ~expected:"100% of random runs linearizable"
     (fun () ->
-      let oks =
-        Core.Pool.map_runs ~jobs ~metrics:pool_metrics runs (fun ~metrics i ->
+      let ok =
+        Core.Pool.fold_runs ~jobs ~metrics:pool_metrics runs ~init:0 ~fold:( + )
+          (fun ~metrics i ->
             let seed = i + 1 in
             let n = 2 + (seed mod 3) in
             let run =
@@ -209,10 +207,9 @@ let e5_alg4_linearizable ?(jobs = 1) ~quick () =
             | Ok () -> 1
             | Error _ -> 0)
       in
-      let ok = ref (Array.fold_left ( + ) 0 oks) in
-      ( Printf.sprintf "%d/%d runs linearizable" !ok runs,
-        !ok = runs,
-        [ ("runs", float_of_int runs); ("runs_ok", float_of_int !ok) ] ))
+      ( Printf.sprintf "%d/%d runs linearizable" ok runs,
+        ok = runs,
+        [ ("runs", float_of_int runs); ("runs_ok", float_of_int ok) ] ))
 
 (* ---------- E6 ------------------------------------------------------------- *)
 
@@ -226,8 +223,9 @@ let e6_abd ?(jobs = 1) ?(faults = Core.Faults.none) ~quick () =
       "100% of runs (incl. minority crashes) linearizable with monotone f* \
        write orders on every prefix"
     (fun () ->
-      let oks =
-        Core.Pool.map_runs ~jobs ~metrics:pool_metrics runs (fun ~metrics i ->
+      let ok =
+        Core.Pool.fold_runs ~jobs ~metrics:pool_metrics runs ~init:0 ~fold:( + )
+          (fun ~metrics i ->
             let seed = i + 1 in
             let crash = if seed mod 2 = 0 then [ 3; 4 ] else [] in
             let w =
@@ -242,10 +240,9 @@ let e6_abd ?(jobs = 1) ?(faults = Core.Faults.none) ~quick () =
             | Ok () -> 1
             | Error _ -> 0)
       in
-      let ok = ref (Array.fold_left ( + ) 0 oks) in
-      ( Printf.sprintf "%d/%d runs pass (half with 2/5 nodes crashed)" !ok runs,
-        !ok = runs,
-        [ ("runs", float_of_int runs); ("runs_ok", float_of_int !ok) ] ))
+      ( Printf.sprintf "%d/%d runs pass (half with 2/5 nodes crashed)" ok runs,
+        ok = runs,
+        [ ("runs", float_of_int runs); ("runs_ok", float_of_int ok) ] ))
 
 (* ---------- E7 ------------------------------------------------------------- *)
 
@@ -268,8 +265,11 @@ let e7_cor9 ?(jobs = 1) ~quick () =
             seed = 31L;
           }
       in
-      let lives =
-        Core.Pool.map_runs ~jobs ~metrics:pool_metrics live_runs
+      let live_ok, gate_rounds_sum =
+        Core.Pool.fold_runs ~jobs ~metrics:pool_metrics live_runs
+          ~init:(0, 0)
+          ~fold:(fun (oks, rounds) (ok, r) ->
+            ((if ok then oks + 1 else oks), rounds + r))
           (fun ~metrics i ->
             let seed = i + 1 in
             let o =
@@ -295,23 +295,15 @@ let e7_cor9 ?(jobs = 1) ~quick () =
             in
             (ok, o.Core.Cor9.game.Core.Game_alg1.max_round))
       in
-      let live_ok =
-        ref (Array.fold_left (fun a (ok, _) -> if ok then a + 1 else a) 0 lives)
-      in
-      let gate_rounds_sum =
-        ref (Array.fold_left (fun a (_, r) -> a + r) 0 lives)
-      in
-      let mean_gate =
-        float_of_int !gate_rounds_sum /. float_of_int live_runs
-      in
+      let mean_gate = float_of_int gate_rounds_sum /. float_of_int live_runs in
       ( Printf.sprintf
           "blocked run: blocked=%b; live runs: %d/%d fully decided (mean gate \
            rounds %.1f)"
-          blocked.Core.Cor9.blocked !live_ok live_runs mean_gate,
-        blocked.Core.Cor9.blocked && !live_ok = live_runs,
+          blocked.Core.Cor9.blocked live_ok live_runs mean_gate,
+        blocked.Core.Cor9.blocked && live_ok = live_runs,
         [
           ("live_runs", float_of_int live_runs);
-          ("live_ok", float_of_int !live_ok);
+          ("live_ok", float_of_int live_ok);
           ("mean_gate_rounds", mean_gate);
         ] ))
 
@@ -406,8 +398,9 @@ let e9_ablation ?(jobs = 1) ~quick () =
         Core.Adversary.run_linearizable_r1_only ~n:5 ~rounds:budget ~seed:61L ()
       in
       let adversary_still_wins = not a.Core.Game_alg1.terminated in
-      let terms =
-        Core.Pool.map_runs ~jobs ~metrics:pool_metrics runs (fun ~metrics i ->
+      let terminated =
+        Core.Pool.fold_runs ~jobs ~metrics:pool_metrics runs ~init:0 ~fold:( + )
+          (fun ~metrics i ->
             let r = i + 1 in
             let res =
               Core.Adversary.run_write_strong
@@ -416,18 +409,16 @@ let e9_ablation ?(jobs = 1) ~quick () =
                 ~seed:(Int64.of_int ((r * 9973) + 5))
                 ()
             in
-            res.Core.Game_alg1.terminated)
+            if res.Core.Game_alg1.terminated then 1 else 0)
       in
-      let all_terminate = ref (Array.for_all (fun t -> t) terms) in
       ( Printf.sprintf
           "R1-only-linearizable: alive after %d rounds = %b; R1-only-WSL:          %d/%d runs terminated"
-          budget adversary_still_wins runs
-          (if !all_terminate then runs else 0),
-        adversary_still_wins && !all_terminate,
+          budget adversary_still_wins terminated runs,
+        adversary_still_wins && terminated = runs,
         [
           ("budget", float_of_int budget);
           ("runs", float_of_int runs);
-          ("terminated_runs", if !all_terminate then float_of_int runs else 0.);
+          ("terminated_runs", float_of_int terminated);
         ] ))
 
 (* ---------- E10 (extension) --------------------------------------------------- *)
@@ -450,8 +441,9 @@ let e10_mwabd ?(jobs = 1) ?(faults = Core.Faults.none) ~quick () =
     ~expected:
       "random runs 100% linearizable; the two-delivery-order history tree        admits no write strong-linearization"
     (fun () ->
-      let lins =
-        Core.Pool.map_runs ~jobs ~metrics:pool_metrics runs (fun ~metrics i ->
+      let lin_ok =
+        Core.Pool.fold_runs ~jobs ~metrics:pool_metrics runs ~init:0 ~fold:( + )
+          (fun ~metrics i ->
             let seed = i + 1 in
             let run =
               Core.Abd_runs.execute_mw ~metrics ~faults ~n:3 ~writers:[ 0; 1 ]
@@ -466,20 +458,19 @@ let e10_mwabd ?(jobs = 1) ?(faults = Core.Faults.none) ~quick () =
             then 1
             else 0)
       in
-      let lin_ok = ref (Array.fold_left ( + ) 0 lins) in
       let sc = Core.Mwabd_scenario.run () in
       ( Printf.sprintf
           "%d/%d runs linearizable; tree impossible: %b (chains ok: %b, all          linearizable: %b)"
-          !lin_ok runs sc.Core.Mwabd_scenario.wsl_impossible
+          lin_ok runs sc.Core.Mwabd_scenario.wsl_impossible
           sc.Core.Mwabd_scenario.chains_ok
           sc.Core.Mwabd_scenario.all_linearizable,
-        !lin_ok = runs
+        lin_ok = runs
         && sc.Core.Mwabd_scenario.wsl_impossible
         && sc.Core.Mwabd_scenario.chains_ok
         && sc.Core.Mwabd_scenario.all_linearizable,
         [
           ("runs", float_of_int runs);
-          ("runs_linearizable", float_of_int !lin_ok);
+          ("runs_linearizable", float_of_int lin_ok);
           ( "wsl_impossible",
             if sc.Core.Mwabd_scenario.wsl_impossible then 1. else 0. );
         ] ))
@@ -528,9 +519,14 @@ let e11_faults ?(jobs = 1) ~quick () =
               }
             in
             (* one task per run: first [runs] ABD, then [runs] MW-ABD;
-               retransmission counts come from each task's private registry *)
-            let results =
-              Core.Pool.map_runs ~jobs ~metrics:pool_metrics (2 * runs)
+               retransmission counts come from each task's private registry.
+               Each task counts (terminated, linearizable, stalled, retx). *)
+            let total = 2 * runs in
+            let terminated, lin_ok, stalls, retx =
+              Core.Pool.fold_runs ~jobs ~metrics:pool_metrics total
+                ~init:(0, 0, 0, 0)
+                ~fold:(fun (t, l, s, r) (t', l', s', r') ->
+                  (t + t', l + l', s + s', r + r'))
                 (fun ~metrics i ->
                   if i < runs then begin
                     let w =
@@ -546,9 +542,9 @@ let e11_faults ?(jobs = 1) ~quick () =
                       && Core.Lincheck.check ~metrics ~init:(Core.Value.Int 0)
                            run.Core.Abd_runs.history
                     in
-                    ( run.Core.Abd_runs.completed,
-                      lin,
-                      run.Core.Abd_runs.stalled <> None,
+                    ( Bool.to_int run.Core.Abd_runs.completed,
+                      Bool.to_int lin,
+                      Bool.to_int (run.Core.Abd_runs.stalled <> None),
                       Obs.Metrics.counter metrics "reg.abd.retransmits" )
                   end
                   else begin
@@ -565,22 +561,12 @@ let e11_faults ?(jobs = 1) ~quick () =
                       && Core.Lincheck.check ~metrics ~init:(Core.Value.Int 0)
                            run.Core.Abd_runs.history
                     in
-                    ( run.Core.Abd_runs.completed,
-                      lin,
-                      run.Core.Abd_runs.stalled <> None,
+                    ( Bool.to_int run.Core.Abd_runs.completed,
+                      Bool.to_int lin,
+                      Bool.to_int (run.Core.Abd_runs.stalled <> None),
                       Obs.Metrics.counter metrics "reg.mwabd.retransmits" )
                   end)
             in
-            let total = Array.length results in
-            let fold f init = Array.fold_left f init results in
-            let terminated =
-              fold (fun a (c, _, _, _) -> if c then a + 1 else a) 0
-            in
-            let lin_ok = fold (fun a (_, l, _, _) -> if l then a + 1 else a) 0 in
-            let stalls =
-              fold (fun a (_, _, s, _) -> if s then a + 1 else a) 0
-            in
-            let retx = fold (fun a (_, _, _, r) -> a + r) 0 in
             (drop, dup, crashes, total, terminated, lin_ok, stalls, retx))
           configs
       in
@@ -1040,9 +1026,15 @@ let e14_recovery ?(jobs = 1) ~quick () =
       let per_point =
         List.mapi
           (fun pi (delay, persist, (drop, dup)) ->
-            (* one task per run: first [runs] ABD, then [runs] MW-ABD *)
-            let results =
-              Core.Pool.map_runs ~jobs ~metrics:pool_metrics (2 * runs)
+            (* one task per run: first [runs] ABD, then [runs] MW-ABD; each
+               counts (terminated, linearizable, stalled, recoveries, state
+               transfers, amnesia) *)
+            let total = 2 * runs in
+            let terminated, lin_ok, stalls, recov, xfers, amnesia =
+              Core.Pool.fold_runs ~jobs ~metrics:pool_metrics total
+                ~init:(0, 0, 0, 0, 0, 0)
+                ~fold:(fun (t, l, s, r, x, m) (t', l', s', r', x', m') ->
+                  (t + t', l + l', s + s', r + r', x + x', m + m'))
                 (fun ~metrics i ->
                   let proto = if i < runs then `Sw else `Mw in
                   let k = if i < runs then i else i - runs in
@@ -1057,27 +1049,13 @@ let e14_recovery ?(jobs = 1) ~quick () =
                          run.Core.Abd_runs.history
                   in
                   let pre = match proto with `Sw -> "reg.abd." | `Mw -> "reg.mwabd." in
-                  ( run.Core.Abd_runs.completed,
-                    lin,
-                    run.Core.Abd_runs.stalled <> None,
+                  ( Bool.to_int run.Core.Abd_runs.completed,
+                    Bool.to_int lin,
+                    Bool.to_int (run.Core.Abd_runs.stalled <> None),
                     Obs.Metrics.counter metrics (pre ^ "recoveries"),
                     Obs.Metrics.counter metrics (pre ^ "state_transfer"),
                     Obs.Metrics.counter metrics (pre ^ "amnesia") ))
             in
-            let total = Array.length results in
-            let fold f init = Array.fold_left f init results in
-            let terminated =
-              fold (fun a (c, _, _, _, _, _) -> if c then a + 1 else a) 0
-            in
-            let lin_ok =
-              fold (fun a (_, l, _, _, _, _) -> if l then a + 1 else a) 0
-            in
-            let stalls =
-              fold (fun a (_, _, s, _, _, _) -> if s then a + 1 else a) 0
-            in
-            let recov = fold (fun a (_, _, _, r, _, _) -> a + r) 0 in
-            let xfers = fold (fun a (_, _, _, _, x, _) -> a + x) 0 in
-            let amnesia = fold (fun a (_, _, _, _, _, m) -> a + m) 0 in
             (delay, persist, drop, total, terminated, lin_ok, stalls, recov,
              xfers, amnesia))
           points
@@ -1316,10 +1294,3 @@ let select ?faults only =
 let all ?jobs ?only ?faults ~quick () =
   Obs.Span.with_root "battery" (fun () ->
       List.map (fun (_, f) -> f ?jobs ~quick ()) (select ?faults only))
-
-let run_all ?jobs ?only ?faults ~quick fmt =
-  let rs = all ?jobs ?only ?faults ~quick () in
-  List.iter (fun r -> Format.fprintf fmt "%a@." pp_report r) rs;
-  let passed = List.length (List.filter (fun r -> r.pass) rs) in
-  Format.fprintf fmt "=== %d/%d experiments reproduce the paper's claims ===@."
-    passed (List.length rs)

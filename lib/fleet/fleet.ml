@@ -12,7 +12,7 @@ module Mwabd = Msgpass.Mwabd
    register shards, each an independent ABD / MW-ABD group with its own
    scheduler and network, driven by a generational pool of short-lived
    client sessions.  Shards never share mutable state, so they fan out
-   over domains with Pool.map_runs and the whole report is a function of
+   over domains with Pool.fold_runs and the whole report is a function of
    the config alone — byte-identical at any [jobs].
 
    Memory discipline (the 1M+-op requirement): client sessions recycle a
@@ -367,11 +367,12 @@ let run_shard ~metrics (c : config) ~index ~ops =
 let run ?(jobs = 1) ?(metrics = Obs.Metrics.global) c =
   validate c;
   let per = ops_per_shard c in
-  let results =
-    Pool.map_runs ~jobs ~metrics c.shards (fun ~metrics i ->
-        run_shard ~metrics c ~index:i ~ops:per.(i))
+  let shards_r =
+    List.rev
+      (Pool.fold_runs ~jobs ~metrics c.shards ~init:[]
+         ~fold:(fun shards s -> s :: shards)
+         (fun ~metrics i -> run_shard ~metrics c ~index:i ~ops:per.(i)))
   in
-  let shards_r = Array.to_list results in
   let sum f = List.fold_left (fun a s -> a + f s) 0 shards_r in
   {
     config = c;

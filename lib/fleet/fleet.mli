@@ -13,7 +13,7 @@
     structure is bounded by the configuration, not the operation count.
 
     Shards share no mutable state, so they fan out over domains
-    ({!Simkit.Pool.map_runs}) and reports are byte-identical at any
+    ({!Simkit.Pool.fold_runs}) and reports are byte-identical at any
     [jobs]. *)
 
 type proto = Sw | Mw  (** {!Msgpass.Abd} (one writer/shard) or {!Msgpass.Mwabd}. *)
@@ -85,9 +85,10 @@ type report = {
 }
 
 val run : ?jobs:int -> ?metrics:Obs.Metrics.t -> config -> report
-(** Execute the fleet: one {!Simkit.Pool.map_runs} task per shard, each
+(** Execute the fleet: one {!Simkit.Pool.fold_runs} task per shard, each
     with a private metric registry merged into [metrics] (default
-    {!Obs.Metrics.global}) in shard order.  Deterministic in the config
+    {!Obs.Metrics.global}), and its shard report folded into the list, in
+    shard order.  Deterministic in the config
     alone; carries no wall clock (throughput is the caller's
     measurement).
     @raise Invalid_argument if {!validate} does. *)

@@ -28,7 +28,6 @@ val e1_survival :
     metrics are identical for every [jobs]. *)
 
 type termination = {
-  rounds : int array;  (** termination round per run *)
   runs : int;
   mean : float;
   max : int;

@@ -274,6 +274,37 @@ let witness ?metrics ?tracer ~init h =
 let check ?metrics ?tracer ~init h =
   Option.is_some (witness ?metrics ?tracer ~init h)
 
+(* Unlike [decide], which stops at the first linearization, this visits
+   every reachable (done-mask, value) state once and keeps the value of
+   each terminal one (every completed op done); pending writes may still
+   follow a terminal state, so the search goes on past it. *)
+let finals ?(metrics = Obs.Metrics.global) ~init h =
+  let p = prep ~init h in
+  let n = Array.length p.ops in
+  let states = Obs.Metrics.counter_h metrics "linchk.states" in
+  let values = Array.make (n + 1) init in
+  Array.iteri
+    (fun i (o : Op.t) ->
+      match o.kind with Op.Write v -> values.(p.wvid.(i)) <- v | Op.Read -> ())
+    p.ops;
+  let final = Array.make (n + 1) false in
+  let seen = Ipset.create ~capacity:16 () in
+  let rec go mask vid =
+    if not (Ipset.mem seen ~k1:mask ~k2:vid) then begin
+      Ipset.add seen ~k1:mask ~k2:vid;
+      Obs.Metrics.incr_h states;
+      if p.complete_mask land mask = p.complete_mask then final.(vid) <- true;
+      for idx = 0 to n - 1 do
+        if mask land (1 lsl idx) = 0 && p.pred.(idx) land mask = p.pred.(idx)
+        then
+          if p.wvid.(idx) >= 0 then go (mask lor (1 lsl idx)) p.wvid.(idx)
+          else if p.rvid.(idx) = vid then go (mask lor (1 lsl idx)) vid
+      done
+    end
+  in
+  go 0 p.init_vid;
+  List.filteri (fun vid _ -> final.(vid)) (Array.to_list values)
+
 let check_multi ?metrics ~init_of h =
   List.for_all
     (fun obj -> check ?metrics ~init:(init_of obj) (Hist.project h ~obj))

@@ -68,6 +68,18 @@ val witness :
     order.  Pending writes that the witness chose to linearize appear in
     place; pending reads never appear. *)
 
+val finals :
+  ?metrics:Obs.Metrics.t ->
+  init:History.Value.t ->
+  History.Hist.t ->
+  History.Value.t list
+(** [finals ~init h]: every value the register can hold after some
+    linearization of [h] from [init] — one that linearizes every
+    completed op and any subset of the pending writes.  Empty iff [h] is
+    not linearizable.  Each value appears once, [init] first if present,
+    then in first-write order.  The search visits every reachable state,
+    so it costs what {!check} costs on a history that fails. *)
+
 val check_multi :
   ?metrics:Obs.Metrics.t ->
   init_of:(string -> History.Value.t) ->

@@ -64,7 +64,7 @@ let reset t =
    so the per-event cost is a bare [ref] bump instead of a string hash +
    Hashtbl probe.  Handles alias the same cells the string API updates,
    so [merge], [snapshot]/[delta] and the per-run-registry isolation of
-   Simkit.Pool.map_runs see recordings from either path identically.
+   Simkit.Pool.fold_runs see recordings from either path identically.
    [reset] detaches live handles (it empties the name tables); re-resolve
    after a reset. *)
 
@@ -203,7 +203,7 @@ let counter t name =
    had been made into [into] instead, in the same order: counters add,
    gauges overwrite (last write wins), histograms add bucket by bucket
    (count, extrema and every bucket exact).  Used by the parallel
-   run harness (Simkit.Pool.map_runs) to fold each run's registry into
+   run harness (Simkit.Pool.fold_runs) to fold each run's registry into
    the experiment's registry, in run order, as soon as every earlier run
    has finished; those merges are serialized but may happen on any
    domain. *)

@@ -54,7 +54,7 @@ val observe : t -> string -> float -> unit
     hashing, no allocation.  Handles alias the cells the string API
     updates — both paths hit the same counter, and {!merge},
     {!snapshot}/{!delta} and the per-run-registry isolation of
-    [Simkit.Pool.map_runs] are oblivious to which path recorded.
+    [Simkit.Pool.fold_runs] are oblivious to which path recorded.
 
     Resolve handles at component construction or checker entry — never
     per event (that would re-pay the lookup the handle exists to avoid).
@@ -109,7 +109,7 @@ val merge : into:t -> t -> unit
     into [src] had been made into [into] instead, in the same order:
     counters add, gauges overwrite, histograms add bucket by bucket
     (count, min, max and every bucket exact).
-    The parallel run harness ({!Simkit.Pool.map_runs}) gives each run a
+    The parallel run harness ({!Simkit.Pool.fold_runs}) gives each run a
     private registry and folds each one, in run order, as soon as every
     earlier run has finished, so the merged registry
     — and hence any snapshot {!delta} over it — is independent of the

@@ -18,30 +18,6 @@ type result = { verdicts : Verdict.t list }
 (* The decider sees one object, whose name it is not told. *)
 let obj = "offline"
 
-let linearizes metrics ~entry h =
-  List.exists (fun e -> Linchk.Lincheck.check ~metrics ~init:e h) entry
-
-(* Is [v] a feasible final register value of the (linearizable)
-   segment?  Append a synthetic completed read returning [v] after every
-   real event: the extended history linearizes from some entry value iff
-   a linearization of the segment leaves the register holding [v]. *)
-let feasible_final metrics ~entry ~events v =
-  let last_t, max_id =
-    List.fold_left
-      (fun (t, m) { E.time; event } -> (max t time, max m (E.op_id event)))
-      (0, 0) events
-  in
-  let probe = max_id + 1 in
-  let read = E.Invoke { op_id = probe; proc = probe; obj; kind = Op.Read } in
-  let answer = E.Respond { op_id = probe; result = Some v } in
-  linearizes metrics ~entry
-    (Hist.of_events_exn
-       (events
-       @ [
-           { E.time = last_t + 1; event = read };
-           { E.time = last_t + 2; event = answer };
-         ]))
-
 (* Buffer the segment's events and decide them at [outcome].  The op cap
    trips at the (cap+1)-th invoke, as in [Increment]; no other budget
    applies. *)
@@ -82,10 +58,16 @@ let offline ~metrics (cfg : Segmenter.config) ~entry =
     | None ->
         let events = List.rev !revents in
         let h = Hist.of_events_exn events in
-        if not (linearizes metrics ~entry h) then Inc.Fail
+        (* the values some linearization from some entry value leaves *)
+        let finals =
+          List.concat_map
+            (fun init -> Linchk.Lincheck.finals ~metrics ~init h)
+            entry
+        in
+        if finals = [] then Inc.Fail
         else
-          (* the entry values, then every value the segment wrote, in
-             first-write order, each once *)
+          (* in candidate order: the entry values, then every value the
+             segment wrote, in first-write order, each once *)
           let written =
             List.filter_map
               (fun { E.event; _ } ->
@@ -99,7 +81,9 @@ let offline ~metrics (cfg : Segmenter.config) ~entry =
           in
           let candidates = List.fold_left add [] (entry @ written) in
           Inc.Pass
-            (List.filter (feasible_final metrics ~entry ~events) candidates)
+            (List.filter
+               (fun v -> List.exists (V.equal v) finals)
+               candidates)
   in
   {
     Segmenter.invoke;

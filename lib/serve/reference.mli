@@ -6,13 +6,13 @@
     to the engine's. *)
 
 val offline : Segmenter.decide
-(** Buffer the segment's events and decide them with
-    {!Linchk.Lincheck.check} from each entry value.  [Pass] keeps the
-    candidates — the entry values, then every distinct value the segment
-    wrote, in first-write order — for which the segment extended by a
-    synthetic completed read of that value still linearizes.  The op cap
-    trips at the (cap+1)-th invoke and reports the final count; the state
-    and wall budgets do not apply. *)
+(** Buffer the segment's events and decide them with one
+    {!Linchk.Lincheck.finals} search from each entry value.  [Fail] iff
+    no search finds a linearization; [Pass] keeps the candidates — the
+    entry values, then every distinct value the segment wrote, in
+    first-write order — that some search ends on.  The op cap trips at
+    the (cap+1)-th invoke and reports the final count; the state and
+    wall budgets do not apply. *)
 
 type result = { verdicts : Verdict.t list }
 

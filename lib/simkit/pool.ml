@@ -4,8 +4,8 @@
    on a Mutex/Condition between calls; each call publishes one job, runs
    it on the calling domain too, and waits for the workers that joined.
    No dependencies beyond the stdlib (Domain / Atomic / Mutex /
-   Condition); [jobs <= 1] degenerates to a plain sequential loop on the
-   calling domain. *)
+   Condition); [jobs <= 1] runs the same claim loop on the calling domain
+   alone. *)
 
 let default_jobs () = Domain.recommended_domain_count ()
 
@@ -104,82 +104,73 @@ let run_job ~helpers work =
       w.work <- ignore;
       Mutex.unlock w.lock)
 
-(* ----- map ----------------------------------------------------------------- *)
+(* ----- the fold ------------------------------------------------------------ *)
 
-(* [failed] is the lowest index that has raised so far ([n] while none
-   has).  A task runs only while its index is below it, so every task
+(* One claim loop serves every call.  Tasks are claimed from [next];
+   [failed] is the lowest index that has raised so far ([n] while none
+   has), and a task runs only while its index is below it, so every task
    below the lowest failing index runs whatever the schedule, and that
-   index's exception is the one re-raised. *)
-let map_par ~jobs n f =
-  let results = Array.make n None in
-  let next = Atomic.make 0 in
-  let failed = Atomic.make n in
-  let rec lower_failed i =
-    let cur = Atomic.get failed in
-    if i < cur && not (Atomic.compare_and_set failed cur i) then lower_failed i
+   index's exception is the one re-raised.  A finished task is folded —
+   its value into the accumulator, then its registry into [metrics] — as
+   soon as every lower index is, under [lock], by whichever domain
+   finished the last of them; until then it waits in [ahead].  A failed
+   task is never folded, so the fold stops there: after a failure at task
+   k, [metrics] holds exactly tasks 0..k-1.  A [fold] that raises counts
+   as a failure of the task it was folding. *)
+let fold_runs ~jobs ~metrics n ~init ~fold f =
+  if n < 0 then invalid_arg "Pool.fold_runs: negative task count";
+  let owner = jobs > 1 && n > 1 && Atomic.compare_and_set busy false true in
+  let jobs = if owner then jobs else 1 in
+  let lock = Mutex.create () in
+  let next = Atomic.make 0 and failed = Atomic.make n in
+  let acc = ref init and folded = ref 0 and error = ref None in
+  let ahead = Hashtbl.create 16 in
+  (* the rest run under [lock] *)
+  let fail i e bt =
+    if i < Atomic.get failed then begin
+      Atomic.set failed i;
+      error := Some (e, bt)
+    end
+  in
+  let rec drain i m v =
+    match
+      acc := fold !acc v;
+      Obs.Metrics.merge ~into:metrics m
+    with
+    | () -> (
+        folded := i + 1;
+        match Hashtbl.find_opt ahead !folded with
+        | Some (m, v) ->
+            Hashtbl.remove ahead !folded;
+            drain !folded m v
+        | None -> ())
+    | exception e -> fail i e (Printexc.get_raw_backtrace ())
   in
   let chunk = chunk_for ~jobs n in
   let rec claim () =
     let start = Atomic.fetch_and_add next chunk in
     if start < Atomic.get failed then begin
       for i = start to Stdlib.min n (start + chunk) - 1 do
-        if i < Atomic.get failed then
-          match f i with
-          | v -> results.(i) <- Some (Ok v)
+        if i < Atomic.get failed then begin
+          let m = Obs.Metrics.create () in
+          match f ~metrics:m i with
+          | v ->
+              Mutex.protect lock (fun () ->
+                  if i = !folded then drain i m v
+                  else Hashtbl.replace ahead i (m, v))
           | exception e ->
-              results.(i) <- Some (Error (e, Printexc.get_raw_backtrace ()));
-              lower_failed i
+              let bt = Printexc.get_raw_backtrace () in
+              Mutex.protect lock (fun () -> fail i e bt)
+        end
       done;
       claim ()
     end
   in
-  run_job ~helpers:(Stdlib.min jobs n - 1) claim;
-  let first = Atomic.get failed in
-  if first < n then begin
-    match results.(first) with
-    | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-    | Some (Ok _) | None -> assert false (* [first] raised *)
-  end;
-  Array.map
-    (function
-      | Some (Ok v) -> v
-      | Some (Error _) | None -> assert false (* unreachable: no failure *))
-    results
-
-let map ~jobs n f =
-  if n < 0 then invalid_arg "Pool.map: negative task count";
-  if n = 0 then [||]
-  else if jobs <= 1 || n = 1 || not (Atomic.compare_and_set busy false true)
-  then Array.init n f
-  else
-    Fun.protect (fun () -> map_par ~jobs n f) ~finally:(fun () ->
-        Atomic.set busy false)
-
-let iter ~jobs n f = ignore (map ~jobs n f : unit array)
-
-(* The per-run metrics-isolation harness (see DESIGN.md "Parallel
-   harness"): every task records into its own fresh registry — the global
-   registry is never touched by a task — and each registry is folded
-   into [metrics] as soon as every lower-index task has finished, then
-   dropped, so only the registries of tasks that ran ahead of a
-   slower lower-index one are held.  The folds are serialized under
-   [lock] and happen in index order, which makes the merged registry
-   identical whatever [jobs] is.  A failed task is never folded, so the
-   fold stops there: after a failure at task k (the lowest, which [map]
-   re-raises), [metrics] holds exactly tasks 0..k-1. *)
-let map_runs ~jobs ~metrics n f =
-  if n < 0 then invalid_arg "Pool.map: negative task count";
-  let finished = Array.make n None in
-  let next = ref 0 in
-  let lock = Mutex.create () in
-  map ~jobs n (fun i ->
-      let m = Obs.Metrics.create () in
-      let v = f ~metrics:m i in
-      Mutex.protect lock (fun () ->
-          finished.(i) <- Some m;
-          while !next < n && Option.is_some finished.(!next) do
-            Obs.Metrics.merge ~into:metrics (Option.get finished.(!next));
-            finished.(!next) <- None;
-            incr next
-          done);
-      v)
+  if owner then
+    Fun.protect
+      (fun () -> run_job ~helpers:(Stdlib.min jobs n - 1) claim)
+      ~finally:(fun () -> Atomic.set busy false)
+  else claim ();
+  match !error with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> !acc

@@ -20,46 +20,46 @@
     inside a task, or from another domain while a call is in flight,
     runs inline on its own domain, exactly as [jobs = 1] would.
 
+    Every call goes through {!fold_runs}: tasks hand back values that
+    are folded, with their private metric registries, in index order, so
+    a battery keeps no per-task array — only the tasks that ran ahead of
+    a slower lower-index one are held, until it finishes.
+
     Determinism contract: a task must derive all its randomness from its
     index (per-run seeds) and must not touch shared mutable state — in
-    particular it must record metrics into a per-task registry (use
-    {!map_runs}), never into {!Obs.Metrics.global}.  Under that contract,
-    [map ~jobs:n] returns the exact array [map ~jobs:1] returns. *)
+    particular it must record metrics into the registry it is handed,
+    never into {!Obs.Metrics.global}.  Under that contract,
+    [fold_runs ~jobs:n] returns exactly what [fold_runs ~jobs:1]
+    returns and leaves [metrics] exactly as it does. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the [-j] default of the CLIs. *)
 
-val map : jobs:int -> int -> (int -> 'a) -> 'a array
-(** [map ~jobs n f] evaluates [f i] for each [i] in [0..n-1] on up to
-    [jobs] domains (the calling domain included) and returns the results
-    indexed by task.  [jobs <= 1], [n <= 1] and nested or concurrent
-    calls run sequentially, in index order, on the calling domain.  If
-    task [i] raises, no task above [i] starts (started ones finish) while
-    every task below [i] still runs, so the exception re-raised — with
-    its backtrace — is always that of the lowest-index failing task.
-    @raise Invalid_argument if [n < 0]. *)
-
-val iter : jobs:int -> int -> (int -> unit) -> unit
-
-val map_runs :
+val fold_runs :
   jobs:int ->
   metrics:Obs.Metrics.t ->
   int ->
+  init:'acc ->
+  fold:('acc -> 'a -> 'acc) ->
   (metrics:Obs.Metrics.t -> int -> 'a) ->
-  'a array
-(** Like {!map}, but hands each task a fresh private metric registry and
-    folds the per-task registries into [metrics], in task order, with
-    {!Obs.Metrics.merge}: task [i]'s registry is merged as soon as tasks
-    [0..i] have all finished, on whichever domain finished the last of
-    them, and is dropped once merged, so a long battery holds only the
-    registries of tasks that ran ahead of a slower lower-index one rather
-    than all [n] until the call returns.  Merges are serialized, and the
-    fold order (hence the merged registry) is independent of [jobs].
-    This is the only sanctioned way for parallel tasks to feed an
-    experiment's snapshot/delta measurement; nothing else may touch
-    [metrics] while the call runs.
+  'acc
+(** [fold_runs ~jobs ~metrics n ~init ~fold f] evaluates [f ~metrics:m i]
+    for each [i] in [0..n-1] on up to [jobs] domains (the calling domain
+    included), each with a fresh registry [m], and returns
+    [fold (... (fold init v0) ...) v(n-1)].  Task [i]'s [fold] step and
+    the {!Obs.Metrics.merge} of its registry into [metrics] happen once
+    tasks [0..i] have all finished, on whichever domain finished the last
+    of them; they are serialized and in index order, so neither the
+    result nor [metrics] depends on [jobs].  Nothing else may touch
+    [metrics] while the call runs.  [jobs <= 1], [n <= 1] and calls
+    nested in a task or made from another domain while a call is in
+    flight run the same claim loop on the calling domain alone, in index
+    order.
 
-    If task [k] is the lowest-index task that raises, [map_runs]
-    re-raises its exception (as {!map} does) and [metrics] then holds
-    exactly the merge of tasks [0..k-1], at any [jobs].
-    @raise Invalid_argument if [n < 0], as {!map} does. *)
+    If task [i] raises, no task above [i] starts (started ones finish)
+    while every task below [i] still runs, so the exception re-raised —
+    with its backtrace — is always that of the lowest-index failing
+    task, and [metrics] then holds exactly the merge of tasks [0..i-1],
+    at any [jobs].  A [fold] step that raises counts as a failure of the
+    task it was folding.
+    @raise Invalid_argument if [n < 0]. *)

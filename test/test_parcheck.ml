@@ -22,12 +22,21 @@ let ids_of ops = List.map (fun (o : Op.t) -> o.id) ops
 
 (* ----- runner contract ---------------------------------------------------- *)
 
+(* Pool's one entry point, its results collected into an array *)
+let map ~jobs n f =
+  Pool.fold_runs ~jobs ~metrics:(Obs.Metrics.create ()) n ~init:[]
+    ~fold:(fun acc v -> v :: acc)
+    (fun ~metrics:_ i -> f i)
+  |> List.rev |> Array.of_list
+
+let iter ~jobs n f = ignore (map ~jobs n f : unit array)
+
 let steal_tests =
   [
     tc "every task runs exactly once (jobs 4, n 100)" (fun () ->
         let n = 100 in
         let ran = Array.init n (fun _ -> Atomic.make 0) in
-        let out = Pool.map ~jobs:4 n (fun i -> Atomic.incr ran.(i); i) in
+        let out = map ~jobs:4 n (fun i -> Atomic.incr ran.(i); i) in
         check_int "results" n (Array.length out);
         Array.iteri
           (fun i c ->
@@ -36,16 +45,16 @@ let steal_tests =
         check_bool "result i at index i" true (out = Array.init n Fun.id));
     tc "tasks run on at most jobs domains" (fun () ->
         let doms =
-          Pool.map ~jobs:4 64 (fun _ -> (Domain.self () :> int))
+          map ~jobs:4 64 (fun _ -> (Domain.self () :> int))
           |> Array.to_list |> List.sort_uniq compare
         in
         check_bool "at least one domain" true (doms <> []);
         check_bool "at most 4 domains" true (List.length doms <= 4));
     tc "n = 0 and n = 1 degenerate cleanly" (fun () ->
-        Pool.iter ~jobs:4 0 (fun _ -> assert false);
+        iter ~jobs:4 0 (fun _ -> assert false);
         let hit = ref 0 in
         let on =
-          Pool.map ~jobs:4 1 (fun i ->
+          map ~jobs:4 1 (fun i ->
               assert (i = 0);
               incr hit;
               Domain.self ())
@@ -54,16 +63,16 @@ let steal_tests =
         check_bool "on the caller" true (on.(0) = Domain.self ()));
     tc "jobs 1 runs in index order" (fun () ->
         let order = ref [] in
-        Pool.iter ~jobs:1 10 (fun i -> order := i :: !order);
+        iter ~jobs:1 10 (fun i -> order := i :: !order);
         check_bool "ascending" true (List.rev !order = List.init 10 Fun.id));
     tc "a failing task's exception is re-raised" (fun () ->
-        match Pool.iter ~jobs:4 50 (fun i -> if i = 5 then failwith "boom")
+        match iter ~jobs:4 50 (fun i -> if i = 5 then failwith "boom")
         with
         | () -> Alcotest.fail "exception swallowed"
         | exception Failure msg -> Alcotest.(check string) "exn" "boom" msg);
     tc "sequential fallback re-raises the lowest-index failure" (fun () ->
         match
-          Pool.iter ~jobs:1 50 (fun i ->
+          iter ~jobs:1 50 (fun i ->
               if i mod 7 = 3 then failwith (string_of_int i))
         with
         | () -> Alcotest.fail "exception swallowed"

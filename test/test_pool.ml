@@ -7,7 +7,16 @@ module Pool = Simkit.Pool
 
 let tc name f = Alcotest.test_case name `Quick f
 
-(* ----- map ------------------------------------------------------------------ *)
+(* [Pool.fold_runs] with each task's registry handed through: the results
+   collected into an array indexed by task *)
+let map_runs ~jobs ~metrics n f =
+  Pool.fold_runs ~jobs ~metrics n ~init:[] ~fold:(fun acc v -> v :: acc) f
+  |> List.rev |> Array.of_list
+
+let map ~jobs n f =
+  map_runs ~jobs ~metrics:(Obs.Metrics.create ()) n (fun ~metrics:_ i -> f i)
+
+(* ----- the fold, collected ---------------------------------------------------- *)
 
 let test_all_tasks_once () =
   List.iter
@@ -15,7 +24,7 @@ let test_all_tasks_once () =
       let n = 100 in
       let hits = Array.init n (fun _ -> Atomic.make 0) in
       let out =
-        Pool.map ~jobs n (fun i ->
+        map ~jobs n (fun i ->
             Atomic.incr hits.(i);
             i * i)
       in
@@ -33,26 +42,25 @@ let test_all_tasks_once () =
 
 let test_degenerate () =
   Alcotest.(check (array int)) "n=0" [||]
-    (Pool.map ~jobs:4 0 (fun _ -> Alcotest.fail "n=0 ran a task"));
-  Alcotest.(check (array int)) "n=1" [| 7 |] (Pool.map ~jobs:4 1 (fun _ -> 7));
+    (map ~jobs:4 0 (fun _ -> Alcotest.fail "n=0 ran a task"));
+  Alcotest.(check (array int)) "n=1" [| 7 |] (map ~jobs:4 1 (fun _ -> 7));
   Alcotest.(check bool)
     "n=1 runs on the calling domain" true
-    ((Pool.map ~jobs:4 1 (fun _ -> Domain.self ())).(0) = Domain.self ());
+    ((map ~jobs:4 1 (fun _ -> Domain.self ())).(0) = Domain.self ());
   Alcotest.(check (array int))
     "jobs=1 runs in index order on the calling domain"
     [| 0; 1; 2; 3 |]
     (let order = ref [] in
-     let out = Pool.map ~jobs:1 4 (fun i -> order := i :: !order; i) in
+     let out = map ~jobs:1 4 (fun i -> order := i :: !order; i) in
      Alcotest.(check (list int)) "index order" [ 3; 2; 1; 0 ] !order;
      out);
-  Alcotest.check_raises "negative task count rejected"
-    (Invalid_argument "Pool.map: negative task count") (fun () ->
-      ignore (Pool.map ~jobs:2 (-1) (fun i -> i)));
-  Alcotest.check_raises "map_runs rejects a negative count too"
-    (Invalid_argument "Pool.map: negative task count") (fun () ->
-      ignore
-        (Pool.map_runs ~jobs:2 ~metrics:(Obs.Metrics.create ()) (-1)
-           (fun ~metrics:_ i -> i)))
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises
+        (Printf.sprintf "jobs=%d: negative task count rejected" jobs)
+        (Invalid_argument "Pool.fold_runs: negative task count") (fun () ->
+          ignore (map ~jobs (-1) (fun i -> i))))
+    [ 1; 2 ]
 
 exception Boom of int
 
@@ -61,7 +69,7 @@ let test_exception_propagation () =
     (fun jobs ->
       let raised =
         try
-          ignore (Pool.map ~jobs 50 (fun i -> if i = 17 then raise (Boom i)));
+          ignore (map ~jobs 50 (fun i -> if i = 17 then raise (Boom i)));
           None
         with Boom i -> Some i
       in
@@ -73,7 +81,7 @@ let test_exception_propagation () =
   let raised =
     try
       ignore
-        (Pool.map ~jobs:1 50 (fun i ->
+        (map ~jobs:1 50 (fun i ->
              if i mod 10 = 3 then raise (Boom i)));
       None
     with Boom i -> Some i
@@ -89,7 +97,7 @@ let test_exception_propagation () =
         let raised =
           try
             ignore
-              (Pool.map ~jobs 400 (fun i ->
+              (map ~jobs 400 (fun i ->
                    if i mod 25 = 11 then raise (Boom i)));
             None
           with Boom i -> Some i
@@ -107,7 +115,7 @@ let test_backtrace_kept () =
   let was = Printexc.backtrace_status () in
   Printexc.record_backtrace true;
   Fun.protect ~finally:(fun () -> Printexc.record_backtrace was) (fun () ->
-      match Pool.map ~jobs:2 100 (fun i -> if i = 40 then raise (Boom i)) with
+      match map ~jobs:2 100 (fun i -> if i = 40 then raise (Boom i)) with
       | _ -> Alcotest.fail "exception swallowed"
       | exception Boom i ->
           let innermost =
@@ -127,13 +135,13 @@ let test_backtrace_kept () =
 let test_nested () =
   let row i = Array.init 5 (fun j -> (10 * i) + j) in
   let out =
-    Pool.map ~jobs:2 8 (fun i -> Pool.map ~jobs:2 5 (fun j -> (10 * i) + j))
+    map ~jobs:2 8 (fun i -> map ~jobs:2 5 (fun j -> (10 * i) + j))
   in
   Alcotest.(check (array (array int)))
     "nested map returns the jobs=1 array" (Array.init 8 row) out
 
 let test_concurrent_callers () =
-  let call k () = Pool.map ~jobs:2 300 (fun i -> (k * 1000) + i) in
+  let call k () = map ~jobs:2 300 (fun i -> (k * 1000) + i) in
   let doms = List.map (fun k -> Domain.spawn (call k)) [ 1; 2 ] in
   List.iter2
     (fun k d ->
@@ -148,7 +156,7 @@ let test_back_to_back () =
     (* every 100th call raises: a worker survives its job's exception *)
     let boom = c mod 100 = 0 in
     match
-      Pool.map ~jobs:2 16 (fun i -> if boom && i = 9 then raise (Boom i) else c + i)
+      map ~jobs:2 16 (fun i -> if boom && i = 9 then raise (Boom i) else c + i)
     with
     | out ->
         if boom || out <> Array.init 16 (fun i -> c + i) then
@@ -156,7 +164,7 @@ let test_back_to_back () =
     | exception Boom _ -> if not boom then Alcotest.failf "call %d: stray failure" c
   done
 
-(* ----- map_runs: per-run registries, merged in run order -------------------- *)
+(* ----- per-run registries, merged in run order --------------------------------- *)
 
 let test_map_runs_merge () =
   let runs = 20 in
@@ -167,7 +175,7 @@ let test_map_runs_merge () =
   in
   let merged jobs =
     let m = Obs.Metrics.create () in
-    let out = Pool.map_runs ~jobs ~metrics:m runs record in
+    let out = map_runs ~jobs ~metrics:m runs record in
     Alcotest.(check (array int))
       (Printf.sprintf "jobs=%d: results" jobs)
       (Array.init runs (fun i -> i))
@@ -208,28 +216,80 @@ let test_map_runs_failure () =
   List.iter
     (fun k ->
       let expect = Obs.Metrics.create () in
-      ignore (Pool.map_runs ~jobs:1 ~metrics:expect k record);
+      ignore (map_runs ~jobs:1 ~metrics:expect k record);
       List.iter
         (fun jobs ->
           for rep = 1 to (if jobs = 1 then 1 else 20) do
-            let m = Obs.Metrics.create () in
-            let raised =
-              match
-                Pool.map_runs ~jobs ~metrics:m n (fun ~metrics i ->
-                    if i = k then raise (Boom i) else record ~metrics i)
-              with
-              | _ -> None
-              | exception Boom i -> Some i
-            in
-            let label = Printf.sprintf "k=%d jobs=%d rep %d" k jobs rep in
-            Alcotest.(check (option int)) (label ^ ": task k re-raised")
-              (Some k) raised;
-            Alcotest.(check bool) (label ^ ": target holds tasks 0..k-1")
-              true
-              (Obs.Metrics.snapshot m = Obs.Metrics.snapshot expect)
+            (* task k raises, or the fold step applied to its value does *)
+            List.iter
+              (fun in_fold ->
+                let m = Obs.Metrics.create () in
+                let raised =
+                  match
+                    Pool.fold_runs ~jobs ~metrics:m n ~init:()
+                      ~fold:(fun () i -> if in_fold && i = k then raise (Boom i))
+                      (fun ~metrics i ->
+                        if (not in_fold) && i = k then raise (Boom i)
+                        else record ~metrics i)
+                  with
+                  | () -> None
+                  | exception Boom i -> Some i
+                in
+                let label =
+                  Printf.sprintf "k=%d jobs=%d rep %d in_fold=%b" k jobs rep
+                    in_fold
+                in
+                Alcotest.(check (option int)) (label ^ ": task k re-raised")
+                  (Some k) raised;
+                Alcotest.(check bool) (label ^ ": target holds tasks 0..k-1")
+                  true
+                  (Obs.Metrics.snapshot m = Obs.Metrics.snapshot expect))
+              [ false; true ]
           done)
         [ 1; 4 ])
     [ 0; 11; 250 ]
+
+(* ----- the fold itself -------------------------------------------------------- *)
+
+let spin k =
+  let x = ref 0 in
+  for j = 1 to k do
+    x := Sys.opaque_identity (!x + j)
+  done;
+  !x
+
+(* Lower indices do more busy work, so higher ones finish first and wait
+   among the tasks that ran ahead.  The fold must still see 0, 1, ...,
+   n-1, each once, and never run on two domains at once (it spins, so an
+   overlap has time to show).  No task waits on another: on a 1-core
+   host Pool spawns no worker, and such a task would hang. *)
+let test_fold_order () =
+  let n = 400 in
+  List.iter
+    (fun jobs ->
+      let inside = Atomic.make false in
+      let overlapped = Atomic.make false and misordered = Atomic.make false in
+      let folded =
+        Pool.fold_runs ~jobs ~metrics:(Obs.Metrics.create ()) n ~init:0
+          ~fold:(fun expect i ->
+            if Atomic.exchange inside true then Atomic.set overlapped true;
+            if i <> expect then Atomic.set misordered true;
+            ignore (spin 2_000);
+            Atomic.set inside false;
+            expect + 1)
+          (fun ~metrics:_ i ->
+            ignore (spin ((n - i) * 200));
+            i)
+      in
+      let label = Printf.sprintf "jobs=%d: " jobs in
+      Alcotest.(check int) (label ^ "one fold step per task") n folded;
+      Alcotest.(check bool)
+        (label ^ "folded in index order, once each") false
+        (Atomic.get misordered);
+      Alcotest.(check bool)
+        (label ^ "never on two domains at once") false
+        (Atomic.get overlapped))
+    [ 1; 2; 4 ]
 
 (* ----- battery determinism --------------------------------------------------- *)
 
@@ -305,6 +365,8 @@ let suite =
           test_map_runs_merge;
         tc "after task k fails, map_runs has merged exactly tasks 0..k-1"
           test_map_runs_failure;
+        tc "the fold runs in index order, once per task, one domain at a time"
+          test_fold_order;
       ] );
     ( "experiments.parallel",
       [

@@ -192,6 +192,38 @@ let engine_tests =
               check_int "no skipped objects" 0 cmp.Reference.skipped
             done)
           [ 64; 3; 1 ]);
+    tc "the oracle decides a full 62-op segment" (fun () ->
+        (* one read left open across 61 sequential writes: the segment
+           holds Lincheck.max_ops ops, so deciding its feasible finals
+           must not add a probe op *)
+        let ev ~time e = J.to_string (Ingest.event_json ~time e) in
+        let writes =
+          List.concat_map
+            (fun k ->
+              let op_id = k + 2 and time = (2 * k) + 2 in
+              [
+                ev ~time
+                  (Ingest.Invoke
+                     { op_id; proc = 2; obj = "R"; kind = Op.Write (V.Int (k + 1)) });
+                ev ~time:(time + 1) (Ingest.Respond { op_id; result = None });
+              ])
+            (List.init 61 Fun.id)
+        in
+        let lines =
+          ev ~time:1
+            (Ingest.Invoke { op_id = 1; proc = 1; obj = "R"; kind = Op.Read })
+          :: writes
+          @ [
+              ev ~time:124
+                (Ingest.Respond { op_id = 1; result = Some (V.Int 0) });
+            ]
+        in
+        let engine, verdicts, _ = serve lines in
+        check_int "one passing 62-op segment" 1 (Engine.ok engine);
+        let r = Reference.run lines in
+        check_bool "the reference returns the engine's verdicts" true
+          (List.length r.Reference.verdicts = List.length verdicts
+          && List.for_all2 Verdict.equal r.Reference.verdicts verdicts));
     tc "summary json carries the counters" (fun () ->
         let trace, _ = workload 1 in
         let engine, verdicts, _ = serve (trace_lines trace) in
