@@ -1610,7 +1610,8 @@ let check_cmd =
   let procs =
     Arg.(
       value & opt int 3
-      & info [ "procs" ] ~docv:"P" ~doc:"Processes per generated history.")
+      & info [ "procs" ] ~docv:"P"
+          ~doc:"Processes per generated history, from 1 to 2^30 - 1.")
   in
   let family =
     Arg.(
@@ -1665,6 +1666,7 @@ let check_cmd =
     if count < 0 then reject "--count must be >= 0";
     if ops < 1 then reject "--ops must be >= 1";
     if procs < 1 then reject "--procs must be >= 1";
+    if procs >= 1 lsl 30 then reject "--procs must be < 1073741824 (2^30)";
     let cap = Core.Lincheck.effective_cap ~jobs in
     let rand =
       Random.State.make [| Int64.to_int seed land 0x3FFFFFFF; 0xC0FFEE |]

@@ -18,7 +18,11 @@
 
 type spec = {
   n_procs : int;
-  n_ops : int;
+      (** processes [1..n_procs]; below 1 counts as 1.  At most
+          [2^30 - 1], the largest bound [Random.State.int] accepts:
+          a larger one raises [Invalid_argument] when the first process
+          is drawn. *)
+  n_ops : int;  (** operations to invoke; below 1 counts as 1 *)
   obj : string;
   init : Value.t;
   distinct_writes : bool;

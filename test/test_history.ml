@@ -322,6 +322,18 @@ let fingerprint_cases =
       20260807,
       "c55fdf1353a68fbfae64c63c8d7115b5/290234316 \
        6bf96f901f1e10c16c0899755107adad/832408996" );
+    (* up to 40 pending ops: past 32, [Hashtbl]'s 16 buckets double and
+       the fold order that picks index changes *)
+    ( "40 procs, 80 ops, seed 3",
+      { d with n_procs = 40; n_ops = 80 },
+      3,
+      "198f9dc2adae6a42c481f3b91065bc28/547623156 \
+       13c526c9fee34b96b6909bc0ea62dd54/303230980" );
+    ( "1 proc, 5 ops, seed 5",
+      { d with n_procs = 1; n_ops = 5 },
+      5,
+      "1bb4f324288f0e0161b0c02eb65a5ceb/442698661 \
+       e3c7096790378f75d2e86aea5855b676/467445889" );
   ]
 
 let fingerprint_tests =
@@ -331,6 +343,19 @@ let fingerprint_tests =
           Alcotest.(check string) "atomic/bits arbitrary/bits" want
             (fingerprint spec ~seed)))
     fingerprint_cases
+
+(* check-tree-j2's histories: 8 ops on 3 processes, the families
+   alternating as [rlin check --family mixed] draws them; 665 words on
+   OCaml 5.1.1 *)
+let gen_alloc_test =
+  tc "generation allocates per history" (fun () ->
+      let spec = { Gen.default_spec with n_ops = 8; n_procs = 3 } in
+      let rand = Random.State.make [| 1 |] and atomic = ref false in
+      Alloc.at_most "history per call" 1000.
+        (Alloc.words_per_call ~n:2000 (fun () ->
+             atomic := not !atomic;
+             if !atomic then Gen.atomic_history spec rand
+             else Gen.arbitrary_history spec rand)))
 
 let gen_tests =
   [
@@ -362,5 +387,7 @@ let suite =
     ("history.wellformed", hist_wf_tests);
     ("history.views", hist_view_tests);
     ("history.seq", seq_tests);
-    ("history.gen", gen_tests @ fingerprint_tests);
+    (* Alcotest numbers a suite's cases by position: new cases go last,
+       so the existing ones keep their numbers *)
+    ("history.gen", gen_tests @ fingerprint_tests @ [ gen_alloc_test ]);
   ]
