@@ -182,6 +182,10 @@ let experiments_cmd =
              report ('-' for stdout).")
   in
   let run quick jobs only json faults crash recover =
+    (* experiments, game, chaos run and fleet run their main domain on
+       Pool's smaller minor heap, as its workers do; serve and check keep
+       the runtime's, which their larger live sets need *)
+    Core.Pool.right_size_minor_heap ();
     (match only with
     | Some ids when
         List.exists
@@ -299,6 +303,7 @@ let game_cmd =
       & info [ "rounds" ] ~docv:"R" ~doc:"Round budget / adversary rounds.")
   in
   let run mode rounds n seed =
+    Core.Pool.right_size_minor_heap ();
     (match mode with
     | Core.Adv_register.Linearizable ->
         let res = Core.Adversary.run_linearizable ~n ~rounds ~seed () in
@@ -547,6 +552,7 @@ let chaos_run_cmd =
              reports still diff clean across -j).")
   in
   let run budget seed jobs inject inject_recovery corpus json flight =
+    Core.Pool.right_size_minor_heap ();
     if budget < 0 then begin
       Printf.eprintf "rlin: --budget must be >= 0\n";
       exit 2
@@ -1897,6 +1903,7 @@ let fleet_cmd =
   let run shards n proto slots ops clients session_len mix keys faults
       crash_items recoveries persist batch_window batch_max sample seed jobs
       json =
+    Core.Pool.right_size_minor_heap ();
     let legacy, crash_at = split_crash_items crash_items in
     if legacy <> [] then begin
       Printf.eprintf "rlin: fleet --crash takes NODE@STEP entries\n";

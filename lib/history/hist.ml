@@ -13,9 +13,10 @@ exception Malformed of string
 
 let validate evs =
   let seen_ids = Hashtbl.create 16 in
-  (* op_id -> (proc, obj, kind) of its invocation *)
+  (* op_id -> [`Open proc] until its response, then [`Closed] *)
   let pending_by_proc = Hashtbl.create 16 in
-  (* proc -> op_id currently pending *)
+  (* procs with an op pending: an [`Open] op's process is always here,
+     since a second invoke while it is pending is rejected *)
   let last_time = ref min_int in
   List.iter
     (fun { Event.time; event } ->
@@ -26,27 +27,20 @@ let validate evs =
       | Event.Invoke { op_id; proc; _ } ->
           if Hashtbl.mem seen_ids op_id then
             raise (Malformed "duplicate op id");
-          Hashtbl.add seen_ids op_id `Open;
+          Hashtbl.add seen_ids op_id (`Open proc);
           if Hashtbl.mem pending_by_proc proc then
             raise
               (Malformed
                  (Printf.sprintf
                     "process %d invokes while an operation is pending" proc));
-          Hashtbl.add pending_by_proc proc op_id
+          Hashtbl.add pending_by_proc proc ()
       | Event.Respond { op_id; _ } -> (
           match Hashtbl.find_opt seen_ids op_id with
           | None -> raise (Malformed "response without invocation")
           | Some `Closed -> raise (Malformed "duplicate response")
-          | Some `Open ->
+          | Some (`Open proc) ->
               Hashtbl.replace seen_ids op_id `Closed;
-              let proc =
-                Hashtbl.fold
-                  (fun p id acc -> if id = op_id then Some p else acc)
-                  pending_by_proc None
-              in
-              (match proc with
-              | Some p -> Hashtbl.remove pending_by_proc p
-              | None -> raise (Malformed "response for a non-pending op"))))
+              Hashtbl.remove pending_by_proc proc))
     evs
 
 let of_events evs =

@@ -70,16 +70,15 @@ module Make (Ts : TS) = struct
   (* flight-recorder events for operation phases (category "reg"): an
      [invoke] roots the op's causal tree, each quorum [round] chains to it,
      [retransmit]s chain to their round, and the [respond] closes the op.
-     All guarded on [Tracer.armed] so untraced runs pay one branch. *)
+     Every call site tests [armed t] before it builds the arguments, so
+     untraced runs pay one branch and allocate nothing. *)
   let trc t = Sched.tracer t.sched
+  let armed t = Obs.Tracer.armed (trc t)
 
   let emit_op t ~pid ~parent name args =
-    let tr = trc t in
-    if Obs.Tracer.armed tr then
-      Obs.Tracer.emit tr ~track:pid ~parent
-        ~args:(("obj", Obs.Json.Str t.name_) :: args)
-        ~sim:(Sched.steps t.sched) ~cat:"reg" name
-    else -1
+    Obs.Tracer.emit (trc t) ~track:pid ~parent
+      ~args:(("obj", Obs.Json.Str t.name_) :: args)
+      ~sim:(Sched.steps t.sched) ~cat:"reg" name
 
   (* a replica accepted an update: apply it in memory and write it ahead to
      stable storage.  Under [`Every] the append is immediately durable (and
@@ -90,7 +89,7 @@ module Make (Ts : TS) = struct
     rep.ts <- ts;
     rep.v <- v;
     Simkit.Stable.append t.stable ~node (ts, v);
-    if t.persist_ = `Every then
+    if t.persist_ = `Every && armed t then
       ignore
         (emit_op t ~pid:(server_pid ~node) ~parent:(-1) "persist"
            [ ("node", Obs.Json.Int node); Ts.field ts ])
@@ -193,9 +192,10 @@ module Make (Ts : TS) = struct
       ~retry_after:t.retry_
       ~resend:(fun ~missing ->
         Obs.Metrics.incr_h t.retransmits_c;
-        ignore
-          (emit_op t ~pid ~parent "retransmit"
-             [ ("missing", Obs.Json.Int (List.length missing)) ]);
+        if armed t then
+          ignore
+            (emit_op t ~pid ~parent "retransmit"
+               [ ("missing", Obs.Json.Int (List.length missing)) ]);
         Obs.Tracer.set_ctx (trc t) parent;
         List.iter send missing)
 
@@ -206,7 +206,10 @@ module Make (Ts : TS) = struct
        quorum-intersection monitor checks min(need) >= majority *)
     Obs.Metrics.observe_h t.quorum_need_h (float_of_int t.quorum_);
     let rseq =
-      emit_op t ~pid ~parent:pseq "round" [ ("need", Obs.Json.Int t.quorum_) ]
+      if armed t then
+        emit_op t ~pid ~parent:pseq "round"
+          [ ("need", Obs.Json.Int t.quorum_) ]
+      else -1
     in
     gather t ~pid ~parent:rseq ~need:t.quorum_ ~seen:(Array.make t.n_ false)
       payload classify;
@@ -241,17 +244,30 @@ module Make (Ts : TS) = struct
 
   (* one client operation between its trace invoke and respond; [body]
      gets the invoke event and returns the read's value, if any *)
-  let client_op t ~proc kind args body =
+  let client_op t ~proc kind body =
     let tr = Sched.trace t.sched in
     let op_id = Trace.invoke tr ~proc ~obj:t.name_ ~kind in
-    let op = ("op", Obs.Json.Int op_id) in
-    let pseq = emit_op t ~pid:proc ~parent:(-1) "invoke" (op :: args) in
+    let pseq =
+      if armed t then
+        emit_op t ~pid:proc ~parent:(-1) "invoke"
+          (("op", Obs.Json.Int op_id)
+          ::
+          (match kind with
+          | Op.Read -> [ ("kind", Obs.Json.Str "read") ]
+          | Op.Write (V.Int v) ->
+              [ ("kind", Obs.Json.Str "write"); ("v", Obs.Json.Int v) ]
+          | Op.Write _ -> assert false (* a replica register holds ints *)))
+      else -1
+    in
     let result = body pseq in
-    ignore
-      (emit_op t ~pid:proc ~parent:pseq "respond"
-         (match result with
-         | Some v -> [ op; ("v", Obs.Json.Int v) ]
-         | None -> [ op ]));
+    if armed t then
+      ignore
+        (emit_op t ~pid:proc ~parent:pseq "respond"
+           (("op", Obs.Json.Int op_id)
+           ::
+           (match result with
+           | Some v -> [ ("v", Obs.Json.Int v) ]
+           | None -> [])));
     Obs.Tracer.set_ctx (trc t) (-1);
     Trace.respond tr ~op_id ~result:(Option.map (fun v -> V.Int v) result);
     result
@@ -259,9 +275,7 @@ module Make (Ts : TS) = struct
   let write t ~proc ~stamp v =
     Obs.Metrics.incr_h t.writes_c;
     ignore
-      (client_op t ~proc (Op.Write (V.Int v))
-         [ ("kind", Obs.Json.Str "write"); ("v", Obs.Json.Int v) ]
-         (fun pseq ->
+      (client_op t ~proc (Op.Write (V.Int v)) (fun pseq ->
            let ts = stamp (fun () -> fst (query t ~pid:proc ~pseq)) in
            update t ~pid:proc ~pseq ts v;
            None))
@@ -272,9 +286,7 @@ module Make (Ts : TS) = struct
   let read t ~reader =
     Obs.Metrics.incr_h t.reads_c;
     Option.get
-      (client_op t ~proc:reader Op.Read
-         [ ("kind", Obs.Json.Str "read") ]
-         (fun pseq ->
+      (client_op t ~proc:reader Op.Read (fun pseq ->
            let ts, v = query t ~pid:reader ~pseq in
            update t ~pid:reader ~pseq ts v;
            Some v))
@@ -314,19 +326,22 @@ module Make (Ts : TS) = struct
          rolled-back state — the seeded bug the recovery-sanity monitor
          flags. *)
       if t.lost_at_crash.(node) > 0 then Obs.Metrics.incr_h t.amnesia_c;
-      ignore
-        (emit_op t ~pid:me ~parent:(-1) "recover_unsafe"
-           [
-             ("node", Obs.Json.Int node);
-             ("lost", Obs.Json.Int t.lost_at_crash.(node));
-           ])
+      if armed t then
+        ignore
+          (emit_op t ~pid:me ~parent:(-1) "recover_unsafe"
+             [
+               ("node", Obs.Json.Int node);
+               ("lost", Obs.Json.Int t.lost_at_crash.(node));
+             ])
     end
     else begin
       Obs.Metrics.incr_h t.state_transfer_c;
       Obs.Metrics.observe_h t.quorum_need_h (float_of_int (majority t));
       let pseq =
-        emit_op t ~pid:me ~parent:(-1) "state_transfer"
-          [ ("node", Obs.Json.Int node) ]
+        if armed t then
+          emit_op t ~pid:me ~parent:(-1) "state_transfer"
+            [ ("node", Obs.Json.Int node) ]
+        else -1
       in
       (* read back from a majority of the OTHER replicas: self-inclusion
          would let an amnesiac copy vouch for itself, while a majority of
@@ -348,9 +363,10 @@ module Make (Ts : TS) = struct
         Simkit.Stable.append t.stable ~node (ts, v)
       end;
       Simkit.Stable.persist t.stable ~node;
-      ignore
-        (emit_op t ~pid:me ~parent:pseq "persist"
-           [ ("node", Obs.Json.Int node); Ts.field rep.ts ]);
+      if armed t then
+        ignore
+          (emit_op t ~pid:me ~parent:pseq "persist"
+             [ ("node", Obs.Json.Int node); Ts.field rep.ts ]);
       Obs.Tracer.set_ctx (trc t) (-1)
     end;
     server t node ()

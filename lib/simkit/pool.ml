@@ -9,6 +9,29 @@
 
 let default_jobs () = Domain.recommended_domain_count ()
 
+(* ----- the minor heap ------------------------------------------------------ *)
+
+(* 64k words (512 KB) instead of the runtime's 256k: the simulator paths
+   allocate about 10x less than when that default was set, and the
+   smaller heap takes about 1.5 MB off each domain's share of the peak,
+   for about 3x as many minor collections (DESIGN.md §12).  On OCaml
+   5.1.1 a domain starts with the OCAMLRUNPARAM size whatever its parent
+   set, so each domain that wants it sets its own. *)
+let minor_heap_words = 65_536
+
+(* the runtime reads the entry "s=SIZE" of a comma-separated list *)
+let runparam_sets_minor_heap v =
+  List.exists
+    (fun e -> String.length e >= 2 && e.[0] = 's' && e.[1] = '=')
+    (String.split_on_char ',' v)
+
+let right_size_minor_heap () =
+  let set_by var =
+    Option.fold ~none:false ~some:runparam_sets_minor_heap (Sys.getenv_opt var)
+  in
+  if not (set_by "OCAMLRUNPARAM" || set_by "CAMLRUNPARAM") then
+    Gc.set { (Gc.get ()) with minor_heap_size = minor_heap_words }
+
 (* How many indices one fetch_and_add claims.  Whole-simulation tasks
    (milliseconds each) amortize a single atomic trivially, but fleet-
    scale batteries fan out millions of tiny tasks — there the cursor
@@ -50,6 +73,7 @@ let w =
 let busy = Atomic.make false
 
 let worker () =
+  right_size_minor_heap ();
   Mutex.lock w.lock;
   while true do
     while w.seats = 0 do

@@ -18,7 +18,11 @@
     on the calling domain too, and returns once every worker that joined
     has finished.  One call owns the workers at a time: a call made from
     inside a task, or from another domain while a call is in flight,
-    runs inline on its own domain, exactly as [jobs = 1] would.
+    runs inline on its own domain, exactly as [jobs = 1] would.  Each
+    worker runs {!right_size_minor_heap} once when it starts, so its
+    minor heap is {!minor_heap_words} words, not the runtime's 256k;
+    the calling domain keeps its own unless its program calls that too
+    ([rlin]'s simulator subcommands do).
 
     Every call goes through {!fold_runs}: tasks hand back values that
     are folded, with their private metric registries, in index order, so
@@ -34,6 +38,21 @@
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the [-j] default of the CLIs. *)
+
+val minor_heap_words : int
+(** 65,536: the minor heap, in words (512 KB), of a domain that ran
+    {!right_size_minor_heap}. *)
+
+val right_size_minor_heap : unit -> unit
+(** Set the calling domain's minor heap to {!minor_heap_words}, unless
+    [OCAMLRUNPARAM] or [CAMLRUNPARAM] has an [s=] entry, which then
+    stands.  It changes GC timing only, never a result.  On OCaml 5.1.1
+    it does not reach domains spawned later: each one calls it for
+    itself. *)
+
+val runparam_sets_minor_heap : string -> bool
+(** Whether an [OCAMLRUNPARAM] value has an [s=] entry: one of its
+    comma-separated entries starts with [s=]. *)
 
 val fold_runs :
   jobs:int ->

@@ -323,10 +323,11 @@ let recovery_tests (module R : REG) =
 (* ----- allocation ceiling --------------------------------------------------------- *)
 
 (* E14's run through two crash + state-transfer recoveries with nothing
-   durable: 42.6 minor words per scheduler step on OCaml 5.1.1. *)
+   durable: 38.2 minor words per scheduler step on OCaml 5.1.1 (39.7 while
+   the replicas built their tracer arguments untraced). *)
 let alloc_tests =
   [
-    tc "a recovering ABD run allocates at most 64 words per step" (fun () ->
+    tc "a recovering ABD run allocates at most 58 words per step" (fun () ->
         let config =
           {
             Core.Run_config.default with
@@ -340,7 +341,7 @@ let alloc_tests =
               };
           }
         in
-        Alloc.at_most "ABD recovery per step" 64.
+        Alloc.at_most "ABD recovery per step" 58.
           (Alloc.words_per ~counter:"sched.steps" (fun metrics ->
                ignore (Runs.execute_config ~metrics config))));
   ]

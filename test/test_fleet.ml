@@ -214,14 +214,15 @@ let engine_tests =
         check_int "all ops ran" 600 r.Core.Fleet.total_ops);
   ]
 
-(* A scheduler step allocates only what the protocol allocates: 44 minor
-   words per step here, where a decision that built the live-pid list and
+(* A scheduler step allocates only what the protocol allocates: 39.6
+   minor words per step here (42.0 while the replicas built their tracer
+   arguments untraced), where a decision that built the live-pid list and
    an RNG that boxed its state made 429.  The config is the
    fleet-abd-faulty benchmark's shape cut to 2 shards x 2,000 ops: one-op
    sessions under link faults, a crash and recovery, and batching. *)
 let alloc_tests =
   [
-    tc "a faulty, batched fleet allocates at most 66 words per step"
+    tc "a faulty, batched fleet allocates at most 60 words per step"
       (fun () ->
         let c =
           {
@@ -248,7 +249,7 @@ let alloc_tests =
         let r = Core.Fleet.run ~jobs:1 ~metrics:(Core.Metrics.create ()) c in
         let words = Gc.minor_words () -. before in
         check_int "all ops ran" 4_000 r.Core.Fleet.total_ops;
-        Alloc.at_most "fleet per step" 66.
+        Alloc.at_most "fleet per step" 60.
           (words /. float_of_int r.Core.Fleet.total_steps));
   ]
 

@@ -66,6 +66,12 @@ let ev t e = { Event.time = t; event = e }
 let inv ~id ~proc ~kind = Event.Invoke { op_id = id; proc; obj = "R"; kind }
 let res ~id ?result () = Event.Respond { op_id = id; result }
 
+(* [evs] must be rejected with exactly [msg] *)
+let rejected ~what msg evs =
+  match Hist.of_events evs with
+  | Error m -> Alcotest.(check string) what msg m
+  | Ok _ -> Alcotest.fail ("accepted " ^ what)
+
 let hist_wf_tests =
   [
     tc "valid history accepted" (fun () ->
@@ -78,47 +84,31 @@ let hist_wf_tests =
         in
         check_int "ops" 1 (List.length (Hist.ops h)));
     tc "non-increasing times rejected" (fun () ->
-        match
-          Hist.of_events
-            [ ev 2 (inv ~id:1 ~proc:1 ~kind:Op.Read); ev 2 (res ~id:1 ()) ]
-        with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "accepted equal times");
+        rejected ~what:"equal times" "event times must be strictly increasing"
+          [ ev 2 (inv ~id:1 ~proc:1 ~kind:Op.Read); ev 2 (res ~id:1 ()) ]);
     tc "duplicate op id rejected" (fun () ->
-        match
-          Hist.of_events
-            [
-              ev 1 (inv ~id:1 ~proc:1 ~kind:Op.Read);
-              ev 2 (inv ~id:1 ~proc:2 ~kind:Op.Read);
-            ]
-        with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "accepted duplicate id");
+        rejected ~what:"duplicate id" "duplicate op id"
+          [
+            ev 1 (inv ~id:1 ~proc:1 ~kind:Op.Read);
+            ev 2 (inv ~id:1 ~proc:2 ~kind:Op.Read);
+          ]);
     tc "response without invocation rejected" (fun () ->
-        match Hist.of_events [ ev 1 (res ~id:9 ()) ] with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "accepted orphan response");
+        rejected ~what:"orphan response" "response without invocation"
+          [ ev 1 (res ~id:9 ()) ]);
     tc "double response rejected" (fun () ->
-        match
-          Hist.of_events
-            [
-              ev 1 (inv ~id:1 ~proc:1 ~kind:Op.Read);
-              ev 2 (res ~id:1 ());
-              ev 3 (res ~id:1 ());
-            ]
-        with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "accepted double response");
+        rejected ~what:"double response" "duplicate response"
+          [
+            ev 1 (inv ~id:1 ~proc:1 ~kind:Op.Read);
+            ev 2 (res ~id:1 ());
+            ev 3 (res ~id:1 ());
+          ]);
     tc "process overlap with itself rejected" (fun () ->
-        match
-          Hist.of_events
-            [
-              ev 1 (inv ~id:1 ~proc:1 ~kind:Op.Read);
-              ev 2 (inv ~id:2 ~proc:1 ~kind:Op.Read);
-            ]
-        with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "accepted overlapping ops by one process");
+        rejected ~what:"overlapping ops by one process"
+          "process 1 invokes while an operation is pending"
+          [
+            ev 1 (inv ~id:1 ~proc:1 ~kind:Op.Read);
+            ev 2 (inv ~id:2 ~proc:1 ~kind:Op.Read);
+          ]);
   ]
 
 (* ----- Hist: views ----------------------------------------------------------- *)

@@ -291,6 +291,76 @@ let test_fold_order () =
         (Atomic.get overlapped))
     [ 1; 2; 4 ]
 
+(* ----- the minor heap --------------------------------------------------------- *)
+
+let test_runparam_rule () =
+  List.iter
+    (fun (v, want) ->
+      Alcotest.(check bool) (Printf.sprintf "%S" v) want
+        (Pool.runparam_sets_minor_heap v))
+    [
+      ("", false);
+      ("s=64k", true);
+      ("s=256k", true);
+      ("v=0x400", false);
+      ("b,s=32k", true);
+      ("v=0x400,s=1M,b", true);
+      ("s", false);
+      ("os=1", false);
+      ("b,v=0x400", false);
+    ]
+
+(* Every task of a jobs:2 fold records its domain and minor heap size.
+   A task that ran on a worker must see Pool.minor_heap_words — or, when
+   OCAMLRUNPARAM or CAMLRUNPARAM sets s=, the size every domain starts
+   with, the caller's — and the call leaves the caller's size as it was.
+   Where the pool has a worker, task 0, if the caller runs it, waits up
+   to 10 s for a task to start elsewhere, so a worker joins.  Where
+   default_jobs () = 1 (one core, or an affinity mask of one) the pool
+   spawns none (max_workers = 0): every task runs on the caller and the
+   worker check passes vacuously. *)
+let test_worker_minor_heap () =
+  let heap () = (Gc.get ()).Gc.minor_heap_size in
+  let caller = Domain.self () and before = heap () in
+  let has_worker = Pool.default_jobs () > 1 in
+  let elsewhere = Atomic.make false in
+  let seen =
+    map ~jobs:2 16 (fun i ->
+        if Domain.self () <> caller then Atomic.set elsewhere true
+        else if i = 0 && has_worker then begin
+          let t0 = Unix.gettimeofday () in
+          while
+            (not (Atomic.get elsewhere)) && Unix.gettimeofday () -. t0 < 10.
+          do
+            Unix.sleepf 0.001
+          done
+        end;
+        (Domain.self (), heap ()))
+  in
+  let env_sets v =
+    Option.fold ~none:false ~some:Pool.runparam_sets_minor_heap
+      (Sys.getenv_opt v)
+  in
+  let want =
+    if env_sets "OCAMLRUNPARAM" || env_sets "CAMLRUNPARAM" then before
+    else Pool.minor_heap_words
+  in
+  Array.iteri
+    (fun i (d, size) ->
+      if d <> caller then
+        Alcotest.(check int)
+          (Printf.sprintf "task %d ran on a worker: its minor heap" i)
+          want size)
+    seen;
+  Alcotest.(check int) "the caller's minor heap is unchanged" before (heap ());
+  if has_worker then
+    Alcotest.(check bool) "some task ran on a worker" true
+      (Array.exists (fun (d, _) -> d <> caller) seen)
+  else
+    print_endline
+      "default_jobs () = 1, so max_workers = 0: no task ran on a worker \
+       and the worker check passed vacuously"
+
 (* ----- battery determinism --------------------------------------------------- *)
 
 (* The guarantee `rlin experiments -j N` advertises: same ids, same
@@ -367,6 +437,10 @@ let suite =
           test_map_runs_failure;
         tc "the fold runs in index order, once per task, one domain at a time"
           test_fold_order;
+        tc "an s= entry in OCAMLRUNPARAM keeps the runtime's minor heap"
+          test_runparam_rule;
+        tc "workers run a 64k-word minor heap, the caller keeps its own"
+          test_worker_minor_heap;
       ] );
     ( "experiments.parallel",
       [
