@@ -22,7 +22,6 @@ type entry = {
 }
 
 val entry_json : entry -> Obs.Json.t
-val entry_of_json : Obs.Json.t -> (entry, string) result
 
 val load : string -> (entry list, string) result
 (** From a [.jsonl] file, or every [*.jsonl] in a directory (sorted by

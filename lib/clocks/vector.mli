@@ -42,10 +42,6 @@ val set : t -> int -> int -> t
     *increase* the component (components may only go from [Inf] to finite —
     a violation indicates a bug in the caller). *)
 
-val entry_compare : entry -> entry -> int
-(** [Inf] is strictly greater than every finite value; finite values compare
-    as integers. *)
-
 val compare : t -> t -> int
 (** Lexicographic comparison, component 1 first.
     @raise Invalid_argument on dimension mismatch. *)

@@ -82,14 +82,6 @@ type result = {
 val collect : config -> handles -> result
 (** Snapshot the run's results ([Exhausted] for processes still looping). *)
 
-val run_with_policy :
-  ?metrics:Obs.Metrics.t ->
-  config ->
-  policy:Simkit.Sched.policy ->
-  max_steps:int ->
-  result
-(** Set up and drive to quiescence (all fibers done or [max_steps]). *)
-
 val run_random : ?metrics:Obs.Metrics.t -> config -> max_steps:int -> result
 (** Uniformly random scheduler seeded from [config.seed]. *)
 

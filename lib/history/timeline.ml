@@ -6,6 +6,7 @@ let label (o : Op.t) =
       | Some v -> Format.asprintf "r->%a" Value.pp v
       | None -> "r")
 
+(* pending ops extend to the right margin *)
 let render_ops ?(width = 100) ops =
   match ops with
   | [] -> "(empty history)\n"

@@ -6,7 +6,3 @@
 val render : ?width:int -> Hist.t -> string
 (** [render h] draws one line per process.  [width] bounds the number of
     columns used for the time axis (default 100); times are scaled to fit. *)
-
-val render_ops : ?width:int -> Op.t list -> string
-(** Render a list of operations directly (pending ops extend to the right
-    margin). *)

@@ -70,9 +70,6 @@ val set_batching : 'a t -> window:int -> max:int -> unit
     the fleet benches report.
     @raise Invalid_argument if [window < 0] or [max < 1]. *)
 
-val batching_active : 'a t -> bool
-(** Whether {!set_batching} enabled coalescing ([window > 0 && max > 1]). *)
-
 val mark_dead : 'a t -> pid:int -> unit
 (** Declare [pid] dead: its queued mail is discarded now and every later
     delivery addressed to it is dropped, both counted as

@@ -21,7 +21,8 @@ let rec equal a b =
 
 (* ----- emission -------------------------------------------------------- *)
 
-(* Emission allocates only its buffer and the string it returns. *)
+(* Emission allocates only its buffer and the string it returns, and
+   [Printf]'s strings for a float off [add_float]'s direct path. *)
 
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
@@ -58,11 +59,60 @@ let add_int buf n =
   if n < 0 then Buffer.add_char buf '-';
   add_digits buf (if n < 0 then n else -n)
 
-let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+(* 10^k for k = 0..16, each an exact double *)
+let pow10 =
+  [| 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+     1e13; 1e14; 1e15; 1e16 |]
+
+(* The least k from [k] to 16 with m = round(|f|·10^k) and
+   m /. 10^k = |f|, or 0 if m reaches 10^12 (13 digits) first. *)
+let rec short_k f k =
+  let a = Float.abs f in
+  let m = Float.round (a *. pow10.(k)) in
+  if m >= 1e12 then 0
+  else if m /. pow10.(k) = a then k
+  else if k < 16 then short_k f (k + 1)
+  else 0
+
+(* the digits of [m >= 0] with a point before the last [k] of them *)
+let rec add_fixed buf m k =
+  if k = 0 then add_digits buf (-m)
+  else begin
+    add_fixed buf (m / 10) (k - 1);
+    if k = 1 then Buffer.add_char buf '.';
+    Buffer.add_char buf (Char.chr (Char.code '0' + (m mod 10)))
+  end
+
+(* A finite float renders as "%.1f" writes it if it is integral and
+   below 1e15 in magnitude, else as "%.12g" writes it if that reads back
+   as [f], else as "%.17g" writes it.  The first is its integer digits
+   and ".0".  When |f| >= 1e-4 and [short_k] finds a decimal m·10^-k,
+   that decimal is what "%.12g" writes.  This is exact: m and 10^k are
+   exact doubles and the division is correctly rounded, so the decimal
+   reads back as [f] and lies within half an ulp of it, far nearer than
+   any other decimal of at most 12 significant digits, which makes it
+   the value "%.12g" rounds [f] to.  With m < 10^12 and k >= 1 it lies
+   in [1e-4, 1e11), where "%.12g" writes fixed notation, and the least k
+   leaves no trailing zero for "%g" to strip (were m a multiple of 10,
+   m/10 would pass at k - 1).  Only the other floats go through
+   [Printf]. *)
+let add_float buf f =
+  let a = Float.abs f in
+  if Float.is_integer f && a < 1e15 then begin
+    if Float.sign_bit f then Buffer.add_char buf '-';
+    add_digits buf (-int_of_float a);
+    Buffer.add_string buf ".0"
+  end
   else
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let k = if a >= 1e-4 then short_k f 1 else 0 in
+    if k > 0 then begin
+      if f < 0. then Buffer.add_char buf '-';
+      add_fixed buf (int_of_float (Float.round (a *. pow10.(k)))) k
+    end
+    else
+      let s = Printf.sprintf "%.12g" f in
+      Buffer.add_string buf
+        (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
 
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
@@ -71,7 +121,7 @@ let rec emit buf = function
   | Float f ->
       if Float.is_nan f || Float.abs f = Float.infinity then
         Buffer.add_string buf "null"
-      else Buffer.add_string buf (float_repr f)
+      else add_float buf f
   | Str s -> escape_to buf s
   | List l ->
       Buffer.add_char buf '[';

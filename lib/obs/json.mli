@@ -11,8 +11,13 @@
     Both directions allocate only their result: a parse builds the value
     it returns and nothing else (a string without escapes is one copy of
     the input, an integer of up to 18 digits is read in place), and a
-    rendering writes straight into one buffer (only a float's digits pass
-    through [Printf]). *)
+    rendering writes straight into one buffer.  A finite float renders
+    as ["%.1f"] if it is integral and below 1e15 in magnitude, else as
+    ["%.12g"] if that reads back as the same float, else as ["%.17g"];
+    such an integral value, and a value of magnitude 1e-4 or more whose
+    shortest decimal has at most 12 significant digits, is written digit
+    by digit with the same bytes, and only the other floats pass through
+    [Printf]. *)
 
 type t =
   | Null

@@ -38,9 +38,6 @@ val with_root :
     wraps the E-battery in [with_root "battery"]).
     @raise Invalid_argument if a span is already open. *)
 
-val current_path : unit -> string option
-(** The active span path, if any (for correlating ad-hoc records). *)
-
 val root : unit -> string option
 (** The outermost active span's name, if any. *)
 

@@ -387,14 +387,56 @@ let fuzz_int rand =
   | 2 -> -Random.State.int rand 1000
   | _ -> Random.State.int rand 1000
 
+(* 10^j, exact for j <= 22 *)
+let pow10 j = float_of_string ("1e" ^ string_of_int j)
+
+(* Floats of every shape [Obs.Json]'s direct float path decides on:
+   integral values to either side of 1e15, short decimals, the range
+   ends 1e-4 and 1e12, values that need 13 to 17 digits, and
+   subnormals. *)
 let fuzz_float rand =
-  match Random.State.int rand 3 with
+  match Random.State.int rand 9 with
   | 0 ->
       pick rand
         [| 0.; -0.; Float.nan; Float.infinity; Float.neg_infinity; 1e15; 1e16;
-           -2.5; 0.1; 1e-7; 5e-324; Float.max_float; Float.min_float |]
+           -2.5; 0.1; 1e-7; 5e-324; Float.max_float; Float.min_float;
+           Float.pred 1e15; Float.succ 1e15; 1e-4; Float.pred 1e-4;
+           9.99999999999e-5; 1e12; Float.pred 1e12; 999999999999.5;
+           99999999999.9; 0.1 +. 0.2; 1. /. 3.; 2. /. 3. |]
   | 1 -> Random.State.float rand 1e6 -. 5e5
-  | _ -> Int64.float_of_bits (Random.State.int64 rand Int64.max_int)
+  | 2 -> Int64.float_of_bits (Random.State.int64 rand Int64.max_int)
+  | 3 ->
+      (* a short decimal k/10^j of up to 15 digits *)
+      let digits = 1 + Random.State.int rand 15 in
+      Int64.to_float (Random.State.int64 rand (Int64.of_float (pow10 digits)))
+      /. pow10 (Random.State.int rand 17)
+  | 4 ->
+      (* Chaos's fault rungs and fleet-style ratios *)
+      if Random.State.bool rand then
+        pick rand [| 0.01; 0.02; 0.05; 0.1; 0.15; 0.2; 0.25; 0.5 |]
+      else
+        float_of_int (Random.State.int rand 100_000)
+        /. float_of_int (1 + Random.State.int rand 100_000)
+  | 5 ->
+      (* integral, just below or above 1e15 *)
+      1e15 +. float_of_int (Random.State.int rand 2_001 - 1_000)
+  | 6 ->
+      (* next to the range ends 1e-4 and 1e12, as is or with 12 or 13
+         digits *)
+      let edge, places =
+        if Random.State.bool rand then (1e-4, 16) else (1e12, 1)
+      in
+      let x = edge *. (1. +. (Random.State.float rand 2e-11 -. 1e-11)) in
+      if Random.State.bool rand then x
+      else Float.round (x *. pow10 places) /. pow10 places
+  | 7 ->
+      (* a short decimal nudged by an ulp or two: 13 to 17 digits *)
+      let x =
+        float_of_int (Random.State.int rand 1_000_000)
+        /. pow10 (Random.State.int rand 10)
+      in
+      if Random.State.bool rand then Float.succ x else Float.pred (Float.pred x)
+  | _ -> Int64.float_of_bits (Random.State.int64 rand 0x000F_FFFF_FFFF_FFFFL)
 
 let rec fuzz_value rand depth =
   let open Obs.Json in
@@ -453,13 +495,40 @@ let number_text rand =
   ^ pick rand
       [| ""; ""; ""; "."; ".5"; "e5"; "E-2"; "e+"; "-"; "+1"; "x"; "]" |]
 
+(* [s] with its lines, split at '\n', duplicated at one or shuffled *)
+let mutate_lines rand s =
+  let lines = Array.of_list (String.split_on_char '\n' s) in
+  let n = Array.length lines in
+  if Random.State.bool rand then
+    let d = Random.State.int rand n in
+    String.concat "\n"
+      (Array.to_list
+         (Array.append (Array.sub lines 0 (d + 1)) (Array.sub lines d (n - d))))
+  else begin
+    for j = n - 1 downto 1 do
+      let k = Random.State.int rand (j + 1) in
+      let l = lines.(j) in
+      lines.(j) <- lines.(k);
+      lines.(k) <- l
+    done;
+    String.concat "\n" (Array.to_list lines)
+  end
+
+(* the length of the run of digits at [i] *)
+let rec digits_at s i =
+  if i < String.length s && s.[i] >= '0' && s.[i] <= '9' then
+    1 + digits_at s (i + 1)
+  else 0
+
+(* [s] truncated, with a bit flipped, a byte or escape, a number or
+   whitespace spliced in, or its lines duplicated or shuffled *)
 let mutate rand s =
   let n = String.length s in
   let i = Random.State.int rand (n + 1) in
   let splice ins drop =
     String.sub s 0 i ^ ins ^ String.sub s (i + drop) (n - i - drop)
   in
-  match Random.State.int rand 5 with
+  match Random.State.int rand 7 with
   | 0 -> String.sub s 0 i
   | 1 when i < n ->
       let bit = 1 lsl Random.State.int rand 8 in
@@ -477,6 +546,14 @@ let mutate rand s =
             [| ""; "0041"; "00e9"; "001f"; "D83D"; "DE00"; "D83D\\uDE00";
                "dbff\\udfff"; "12"; "zz12"; "+041" |])
         0
+  | 4 ->
+      (* in place of the digits at [i], if any *)
+      splice
+        (pick rand
+           [| "1e308"; "-1"; "1e309"; "-0"; "0.5"; "4611686018427387904";
+              "99999999999999999999" |])
+        (digits_at s i)
+  | 5 -> mutate_lines rand s
   | _ -> splice (pick rand [| " "; "\n"; "\t"; "\r" |]) 0
 
 let test_json_against_reference () =
@@ -518,6 +595,22 @@ let test_json_against_reference () =
     agree ("[" ^ t ^ "]")
   done;
   Alcotest.(check bool) "at least 20k inputs" true (!inputs >= 20_000)
+
+(* Floats alone, many more of them: [Obs.Json] writes most without
+   [Printf], and each must still come out as the reference's bytes. *)
+let test_json_floats_against_reference () =
+  let rand = Random.State.make [| 20261018 |] in
+  let agree f =
+    let v = Obs.Json.Float f in
+    let got = Obs.Json.to_string v and want = Json_ref.to_string v in
+    if not (String.equal got want) then
+      Alcotest.failf "%h rendered %S, reference %S" f got want
+  in
+  for _ = 1 to 200_000 do
+    let f = fuzz_float rand in
+    agree f;
+    agree (-.f)
+  done
 
 (* ----- Trace JSONL round-trip ---------------------------------------------- *)
 
@@ -576,6 +669,16 @@ let alloc_tests =
                incr next));
         Alcotest.(check int) "every sample merged" 120_000
           (Option.get (Obs.Metrics.summary into "op.latency.sim")).count);
+    tc "json renders a float without Printf" (fun () ->
+        (* 27 and 192 words on OCaml 5.1.1, mostly the buffer and the
+           string; 83 and 358 while every float went through [Printf] *)
+        Alloc.at_most "rendering Float 0.05" 40.
+          (Alloc.words_per_call ~n:10_000 (fun () ->
+               Obs.Json.to_string (Obs.Json.Float 0.05)));
+        let config = Core.Run_config.json (Core.Chaos.gen_config ~seed:5L 3) in
+        Alloc.at_most "rendering a chaos config" 288.
+          (Alloc.words_per_call ~n:10_000 (fun () ->
+               Obs.Json.to_string config)));
   ]
 
 let suite =
@@ -600,6 +703,8 @@ let suite =
         tc "json 1M array and 100k object" test_json_scale;
         tc "json agrees with the reference codec" test_json_against_reference;
         tc "fig3 trace JSONL round-trip" test_trace_jsonl_roundtrip;
+        tc "json renders 200k floats and their negations as the reference"
+          test_json_floats_against_reference;
       ] );
     ("obs.alloc", alloc_tests);
   ]

@@ -435,6 +435,45 @@ let checkpoint_tests =
             match Checkpoint.truncate_jsonl ~path ~keep:5 with
             | Error _ -> ()
             | Ok () -> Alcotest.fail "short log must be rejected"));
+    tc "mutated checkpoints and corpus files load to Ok or Error" (fun () ->
+        let rand = Random.State.make [| 20261018 |] in
+        let read path = In_channel.with_open_bin path In_channel.input_all in
+        let corpora =
+          Sys.readdir "../corpus" |> Array.to_list
+          |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
+          |> List.map (fun f -> read (Filename.concat "../corpus" f))
+          |> Array.of_list
+        in
+        check_bool "the committed corpus loads" true
+          (Result.is_ok (Check.Corpus.load "../corpus"));
+        let path = Filename.temp_file "serve_test" ".jsonl" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            let trace, _ = workload 2 in
+            let engine = Engine.create ~emit:ignore () in
+            List.iter (Engine.feed_line engine) (trace_lines trace);
+            Checkpoint.save path (Option.get (Engine.checkpoint engine));
+            check_bool "the checkpoint loads" true
+              (Result.is_ok (Checkpoint.load path));
+            let checkpoint = read path in
+            let survives what load text =
+              Out_channel.with_open_bin path (fun oc -> output_string oc text);
+              match load path with
+              | Ok _ | Error _ -> ()
+              | exception e ->
+                  Alcotest.failf "%s raised %s on %S" what
+                    (Printexc.to_string e) text
+            in
+            let mutate s =
+              let s = Test_obs.mutate rand s in
+              if Random.State.bool rand then s else Test_obs.mutate rand s
+            in
+            for _ = 1 to 2_000 do
+              survives "Corpus.load" Check.Corpus.load
+                (mutate (Test_obs.pick rand corpora));
+              survives "Checkpoint.load" Checkpoint.load (mutate checkpoint)
+            done));
   ]
 
 (* ---------- lenient JSONL export parsing ------------------------------- *)
