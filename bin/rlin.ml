@@ -46,6 +46,19 @@ let write_jsonl path lines =
   if path = "-" then Obs.Export.write_lines stdout lines
   else writing path (fun () -> Obs.Export.to_file path lines)
 
+(* A value the command or a library rejects is a usage error: one line on
+   stderr and exit 2, never cmdliner's 125 for an uncaught
+   [Invalid_argument]. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "rlin: %s\n" msg;
+      exit 2)
+    fmt
+
+let or_usage_error f =
+  try f () with Invalid_argument msg -> usage_error "%s" msg
+
 (* ----- fault flags ------------------------------------------------------------ *)
 
 (* Shared by `experiments` and `abd`: a deterministic link-fault plan
@@ -138,10 +151,8 @@ let recover_arg ~what =
       (function
         | `At (s, n) -> (s, n)
         | `Node n ->
-            Printf.eprintf
-              "rlin: %s --recover takes NODE@STEP entries (got bare node %d)\n"
-              what n;
-            exit 2)
+            usage_error
+              "%s --recover takes NODE@STEP entries (got bare node %d)" what n)
       items
   in
   Term.(const check $ term)
@@ -192,9 +203,8 @@ let experiments_cmd =
           (fun id ->
             not (List.mem (String.uppercase_ascii id) Experiments.ids))
           ids ->
-        Printf.eprintf "rlin: unknown experiment id in --only (know %s)\n"
-          (String.concat ", " Experiments.ids);
-        exit 2
+        usage_error "unknown experiment id in --only (know %s)"
+          (String.concat ", " Experiments.ids)
     | _ -> ());
     let faults =
       (* --crash n@s[,n@s...] joins the link-fault plan as its crash_at
@@ -202,18 +212,12 @@ let experiments_cmd =
          topology (5 nodes, clients 0/1/2) — the only fault-aware
          experiment with crashable nodes *)
       let legacy, schedule = split_crash_items crash in
-      if legacy <> [] then begin
-        Printf.eprintf
-          "rlin: experiments --crash takes NODE@STEP entries (got a bare \
-           node)\n";
-        exit 2
-      end;
-      (try
-         Core.Abd_runs.validate_crash_schedule ~what:"rlin experiments" ~n:5
-           ~clients:[ 0; 1; 2 ] ~recoveries:recover schedule
-       with Invalid_argument msg ->
-         Printf.eprintf "rlin: %s\n" msg;
-         exit 2);
+      if legacy <> [] then
+        usage_error
+          "experiments --crash takes NODE@STEP entries (got a bare node)";
+      or_usage_error (fun () ->
+          Core.Abd_runs.validate_crash_schedule ~what:"rlin experiments" ~n:5
+            ~clients:[ 0; 1; 2 ] ~recoveries:recover schedule);
       match (faults, schedule) with
       | None, [] -> None
       | Some plan, schedule ->
@@ -230,9 +234,7 @@ let experiments_cmd =
     (match faults with
     | Some plan -> (
         try Core.Faults.validate plan
-        with Invalid_argument msg ->
-          Printf.eprintf "rlin: bad fault plan: %s\n" msg;
-          exit 2)
+        with Invalid_argument msg -> usage_error "bad fault plan: %s" msg)
     | None -> ());
     let reports = Experiments.all ~jobs ?only ?faults ~quick () in
     List.iter
@@ -304,25 +306,27 @@ let game_cmd =
   in
   let run mode rounds n seed =
     Core.Pool.right_size_minor_heap ();
-    (match mode with
-    | Core.Adv_register.Linearizable ->
-        let res = Core.Adversary.run_linearizable ~n ~rounds ~seed () in
-        Printf.printf
-          "Theorem-6 adversary, %d rounds driven: terminated=%b, every \
-           process in round %d\n"
-          rounds res.Core.Game_alg1.terminated res.Core.Game_alg1.max_round
-    | Core.Adv_register.Write_strong ->
-        let res = Core.Adversary.run_write_strong ~n ~max_rounds:rounds ~seed () in
-        Printf.printf
-          "same adversary vs WSL registers: terminated=%b at round %d\n"
-          res.Core.Game_alg1.terminated res.Core.Game_alg1.max_round
-    | Core.Adv_register.Atomic ->
-        let cfg =
-          { Core.Game_alg1.default with n; max_rounds = rounds; seed }
-        in
-        let res = Core.Game_alg1.run_random cfg ~max_steps:(rounds * n * 200) in
-        Printf.printf "atomic registers, random scheduler: terminated=%b at round %d\n"
-          res.Core.Game_alg1.terminated res.Core.Game_alg1.max_round);
+    (* Thm6 and Alg1 reject n < 3 and a round budget below 1 *)
+    or_usage_error (fun () ->
+        match mode with
+        | Core.Adv_register.Linearizable ->
+            let res = Core.Adversary.run_linearizable ~n ~rounds ~seed () in
+            Printf.printf
+              "Theorem-6 adversary, %d rounds driven: terminated=%b, every \
+               process in round %d\n"
+              rounds res.Core.Game_alg1.terminated res.Core.Game_alg1.max_round
+        | Core.Adv_register.Write_strong ->
+            let res = Core.Adversary.run_write_strong ~n ~max_rounds:rounds ~seed () in
+            Printf.printf
+              "same adversary vs WSL registers: terminated=%b at round %d\n"
+              res.Core.Game_alg1.terminated res.Core.Game_alg1.max_round
+        | Core.Adv_register.Atomic ->
+            let cfg =
+              { Core.Game_alg1.default with n; max_rounds = rounds; seed }
+            in
+            let res = Core.Game_alg1.run_random cfg ~max_steps:(rounds * n * 200) in
+            Printf.printf "atomic registers, random scheduler: terminated=%b at round %d\n"
+              res.Core.Game_alg1.terminated res.Core.Game_alg1.max_round);
     0
   in
   Cmd.v
@@ -377,12 +381,11 @@ let abd_cmd =
     (* bare nodes crash once the run is underway (the legacy behaviour);
        NODE@STEP entries join the fault plan's step-clock schedule *)
     let legacy, schedule = split_crash_items crash in
-    (try
-       Core.Abd_runs.validate_crash_schedule ~what:"rlin abd" ~n
-         ~clients:[ 0; 1; 2 ] ~recoveries:recover schedule
-     with Invalid_argument msg ->
-       Printf.eprintf "rlin: %s\n" msg;
-       exit 2);
+    (* every reader reads writes - 1 times *)
+    if writes < 1 then usage_error "--writes must be >= 1";
+    or_usage_error (fun () ->
+        Core.Abd_runs.validate_crash_schedule ~what:"rlin abd" ~n
+          ~clients:[ 0; 1; 2 ] ~recoveries:recover schedule);
     let faults = Option.value faults ~default:Core.Faults.none in
     let faults =
       { faults with Core.Faults.crash_at = schedule; recover_at = recover }
@@ -398,12 +401,7 @@ let abd_cmd =
         seed;
       }
     in
-    let run =
-      try Core.Abd_runs.execute w
-      with Invalid_argument msg ->
-        Printf.eprintf "rlin: %s\n" msg;
-        exit 2
-    in
+    let run = or_usage_error (fun () -> Core.Abd_runs.execute w) in
     print_string (Core.Timeline.render run.Core.Abd_runs.history);
     match Core.Abd_runs.check run with
     | Ok () ->
@@ -444,13 +442,16 @@ let consensus_cmd =
       { Core.Cor9.n; gate_rounds = 30; consensus_max_rounds = 300; seed }
     in
     if blocked then begin
-      let o = Core.Cor9.run_blocked cfg in
+      let o = or_usage_error (fun () -> Core.Cor9.run_blocked cfg) in
       Printf.printf "gate blocked forever: %b (no process started consensus)\n"
         o.Core.Cor9.blocked;
       if o.Core.Cor9.blocked then 0 else 1
     end
     else begin
-      let o = Core.Cor9.run_live cfg ~inputs:(fun pid -> pid mod 2) in
+      let o =
+        or_usage_error (fun () ->
+            Core.Cor9.run_live cfg ~inputs:(fun pid -> pid mod 2))
+      in
       let decided =
         List.filter (fun (_, d) -> d <> None)
           o.Core.Cor9.consensus.Core.Rand_consensus.decisions
@@ -553,16 +554,10 @@ let chaos_run_cmd =
   in
   let run budget seed jobs inject inject_recovery corpus json flight =
     Core.Pool.right_size_minor_heap ();
-    if budget < 0 then begin
-      Printf.eprintf "rlin: --budget must be >= 0\n";
-      exit 2
-    end;
-    if inject && inject_recovery then begin
-      Printf.eprintf
-        "rlin: --inject-quorum-bug and --inject-recovery-bug are mutually \
-         exclusive\n";
-      exit 2
-    end;
+    if budget < 0 then usage_error "--budget must be >= 0";
+    if inject && inject_recovery then
+      usage_error
+        "--inject-quorum-bug and --inject-recovery-bug are mutually exclusive";
     let inject =
       if inject then Some Core.Chaos.Quorum_too_small
       else if inject_recovery then Some Core.Chaos.Unsafe_recovery
@@ -1011,8 +1006,9 @@ let trace_cmd =
         end
         else begin
           let tracer =
-            if wants_recorder then Core.Tracer.create ~capacity:flight ()
-            else Core.Tracer.null
+            if not wants_recorder then Core.Tracer.null
+            else if flight < 1 then usage_error "--flight must be >= 1"
+            else Core.Tracer.create ~capacity:flight ()
           in
           if follow then
             Core.Tracer.set_sink tracer
@@ -1077,9 +1073,7 @@ let trace_cmd =
           (match events_out with
           | None -> ()
           | Some path -> (
-              let lines =
-                List.map (fun ev -> Core.Tracer.event_json ev) recorded
-              in
+              let lines = List.map Core.Tracer.event_json recorded in
               match write_jsonl_verified path lines with
               | Ok n ->
                   if path <> "-" then
@@ -1665,14 +1659,10 @@ let check_cmd =
              changes.")
   in
   let run count ops procs family tree seed jobs json =
-    let reject msg =
-      Printf.eprintf "rlin: %s\n" msg;
-      exit 2
-    in
-    if count < 0 then reject "--count must be >= 0";
-    if ops < 1 then reject "--ops must be >= 1";
-    if procs < 1 then reject "--procs must be >= 1";
-    if procs >= 1 lsl 30 then reject "--procs must be < 1073741824 (2^30)";
+    if count < 0 then usage_error "--count must be >= 0";
+    if ops < 1 then usage_error "--ops must be >= 1";
+    if procs < 1 then usage_error "--procs must be >= 1";
+    if procs >= 1 lsl 30 then usage_error "--procs must be < 1073741824 (2^30)";
     let cap = Core.Lincheck.effective_cap ~jobs in
     let rand =
       Random.State.make [| Int64.to_int seed land 0x3FFFFFFF; 0xC0FFEE |]
@@ -1905,17 +1895,12 @@ let fleet_cmd =
       json =
     Core.Pool.right_size_minor_heap ();
     let legacy, crash_at = split_crash_items crash_items in
-    if legacy <> [] then begin
-      Printf.eprintf "rlin: fleet --crash takes NODE@STEP entries\n";
-      exit 2
-    end;
+    if legacy <> [] then usage_error "fleet --crash takes NODE@STEP entries";
     let session_len =
       match clients with
       | None -> session_len
       | Some c when c >= 1 -> max 1 ((ops + c - 1) / c)
-      | Some _ ->
-          Printf.eprintf "rlin: --clients must be >= 1\n";
-          exit 2
+      | Some _ -> usage_error "--clients must be >= 1"
     in
     let plan =
       {
@@ -1943,11 +1928,7 @@ let fleet_cmd =
         drain_every = Core.Fleet.default.Core.Fleet.drain_every;
       }
     in
-    (match Core.Fleet.validate config with
-    | () -> ()
-    | exception Invalid_argument msg ->
-        Printf.eprintf "rlin: %s\n" msg;
-        exit 2);
+    or_usage_error (fun () -> Core.Fleet.validate config);
     let t0 = Obs.Span.now_ms () in
     let report = Core.Fleet.run ~jobs config in
     let wall_ms = Obs.Span.now_ms () -. t0 in

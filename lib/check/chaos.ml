@@ -155,8 +155,7 @@ type finding = {
 type report = { seed : int64; budget : int; findings : finding list }
 
 let search ?(monitors = Monitor.standard) ?(jobs = 1) ?inject
-    ?(shrink_attempts = 400) ?(flight = false) ?(flight_k = 200) ?telemetry
-    ~seed ~budget () =
+    ?(flight = false) ?telemetry ~seed ~budget () =
   let metrics =
     match telemetry with Some m -> m | None -> Obs.Metrics.create ()
   in
@@ -178,17 +177,11 @@ let search ?(monitors = Monitor.standard) ?(jobs = 1) ?inject
   let findings =
     List.rev hits
     |> List.map (fun (index, original, first) ->
-           let shrunk =
-             Shrink.minimize ~monitors ~max_attempts:shrink_attempts
-               ~violation:first original
-           in
+           let shrunk = Shrink.minimize ~monitors ~violation:first original in
            let postmortem =
              if not flight then []
              else
-               match
-                 Monitor.postmortem ~monitors ~k:flight_k
-                   shrunk.Shrink.config
-               with
+               match Monitor.postmortem ~monitors shrunk.Shrink.config with
                | Some (_, events) -> events
                | None -> [] (* shrink oracle guarantees this can't happen *)
            in
@@ -204,7 +197,7 @@ let to_entries report =
         violation = f.shrunk.Shrink.violation;
         original = Some f.original;
         shrink_attempts = f.shrunk.Shrink.attempts;
-        postmortem = List.map (fun ev -> Obs.Tracer.event_json ev) f.postmortem;
+        postmortem = List.map Obs.Tracer.event_json f.postmortem;
       })
     report.findings
 

@@ -44,25 +44,23 @@ val search :
   ?monitors:Monitor.t list ->
   ?jobs:int ->
   ?inject:bug ->
-  ?shrink_attempts:int ->
   ?flight:bool ->
-  ?flight_k:int ->
   ?telemetry:Obs.Metrics.t ->
   seed:int64 ->
   budget:int ->
   unit ->
   report
 (** Execute configs [0..budget-1] on [jobs] domains (default 1), shrink
-    every violation ([shrink_attempts] oracle executions each, default
-    400).  Per-run metrics are folded into [telemetry] in index order
-    when given.  Reports stay byte-identical at every [jobs] value.
+    every violation (at most 400 oracle executions each, see
+    {!Shrink.minimize}).  Per-run metrics are folded into [telemetry] in
+    index order when given.  Reports stay byte-identical at every [jobs]
+    value.
 
     With [flight:true] every finding's shrunk config is re-executed
-    sequentially under an armed flight recorder of capacity [flight_k]
-    (default 200, see {!Monitor.postmortem}) and the retained events are
-    attached.  The re-executions happen after the parallel phase and are
-    deterministic, so reports and corpora stay byte-identical across
-    [-j] values.
+    sequentially under an armed flight recorder of capacity 200 (see
+    {!Monitor.postmortem}) and the retained events are attached.  The
+    re-executions happen after the parallel phase and are deterministic,
+    so reports and corpora stay byte-identical across [-j] values.
     @raise Invalid_argument if [budget < 0]. *)
 
 val to_entries : report -> Corpus.entry list

@@ -149,65 +149,7 @@ let recovery_sanity =
             });
   }
 
-(* The same invariant decided by the streaming path: the run's events
-   are fed one at a time through [Serve.Segmenter], which retires a
-   segment at every quiescent point and conjoins the verdicts.  A [Fail]
-   verdict reports the exact detail string of the offline monitor (the
-   corpus stores violations by these strings); an [Unknown] — only
-   possible if a segment outgrows the checker's op cap, where the
-   offline monitor's [Too_large] escape also stays silent — reports
-   nothing.  Not in {!standard}: the stock monitor remains the default
-   so recorded corpora replay byte-identically. *)
-let linearizability_streaming =
-  {
-    name = "linearizability";
-    check =
-      (fun ~config:_ ~run ~metrics ->
-        let seg =
-          Serve.Segmenter.create ~metrics
-            ~config:Serve.Segmenter.default_config ~obj:"r"
-            ~entry:(Serve.Segmenter.entry_exact [ History.Value.Int 0 ])
-            ~index:0 ()
-        in
-        let failed = ref false in
-        let note = function
-          | Some { Serve.Verdict.outcome = Serve.Verdict.Fail; _ } ->
-              failed := true
-          | Some _ | None -> ()
-        in
-        List.iter
-          (fun { History.Event.event; time } ->
-            match event with
-            | History.Event.Invoke { op_id; kind; _ } -> (
-                match Serve.Segmenter.invoke seg ~id:op_id ~kind ~time with
-                | Ok () | Error _ -> ())
-            | History.Event.Respond { op_id; result } -> (
-                match Serve.Segmenter.respond seg ~id:op_id ~result ~time with
-                | Ok v -> note v
-                | Error _ -> ()))
-          (History.Hist.events run.Runs.history);
-        note (Serve.Segmenter.flush seg);
-        if !failed then
-          Some
-            {
-              monitor = "linearizability";
-              detail =
-                Printf.sprintf "history of %d ops is not linearizable"
-                  (History.Hist.length run.Runs.history);
-            }
-        else None);
-  }
-
 let standard = [ linearizability; termination; quorum_sanity; recovery_sanity ]
-
-(* Swap the stock linearizability monitor for the streaming decision
-   path — same violations on every run where no segment outgrows the op
-   cap (where both stay silent). *)
-let with_streaming_check monitors =
-  List.map
-    (fun m ->
-      if m.name = "linearizability" then linearizability_streaming else m)
-    monitors
 
 let run_config ?(monitors = standard) ?telemetry ?tracer config =
   let metrics = Obs.Metrics.create () in

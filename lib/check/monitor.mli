@@ -32,19 +32,6 @@ val linearizability : t
 (** The run's projected history passes {!Linchk.Lincheck.check}.  Applies
     to incomplete runs too (pending operations are handled exactly). *)
 
-val linearizability_streaming : t
-(** The same invariant decided by the streaming path: the run's events
-    fed one at a time through {!Serve.Segmenter}, segments retired at
-    quiescent points, verdicts conjoined.  Reports the exact violations
-    of {!linearizability} (same name, same detail string) on every run
-    where no segment outgrows the checker's op cap — where both stay
-    silent.  Not in {!standard}, so recorded corpora replay under the
-    stock monitor byte-identically. *)
-
-val with_streaming_check : t list -> t list
-(** Replace any monitor named ["linearizability"] with
-    {!linearizability_streaming}. *)
-
 val termination : t
 (** The run completed within its step budget and the watchdog never
     fired.  Reports as ["termination/stalled"] (with the structured

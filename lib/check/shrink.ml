@@ -81,12 +81,14 @@ type outcome = {
   exhausted : bool;  (** stopped on the attempt budget, not a fixpoint *)
 }
 
+(* the oracle executions one [minimize] may spend *)
+let max_attempts = 400
+
 (* Greedy first-improvement descent: take the first neighbour that still
    trips the SAME monitor, restart from it.  Every oracle call re-executes
    the candidate deterministically from its own seed, so the result
-   depends only on (config, violation, monitors, max_attempts). *)
-let minimize ?(monitors = Monitor.standard) ?(max_attempts = 400) ~violation
-    config =
+   depends only on (config, violation, monitors). *)
+let minimize ?(monitors = Monitor.standard) ~violation config =
   let attempts = ref 0 and steps = ref 0 in
   let oracle cand =
     incr attempts;

@@ -23,11 +23,10 @@ type outcome = {
 
 val minimize :
   ?monitors:Monitor.t list ->
-  ?max_attempts:int ->
   violation:Monitor.violation ->
   Msgpass.Runs.Config.t ->
   outcome
 (** Greedy first-improvement descent to a fixpoint (no neighbour still
-    fails the same way) or until [max_attempts] (default 400) oracle
-    executions.  When [exhausted] is [false], the result is a fixpoint:
-    minimizing it again accepts zero further reductions. *)
+    fails the same way) or until 400 oracle executions.  When [exhausted]
+    is [false], the result is a fixpoint: minimizing it again accepts
+    zero further reductions. *)

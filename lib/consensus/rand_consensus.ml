@@ -98,10 +98,10 @@ let results t =
   let valid = List.for_all (fun v -> List.mem v inputs) values in
   { decisions; agreed; valid; rounds_used = t.max_round_used }
 
-let spawn ~sched cfg ~inputs ?(pid_of = fun p -> p) () =
+let spawn ~sched cfg ~inputs =
   let t = make ~sched cfg in
   for proc = 1 to cfg.n do
-    Sched.spawn sched ~pid:(pid_of proc) (fun () ->
+    Sched.spawn sched ~pid:proc (fun () ->
         body t ~proc ~input:(inputs proc))
   done;
   fun () -> results t
@@ -109,7 +109,7 @@ let spawn ~sched cfg ~inputs ?(pid_of = fun p -> p) () =
 let run_random cfg ~inputs =
   let sched = Sched.create ~seed:cfg.seed () in
   Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
-  let collect = spawn ~sched cfg ~inputs () in
+  let collect = spawn ~sched cfg ~inputs in
   let rng = Rng.create (Int64.logxor cfg.seed 0x2545F491L) in
   ignore
     (Sched.run sched

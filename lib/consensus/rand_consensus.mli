@@ -27,15 +27,10 @@ type result = {
 }
 
 val spawn :
-  sched:Simkit.Sched.t ->
-  cfg ->
-  inputs:(int -> int) ->
-  ?pid_of:(int -> int) ->
-  unit ->
-  unit -> result
-(** Register the n consensus fibers with the scheduler (fiber pids default
-    to the process index 1…n; [pid_of] remaps them).  The returned thunk
-    collects results once the caller has driven the scheduler. *)
+  sched:Simkit.Sched.t -> cfg -> inputs:(int -> int) -> unit -> result
+(** Register the n consensus fibers with the scheduler (fiber pid = the
+    process index 1…n).  The returned thunk collects results once the
+    caller has driven the scheduler. *)
 
 val run_random : cfg -> inputs:(int -> int) -> result
 (** Convenience: spawn and drive with a seeded random scheduler. *)

@@ -11,8 +11,7 @@
     - Algorithm 1 (the game) and its Appendix-B bounded variant:
       {!Game_alg1}; the Theorem-6/7 adversaries: {!Adversary};
     - Algorithm 2 (write strongly-linearizable MWMR from SWMR, vector
-      timestamps): {!Wsl_register}; its multicore port:
-      {!Mc_registers.Alg2};
+      timestamps): {!Wsl_register};
     - Algorithm 3 (the constructive write strong-linearization function):
       {!Wsl_function};
     - Algorithm 4 (Lamport-clock MWMR, linearizable only):
@@ -110,11 +109,6 @@ module Commit_adopt = Consensus.Commit_adopt
 module Rand_consensus = Consensus.Rand_consensus
 module Cor9 = Consensus.Cor9
 
-(* ----- multicore -------------------------------------------------------------- *)
-
-module Mclog = Multicore.Mclog
-module Mc_registers = Multicore.Mc_registers
-
 (* ----- convenience constructors ----------------------------------------------- *)
 
 (** [wsl_mwmr sched ~name ~n ~init] is a fresh write strongly-linearizable
@@ -126,18 +120,5 @@ let wsl_mwmr sched ~name ~n ~init = Registers.Alg2.create ~sched ~name ~n ~init
 let lamport_mwmr sched ~name ~n ~init =
   Registers.Alg4.create ~sched ~name ~n ~init
 
-(** [adversarial_register sched ~name ~init ~mode] is a register whose
-    linearization the adversary controls to exactly the degree [mode]
-    permits (the executable form of "assume the registers are only
-    linearizable / write strongly-linearizable / atomic"). *)
-let adversarial_register sched ~name ~init ~mode =
-  Registers.Adv_register.create ~sched ~name ~init ~mode
-
 (** Is this (single-object) history linearizable?  (Definition 2.) *)
 let is_linearizable ~init h = Linchk.Lincheck.check ~init h
-
-(** Does a write strong-linearization function exist on this history tree?
-    (Definition 4; trees because the property quantifies over sets of
-    histories — see {!Treecheck}.) *)
-let is_write_strongly_linearizable ~init tree =
-  Linchk.Treecheck.write_strong ~init tree

@@ -1287,10 +1287,10 @@ let select ?faults only =
       (* battery order, not request order: the reports read E1..E11 *)
       List.filter (fun (id, _) -> List.mem id wanted) catalogue
 
-(* the whole battery under one root span: with an ambient tracer the
-   timeline shows "battery" enclosing the per-experiment slices (the
-   battery is sequential — only the Monte-Carlo loops inside an
-   experiment fan out — so the root closes after every report) *)
+(* the whole battery under one root span, so each experiment's span
+   metrics read [span.battery/<id>.*] (the battery is sequential — only
+   the Monte-Carlo loops inside an experiment fan out — so the root
+   closes after every report) *)
 let all ?jobs ?only ?faults ~quick () =
   Obs.Span.with_root "battery" (fun () ->
       List.map (fun (_, f) -> f ?jobs ~quick ()) (select ?faults only))

@@ -231,6 +231,8 @@ let run_linearizable_r1_only ?metrics ~n ~rounds ~seed () =
 let run_write_strong ?(variant = Alg1.Unbounded) ?(aux_mode = None) ?metrics ~n
     ~max_rounds ~seed () =
   if n < 3 then invalid_arg "Thm6.run_write_strong: n must be >= 3";
+  if max_rounds < 1 then
+    invalid_arg "Thm6.run_write_strong: max_rounds must be >= 1";
   let cfg =
     {
       Alg1.n;

@@ -59,7 +59,8 @@ val run_write_strong :
   Alg1.result
 (** Same adversary, write strongly-linearizable registers.  Returns when
     the game ends (or at [max_rounds]).  The adversary's per-round guess
-    is drawn from a stream derived from [seed]. *)
+    is drawn from a stream derived from [seed].
+    @raise Invalid_argument if [n < 3] or [max_rounds < 1]. *)
 
 val run_bounded_linearizable :
   ?metrics:Obs.Metrics.t -> n:int -> rounds:int -> seed:int64 -> unit ->

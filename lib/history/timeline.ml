@@ -7,10 +7,10 @@ let label (o : Op.t) =
       | None -> "r")
 
 (* pending ops extend to the right margin *)
-let render_ops ?(width = 100) ops =
-  match ops with
+let render h =
+  match Hist.ops h with
   | [] -> "(empty history)\n"
-  | _ ->
+  | ops ->
       let procs =
         List.sort_uniq Int.compare (List.map (fun (o : Op.t) -> o.proc) ops)
       in
@@ -24,7 +24,7 @@ let render_ops ?(width = 100) ops =
           (tmin + 1) ops
       in
       let tmax = max tmax (tmin + 1) in
-      let cols = max 20 (min width 160) in
+      let cols = 100 in
       let scale t =
         (t - tmin) * (cols - 1) / (max 1 (tmax - tmin))
       in
@@ -69,5 +69,3 @@ let render_ops ?(width = 100) ops =
           Buffer.add_char buf '\n')
         procs;
       Buffer.contents buf
-
-let render ?width h = render_ops ?width (Hist.ops h)

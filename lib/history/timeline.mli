@@ -3,6 +3,6 @@
     [|--- label ---|] on its process's line, positioned by invocation and
     response times. *)
 
-val render : ?width:int -> Hist.t -> string
-(** [render h] draws one line per process.  [width] bounds the number of
-    columns used for the time axis (default 100); times are scaled to fit. *)
+val render : Hist.t -> string
+(** [render h] draws one line per process, on a time axis of 100 columns;
+    times are scaled to fit. *)

@@ -2,58 +2,19 @@ let now_ms () = Unix.gettimeofday () *. 1000.
 
 (* The active span chain, innermost first.  The simulator is single-
    threaded (cooperative fibers under one scheduler), so one stack
-   suffices.  [seqs] mirrors [stack] with each span's begin-event
-   sequence number (-1 when the ambient tracer was disarmed at entry),
-   so nested spans parent to the enclosing span's begin event. *)
+   suffices. *)
 let stack : string list ref = ref []
-let seqs : int list ref = ref []
 
-(* The ambient tracer spans emit begin/end events to; {!Tracer.null} by
-   default, so spans cost nothing extra until a recorder is installed
-   (rlin trace does, around a traced run). *)
-let tracer = ref Tracer.null
+let current_path () = String.concat "/" (List.rev !stack)
 
-let set_tracer t = tracer := t
-
-let current_path () =
-  match !stack with
-  | [] -> None
-  | l -> Some (String.concat "/" (List.rev l))
-
-let root () = match List.rev !stack with [] -> None | r :: _ -> Some r
-
-let with_span ?(metrics = Metrics.global) ?sim_clock name f =
+let with_span ?(metrics = Metrics.global) name f =
   stack := name :: !stack;
-  let path = Option.get (current_path ()) in
+  let path = current_path () in
   let t0 = now_ms () in
-  let s0 = match sim_clock with Some c -> c () | None -> 0 in
-  let trc = !tracer in
-  let bseq =
-    if Tracer.armed trc then
-      Tracer.emit trc
-        ~parent:(match !seqs with p :: _ -> p | [] -> -1)
-        ~args:[ ("ph", Json.Str "B") ]
-        ~sim:s0 ~cat:"span" path
-    else -1
-  in
-  seqs := bseq :: !seqs;
   let finish () =
     stack := List.tl !stack;
-    seqs := List.tl !seqs;
-    (let trc = !tracer in
-     if Tracer.armed trc then
-       ignore
-         (Tracer.emit trc ~parent:bseq
-            ~args:[ ("ph", Json.Str "E") ]
-            ~sim:(match sim_clock with Some c -> c () | None -> 0)
-            ~cat:"span" path));
     Metrics.incr metrics ("span." ^ path ^ ".calls");
-    Metrics.observe metrics ("span." ^ path ^ ".wall_ms") (now_ms () -. t0);
-    match sim_clock with
-    | Some c ->
-        Metrics.observe metrics ("span." ^ path ^ ".sim")
-          (float_of_int (c () - s0))
-    | None -> ()
+    Metrics.observe metrics ("span." ^ path ^ ".wall_ms") (now_ms () -. t0)
   in
   match f () with
   | v ->
@@ -63,9 +24,9 @@ let with_span ?(metrics = Metrics.global) ?sim_clock name f =
       finish ();
       raise e
 
-let with_root ?metrics ?sim_clock name f =
+let with_root ?metrics name f =
   if !stack <> [] then
     invalid_arg
       (Printf.sprintf "Span.with_root %S: a span is already open (%s)" name
-         (Option.value ~default:"?" (current_path ())));
-  with_span ?metrics ?sim_clock name f
+         (current_path ()));
+  with_span ?metrics name f

@@ -20,7 +20,7 @@ type event = {
   sim : int;  (** scheduler step clock (checker probes: states/nodes) *)
   wall_ms : float;  (** wall clock at emission; excluded from canonical JSON *)
   track : int;  (** node/fiber pid; [-1] = the run itself *)
-  cat : string;  (** "sched" | "net" | "reg" | "check" | "span" *)
+  cat : string;  (** "sched" | "net" | "reg" | "check" *)
   name : string;
   parent : int;  (** causal parent's [seq]; [-1] = root *)
   args : (string * Json.t) list;
@@ -105,11 +105,9 @@ let recent ?(k = 200) t =
 
    The canonical rendering deliberately omits [wall_ms]: event streams
    must be byte-identical across [-j 1]/[-j 2] and across re-executions
-   of the same config (CI diffs them, the corpus replays them).  Pass
-   [~wall:true] for interactive tails where latency matters more than
-   reproducibility. *)
+   of the same config (CI diffs them, the corpus replays them). *)
 
-let event_json ?(wall = false) ev =
+let event_json ev =
   let base =
     [
       ("kind", Json.Str "trace_event");
@@ -121,11 +119,8 @@ let event_json ?(wall = false) ev =
       ("parent", Json.Int ev.parent);
     ]
   in
-  let wall =
-    if wall then [ ("wall_ms", Json.Float ev.wall_ms) ] else []
-  in
   let args = if ev.args = [] then [] else [ ("args", Json.Obj ev.args) ] in
-  Json.Obj (base @ wall @ args)
+  Json.Obj (base @ args)
 
 let event_of_json j =
   let int name =
@@ -170,16 +165,11 @@ let validate_event_json j =
    tid 1).  Causality appears as s/f flow pairs whenever the parent is
    retained and lives on a different track.  Events of category "check"
    additionally emit a "C" counter sample per numeric arg, which is how
-   checker progress probes become counter tracks.  Span begin/end events
-   map to "B"/"E" slices.  Timestamps are the sim clock, reported in
-   microseconds. *)
+   checker progress probes become counter tracks.  Timestamps are the sim
+   clock, reported in microseconds. *)
 
-let perfetto_json ?track_name events =
-  let track_label tr =
-    match track_name with
-    | Some f -> f tr
-    | None -> if tr < 0 then "run" else "node " ^ string_of_int tr
-  in
+let perfetto_json events =
+  let track_label tr = if tr < 0 then "run" else "node " ^ string_of_int tr in
   let tid tr = tr + 2 in
   let by_seq = Hashtbl.create 256 in
   List.iter (fun ev -> Hashtbl.replace by_seq ev.seq ev) events;
@@ -216,11 +206,6 @@ let perfetto_json ?track_name events =
        ]
       @ rest)
   in
-  let span_phase ev =
-    match List.assoc_opt "ph" ev.args with
-    | Some (Json.Str p) -> p
-    | _ -> "X"
-  in
   let body =
     List.concat_map
       (fun ev ->
@@ -229,17 +214,12 @@ let perfetto_json ?track_name events =
           :: ev.args
         in
         let main =
-          if ev.cat = "span" then
-            (* begin/end slice; the slice name is the span path *)
-            common ev
-              [ ("ph", Json.Str (span_phase ev)); ("args", Json.Obj args) ]
-          else
-            common ev
-              [
-                ("ph", Json.Str "X");
-                ("dur", Json.Int 1);
-                ("args", Json.Obj args);
-              ]
+          common ev
+            [
+              ("ph", Json.Str "X");
+              ("dur", Json.Int 1);
+              ("args", Json.Obj args);
+            ]
         in
         let counters =
           if ev.cat <> "check" then []

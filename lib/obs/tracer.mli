@@ -26,7 +26,7 @@ type event = {
       (** wall clock at emission; omitted from canonical JSON so event
           streams stay byte-identical across re-executions *)
   track : int;  (** node/fiber pid; [-1] is the run-level track *)
-  cat : string;  (** ["sched"], ["net"], ["reg"], ["check"] or ["span"] *)
+  cat : string;  (** ["sched"], ["net"], ["reg"] or ["check"] *)
   name : string;
   parent : int;  (** causal parent's [seq]; [-1] when the event is a root *)
   args : (string * Json.t) list;
@@ -98,11 +98,11 @@ val set_sink : t -> sink option -> unit
 
     The canonical record: [{"kind":"trace_event","seq":…,"t":…,
     "track":…,"cat":…,"name":…,"parent":…,"args":{…}}].  [wall_ms] is
-    included only on request: canonical streams must be byte-identical
-    across [-j 1]/[-j 2] and across re-executions (CI diffs them, the
-    corpus replays them). *)
+    left out: canonical streams must be byte-identical across
+    [-j 1]/[-j 2] and across re-executions (CI diffs them, the corpus
+    replays them). *)
 
-val event_json : ?wall:bool -> event -> Json.t
+val event_json : event -> Json.t
 val event_of_json : Json.t -> (event, string) result
 (** Missing [wall_ms] parses as [0.]. *)
 
@@ -111,13 +111,13 @@ val validate_event_json : Json.t -> (unit, string) result
 
 (** {2 Exporters} *)
 
-val perfetto_json : ?track_name:(int -> string) -> event list -> Json.t
+val perfetto_json : event list -> Json.t
 (** Chrome [trace_event] JSON: one thread per track with a
-    [thread_name] metadata record, an ["X"] slice per event, ["B"]/["E"]
-    slices for span events, ["C"] counter samples for each numeric
-    argument of ["check"]-category events (the progress-probe counter
-    tracks), and ["s"]/["f"] flow pairs along cross-track causal edges
-    (message send → deliver).  Timestamps are the sim clock. *)
+    [thread_name] metadata record (["run"] for track [-1], ["node <k>"]
+    otherwise), an ["X"] slice per event, ["C"] counter samples for each
+    numeric argument of ["check"]-category events (the progress-probe
+    counter tracks), and ["s"]/["f"] flow pairs along cross-track causal
+    edges (message send → deliver).  Timestamps are the sim clock. *)
 
 val validate_perfetto : Json.t -> (int, string) result
 (** Validate a whole [{"traceEvents":[…]}] document; [Ok n] is the

@@ -136,7 +136,6 @@ let rc_tests =
             RC.spawn ~sched
               { RC.n = 3; max_rounds = 400; seed = Int64.of_int seed }
               ~inputs:(fun p -> (p + seed) mod 2)
-              ()
           in
           ignore
             (Sched.run sched

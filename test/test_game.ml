@@ -46,7 +46,11 @@ let thm6_tests =
             ignore (Thm6.run_linearizable ~n:2 ~rounds:1 ~seed:1L ()));
         Alcotest.check_raises "rounds"
           (Invalid_argument "Thm6.run_linearizable: rounds must be >= 1")
-          (fun () -> ignore (Thm6.run_linearizable ~n:3 ~rounds:0 ~seed:1L ())));
+          (fun () -> ignore (Thm6.run_linearizable ~n:3 ~rounds:0 ~seed:1L ()));
+        Alcotest.check_raises "max_rounds"
+          (Invalid_argument "Thm6.run_write_strong: max_rounds must be >= 1")
+          (fun () ->
+            ignore (Thm6.run_write_strong ~n:3 ~max_rounds:0 ~seed:1L ())));
     tc "R1's run is genuinely linearizable (witness audit)" (fun () ->
         (* the adversary's edits went through the legality checks; confirm
            independently with the exact checker on the R1 projection of a

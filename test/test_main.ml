@@ -11,6 +11,6 @@ let () =
    @ Test_game.suite @ Test_abd.suite @ Test_faults.suite @ Test_stable.suite
    @ Test_mwabd.suite
    @ Test_consensus.suite
-   @ Test_multicore.suite @ Test_obs.suite @ Test_pool.suite
+   @ Test_obs.suite @ Test_pool.suite
    @ Test_check.suite @ Test_parcheck.suite @ Test_tracer.suite
    @ Test_serve.suite @ Test_fleet.suite @ Test_experiments.suite)

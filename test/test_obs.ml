@@ -40,6 +40,9 @@ let test_delta () =
   Obs.Metrics.set_gauge m "g" 7.;
   Obs.Metrics.observe m "h" 20.;
   Obs.Metrics.observe m "h" 40.;
+  (* nested spans record under their "/"-joined path, as the battery's do *)
+  Obs.Span.with_root ~metrics:m "battery" (fun () ->
+      Obs.Span.with_span ~metrics:m "e1" ignore);
   let after = Obs.Metrics.snapshot m in
   let d = Obs.Metrics.delta ~before ~after in
   let get k =
@@ -52,6 +55,8 @@ let test_delta () =
   Alcotest.(check (float 1e-9)) "gauge at after value" 7. (get "g");
   Alcotest.(check (float 1e-9)) "new histogram samples" 2. (get "h.n");
   Alcotest.(check (float 1e-9)) "mean of new samples" 30. (get "h.mean");
+  Alcotest.(check (float 1e-9)) "root span" 1. (get "span.battery.calls");
+  Alcotest.(check (float 1e-9)) "nested span" 1. (get "span.battery/e1.calls");
   Alcotest.(check bool) "unchanged counter omitted" true
     (List.assoc_opt "x" d = Some 3. && not (List.mem_assoc "h.count" d))
 

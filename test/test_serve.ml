@@ -1,8 +1,8 @@
 (* Tests for the streaming serve checker: the incremental reachable-set
    checker against the offline decision procedure, the engine against the
-   reference oracle on replayed traces, ingest quarantine, budget
-   degradation, backpressure shedding, checkpoint/resume plumbing, the
-   lenient JSONL parser and the streaming linearizability monitor. *)
+   reference oracle and the offline checker on replayed traces, ingest
+   quarantine, budget degradation, backpressure shedding,
+   checkpoint/resume plumbing and the lenient JSONL parser. *)
 
 module V = Core.Value
 module Op = Core.Op
@@ -19,7 +19,6 @@ module Reference = Serve.Reference
 module Checkpoint = Serve.Checkpoint
 module Ingest = Serve.Ingest
 module J = Core.Json
-module Monitor = Check.Monitor
 module Config = Core.Abd_runs.Config
 
 let tc name f = Alcotest.test_case name `Quick f
@@ -161,12 +160,27 @@ let workload i =
     in
     (r.Core.Scenario.trace, r.Core.Scenario.history))
 
+(* a chaos config with the seeded quorum bug: at indices 46 and 157 of
+   this stream the history does not linearize, and 157's stream retires
+   a passing segment before the failing one *)
+let quorum_bug_run index =
+  let r =
+    Core.Abd_runs.execute_config
+      (Core.Chaos.gen_config ~inject:Core.Chaos.Quorum_too_small
+         ~seed:20260805L index)
+  in
+  (r.Core.Abd_runs.trace, r.Core.Abd_runs.history)
+
 let with_seg seg = { Engine.default_config with Engine.seg }
 
 let engine_tests =
   [
     tc "engine = reference oracle = offline on benign and faulty traces"
       (fun () ->
+        let inputs =
+          List.init 9 (fun i -> workload (i + 1))
+          @ [ quorum_bug_run 46; quorum_bug_run 157 ]
+        in
         (* a small [values_cap] must not change what the oracle says:
            feasible finals range over every value a segment wrote *)
         List.iter
@@ -174,23 +188,39 @@ let engine_tests =
             let config =
               with_seg { Seg.default_config with Seg.values_cap }
             in
-            for i = 1 to 9 do
-              let trace, hist = workload i in
-              let lines = trace_lines trace in
-              let engine, verdicts, _ = serve ~config lines in
-              check_int "no quarantine on a clean stream" 0
-                (Engine.quarantined engine);
-              let offline = L.check ~init:(V.Int 0) hist in
-              check_bool "verdict conjunction = offline" offline
-                (Engine.fail engine = 0);
-              let r = Reference.run ~config lines in
-              let cmp =
-                Reference.compare_verdicts ~engine:verdicts
-                  ~reference:r.Reference.verdicts
-              in
-              check_bool "reference agrees" true (Reference.agreed cmp);
-              check_int "no skipped objects" 0 cmp.Reference.skipped
-            done)
+            let rejected =
+              List.map
+                (fun (trace, hist) ->
+                  let lines = trace_lines trace in
+                  let engine, verdicts, _ = serve ~config lines in
+                  check_int "no quarantine on a clean stream" 0
+                    (Engine.quarantined engine);
+                  let offline = L.check ~init:(V.Int 0) hist in
+                  check_bool "verdict conjunction = offline" offline
+                    (Engine.fail engine = 0);
+                  let r = Reference.run ~config lines in
+                  let cmp =
+                    Reference.compare_verdicts ~engine:verdicts
+                      ~reference:r.Reference.verdicts
+                  in
+                  check_bool "reference agrees" true (Reference.agreed cmp);
+                  check_int "no skipped objects" 0 cmp.Reference.skipped;
+                  (not offline, List.map (fun v -> v.Verdict.outcome) verdicts))
+                inputs
+              |> List.filter fst |> List.map snd
+            in
+            (* the quorum-bug runs are the only rejected ones: one failing
+               segment each, and 157's comes after a passing one *)
+            match rejected with
+            | [ o46; o157 ] ->
+                let fails os =
+                  List.length (List.filter (( = ) Verdict.Fail) os)
+                in
+                check_int "index 46: one failing segment" 1 (fails o46);
+                check_int "index 157: one failing segment" 1 (fails o157);
+                check_bool "index 157: an ok segment precedes it" true
+                  (List.hd o157 = Verdict.Ok_)
+            | _ -> Alcotest.fail "expected exactly two rejected histories")
           [ 64; 3; 1 ]);
     tc "the oracle decides a full 62-op segment" (fun () ->
         (* one read left open across 61 sequential writes: the segment
@@ -457,13 +487,18 @@ let checkpoint_tests =
             check_bool "the checkpoint loads" true
               (Result.is_ok (Checkpoint.load path));
             let checkpoint = read path in
-            let survives what load text =
-              Out_channel.with_open_bin path (fun oc -> output_string oc text);
-              match load path with
-              | Ok _ | Error _ -> ()
+            let no_raise what f text =
+              match f text with
+              | () -> ()
               | exception e ->
                   Alcotest.failf "%s raised %s on %S" what
                     (Printexc.to_string e) text
+            in
+            let survives what load =
+              no_raise what (fun text ->
+                  Out_channel.with_open_bin path (fun oc ->
+                      output_string oc text);
+                  match load path with Ok _ | Error _ -> ())
             in
             let mutate s =
               let s = Test_obs.mutate rand s in
@@ -473,6 +508,64 @@ let checkpoint_tests =
               survives "Corpus.load" Check.Corpus.load
                 (mutate (Test_obs.pick rand corpora));
               survives "Checkpoint.load" Checkpoint.load (mutate checkpoint)
+            done;
+            (* the abd, alg2 and mwabd trace streams into the engine and
+               its reference, an ABD flight-recorder stream into the event
+               parsers, and a fault plan and a chaos config into their
+               loaders *)
+            let stream trace = String.concat "\n" (trace_lines trace) in
+            let streams =
+              [|
+                stream (fst (workload 3));
+                stream (fst (workload 1));
+                stream
+                  (Core.Abd_runs.execute_mw ~n:3 ~writers:[ 0; 1 ]
+                     ~writes_each:2 ~readers:[ 2 ] ~reads_each:3 ~seed:7L ())
+                    .Core.Abd_runs.trace;
+              |]
+            in
+            (* the last 200 events, as a corpus post-mortem keeps *)
+            let tracer = Obs.Tracer.create ~capacity:200 () in
+            ignore
+              (Core.Abd_runs.execute ~tracer
+                 { Core.Abd_runs.default with Core.Abd_runs.seed = 7L });
+            let events =
+              String.concat "\n"
+                (List.map
+                   (fun ev -> J.to_string (Obs.Tracer.event_json ev))
+                   (Obs.Tracer.events tracer))
+            in
+            let config = Core.Chaos.gen_config ~seed:20260805L 5 in
+            let plan = J.to_string (Core.Faults.plan_json config.Config.faults)
+            and config = J.to_string (Config.json config) in
+            let serve_stream text =
+              let lines = String.split_on_char '\n' text in
+              let engine = Engine.create ~emit:ignore () in
+              List.iter (Engine.feed_line engine) lines;
+              Engine.finish engine;
+              ignore (Reference.run lines)
+            in
+            let parse_events text =
+              List.iter
+                (fun j ->
+                  ignore (Obs.Tracer.validate_event_json j);
+                  ignore (Obs.Tracer.event_of_json j))
+                (fst (Obs.Export.parse_lines_lenient text))
+            in
+            let load of_json text =
+              match J.of_string text with
+              | Ok j -> ignore (of_json j)
+              | Error _ -> ()
+            in
+            for i = 1 to 200 do
+              no_raise "Engine.feed_line or Reference.run" serve_stream
+                (mutate streams.(i mod 3));
+              no_raise "the event parsers" parse_events (mutate events);
+              no_raise "Faults.plan_of_json"
+                (load Core.Faults.plan_of_json)
+                (mutate plan);
+              no_raise "Runs.Config.of_json" (load Config.of_json)
+                (mutate config)
             done));
   ]
 
@@ -502,58 +595,6 @@ let lenient_tests =
                 check_int "good records" 2 (List.length good);
                 Alcotest.(check (list int))
                   "bad line numbers" [ 2 ] (List.map fst bad)));
-  ]
-
-(* ---------- streaming linearizability monitor -------------------------- *)
-
-let violation_str = function
-  | None -> "none"
-  | Some v -> J.to_string (Monitor.violation_json v)
-
-let monitor_tests =
-  [
-    tc "streaming monitor reports exactly the stock monitor's verdicts"
-      (fun () ->
-        let configs =
-          Config.default
-          :: List.map
-               (fun seed ->
-                 {
-                   Config.default with
-                   Config.writes_each = 2;
-                   reads_each = 2;
-                   quorum = Some 2;
-                   seed = Int64.of_int seed;
-                   faults =
-                     {
-                       Simkit.Faults.none with
-                       Simkit.Faults.drop = 0.05;
-                     };
-                 })
-               [ 1; 2; 3; 4; 5 ]
-        in
-        List.iter
-          (fun cfg ->
-            let stock =
-              Monitor.run_config ~monitors:[ Monitor.linearizability ] cfg
-            in
-            let streaming =
-              Monitor.run_config
-                ~monitors:[ Monitor.linearizability_streaming ]
-                cfg
-            in
-            check_str "same violation (or none)" (violation_str stock)
-              (violation_str streaming))
-          configs);
-    tc "with_streaming_check swaps by name only" (fun () ->
-        let swapped = Monitor.with_streaming_check Monitor.standard in
-        check_int "same monitor count"
-          (List.length Monitor.standard)
-          (List.length swapped);
-        check_bool "names preserved" true
-          (List.for_all2
-             (fun a b -> a.Monitor.name = b.Monitor.name)
-             Monitor.standard swapped));
   ]
 
 (* ---------- allocation ceilings ---------------------------------------- *)
@@ -594,6 +635,5 @@ let suite =
     ("serve:degradation", degradation_tests);
     ("serve:checkpoint", checkpoint_tests);
     ("serve:lenient-export", lenient_tests);
-    ("serve:monitor", monitor_tests);
     ("serve:alloc", alloc_tests);
   ]
