@@ -96,66 +96,30 @@ let faults_term =
 
 (* ----- crash schedules -------------------------------------------------------- *)
 
-(* `--crash` entries: either a bare node (crash once the run is underway —
-   the legacy `rlin abd` form) or node@step (crash on the scheduler's step
-   clock, the Simkit.Faults.crash_at form). *)
+(* `--crash` and `--recover` entries: NODE@STEP, an event on the
+   scheduler's step clock (the Simkit.Faults.crash_at / recover_at form) *)
 let crash_item_conv =
   let parse s =
-    match String.index_opt s '@' with
-    | None -> (
-        match int_of_string_opt s with
-        | Some node -> Ok (`Node node)
-        | None -> Error (`Msg (Printf.sprintf "bad crash entry %S" s)))
-    | Some i -> (
-        let node = String.sub s 0 i in
-        let step = String.sub s (i + 1) (String.length s - i - 1) in
-        match (int_of_string_opt node, int_of_string_opt step) with
-        | Some node, Some step when step >= 0 -> Ok (`At (step, node))
-        | _ ->
-            Error
-              (`Msg
-                 (Printf.sprintf "bad crash entry %S (want NODE or NODE@STEP)"
-                    s)))
+    match List.map int_of_string_opt (String.split_on_char '@' s) with
+    | [ Some node; Some step ] when step >= 0 -> Ok (step, node)
+    | _ -> Error (`Msg (Printf.sprintf "bad entry %S (want NODE@STEP)" s))
   in
-  let print fmt = function
-    | `Node n -> Format.fprintf fmt "%d" n
-    | `At (s, n) -> Format.fprintf fmt "%d@%d" n s
-  in
+  let print fmt (s, n) = Format.fprintf fmt "%d@%d" n s in
   Arg.conv (parse, print)
 
 let crash_arg ~doc = Arg.(value & opt (list crash_item_conv) [] & info [ "crash" ] ~docv:"SPECS" ~doc)
 
-let split_crash_items items =
-  List.partition_map
-    (function `Node n -> Left n | `At (s, n) -> Right (s, n))
-    items
-
-(* `--recover` entries: NODE@STEP only — a recovery is always pinned to
-   the step clock, and validation demands it follow a crash of the same
-   node (see Runs.validate_crash_schedule). *)
-let recover_arg ~what =
-  let term =
-    Arg.(
-      value
-      & opt (list crash_item_conv) []
-      & info [ "recover" ] ~docv:"SPECS"
-          ~doc:
-            "Comma-separated NODE@STEP recovery schedule, e.g. \
-             $(b,3@400): restart node 3 at step 400 with a fresh \
-             incarnation.  Each entry must recover a node crashed \
-             earlier by $(b,--crash) (crash/recover must alternate per \
-             node).")
-  in
-  let check items =
-    List.map
-      (function
-        | `At (s, n) -> (s, n)
-        | `Node n ->
-            usage_error
-              "%s --recover takes NODE@STEP entries (got bare node %d)" what n)
-      items
-  in
-  Term.(const check $ term)
+let recover_arg =
+  Arg.(
+    value
+    & opt (list crash_item_conv) []
+    & info [ "recover" ] ~docv:"SPECS"
+        ~doc:
+          "Comma-separated NODE@STEP recovery schedule, e.g. \
+           $(b,3@400): restart node 3 at step 400 with a fresh \
+           incarnation.  Each entry must recover a node crashed \
+           earlier by $(b,--crash) (crash/recover must alternate per \
+           node).")
 
 (* ----- experiments --------------------------------------------------------- *)
 
@@ -211,25 +175,16 @@ let experiments_cmd =
          schedule (--recover as its recover_at); validated against E6's
          topology (5 nodes, clients 0/1/2) — the only fault-aware
          experiment with crashable nodes *)
-      let legacy, schedule = split_crash_items crash in
-      if legacy <> [] then
-        usage_error
-          "experiments --crash takes NODE@STEP entries (got a bare node)";
       or_usage_error (fun () ->
           Core.Abd_runs.validate_crash_schedule ~what:"rlin experiments" ~n:5
-            ~clients:[ 0; 1; 2 ] ~recoveries:recover schedule);
-      match (faults, schedule) with
+            ~clients:[ 0; 1; 2 ] ~recoveries:recover crash);
+      match (faults, crash) with
       | None, [] -> None
-      | Some plan, schedule ->
+      | Some plan, crash_at ->
+          Some { plan with Core.Faults.crash_at; recover_at = recover }
+      | None, crash_at ->
           Some
-            { plan with Core.Faults.crash_at = schedule; recover_at = recover }
-      | None, schedule ->
-          Some
-            {
-              Core.Faults.none with
-              Core.Faults.crash_at = schedule;
-              recover_at = recover;
-            }
+            { Core.Faults.none with Core.Faults.crash_at; recover_at = recover }
     in
     (match faults with
     | Some plan -> (
@@ -263,7 +218,7 @@ let experiments_cmd =
             "Comma-separated NODE@STEP crash schedule for the fault-aware \
              experiments, e.g. $(b,3@150,4@300) (E6 topology: 5 nodes, \
              clients 0-2)."
-      $ recover_arg ~what:"experiments")
+      $ recover_arg)
 
 (* ----- game ----------------------------------------------------------------- *)
 
@@ -373,35 +328,50 @@ let fig4_cmd =
 
 (* ----- abd ------------------------------------------------------------------- *)
 
+(* The runs of `trace --source abd|mwabd`, `metrics --source abd` and
+   `mwabd`: four writes and three reads each by readers 1 and 2 on five
+   nodes; two writers and one reader on three nodes *)
+let abd_config seed =
+  {
+    Core.Run_config.default with
+    Core.Run_config.writes_each = 4;
+    reads_each = 3;
+    seed;
+  }
+
+let mwabd_config seed =
+  {
+    Core.Run_config.default with
+    Core.Run_config.proto = Mw;
+    n = 3;
+    writers = [ 0; 1 ];
+    writes_each = 2;
+    readers = [ 2 ];
+    reads_each = 3;
+    seed;
+  }
+
 let abd_cmd =
   let writes =
     Arg.(value & opt int 5 & info [ "writes" ] ~docv:"K" ~doc:"Writer operations.")
   in
-  let run n writes crash recover seed faults =
-    (* bare nodes crash once the run is underway (the legacy behaviour);
-       NODE@STEP entries join the fault plan's step-clock schedule *)
-    let legacy, schedule = split_crash_items crash in
+  let run n writes crash_at recover_at seed faults =
     (* every reader reads writes - 1 times *)
     if writes < 1 then usage_error "--writes must be >= 1";
-    or_usage_error (fun () ->
-        Core.Abd_runs.validate_crash_schedule ~what:"rlin abd" ~n
-          ~clients:[ 0; 1; 2 ] ~recoveries:recover schedule);
     let faults = Option.value faults ~default:Core.Faults.none in
-    let faults =
-      { faults with Core.Faults.crash_at = schedule; recover_at = recover }
-    in
-    let w =
+    let config =
       {
-        Core.Abd_runs.n;
-        writes;
-        readers = [ 1; 2 ];
+        Core.Run_config.default with
+        n;
+        writes_each = writes;
         reads_each = writes - 1;
-        crash = legacy;
-        faults;
+        faults = { faults with Core.Faults.crash_at; recover_at };
         seed;
       }
     in
-    let run = or_usage_error (fun () -> Core.Abd_runs.execute w) in
+    let run =
+      or_usage_error (fun () -> Core.Abd_runs.execute_config config)
+    in
     print_string (Core.Timeline.render run.Core.Abd_runs.history);
     match Core.Abd_runs.check run with
     | Ok () ->
@@ -416,17 +386,17 @@ let abd_cmd =
        ~doc:
          "Run an ABD workload in the message-passing simulator, optionally \
           under a link-fault plan ($(b,--drop)/$(b,--dup)/$(b,--delay)) \
-          and a crash/recovery schedule ($(b,--crash 3,4@200): crash node \
-          3 once underway, node 4 at step 200; $(b,--recover 4@500): \
-          restart node 4 at step 500).")
+          and a crash/recovery schedule ($(b,--crash 3@60,4@120): crash \
+          node 3 at step 60 and node 4 at step 120; $(b,--recover \
+          4@500): restart node 4 at step 500).")
     Term.(
       const run $ n_arg 5 $ writes
       $ crash_arg
           ~doc:
-            "Comma-separated crash entries: a bare NODE crashes after the \
-             first write completes, NODE@STEP crashes on the scheduler's \
-             step clock."
-      $ recover_arg ~what:"abd" $ seed_arg $ faults_term)
+            "Comma-separated NODE@STEP crash schedule on the scheduler's \
+             step clock (crashed nodes must leave a majority; nodes 0-2 \
+             are the clients and must survive)."
+      $ recover_arg $ seed_arg $ faults_term)
 
 (* ----- consensus ------------------------------------------------------------- *)
 
@@ -472,10 +442,7 @@ let consensus_cmd =
 
 let mwabd_cmd =
   let run seed =
-    let run =
-      Core.Abd_runs.execute_mw ~n:3 ~writers:[ 0; 1 ] ~writes_each:2
-        ~readers:[ 2 ] ~reads_each:3 ~seed ()
-    in
+    let run = Core.Abd_runs.execute_config (mwabd_config seed) in
     print_string (Core.Timeline.render run.Core.Abd_runs.history);
     Printf.printf "linearizable: %b
 "
@@ -1040,12 +1007,10 @@ let trace_cmd =
                 Core.Sched.trace
                   res.Core.Game_alg1.handles.Core.Game_alg1.sched
             | `Abd ->
-                (Core.Abd_runs.execute ~tracer
-                   { Core.Abd_runs.default with seed })
+                (Core.Abd_runs.execute_config ~tracer (abd_config seed))
                   .Core.Abd_runs.trace
             | `Mwabd ->
-                (Core.Abd_runs.execute_mw ~tracer ~n:3 ~writers:[ 0; 1 ]
-                   ~writes_each:2 ~readers:[ 2 ] ~reads_each:3 ~seed ())
+                (Core.Abd_runs.execute_config ~tracer (mwabd_config seed))
                   .Core.Abd_runs.trace
           in
           Core.Tracer.set_sink tracer None;
@@ -1233,16 +1198,6 @@ let serve_cmd =
             "Events buffered across all open segments before backpressure \
              sheds the overflowing segment to an unknown verdict.")
   in
-  let wall_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "wall-budget-ms" ] ~docv:"MS"
-          ~doc:
-            "Per-segment wall-clock budget.  Off by default: a wall \
-             budget makes verdicts timing-dependent, so --resume is no \
-             longer guaranteed byte-identical.")
-  in
   let values_cap_arg =
     Arg.(
       value & opt int 64
@@ -1277,7 +1232,7 @@ let serve_cmd =
              quarantined, shed, verdict counts); $(b,-) for stdout.")
   in
   let run in_file socket out ckpt_path resume follow idle_ms state_budget
-      seg_cap max_pending wall values_cap init self_check summary =
+      seg_cap max_pending values_cap init self_check summary =
     let fail2 msg =
       Printf.eprintf "rlin serve: %s\n" msg;
       2
@@ -1299,7 +1254,6 @@ let serve_cmd =
             {
               Core.Serve.Segmenter.seg_cap;
               state_budget;
-              wall_budget_ms = wall;
               values_cap;
             };
           max_pending;
@@ -1540,7 +1494,7 @@ let serve_cmd =
     Term.(
       const run $ in_arg $ socket_arg $ out_arg $ ckpt_arg $ resume_arg
       $ follow_arg $ idle_arg $ state_budget_arg $ seg_cap_arg
-      $ max_pending_arg $ wall_arg $ values_cap_arg $ init_arg
+      $ max_pending_arg $ values_cap_arg $ init_arg
       $ self_check_arg $ summary_arg)
 
 (* ----- metrics ----------------------------------------------------------------- *)
@@ -1573,7 +1527,7 @@ let metrics_cmd =
           ignore (Core.Adversary.run_write_strong ~n:5 ~max_rounds:40 ~seed ());
           "game-wsl"
       | `Abd ->
-          ignore (Core.Abd_runs.execute { Core.Abd_runs.default with seed });
+          ignore (Core.Abd_runs.execute_config (abd_config seed));
           "abd"
     in
     Format.printf "%a@." Obs.Metrics.pp Obs.Metrics.global;
@@ -1891,11 +1845,9 @@ let fleet_cmd =
              carries no wall-clock, so reports diff clean across -j.")
   in
   let run shards n proto slots ops clients session_len mix keys faults
-      crash_items recoveries persist batch_window batch_max sample seed jobs
+      crash_at recoveries persist batch_window batch_max sample seed jobs
       json =
     Core.Pool.right_size_minor_heap ();
-    let legacy, crash_at = split_crash_items crash_items in
-    if legacy <> [] then usage_error "fleet --crash takes NODE@STEP entries";
     let session_len =
       match clients with
       | None -> session_len
@@ -1961,7 +1913,7 @@ let fleet_cmd =
             "Comma-separated NODE@STEP crash schedule applied to every \
              shard's node set (crashed nodes must leave a majority; for \
              $(b,abd) node 0 is the writer client and must survive)."
-      $ recover_arg ~what:"fleet" $ persist $ batch_window $ batch_max
+      $ recover_arg $ persist $ batch_window $ batch_max
       $ sample $ seed_arg $ jobs_arg $ json)
 
 let () =

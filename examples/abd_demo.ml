@@ -1,27 +1,26 @@
 (* ABD in a simulated message-passing system, with crashes.
 
-   The run produces a SWMR register history under random asynchrony and a
-   crashed minority; we check it is linearizable and — per Theorem 14 —
-   write strongly-linearizable, by applying the f* construction to every
-   prefix and watching the write order grow monotonically.
+   The run produces a SWMR register history under random asynchrony while
+   replicas 3 and 4 crash at steps 60 and 120; we check it is linearizable
+   and — per Theorem 14 — write strongly-linearizable, by applying the f*
+   construction to every prefix and watching the write order grow
+   monotonically.
 
      dune exec examples/abd_demo.exe
 *)
 
 let () =
   print_endline "=== ABD: 5 nodes, writer + 2 readers, 2 crashes mid-run ===";
-  let w =
+  let config =
     {
-      Core.Abd_runs.n = 5;
-      writes = 5;
-      readers = [ 1; 2 ];
+      Core.Run_config.default with
+      writes_each = 5;
       reads_each = 4;
-      crash = [ 3; 4 ];
-      faults = Core.Faults.none;
+      faults = { Core.Faults.none with crash_at = [ (60, 3); (120, 4) ] };
       seed = 4242L;
     }
   in
-  let run = Core.Abd_runs.execute w in
+  let run = Core.Abd_runs.execute_config config in
   Printf.printf "completed: %b (in %d scheduler steps)\n" run.completed run.steps;
   print_endline "history of the replicated register:";
   print_string (Core.Timeline.render run.history);

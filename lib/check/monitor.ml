@@ -161,9 +161,9 @@ let run_config ?(monitors = standard) ?telemetry ?tracer config =
 (* Post-mortem: re-execute with an armed flight recorder of bounded
    capacity and keep what the ring retained.  Configs re-execute
    deterministically from their own seeds, so the violation — if still
-   reported — is the same one, now with its last-K causal events. *)
-let postmortem ?monitors ?(k = 200) config =
-  let tracer = Obs.Tracer.create ~capacity:k () in
+   reported — is the same one, now with its last 200 causal events. *)
+let postmortem ?monitors config =
+  let tracer = Obs.Tracer.create ~capacity:200 () in
   match run_config ?monitors ~tracer config with
   | None -> None
   | Some v -> Some (v, Obs.Tracer.events tracer)

@@ -73,12 +73,10 @@ val run_config :
 
 val postmortem :
   ?monitors:t list ->
-  ?k:int ->
   Msgpass.Runs.Config.t ->
   (violation * Obs.Tracer.event list) option
-(** Re-execute the config with an armed flight recorder of capacity [k]
-    (default 200) and return the violation together with the last events
-    the ring retained — the causal post-mortem attached to corpus
-    entries.  [None] if no monitor trips (e.g. after a fix).  Sequential
-    and deterministic: same config, same events, byte-for-byte (event
-    wall-clock stamps are excluded from the canonical serialization). *)
+(** Re-execute the config with an armed flight recorder of capacity 200
+    and return the violation together with the last events the ring
+    retained — the causal post-mortem attached to corpus entries.
+    [None] if no monitor trips (e.g. after a fix).  Sequential and
+    deterministic: same config, same events, byte-for-byte. *)

@@ -213,6 +213,15 @@ let e5_alg4_linearizable ?(jobs = 1) ~quick () =
 
 (* ---------- E6 ------------------------------------------------------------- *)
 
+(* the single-writer workload of E6, E11 and E13: writer 0, readers 1
+   and 2 on five nodes, four writes and three reads each *)
+let abd_shape =
+  {
+    Core.Run_config.default with
+    Core.Run_config.writes_each = 4;
+    reads_each = 3;
+  }
+
 let e6_abd ?(jobs = 1) ?(faults = Core.Faults.none) ~quick () =
   let runs = if quick then 10 else 60 in
   measured_report ~id:"E6"
@@ -227,16 +236,20 @@ let e6_abd ?(jobs = 1) ?(faults = Core.Faults.none) ~quick () =
         Core.Pool.fold_runs ~jobs ~metrics:pool_metrics runs ~init:0 ~fold:( + )
           (fun ~metrics i ->
             let seed = i + 1 in
-            let crash = if seed mod 2 = 0 then [ 3; 4 ] else [] in
-            let w =
-              {
-                Core.Abd_runs.default with
-                seed = Int64.of_int (seed * 41);
-                crash;
-                faults;
-              }
+            (* even seeds crash replicas 3 and 4 at E14's steps, unless the
+               plan brings its own crash schedule *)
+            let faults =
+              if seed mod 2 = 0 && faults.Core.Faults.crash_at = [] then
+                { faults with Core.Faults.crash_at = [ (60, 3); (120, 4) ] }
+              else faults
             in
-            match Core.Abd_runs.check ~metrics (Core.Abd_runs.execute ~metrics w) with
+            let config =
+              { abd_shape with seed = Int64.of_int (seed * 41); faults }
+            in
+            match
+              Core.Abd_runs.check ~metrics
+                (Core.Abd_runs.execute_config ~metrics config)
+            with
             | Ok () -> 1
             | Error _ -> 0)
       in
@@ -446,10 +459,18 @@ let e10_mwabd ?(jobs = 1) ?(faults = Core.Faults.none) ~quick () =
           (fun ~metrics i ->
             let seed = i + 1 in
             let run =
-              Core.Abd_runs.execute_mw ~metrics ~faults ~n:3 ~writers:[ 0; 1 ]
-                ~writes_each:2 ~readers:[ 2 ] ~reads_each:3
-                ~seed:(Int64.of_int (seed * 53))
-                ()
+              Core.Abd_runs.execute_config ~metrics
+                {
+                  Core.Run_config.default with
+                  proto = Mw;
+                  n = 3;
+                  writers = [ 0; 1 ];
+                  writes_each = 2;
+                  readers = [ 2 ];
+                  reads_each = 3;
+                  faults;
+                  seed = Int64.of_int (seed * 53);
+                }
             in
             if
               run.Core.Abd_runs.completed
@@ -529,14 +550,14 @@ let e11_faults ?(jobs = 1) ~quick () =
                   (t + t', l + l', s + s', r + r'))
                 (fun ~metrics i ->
                   if i < runs then begin
-                    let w =
-                      {
-                        Core.Abd_runs.default with
-                        seed = Int64.of_int (((i + 1) * 59) + crashes);
-                        faults = plan;
-                      }
+                    let run =
+                      Core.Abd_runs.execute_config ~metrics
+                        {
+                          abd_shape with
+                          seed = Int64.of_int (((i + 1) * 59) + crashes);
+                          faults = plan;
+                        }
                     in
-                    let run = Core.Abd_runs.execute ~metrics w in
                     let lin =
                       run.Core.Abd_runs.completed
                       && Core.Lincheck.check ~metrics ~init:(Core.Value.Int 0)
@@ -550,11 +571,17 @@ let e11_faults ?(jobs = 1) ~quick () =
                   else begin
                     let k = i - runs in
                     let run =
-                      Core.Abd_runs.execute_mw ~metrics ~faults:plan ~n:5
-                        ~writers:[ 0; 1 ] ~writes_each:2 ~readers:[ 2 ]
-                        ~reads_each:2
-                        ~seed:(Int64.of_int (((k + 1) * 67) + crashes))
-                        ()
+                      Core.Abd_runs.execute_config ~metrics
+                        {
+                          Core.Run_config.default with
+                          proto = Mw;
+                          writers = [ 0; 1 ];
+                          writes_each = 2;
+                          readers = [ 2 ];
+                          reads_each = 2;
+                          faults = plan;
+                          seed = Int64.of_int (((k + 1) * 67) + crashes);
+                        }
                     in
                     let lin =
                       run.Core.Abd_runs.completed
@@ -735,19 +762,19 @@ let e13_serve ?(jobs = 1) ~quick () =
       let workload i =
         let seed = Int64.of_int (1300 + i) in
         if i mod 3 = 0 then (
-          (* faulty: lossy duplicating links plus a crashed replica, so
-             the stream carries stalled (pending-forever) operations *)
+          (* faulty: lossy duplicating links plus a crashed replica; the
+             clients still finish, so every operation responds *)
           let r =
-            Core.Abd_runs.execute
+            Core.Abd_runs.execute_config
               {
-                Core.Abd_runs.default with
-                Core.Abd_runs.seed;
-                crash = [ 4 ];
+                abd_shape with
+                seed;
                 faults =
                   {
                     Core.Faults.none with
                     Core.Faults.drop = 0.05;
                     duplicate = 0.05;
+                    crash_at = [ (60, 4) ];
                   };
               }
           in

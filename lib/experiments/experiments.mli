@@ -60,7 +60,9 @@ val all :
   report list
 (** Run the battery (or, with [only], the named subset — ids are
     case-insensitive and always run in battery order).  [faults] applies
-    the given link-fault plan to the fault-aware experiments (E6, E10);
-    E10 drops its crash schedule, since all three of its nodes are
-    clients.  E11 and E12 always run their own sweeps.
+    the given link-fault plan to the fault-aware experiments (E6, E10).
+    E6's even-seeded runs crash nodes 3 and 4 at steps 60 and 120 unless
+    the plan schedules its own crashes; E10 drops the crash schedule,
+    since all three of its nodes are clients.  E11 and E12 always run
+    their own sweeps.
     @raise Invalid_argument on an unknown id in [only]. *)

@@ -34,14 +34,12 @@ module Op = History.Op
 type reason =
   | Op_cap of { n : int; cap : int }
   | State_budget of { states : int; budget : int }
-  | Wall_budget of { budget_ms : float }
   | Shed of { pending : int; max_pending : int }
   | Entry_overflow of { cap : int }
 
 let reason_cause = function
   | Op_cap _ -> "op-cap"
   | State_budget _ -> "state-budget"
-  | Wall_budget _ -> "wall-budget"
   | Shed _ -> "shed"
   | Entry_overflow _ -> "entry-overflow"
 
@@ -52,8 +50,6 @@ let default_state_budget = 2_000_000
 type t = {
   cap : int;
   state_budget : int;
-  wall_budget_ms : float option;
-  created_ms : float;
   (* ops, as parallel growth arrays indexed by arrival order *)
   mutable n : int;
   mutable pending : int;
@@ -100,14 +96,6 @@ let degrade t reason =
     t.st_n <- 0;
     t.unresolved <- []
   end
-
-let check_wall t =
-  match t.wall_budget_ms with
-  | Some budget_ms
-    when Option.is_none t.degraded
-         && Obs.Span.now_ms () -. t.created_ms > budget_ms ->
-      degrade t (Wall_budget { budget_ms })
-  | _ -> ()
 
 let grow a n ~zero =
   let b = Array.make (2 * Array.length a) zero in
@@ -218,7 +206,7 @@ let intern t v =
   | i -> i
 
 let create ?(metrics = Obs.Metrics.global) ?(cap = Lincheck.max_ops)
-    ?(state_budget = default_state_budget) ?wall_budget_ms ~entry () =
+    ?(state_budget = default_state_budget) ~entry () =
   if cap < 1 || cap > Lincheck.max_ops then
     invalid_arg
       (Printf.sprintf "Increment.create: cap %d outside 1..%d" cap
@@ -228,8 +216,6 @@ let create ?(metrics = Obs.Metrics.global) ?(cap = Lincheck.max_ops)
     {
       cap;
       state_budget = max 1 state_budget;
-      wall_budget_ms;
-      created_ms = Obs.Span.now_ms ();
       n = 0;
       pending = 0;
       inv_t = Array.make 16 0;
@@ -256,7 +242,6 @@ let create ?(metrics = Obs.Metrics.global) ?(cap = Lincheck.max_ops)
 
 let invoke t ~id ~kind ~time =
   Obs.Metrics.incr_h t.events_c;
-  check_wall t;
   t.pending <- t.pending + 1;
   match t.degraded with
   | Some _ -> t.n <- t.n + 1
@@ -294,7 +279,6 @@ let invoke t ~id ~kind ~time =
 
 let respond t ~id ~result ~time =
   Obs.Metrics.incr_h t.events_c;
-  check_wall t;
   t.pending <- t.pending - 1;
   if Option.is_none t.degraded then
     match Hashtbl.find_opt t.ids id with

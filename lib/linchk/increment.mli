@@ -22,17 +22,16 @@
 type reason =
   | Op_cap of { n : int; cap : int }
   | State_budget of { states : int; budget : int }
-  | Wall_budget of { budget_ms : float }
   | Shed of { pending : int; max_pending : int }
   | Entry_overflow of { cap : int }
-      (** The last three never originate here: [Wall_budget] only with an
-          armed wall budget, [Shed]/[Entry_overflow] via {!degrade} from
-          the serving layer's backpressure and entry-set propagation. *)
+      (** The last two never originate here: they come via {!degrade}
+          from the serving layer's backpressure and entry-set
+          propagation. *)
 
 val reason_cause : reason -> string
-(** Stable short tag: ["op-cap"], ["state-budget"], ["wall-budget"],
-    ["shed"], ["entry-overflow"] — the ["cause"] field of serialized
-    verdict reasons. *)
+(** Stable short tag: ["op-cap"], ["state-budget"], ["shed"],
+    ["entry-overflow"] — the ["cause"] field of serialized verdict
+    reasons. *)
 
 type outcome =
   | Pass of History.Value.t list
@@ -50,17 +49,15 @@ val create :
   ?metrics:Obs.Metrics.t ->
   ?cap:int ->
   ?state_budget:int ->
-  ?wall_budget_ms:float ->
   entry:History.Value.t list ->
   unit ->
   t
 (** [create ~entry ()] starts a segment whose register may initially hold
     any value in [entry] (non-empty; duplicates ignored).  [cap]
     (default {!Lincheck.max_ops}) bounds ops per segment; [state_budget]
-    bounds reachable states; [wall_budget_ms] (default: none — it is
-    wall-clock and would break deterministic resume) bounds elapsed time
-    since [create].  Exceeding any budget degrades the segment: state is
-    freed, events keep counting, and {!outcome} reports [Unknown].
+    bounds reachable states.  Exceeding either budget degrades the
+    segment: state is freed, events keep counting, and {!outcome}
+    reports [Unknown].
     @raise Invalid_argument on an empty entry set or a cap outside
     [1..Lincheck.max_ops]. *)
 

@@ -2,27 +2,6 @@ module V = History.Value
 module Sched = Simkit.Sched
 module Faults = Simkit.Faults
 
-type workload = {
-  n : int;
-  writes : int;
-  readers : int list;
-  reads_each : int;
-  crash : int list;
-  faults : Faults.plan;
-  seed : int64;
-}
-
-let default =
-  {
-    n = 5;
-    writes = 4;
-    readers = [ 1; 2 ];
-    reads_each = 3;
-    crash = [];
-    faults = Faults.none;
-    seed = 1L;
-  }
-
 type run = {
   history : History.Hist.t;
   trace : Simkit.Trace.t;
@@ -58,83 +37,6 @@ let validate_crash_schedule ?(recoveries = []) ~what ~n ~clients schedule =
         { Faults.none with Faults.crash_at = schedule; recover_at = recoveries }
     with Invalid_argument msg ->
       invalid_arg (Printf.sprintf "%s: %s" what msg)
-
-let execute ?metrics ?tracer w =
-  Faults.validate w.faults;
-  let plan_crashes =
-    List.sort_uniq Int.compare (List.map snd w.faults.Faults.crash_at)
-  in
-  check_crashes ~what:"Runs.execute" ~n:w.n ~clients:(0 :: w.readers)
-    (List.sort_uniq Int.compare (w.crash @ plan_crashes));
-  let sched = Sched.create ~seed:w.seed ?metrics ?tracer () in
-  Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
-  let reg = Abd.create ~sched ~name:"ABD" ~n:w.n ~writer:0 ~init:0 () in
-  let faults =
-    if Faults.is_benign w.faults then None
-    else begin
-      let f = Faults.create ~seed:(fault_seed w.seed) w.faults in
-      Net.set_faults (Abd.net reg) f;
-      Some f
-    end
-  in
-  let first_write_done = ref false in
-  let remaining = ref (1 + List.length w.readers) in
-  let finish () = decr remaining in
-  Sched.spawn sched ~pid:0 (fun () ->
-      for k = 1 to w.writes do
-        Abd.write reg (100 + k);
-        if k = 1 then first_write_done := true
-      done;
-      finish ());
-  List.iter
-    (fun r ->
-      Sched.spawn sched ~pid:r (fun () ->
-          for _ = 1 to w.reads_each do
-            ignore (Abd.read reg ~reader:r)
-          done;
-          finish ()))
-    w.readers;
-  let rng = Simkit.Rng.create (Int64.logxor w.seed 0x9E3779B9L) in
-  let crashed = ref false in
-  let base_policy s =
-    (* crash the chosen minority once the run is underway *)
-    if (not !crashed) && !first_write_done then begin
-      crashed := true;
-      List.iter (fun node -> Abd.crash_node reg ~node) w.crash
-    end;
-    (* the fault plan's scheduled crashes and recoveries, keyed on the
-       step clock (crashes first: a due recovery's crash is always at a
-       strictly earlier step, per Faults.validate) *)
-    (match faults with
-    | Some f ->
-        let step = Sched.steps sched in
-        List.iter (fun node -> Abd.crash_node reg ~node)
-          (Faults.crashes_due f ~step);
-        List.iter (fun node -> Abd.recover_node reg ~node)
-          (Faults.recoveries_due f ~step)
-    | None -> ());
-    if !remaining = 0 then Sched.Halt else Sched.random_policy rng s
-  in
-  let policy = Net.auto_deliver_policy (Abd.net reg) ~rng base_policy in
-  let max_steps =
-    ((w.writes + (List.length w.readers * w.reads_each)) * w.n * 600)
-    + (2_000 * List.length w.faults.Faults.recover_at)
-  in
-  let stalled = ref None in
-  let steps =
-    try Sched.run sched ~watchdog:(Net.watchdog (Abd.net reg)) ~policy ~max_steps
-    with Sched.Stalled diag ->
-      stalled := Some diag;
-      Sched.steps sched
-  in
-  {
-    history =
-      History.Hist.project (Simkit.Trace.history (Sched.trace sched)) ~obj:"ABD";
-    trace = Sched.trace sched;
-    completed = !remaining = 0;
-    stalled = !stalled;
-    steps;
-  }
 
 (* ----- re-runnable configs ---------------------------------------------------- *)
 
@@ -460,23 +362,6 @@ let execute_config ?metrics ?tracer (c : Config.t) =
       in
       drive (module Mwabd) reg ~write:(fun w k ->
           Mwabd.write reg ~proc:w ((1000 * (w + 1)) + k))
-
-(* multi-writer workload over the Mwabd register: several writer clients
-   with globally distinct values, plus readers, random asynchrony *)
-let execute_mw ?metrics ?tracer ?(faults = Faults.none) ~n ~writers
-    ~writes_each ~readers ~reads_each ~seed () =
-  execute_config ?metrics ?tracer
-    {
-      Config.default with
-      proto = Config.Mw;
-      n;
-      writers;
-      writes_each;
-      readers;
-      reads_each;
-      faults;
-      seed;
-    }
 
 let check ?metrics run =
   if not run.completed then

@@ -1,23 +1,12 @@
-(** Workload drivers for the ABD experiments (E6, E10, E11). *)
-
-type workload = {
-  n : int;  (** nodes *)
-  writes : int;  (** operations by the writer *)
-  readers : int list;  (** client nodes issuing reads *)
-  reads_each : int;
-  crash : int list;  (** nodes crashed mid-run (must keep a majority) *)
-  faults : Simkit.Faults.plan;
-      (** deterministic link faults + scheduled crashes/partitions; drawn
-          from a seed derived from [seed], so faulty and benign parts of a
-          run stay independently reproducible *)
-  seed : int64;
-}
-
-val default : workload
-(** Benign: [faults = Simkit.Faults.none]. *)
+(** The one driver of ABD and MW-ABD runs.  Every run — an experiment's,
+    a CLI subcommand's, the chaos search's, a corpus entry's — is a
+    {!Config.t} executed by {!execute_config}, so any of them can be
+    serialized with {!Config.json} and replayed byte for byte.  Crashes
+    and recoveries are the fault plan's step-clock schedules
+    ([Simkit.Faults.crash_at] / [recover_at]). *)
 
 type run = {
-  history : History.Hist.t;  (** the ABD register's history *)
+  history : History.Hist.t;  (** the register's history *)
   trace : Simkit.Trace.t;  (** the full trace (for [rlin trace] JSONL dumps) *)
   completed : bool;  (** all client fibers finished *)
   stalled : Simkit.Sched.stall option;
@@ -26,40 +15,6 @@ type run = {
           {!Simkit.Sched.stall_message} / {!Simkit.Sched.stall_json} *)
   steps : int;
 }
-
-val execute : ?metrics:Obs.Metrics.t -> ?tracer:Obs.Tracer.t -> workload -> run
-(** Spawn the writer/reader clients, crash the requested minority after
-    the first write completes (plus the fault plan's [crash_at] /
-    [recover_at] schedules, keyed on the scheduler's step clock), and
-    drive everything with a
-    random scheduler + random message delivery — under the workload's
-    fault plan — until the clients finish, [Sched.run]'s budget runs out,
-    or the network watchdog detects a stall.
-    @raise Invalid_argument if the union of [crash] and the plan's
-    [crash_at] nodes is not a strict minority or contains a client (the
-    writer and readers must survive to finish their workloads).
-
-    [tracer] (default {!Obs.Tracer.null}) is handed to the scheduler, so
-    an armed flight recorder captures the whole stack's causal events
-    (see {!Simkit.Sched.create}). *)
-
-val execute_mw :
-  ?metrics:Obs.Metrics.t ->
-  ?tracer:Obs.Tracer.t ->
-  ?faults:Simkit.Faults.plan ->
-  n:int ->
-  writers:int list ->
-  writes_each:int ->
-  readers:int list ->
-  reads_each:int ->
-  seed:int64 ->
-  unit ->
-  run
-(** Multi-writer workload over the {!Mwabd} register: {!execute_config}
-    on the [Mw] config with these fields and every other field at its
-    {!Config.default}.  Write values are globally distinct so the exact
-    checker applies.  [faults] defaults to {!Simkit.Faults.none}.
-    @raise Invalid_argument if {!Config.validate} does. *)
 
 val check : ?metrics:Obs.Metrics.t -> run -> (unit, string) result
 (** Verify the run's history is linearizable (Lincheck) and that the

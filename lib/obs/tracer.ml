@@ -18,7 +18,6 @@
 type event = {
   seq : int;  (** per-tracer, dense from 0 *)
   sim : int;  (** scheduler step clock (checker probes: states/nodes) *)
-  wall_ms : float;  (** wall clock at emission; excluded from canonical JSON *)
   track : int;  (** node/fiber pid; [-1] = the run itself *)
   cat : string;  (** "sched" | "net" | "reg" | "check" *)
   name : string;
@@ -62,10 +61,7 @@ let emit t ?(track = -1) ?parent ?(args = []) ~sim ~cat name =
     let seq = t.next in
     t.next <- seq + 1;
     let parent = match parent with Some p -> p | None -> t.ctx in
-    let ev =
-      { seq; sim; wall_ms = Unix.gettimeofday () *. 1000.; track; cat; name;
-        parent; args }
-    in
+    let ev = { seq; sim; track; cat; name; parent; args } in
     t.ring.(seq mod Array.length t.ring) <- Some ev;
     (match t.sink with Some f -> f ev | None -> ());
     seq
@@ -92,20 +88,11 @@ let events t =
   in
   go (t.next - 1) []
 
-let recent ?(k = 200) t =
-  let evs = events t in
-  let n = List.length evs in
-  if n <= k then evs
-  else
-    (* drop the oldest n-k *)
-    let rec drop i l = if i = 0 then l else drop (i - 1) (List.tl l) in
-    drop (n - k) evs
-
 (* ----- JSON ----------------------------------------------------------------
 
-   The canonical rendering deliberately omits [wall_ms]: event streams
-   must be byte-identical across [-j 1]/[-j 2] and across re-executions
-   of the same config (CI diffs them, the corpus replays them). *)
+   Events carry no wall clock: event streams must be byte-identical
+   across [-j 1]/[-j 2] and across re-executions of the same config (CI
+   diffs them, the corpus replays them). *)
 
 let event_json ev =
   let base =
@@ -148,12 +135,7 @@ let event_of_json j =
   let args =
     match Json.member "args" j with Some (Json.Obj kv) -> kv | _ -> []
   in
-  let wall_ms =
-    match Option.bind (Json.member "wall_ms" j) Json.to_float_opt with
-    | Some w -> w
-    | None -> 0.
-  in
-  Ok { seq; sim; wall_ms; track; cat; name; parent; args }
+  Ok { seq; sim; track; cat; name; parent; args }
 
 let validate_event_json j =
   Result.map (fun (_ : event) -> ()) (event_of_json j)

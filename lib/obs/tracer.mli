@@ -1,8 +1,8 @@
 (** Causal flight recorder: a bounded ring buffer of typed events.
 
     Instrumented components (the scheduler, the network, the registers,
-    the checkers) emit events stamped with sim-time, wall-time, a track
-    (node/fiber pid) and a causal parent; the recorder keeps the last
+    the checkers) emit events stamped with sim-time, a track (node/fiber
+    pid) and a causal parent; the recorder keeps the last
     [capacity] of them.  Exporters turn a retained window into Chrome
     [trace_event] JSON (openable in Perfetto/chrome://tracing) or a DOT
     causal graph of one operation's ancestry; {!event_json} is the JSONL
@@ -22,9 +22,6 @@ type event = {
   seq : int;  (** per-tracer sequence number: the event's identity *)
   sim : int;  (** scheduler step clock (checker probes use their own
                   progress counter) *)
-  wall_ms : float;
-      (** wall clock at emission; omitted from canonical JSON so event
-          streams stay byte-identical across re-executions *)
   track : int;  (** node/fiber pid; [-1] is the run-level track *)
   cat : string;  (** ["sched"], ["net"], ["reg"] or ["check"] *)
   name : string;
@@ -72,9 +69,6 @@ val emitted : t -> int
 val events : t -> event list
 (** Retained events, oldest first. *)
 
-val recent : ?k:int -> t -> event list
-(** The last [k] (default 200) retained events, oldest first. *)
-
 val clear : t -> unit
 (** Drop every retained event and reset the sequence counter and {!ctx}. *)
 
@@ -97,14 +91,13 @@ val set_sink : t -> sink option -> unit
 (** {2 JSONL}
 
     The canonical record: [{"kind":"trace_event","seq":…,"t":…,
-    "track":…,"cat":…,"name":…,"parent":…,"args":{…}}].  [wall_ms] is
-    left out: canonical streams must be byte-identical across
+    "track":…,"cat":…,"name":…,"parent":…,"args":{…}}].  It carries
+    no wall clock: canonical streams must be byte-identical across
     [-j 1]/[-j 2] and across re-executions (CI diffs them, the corpus
     replays them). *)
 
 val event_json : event -> Json.t
 val event_of_json : Json.t -> (event, string) result
-(** Missing [wall_ms] parses as [0.]. *)
 
 val validate_event_json : Json.t -> (unit, string) result
 (** Schema check for one canonical record (the CI gate). *)

@@ -8,7 +8,7 @@ module Inc = Linchk.Increment
    its per-segment decider swapped.  [offline] buffers a segment's events
    and decides them with [Lincheck.check]; the screens, boundaries and
    entry sets are the engine's own.  Resource degradations (state
-   budget, wall budget, shed) have no offline counterpart, which is why
+   budget, shed) have no offline counterpart, which is why
    [compare_verdicts] skips an object's tail after its first one. *)
 
 type result = { verdicts : Verdict.t list }
@@ -111,8 +111,7 @@ let run ?(config = Engine.default_config) lines =
 (* An [Unknown] whose reason the offline decider cannot mirror. *)
 let resource_unknown (v : Verdict.t) =
   match v.Verdict.outcome with
-  | Verdict.Unknown (Inc.State_budget _ | Inc.Wall_budget _ | Inc.Shed _) ->
-      true
+  | Verdict.Unknown (Inc.State_budget _ | Inc.Shed _) -> true
   | _ -> false
 
 type comparison = {

@@ -11,16 +11,15 @@ val offline : Segmenter.decide
     no search finds a linearization; [Pass] keeps the candidates — the
     entry values, then every distinct value the segment wrote, in
     first-write order — that some search ends on.  The op cap trips at
-    the (cap+1)-th invoke and reports the final count; the state and
-    wall budgets do not apply. *)
+    the (cap+1)-th invoke and reports the final count; the state budget
+    does not apply. *)
 
 type result = { verdicts : Verdict.t list }
 
 val run : ?config:Engine.config -> string list -> result
 (** Replay the raw input lines through [Engine.create ~decide:offline]
-    with backpressure off.  [config]'s [state_budget], [wall_budget_ms]
-    and [max_pending] are ignored — this oracle is unbounded by
-    construction. *)
+    with backpressure off.  [config]'s [state_budget] and [max_pending]
+    are ignored — this oracle is unbounded by construction. *)
 
 type comparison = {
   matched : int;

@@ -29,7 +29,6 @@ module Inc = Linchk.Increment
 type config = {
   seg_cap : int;
   state_budget : int;
-  wall_budget_ms : float option;
   values_cap : int;
 }
 
@@ -37,7 +36,6 @@ let default_config =
   {
     seg_cap = Linchk.Lincheck.max_ops;
     state_budget = Inc.default_state_budget;
-    wall_budget_ms = None;
     values_cap = 64;
   }
 
@@ -55,7 +53,7 @@ type decide = metrics:Obs.Metrics.t -> config -> entry:V.t list -> decider
 let incremental ~metrics cfg ~entry =
   let inc =
     Inc.create ~metrics ~cap:cfg.seg_cap ~state_budget:cfg.state_budget
-      ?wall_budget_ms:cfg.wall_budget_ms ~entry ()
+      ~entry ()
   in
   {
     invoke = Inc.invoke inc;

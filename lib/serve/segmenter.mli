@@ -16,9 +16,6 @@
 type config = {
   seg_cap : int;  (** max ops per segment (≤ {!Linchk.Lincheck.max_ops}) *)
   state_budget : int;  (** max reachable states per segment *)
-  wall_budget_ms : float option;
-      (** wall-clock budget per segment; [None] (the default) keeps
-          verdicts deterministic and resume byte-identical *)
   values_cap : int;
       (** max materialized entry-set candidates after a non-[Ok] segment *)
 }
@@ -35,8 +32,8 @@ type decider = {
 }
 (** One segment's decision procedure, with the contract of the
     {!Linchk.Increment} operations of the same names: the decider trips
-    its own budgets (the op cap, and for {!incremental} the state and
-    wall budgets), the segmenter's entry overflow and shed come through
+    its own budgets (the op cap, and for {!incremental} the state
+    budget), the segmenter's entry overflow and shed come through
     [degrade], and [outcome]'s [Pass] lists the feasible boundary
     values, entry values first, then first-write order. *)
 
@@ -45,8 +42,8 @@ type decide =
 (** Start a segment whose register may hold any value of [entry]. *)
 
 val incremental : decide
-(** {!Linchk.Increment.create} under the config's [seg_cap],
-    [state_budget] and [wall_budget_ms]. *)
+(** {!Linchk.Increment.create} under the config's [seg_cap] and
+    [state_budget]. *)
 
 type entry = { exact : bool; values : History.Value.t list; overflow : bool }
 (** A segment's entry set: the register values it may start from.

@@ -34,14 +34,12 @@ let reason_json r =
     | Inc.Op_cap { n; cap } -> [ ("n", J.Int n); ("cap", J.Int cap) ]
     | Inc.State_budget { states; budget } ->
         [ ("states", J.Int states); ("budget", J.Int budget) ]
-    | Inc.Wall_budget { budget_ms } -> [ ("budget_ms", J.Float budget_ms) ]
     | Inc.Shed { pending; max_pending } ->
         [ ("pending", J.Int pending); ("max_pending", J.Int max_pending) ]
     | Inc.Entry_overflow { cap } -> [ ("cap", J.Int cap) ])
 
 let reason_of_json j =
   let int k = Option.bind (J.member k j) J.to_int_opt in
-  let float k = Option.bind (J.member k j) J.to_float_opt in
   match Option.bind (J.member "cause" j) J.to_string_opt with
   | Some "op-cap" -> (
       match (int "n", int "cap") with
@@ -51,10 +49,6 @@ let reason_of_json j =
       match (int "states", int "budget") with
       | Some states, Some budget -> Ok (Inc.State_budget { states; budget })
       | _ -> Error "state-budget reason: missing \"states\" or \"budget\"")
-  | Some "wall-budget" -> (
-      match float "budget_ms" with
-      | Some budget_ms -> Ok (Inc.Wall_budget { budget_ms })
-      | None -> Error "wall-budget reason: missing \"budget_ms\"")
   | Some "shed" -> (
       match (int "pending", int "max_pending") with
       | Some pending, Some max_pending ->

@@ -110,6 +110,19 @@ let net_tests =
 
 let seeds = [ 1L; 2L; 3L; 4L; 5L ]
 
+(* the single-writer workload of E6, E11 and E13: writer 0 and readers
+   1 and 2 on five nodes, four writes and three reads each; [crashes]
+   takes replicas 3 and 4 down at steps 60 and 120 *)
+let shape =
+  {
+    Core.Run_config.default with
+    Core.Run_config.writes_each = 4;
+    reads_each = 3;
+  }
+
+let crashing crash_at = { Core.Faults.none with Core.Faults.crash_at }
+let crashes = crashing [ (60, 3); (120, 4) ]
+
 let abd_tests =
   [
     tc "writer reads back its own last write" (fun () ->
@@ -143,22 +156,31 @@ let abd_tests =
           (Invalid_argument "Abd.create: writer out of range") (fun () ->
             ignore (Abd.create ~sched ~name:"Y" ~n:3 ~writer:5 ~init:0 ())));
     tc "operations complete despite minority crash" (fun () ->
-        let w = { Runs.default with crash = [ 3; 4 ]; seed = 77L } in
-        let run = Runs.execute w in
+        let run =
+          Runs.execute_config { shape with faults = crashes; seed = 77L }
+        in
         check_bool "completed" true run.Runs.completed);
     tc "crashing the writer is rejected by the driver" (fun () ->
         Alcotest.check_raises "writer"
-          (Invalid_argument "Runs.execute: crashed nodes cannot be clients")
-          (fun () -> ignore (Runs.execute { Runs.default with crash = [ 0 ] })));
+          (Invalid_argument "Runs.Config: crashed nodes cannot be clients")
+          (fun () ->
+            ignore
+              (Runs.execute_config
+                 { shape with faults = crashing [ (60, 0) ] })));
     tc "crashing a majority is rejected by the driver" (fun () ->
         Alcotest.check_raises "majority"
-          (Invalid_argument "Runs.execute: crash set must be a strict minority")
+          (Invalid_argument "Runs.Config: crash set must be a strict minority")
           (fun () ->
-            ignore (Runs.execute { Runs.default with crash = [ 1; 2; 3 ] })));
+            ignore
+              (Runs.execute_config
+                 {
+                   shape with
+                   faults = crashing [ (60, 1); (60, 2); (60, 3) ];
+                 })));
     tc "histories are linearizable across seeds" (fun () ->
         List.iter
           (fun seed ->
-            let run = Runs.execute { Runs.default with seed } in
+            let run = Runs.execute_config { shape with seed } in
             check_bool "completed" true run.Runs.completed;
             check_bool "linearizable" true
               (Core.Lincheck.check ~init:(V.Int 0) run.Runs.history))
@@ -166,22 +188,24 @@ let abd_tests =
     tc "histories are WSL (f*) across seeds — Theorem 14" (fun () ->
         List.iter
           (fun seed ->
-            let run = Runs.execute { Runs.default with seed } in
+            let run = Runs.execute_config { shape with seed } in
             check_bool "wsl" true (Runs.check run = Ok ()))
           seeds);
     tc "crashed runs are still linearizable + WSL" (fun () ->
         List.iter
           (fun seed ->
             let run =
-              Runs.execute { Runs.default with seed; crash = [ 3; 4 ] }
+              Runs.execute_config { shape with seed; faults = crashes }
             in
             check_bool "ok" true (Runs.check run = Ok ()))
           seeds);
     tc "no new-old inversion for a single reader" (fun () ->
         (* the write-back phase guarantees a reader's successive reads see
            non-decreasing values in writer order *)
-        let w = { Runs.default with readers = [ 1 ]; reads_each = 6; seed = 13L } in
-        let run = Runs.execute w in
+        let run =
+          Runs.execute_config
+            { shape with readers = [ 1 ]; reads_each = 6; seed = 13L }
+        in
         let values =
           Hist.ops run.Runs.history
           |> List.filter_map (fun (o : Core.Op.t) ->
@@ -197,7 +221,7 @@ let abd_tests =
         in
         check_bool "monotone reads" true (non_decreasing values));
     tc "writer order equals f* write order" (fun () ->
-        let run = Runs.execute { Runs.default with seed = 21L } in
+        let run = Runs.execute_config { shape with seed = 21L } in
         match Core.Fstar.wsl_function ~init:(V.Int 0) run.Runs.history with
         | Error e -> Alcotest.fail e
         | Ok orders ->
@@ -217,6 +241,40 @@ let abd_tests =
             in
             check_bool "writer order" true
               (is_prefix writer_order final || is_prefix final writer_order));
+    tc "CLI and battery runs replay from their config JSON" (fun () ->
+        (* the configs of `rlin abd --crash 3@60,4@120 --drop 0.1`,
+           `rlin trace --source abd --seed 20260805` and E6's second run,
+           so any of them can be saved as a corpus entry *)
+        let configs =
+          [
+            {
+              shape with
+              writes_each = 5;
+              reads_each = 4;
+              faults =
+                { crashes with Core.Faults.drop = 0.1; delay_bound = 4 };
+            };
+            { shape with seed = 20260805L };
+            { shape with faults = crashes; seed = 82L };
+          ]
+        in
+        let trace c =
+          List.map Core.Json.to_string
+            (Core.Trace.json_entries (Runs.execute_config c).Runs.trace)
+        in
+        List.iter
+          (fun c ->
+            match
+              Result.bind
+                (Core.Json.of_string
+                   (Core.Json.to_string (Core.Run_config.json c)))
+                Core.Run_config.of_json
+            with
+            | Error e -> Alcotest.fail e
+            | Ok c' ->
+                check_bool "same config" true (c = c');
+                check_bool "same trace JSONL" true (trace c = trace c'))
+          configs);
   ]
 
 (* ----- crash-recovery -------------------------------------------------------- *)

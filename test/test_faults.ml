@@ -436,9 +436,9 @@ let lossy_plan =
 let e2e_tests =
   [
     tc "same seed + same fault plan = byte-identical run" (fun () ->
-        let w = { Runs.default with faults = lossy_plan; seed = 99L } in
+        let w = { Test_abd.shape with faults = lossy_plan; seed = 99L } in
         let snap () =
-          let run = Runs.execute ~metrics:(Obs.Metrics.create ()) w in
+          let run = Runs.execute_config ~metrics:(Obs.Metrics.create ()) w in
           ( run.Runs.completed,
             run.Runs.steps,
             List.map Obs.Json.to_string
@@ -451,8 +451,8 @@ let e2e_tests =
         check_bool "identical trace JSONL" true (t1 = t2));
     tc "different fault seeds diverge (the faults really fire)" (fun () ->
         let metrics = Obs.Metrics.create () in
-        let w = { Runs.default with faults = lossy_plan; seed = 99L } in
-        ignore (Runs.execute ~metrics w);
+        let w = { Test_abd.shape with faults = lossy_plan; seed = 99L } in
+        ignore (Runs.execute_config ~metrics w);
         check_bool "dropped something" true
           (Obs.Metrics.counter metrics "net.faults.dropped" > 0));
     tc "ABD terminates under every single-minority crash schedule" (fun () ->
@@ -462,12 +462,12 @@ let e2e_tests =
           (fun crash_at ->
             let w =
               {
-                Runs.default with
+                Test_abd.shape with
                 faults = { lossy_plan with Faults.crash_at };
                 seed = 7L;
               }
             in
-            let run = Runs.execute w in
+            let run = Runs.execute_config w in
             check_bool "completed" true run.Runs.completed;
             check_bool "no stall" true (run.Runs.stalled = None);
             check_bool "checks pass" true (Runs.check run = Ok ()))
@@ -479,10 +479,17 @@ let e2e_tests =
           ]);
     tc "MW-ABD terminates and stays linearizable under faults" (fun () ->
         let run =
-          Runs.execute_mw
-            ~faults:{ lossy_plan with Faults.crash_at = [ (150, 3) ] }
-            ~n:5 ~writers:[ 0; 1 ] ~writes_each:2 ~readers:[ 2 ] ~reads_each:2
-            ~seed:11L ()
+          Runs.execute_config
+            {
+              Core.Run_config.default with
+              proto = Mw;
+              writers = [ 0; 1 ];
+              writes_each = 2;
+              readers = [ 2 ];
+              reads_each = 2;
+              faults = { lossy_plan with Faults.crash_at = [ (150, 3) ] };
+              seed = 11L;
+            }
         in
         check_bool "completed" true run.Runs.completed;
         check_bool "linearizable" true
@@ -491,7 +498,7 @@ let e2e_tests =
         let metrics = Obs.Metrics.create () in
         let w =
           {
-            Runs.default with
+            Test_abd.shape with
             faults =
               {
                 lossy_plan with
@@ -501,7 +508,7 @@ let e2e_tests =
             seed = 23L;
           }
         in
-        let run = Runs.execute ~metrics w in
+        let run = Runs.execute_config ~metrics w in
         check_bool "completed" true run.Runs.completed;
         check_bool "no stall" true (run.Runs.stalled = None);
         check_bool "checks pass" true (Runs.check ~metrics run = Ok ());
@@ -514,7 +521,7 @@ let e2e_tests =
     tc "recovery runs are byte-identical across executions" (fun () ->
         let w =
           {
-            Runs.default with
+            Test_abd.shape with
             faults =
               {
                 lossy_plan with
@@ -525,7 +532,7 @@ let e2e_tests =
           }
         in
         let snap () =
-          let run = Runs.execute ~metrics:(Obs.Metrics.create ()) w in
+          let run = Runs.execute_config ~metrics:(Obs.Metrics.create ()) w in
           ( run.Runs.completed,
             run.Runs.steps,
             List.map Obs.Json.to_string
@@ -534,12 +541,12 @@ let e2e_tests =
         check_bool "identical" true (snap () = snap ()));
     tc "crashing a majority via the plan is rejected" (fun () ->
         Alcotest.check_raises "majority"
-          (Invalid_argument "Runs.execute: crash set must be a strict minority")
+          (Invalid_argument "Runs.Config: crash set must be a strict minority")
           (fun () ->
             ignore
-              (Runs.execute
+              (Runs.execute_config
                  {
-                   Runs.default with
+                   Test_abd.shape with
                    faults =
                      {
                        Faults.none with
@@ -552,12 +559,12 @@ let e2e_tests =
         let metrics = Obs.Metrics.create () in
         let w =
           {
-            Runs.default with
+            Test_abd.shape with
             faults = plan ~dup:0.3 ~delay:0.1 ~delay_bound:3 ();
             seed = 17L;
           }
         in
-        let run = Runs.execute ~metrics w in
+        let run = Runs.execute_config ~metrics w in
         check_bool "completed" true run.Runs.completed;
         check_bool "duplicates happened" true
           (Obs.Metrics.counter metrics "net.faults.duplicated" > 0);

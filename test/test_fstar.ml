@@ -153,7 +153,9 @@ let props =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"Thm 14 on ABD histories (no crashes)" ~count:15
          seed_arb (fun seed ->
-           let run = Core.Abd_runs.execute { Core.Abd_runs.default with seed } in
+           let run =
+             Core.Abd_runs.execute_config { Test_abd.shape with seed }
+           in
            QCheck.assume run.Core.Abd_runs.completed;
            match F.wsl_function ~init run.Core.Abd_runs.history with
            | Ok _ -> true
@@ -162,8 +164,8 @@ let props =
       (QCheck.Test.make ~name:"Thm 14 on ABD histories (minority crashes)"
          ~count:10 seed_arb (fun seed ->
            let run =
-             Core.Abd_runs.execute
-               { Core.Abd_runs.default with seed; crash = [ 3; 4 ] }
+             Core.Abd_runs.execute_config
+               { Test_abd.shape with seed; faults = Test_abd.crashes }
            in
            QCheck.assume run.Core.Abd_runs.completed;
            match F.wsl_function ~init run.Core.Abd_runs.history with

@@ -64,8 +64,17 @@ let random_tests =
             QCheck.Gen.(map Int64.of_int (int_bound 1_000_000)))
          (fun seed ->
            let run =
-             Runs.execute_mw ~n:3 ~writers:[ 0; 1 ] ~writes_each:2
-               ~readers:[ 2 ] ~reads_each:3 ~seed ()
+             Runs.execute_config
+               {
+                 Core.Run_config.default with
+                 proto = Mw;
+                 n = 3;
+                 writers = [ 0; 1 ];
+                 writes_each = 2;
+                 readers = [ 2 ];
+                 reads_each = 3;
+                 seed;
+               }
            in
            run.Runs.completed
            && Core.Lincheck.check ~init:(V.Int 0) run.Runs.history));
@@ -75,8 +84,16 @@ let random_tests =
             QCheck.Gen.(map Int64.of_int (int_bound 1_000_000)))
          (fun seed ->
            let run =
-             Runs.execute_mw ~n:5 ~writers:[ 0; 1; 2 ] ~writes_each:1
-               ~readers:[ 3; 4 ] ~reads_each:2 ~seed ()
+             Runs.execute_config
+               {
+                 Core.Run_config.default with
+                 proto = Mw;
+                 writers = [ 0; 1; 2 ];
+                 writes_each = 1;
+                 readers = [ 3; 4 ];
+                 reads_each = 2;
+                 seed;
+               }
            in
            run.Runs.completed
            && Core.Lincheck.check ~init:(V.Int 0) run.Runs.history));

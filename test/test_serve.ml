@@ -137,13 +137,17 @@ let workload i =
   let seed = Int64.of_int (4200 + i) in
   if i mod 3 = 0 then (
     let r =
-      Core.Abd_runs.execute
+      Core.Abd_runs.execute_config
         {
-          Core.Abd_runs.default with
-          Core.Abd_runs.seed;
-          crash = [ 4 ];
+          Test_abd.shape with
+          seed;
           faults =
-            { Core.Faults.none with Core.Faults.drop = 0.05; duplicate = 0.05 };
+            {
+              Core.Faults.none with
+              Core.Faults.drop = 0.05;
+              duplicate = 0.05;
+              crash_at = [ (60, 4) ];
+            };
         }
     in
     (r.Core.Abd_runs.trace, r.Core.Abd_runs.history))
@@ -519,16 +523,25 @@ let checkpoint_tests =
                 stream (fst (workload 3));
                 stream (fst (workload 1));
                 stream
-                  (Core.Abd_runs.execute_mw ~n:3 ~writers:[ 0; 1 ]
-                     ~writes_each:2 ~readers:[ 2 ] ~reads_each:3 ~seed:7L ())
+                  (Core.Abd_runs.execute_config
+                     {
+                       Config.default with
+                       proto = Mw;
+                       n = 3;
+                       writers = [ 0; 1 ];
+                       writes_each = 2;
+                       readers = [ 2 ];
+                       reads_each = 3;
+                       seed = 7L;
+                     })
                     .Core.Abd_runs.trace;
               |]
             in
             (* the last 200 events, as a corpus post-mortem keeps *)
             let tracer = Obs.Tracer.create ~capacity:200 () in
             ignore
-              (Core.Abd_runs.execute ~tracer
-                 { Core.Abd_runs.default with Core.Abd_runs.seed = 7L });
+              (Core.Abd_runs.execute_config ~tracer
+                 { Test_abd.shape with seed = 7L });
             let events =
               String.concat "\n"
                 (List.map
