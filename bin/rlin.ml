@@ -157,9 +157,9 @@ let experiments_cmd =
              report ('-' for stdout).")
   in
   let run quick jobs only json faults crash recover =
-    (* experiments, game, chaos run and fleet run their main domain on
-       Pool's smaller minor heap, as its workers do; serve and check keep
-       the runtime's, which their larger live sets need *)
+    (* Pool.fold_runs right-sizes the minor heap of every domain that
+       runs its tasks, but some --only selections (E4, E8, E13) never
+       reach it, so the battery's main domain sets its own *)
     Core.Pool.right_size_minor_heap ();
     (match only with
     | Some ids when
@@ -260,6 +260,8 @@ let game_cmd =
       & info [ "rounds" ] ~docv:"R" ~doc:"Round budget / adversary rounds.")
   in
   let run mode rounds n seed =
+    (* a game is one run on this domain and never reaches Pool.fold_runs,
+       which right-sizes the minor heap of the domains it runs tasks on *)
     Core.Pool.right_size_minor_heap ();
     (* Thm6 and Alg1 reject n < 3 and a round budget below 1 *)
     or_usage_error (fun () ->
@@ -520,7 +522,6 @@ let chaos_run_cmd =
              reports still diff clean across -j).")
   in
   let run budget seed jobs inject inject_recovery corpus json flight =
-    Core.Pool.right_size_minor_heap ();
     if budget < 0 then usage_error "--budget must be >= 0";
     if inject && inject_recovery then
       usage_error
@@ -1847,7 +1848,6 @@ let fleet_cmd =
   let run shards n proto slots ops clients session_len mix keys faults
       crash_at recoveries persist batch_window batch_max sample seed jobs
       json =
-    Core.Pool.right_size_minor_heap ();
     let session_len =
       match clients with
       | None -> session_len

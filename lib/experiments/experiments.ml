@@ -253,7 +253,10 @@ let e6_abd ?(jobs = 1) ?(faults = Core.Faults.none) ~quick () =
             | Ok () -> 1
             | Error _ -> 0)
       in
-      ( Printf.sprintf "%d/%d runs pass (half with 2/5 nodes crashed)" ok runs,
+      ( Printf.sprintf "%d/%d runs pass (%s)" ok runs
+          (if faults.Core.Faults.crash_at = [] then
+             "half with 2/5 nodes crashed"
+           else "the plan's crash schedule on every run"),
         ok = runs,
         [ ("runs", float_of_int runs); ("runs_ok", float_of_int ok) ] ))
 

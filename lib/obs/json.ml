@@ -21,8 +21,9 @@ let rec equal a b =
 
 (* ----- emission -------------------------------------------------------- *)
 
-(* Emission allocates only its buffer and the string it returns, and
-   [Printf]'s strings for a float off [add_float]'s direct path. *)
+(* Emission allocates only the string it returns, [Printf]'s strings for
+   a float off [add_float]'s direct path, and a buffer when its domain's
+   is in use or was dropped (see [to_string]). *)
 
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
@@ -153,10 +154,25 @@ and emit_field buf k v =
   Buffer.add_char buf ':';
   emit buf v
 
+(* Each domain keeps one buffer for its renderings.  A call takes it out
+   of its slot and puts it back once done, so a rendering that another
+   thread of the domain interrupts, or that starts inside one, finds the
+   slot empty and makes its own.  A buffer that grew past 64 KB is left
+   to the GC: one large rendering does not pin its buffer for good. *)
+let taken = Buffer.create 0
+let spare = Domain.DLS.new_key (fun () -> Atomic.make taken)
+
 let to_string v =
-  let buf = Buffer.create 128 in
+  let slot = Domain.DLS.get spare in
+  let buf = Atomic.exchange slot taken in
+  let buf = if buf == taken then Buffer.create 128 else buf in
   emit buf v;
-  Buffer.contents buf
+  let s = Buffer.contents buf in
+  if Buffer.length buf <= 65_536 then begin
+    Buffer.clear buf;
+    Atomic.set slot buf
+  end;
+  s
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)
 

@@ -11,7 +11,8 @@
     Both directions allocate only their result: a parse builds the value
     it returns and nothing else (a string without escapes is one copy of
     the input, an integer of up to 18 digits is read in place), and a
-    rendering writes straight into one buffer.  A finite float renders
+    rendering writes into a buffer that its domain reuses and then copies
+    out the string it returns.  A finite float renders
     as ["%.1f"] if it is integral and below 1e15 in magnitude, else as
     ["%.12g"] if that reads back as the same float, else as ["%.17g"];
     such an integral value, and a value of magnitude 1e-4 or more whose
@@ -33,7 +34,10 @@ val equal : t -> t -> bool
     numerically equal (round-trips preserve the constructor). *)
 
 val to_string : t -> string
-(** Render on one line (no embedded newlines: strings are escaped). *)
+(** Render on one line (no embedded newlines: strings are escaped).  Safe
+    from any domain or thread: a call takes its domain's buffer for its
+    own use and puts it back after, unless the rendering grew it past
+    64 KB. *)
 
 val of_string : string -> (t, string) result
 (** Parse a single JSON value.  [Error msg] reads

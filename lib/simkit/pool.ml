@@ -16,7 +16,8 @@ let default_jobs () = Domain.recommended_domain_count ()
    smaller heap takes about 1.5 MB off each domain's share of the peak,
    for about 3x as many minor collections (DESIGN.md §12).  On OCaml
    5.1.1 a domain starts with the OCAMLRUNPARAM size whatever its parent
-   set, so each domain that wants it sets its own. *)
+   set, so each domain that runs a task sets its own: a worker when it
+   starts, the caller when it enters [fold_runs]. *)
 let minor_heap_words = 65_536
 
 (* the runtime reads the entry "s=SIZE" of a comma-separated list *)
@@ -25,12 +26,20 @@ let runparam_sets_minor_heap v =
     (fun e -> String.length e >= 2 && e.[0] = 's' && e.[1] = '=')
     (String.split_on_char ',' v)
 
-let right_size_minor_heap () =
+(* Read once, at initialisation, into a plain value: two domains may
+   enter [fold_runs] at once, and a [Lazy] forced by both may raise
+   [Lazy.Undefined] in one of them. *)
+let runparam_fixes_minor_heap =
   let set_by var =
     Option.fold ~none:false ~some:runparam_sets_minor_heap (Sys.getenv_opt var)
   in
-  if not (set_by "OCAMLRUNPARAM" || set_by "CAMLRUNPARAM") then
-    Gc.set { (Gc.get ()) with minor_heap_size = minor_heap_words }
+  set_by "OCAMLRUNPARAM" || set_by "CAMLRUNPARAM"
+
+let right_size_minor_heap () =
+  if not runparam_fixes_minor_heap then
+    let gc = Gc.get () in
+    if gc.minor_heap_size <> minor_heap_words then
+      Gc.set { gc with minor_heap_size = minor_heap_words }
 
 (* How many indices one fetch_and_add claims.  Whole-simulation tasks
    (milliseconds each) amortize a single atomic trivially, but fleet-
@@ -143,6 +152,9 @@ let run_job ~helpers work =
    as a failure of the task it was folding. *)
 let fold_runs ~jobs ~metrics n ~init ~fold f =
   if n < 0 then invalid_arg "Pool.fold_runs: negative task count";
+  (* the caller keeps this size on return: restoring its own made the
+     next set-up fault a fresh 2 MB heap back in (DESIGN.md §12) *)
+  right_size_minor_heap ();
   let owner = jobs > 1 && n > 1 && Atomic.compare_and_set busy false true in
   let jobs = if owner then jobs else 1 in
   let lock = Mutex.create () in

@@ -18,11 +18,12 @@
     on the calling domain too, and returns once every worker that joined
     has finished.  One call owns the workers at a time: a call made from
     inside a task, or from another domain while a call is in flight,
-    runs inline on its own domain, exactly as [jobs = 1] would.  Each
-    worker runs {!right_size_minor_heap} once when it starts, so its
-    minor heap is {!minor_heap_words} words, not the runtime's 256k;
-    the calling domain keeps its own unless its program calls that too
-    ([rlin]'s simulator subcommands do).
+    runs inline on its own domain, exactly as [jobs = 1] would.  Every
+    domain that runs a task runs a minor heap of {!minor_heap_words}
+    words, not the runtime's 256k: each worker runs
+    {!right_size_minor_heap} once when it starts, and {!fold_runs} runs
+    it on the calling domain as it enters.  The caller keeps that size
+    after the call returns.
 
     Every call goes through {!fold_runs}: tasks hand back values that
     are folded, with their private metric registries, in index order, so
@@ -46,9 +47,11 @@ val minor_heap_words : int
 val right_size_minor_heap : unit -> unit
 (** Set the calling domain's minor heap to {!minor_heap_words}, unless
     [OCAMLRUNPARAM] or [CAMLRUNPARAM] has an [s=] entry, which then
-    stands.  It changes GC timing only, never a result.  On OCaml 5.1.1
-    it does not reach domains spawned later: each one calls it for
-    itself. *)
+    stands (both are read once, when the module initialises).  A domain
+    already at that size is left as it is.  It changes GC timing only,
+    never a result.  On OCaml 5.1.1 it does not reach domains spawned
+    later: each one calls it for itself.  {!fold_runs} calls it, so a
+    program needs it only for work that never reaches the pool. *)
 
 val runparam_sets_minor_heap : string -> bool
 (** Whether an [OCAMLRUNPARAM] value has an [s=] entry: one of its
@@ -64,7 +67,8 @@ val fold_runs :
   'acc
 (** [fold_runs ~jobs ~metrics n ~init ~fold f] evaluates [f ~metrics:m i]
     for each [i] in [0..n-1] on up to [jobs] domains (the calling domain
-    included), each with a fresh registry [m], and returns
+    included, which it first puts on {!minor_heap_words} words with
+    {!right_size_minor_heap}), each with a fresh registry [m], and returns
     [fold (... (fold init v0) ...) v(n-1)].  Task [i]'s [fold] step and
     the {!Obs.Metrics.merge} of its registry into [metrics] happen once
     tasks [0..i] have all finished, on whichever domain finished the last

@@ -601,6 +601,25 @@ let test_json_against_reference () =
   done;
   Alcotest.(check bool) "at least 20k inputs" true (!inputs >= 20_000)
 
+(* [Obs.Json.to_string] renders into a buffer its domain reuses: a
+   rendering past 64 KB, the small ones after it, and renderings on two
+   domains at once must each come out as the reference's bytes. *)
+let test_json_reused_buffer () =
+  let module J = Obs.Json in
+  let big = J.List (List.init 20_000 (fun i -> J.Int i)) in
+  let render_all seed =
+    let rand = Random.State.make [| seed |] in
+    List.for_all
+      (fun k ->
+        let v = if k mod 100 = 0 then big else fuzz_value rand 4 in
+        String.equal (J.to_string v) (Json_ref.to_string v))
+      (List.init 1_000 Fun.id)
+  in
+  let other = Domain.spawn (fun () -> render_all 2) in
+  let here = render_all 1 in
+  Alcotest.(check bool) "this domain's renderings" true here;
+  Alcotest.(check bool) "the other domain's renderings" true (Domain.join other)
+
 (* Floats alone, many more of them: [Obs.Json] writes most without
    [Printf], and each must still come out as the reference's bytes. *)
 let test_json_floats_against_reference () =
@@ -675,13 +694,14 @@ let alloc_tests =
         Alcotest.(check int) "every sample merged" 120_000
           (Option.get (Obs.Metrics.summary into "op.latency.sim")).count);
     tc "json renders a float without Printf" (fun () ->
-        (* 27 and 192 words on OCaml 5.1.1, mostly the buffer and the
-           string; 83 and 358 while every float went through [Printf] *)
-        Alloc.at_most "rendering Float 0.05" 40.
+        (* 2 and 61 words on OCaml 5.1.1, the string returned; 27 and
+           192 while each rendering made its own buffer, 83 and 358 while
+           every float went through [Printf] *)
+        Alloc.at_most "rendering Float 0.05" 3.
           (Alloc.words_per_call ~n:10_000 (fun () ->
                Obs.Json.to_string (Obs.Json.Float 0.05)));
         let config = Core.Run_config.json (Core.Chaos.gen_config ~seed:5L 3) in
-        Alloc.at_most "rendering a chaos config" 288.
+        Alloc.at_most "rendering a chaos config" 92.
           (Alloc.words_per_call ~n:10_000 (fun () ->
                Obs.Json.to_string config)));
   ]
@@ -707,6 +727,8 @@ let suite =
         tc "json parse allocates only its value" test_json_parse_allocation;
         tc "json 1M array and 100k object" test_json_scale;
         tc "json agrees with the reference codec" test_json_against_reference;
+        tc "json renders through each domain's reused buffer as the reference"
+          test_json_reused_buffer;
         tc "fig3 trace JSONL round-trip" test_trace_jsonl_roundtrip;
         tc "json renders 200k floats and their negations as the reference"
           test_json_floats_against_reference;

@@ -310,24 +310,34 @@ let test_runparam_rule () =
       ("b,v=0x400", false);
     ]
 
-(* Every task of a jobs:2 fold records its domain and minor heap size.
-   A task that ran on a worker must see Pool.minor_heap_words — or, when
-   OCAMLRUNPARAM or CAMLRUNPARAM sets s=, the size every domain starts
-   with, the caller's — and the call leaves the caller's size as it was.
-   Where the pool has a worker, task 0, if the caller runs it, waits up
-   to 10 s for a task to start elsewhere, so a worker joins.  Where
-   default_jobs () = 1 (one core, or an affinity mask of one) the pool
-   spawns none (max_workers = 0): every task runs on the caller and the
-   worker check passes vacuously. *)
-let test_worker_minor_heap () =
+(* Every domain that runs a task of a fold — the caller and the workers —
+   runs Pool.minor_heap_words, and the caller keeps that size after the
+   call.  Under an s= entry in OCAMLRUNPARAM or CAMLRUNPARAM, each domain
+   keeps the size it started the fold with instead: 262,144 words for the
+   caller, which the test sets before each fold, and a fresh domain's size
+   for a worker.  The test restores the caller's size when it ends, so it
+   neither depends on nor leaks into the order of the tests.  Where the
+   pool has a worker, task 0, if the caller runs it, waits up to 10 s for
+   a task to start elsewhere, so a worker joins.  Where default_jobs () =
+   1 (one core, or an affinity mask of one) the pool spawns none
+   (max_workers = 0), every task runs on the caller, and the test says
+   so. *)
+let test_every_domain_minor_heap () =
   let heap () = (Gc.get ()).Gc.minor_heap_size in
-  let caller = Domain.self () and before = heap () in
+  let set_heap words = Gc.set { (Gc.get ()) with Gc.minor_heap_size = words } in
+  let env_sets v =
+    Option.fold ~none:false ~some:Pool.runparam_sets_minor_heap
+      (Sys.getenv_opt v)
+  in
+  let fixed = env_sets "OCAMLRUNPARAM" || env_sets "CAMLRUNPARAM" in
+  let caller = Domain.self () and restore = heap () in
+  let spawned = Domain.join (Domain.spawn heap) in
   let has_worker = Pool.default_jobs () > 1 in
-  let elsewhere = Atomic.make false in
-  let seen =
-    map ~jobs:2 16 (fun i ->
+  let fold ~jobs =
+    let elsewhere = Atomic.make false in
+    map ~jobs 16 (fun i ->
         if Domain.self () <> caller then Atomic.set elsewhere true
-        else if i = 0 && has_worker then begin
+        else if jobs > 1 && i = 0 && has_worker then begin
           let t0 = Unix.gettimeofday () in
           while
             (not (Atomic.get elsewhere)) && Unix.gettimeofday () -. t0 < 10.
@@ -337,29 +347,38 @@ let test_worker_minor_heap () =
         end;
         (Domain.self (), heap ()))
   in
-  let env_sets v =
-    Option.fold ~none:false ~some:Pool.runparam_sets_minor_heap
-      (Sys.getenv_opt v)
-  in
-  let want =
-    if env_sets "OCAMLRUNPARAM" || env_sets "CAMLRUNPARAM" then before
-    else Pool.minor_heap_words
-  in
-  Array.iteri
-    (fun i (d, size) ->
-      if d <> caller then
-        Alcotest.(check int)
-          (Printf.sprintf "task %d ran on a worker: its minor heap" i)
-          want size)
-    seen;
-  Alcotest.(check int) "the caller's minor heap is unchanged" before (heap ());
-  if has_worker then
-    Alcotest.(check bool) "some task ran on a worker" true
-      (Array.exists (fun (d, _) -> d <> caller) seen)
-  else
+  Fun.protect
+    ~finally:(fun () -> set_heap restore)
+    (fun () ->
+      List.iter
+        (fun jobs ->
+          set_heap 262_144;
+          let seen = fold ~jobs in
+          let want d =
+            if not fixed then Pool.minor_heap_words
+            else if d = caller then 262_144
+            else spawned
+          in
+          Array.iteri
+            (fun i (d, size) ->
+              Alcotest.(check int)
+                (Printf.sprintf "jobs=%d: task %d ran on %s: its minor heap"
+                   jobs i
+                   (if d = caller then "the caller" else "a worker"))
+                (want d) size)
+            seen;
+          Alcotest.(check int)
+            (Printf.sprintf "jobs=%d: the caller's minor heap after the call"
+               jobs)
+            (want caller) (heap ());
+          if jobs > 1 && has_worker then
+            Alcotest.(check bool) "some task ran on a worker" true
+              (Array.exists (fun (d, _) -> d <> caller) seen))
+        [ 1; 2 ]);
+  if not has_worker then
     print_endline
-      "default_jobs () = 1, so max_workers = 0: no task ran on a worker \
-       and the worker check passed vacuously"
+      "default_jobs () = 1, so max_workers = 0: every task ran on the \
+       caller and no worker's heap was checked"
 
 (* ----- battery determinism --------------------------------------------------- *)
 
@@ -439,8 +458,10 @@ let suite =
           test_fold_order;
         tc "an s= entry in OCAMLRUNPARAM keeps the runtime's minor heap"
           test_runparam_rule;
-        tc "workers run a 64k-word minor heap, the caller keeps its own"
-          test_worker_minor_heap;
+        tc
+          "every domain that runs a task runs a 64k-word minor heap, the \
+           caller included"
+          test_every_domain_minor_heap;
       ] );
     ( "experiments.parallel",
       [

@@ -177,13 +177,48 @@ let quorum_bug_run index =
 
 let with_seg seg = { Engine.default_config with Engine.seg }
 
+(* a stream cut just before its [k]th-last response, and the history
+   prefix it carries: the ops whose responses were cut are still open at
+   end of stream *)
+let cut_before_last_responses k (trace, hist) =
+  let events = Hist.events hist in
+  let responds =
+    List.filter
+      (fun e ->
+        match e.Event.event with Event.Respond _ -> true | _ -> false)
+      events
+  in
+  let cut = (List.nth responds (List.length responds - k)).Event.time in
+  let before e = Core.Trace.entry_time e < cut in
+  ( List.map
+      (fun e -> J.to_string (Core.Trace.entry_json e))
+      (List.filter before (Core.Trace.entries trace)),
+    Hist.of_events_exn (List.filter (fun e -> e.Event.time < cut) events) )
+
 let engine_tests =
   [
     tc "engine = reference oracle = offline on benign and faulty traces"
       (fun () ->
+        let whole (trace, hist) = (trace_lines trace, hist) in
+        (* workload 3, 6 and 9 are ABD runs, whose every op responds:
+           cut short, they end with ops still open *)
+        let truncated =
+          List.concat_map
+            (fun i ->
+              List.map
+                (fun k -> cut_before_last_responses k (workload i))
+                [ 1; 3 ])
+            [ 3; 6; 9 ]
+        in
+        List.iter
+          (fun (_, hist) ->
+            check_bool "a truncated stream leaves ops open" true
+              (Hist.pending_ops hist <> []))
+          truncated;
         let inputs =
-          List.init 9 (fun i -> workload (i + 1))
-          @ [ quorum_bug_run 46; quorum_bug_run 157 ]
+          List.init 9 (fun i -> whole (workload (i + 1)))
+          @ truncated
+          @ [ whole (quorum_bug_run 46); whole (quorum_bug_run 157) ]
         in
         (* a small [values_cap] must not change what the oracle says:
            feasible finals range over every value a segment wrote *)
@@ -194,8 +229,7 @@ let engine_tests =
             in
             let rejected =
               List.map
-                (fun (trace, hist) ->
-                  let lines = trace_lines trace in
+                (fun (lines, hist) ->
                   let engine, verdicts, _ = serve ~config lines in
                   check_int "no quarantine on a clean stream" 0
                     (Engine.quarantined engine);
