@@ -205,6 +205,22 @@ let intern t v =
       vid
   | i -> i
 
+(* create's sizes: the op arrays never outgrow 64 slots, because the op
+   cap is at most [Lincheck.max_ops] *)
+let ops0 = 16
+let vals0 = 8
+let states0 = 64
+
+(* A reset keeps an array or a state set of at most this many slots and
+   gives a larger one back for create's size.  An object's checker lives
+   as long as the stream, so what it keeps costs memory per object, and
+   one segment may reach [state_budget] states; 512 slots hold the
+   largest set (256 states) of the serve benchmark's 12-op segments,
+   which regrowing at every segment would allocate again. *)
+let keep_slots = 512
+
+let seed t ~entry = List.iter (fun v -> add_state t 0 (intern t v)) entry
+
 let create ?(metrics = Obs.Metrics.global) ?(cap = Lincheck.max_ops)
     ?(state_budget = default_state_budget) ~entry () =
   if cap < 1 || cap > Lincheck.max_ops then
@@ -218,27 +234,52 @@ let create ?(metrics = Obs.Metrics.global) ?(cap = Lincheck.max_ops)
       state_budget = max 1 state_budget;
       n = 0;
       pending = 0;
-      inv_t = Array.make 16 0;
-      resp_t = Array.make 16 0;
-      pred = Array.make 16 0;
-      wvid = Array.make 16 0;
-      rvid = Array.make 16 0;
+      inv_t = Array.make ops0 0;
+      resp_t = Array.make ops0 0;
+      pred = Array.make ops0 0;
+      wvid = Array.make ops0 0;
+      rvid = Array.make ops0 0;
       complete_mask = 0;
       ids = Hashtbl.create 32;
       unresolved = [];
-      vals = Array.make 8 V.Bot;
+      vals = Array.make vals0 V.Bot;
       nvals = 0;
-      set = Ipset.create ~capacity:64 ();
-      st_mask = Array.make 64 0;
-      st_vid = Array.make 64 0;
+      set = Ipset.create ~capacity:states0 ();
+      st_mask = Array.make states0 0;
+      st_vid = Array.make states0 0;
       st_n = 0;
       degraded = None;
       states_c = Obs.Metrics.counter_h metrics "linchk.inc.states";
       events_c = Obs.Metrics.counter_h metrics "linchk.inc.events";
     }
   in
-  List.iter (fun v -> add_state t 0 (intern t v)) entry;
+  seed t ~entry;
   t
+
+(* Back to what [create] sets, on the storage the last segment left:
+   cleared in place where it is of a size to keep, rebuilt where
+   [degrade] freed it or it grew past [keep_slots].  The op arrays need
+   no clearing: a slot is written by [invoke] before anything reads it. *)
+let reset t ~entry =
+  if entry = [] then invalid_arg "Increment.reset: empty entry set";
+  let keep slots = slots >= states0 && slots <= keep_slots in
+  t.n <- 0;
+  t.pending <- 0;
+  t.complete_mask <- 0;
+  Hashtbl.reset t.ids;
+  t.unresolved <- [];
+  if Array.length t.vals <= keep_slots then Array.fill t.vals 0 t.nvals V.Bot
+  else t.vals <- Array.make vals0 V.Bot;
+  t.nvals <- 0;
+  if keep (Ipset.capacity t.set) then Ipset.clear t.set
+  else t.set <- Ipset.create ~capacity:states0 ();
+  if not (keep (Array.length t.st_mask)) then begin
+    t.st_mask <- Array.make states0 0;
+    t.st_vid <- Array.make states0 0
+  end;
+  t.st_n <- 0;
+  t.degraded <- None;
+  seed t ~entry
 
 let invoke t ~id ~kind ~time =
   Obs.Metrics.incr_h t.events_c;

@@ -61,6 +61,16 @@ val create :
     @raise Invalid_argument on an empty entry set or a cap outside
     [1..Lincheck.max_ops]. *)
 
+val reset : t -> entry:History.Value.t list -> unit
+(** [reset t ~entry] restarts [t] on a new segment, as if it were
+    [create ~entry ()] with [t]'s registry and budgets, but on [t]'s own
+    storage: a serving layer keeps one checker per object and restarts
+    it at every segment instead of allocating one per segment.  Storage
+    that {!degrade} freed is rebuilt, and storage that grew past a fixed
+    bound (512 slots) goes back to [create]'s sizes, so one large
+    segment does not keep its arrays for the checker's lifetime.
+    @raise Invalid_argument on an empty entry set. *)
+
 val invoke : t -> id:int -> kind:History.Op.kind -> time:int -> unit
 (** Feed an invocation.  [id] must be fresh within the segment and [time]
     non-decreasing — the serving layer quarantines violations before they

@@ -49,17 +49,20 @@ let hash k1 k2 =
   h := (!h lxor (!h lsr 32)) * 0x27d4eb2f165667c5;
   !h lxor (!h lsr 29)
 
+(* The slot of the pair: the empty slot where it would go, or [lnot] of
+   the slot that holds it.  An int, not an [(int * bool)] pair, so that a
+   probe allocates nothing without flambda. *)
 let rec probe t k1' k2 i =
   let s = t.k1.(i) in
-  if s = 0 then (i, false)
-  else if s = k1' && t.k2.(i) = k2 then (i, true)
+  if s = 0 then i
+  else if s = k1' && t.k2.(i) = k2 then lnot i
   else probe t k1' k2 ((i + 1) land t.mask)
 
 let slot t k1 k2 = probe t (k1 + 1) k2 (hash k1 k2 land t.mask)
 
 let mem t ~k1 ~k2 =
   if k1 < 0 then invalid_arg "Ipset: k1 must be >= 0";
-  snd (slot t k1 k2)
+  slot t k1 k2 < 0
 
 let grow t =
   let old_k1 = t.k1 and old_k2 = t.k2 in
@@ -71,7 +74,7 @@ let grow t =
   Array.iteri
     (fun i s ->
       if s <> 0 then begin
-        let j, _ = probe t s old_k2.(i) (hash (s - 1) old_k2.(i) land t.mask) in
+        let j = probe t s old_k2.(i) (hash (s - 1) old_k2.(i) land t.mask) in
         t.k1.(j) <- s;
         t.k2.(j) <- old_k2.(i)
       end)
@@ -79,11 +82,15 @@ let grow t =
 
 let add t ~k1 ~k2 =
   if k1 < 0 then invalid_arg "Ipset: k1 must be >= 0";
-  let i, present = slot t k1 k2 in
-  if not present then begin
+  let i = slot t k1 k2 in
+  if i >= 0 then begin
     t.k1.(i) <- k1 + 1;
     t.k2.(i) <- k2;
     t.size <- t.size + 1;
     (* grow at 1/2 load so probe chains stay O(1) *)
     if 2 * t.size > Array.length t.k1 then grow t
   end
+
+let clear t =
+  Array.fill t.k1 0 (Array.length t.k1) 0;
+  t.size <- 0

@@ -1,9 +1,11 @@
 (** Open-addressed hash set of int pairs.
 
-    The failure-memo set of the {!Lincheck} DFS: a memo probe must not
-    allocate, so keys are two machine ints (the packed DFS state — see
-    [Lincheck.prep]'s value interning) stored inline in two parallel
-    arrays with linear probing and a power-of-two capacity.
+    The failure-memo set of the {!Lincheck} DFS and the reachable set of
+    {!Increment}: a probe must not allocate, so keys are two machine ints
+    (the packed DFS state — see [Lincheck.prep]'s value interning) stored
+    inline in two parallel arrays with linear probing and a power-of-two
+    capacity.  [mem], and [add] while the set does not grow, allocate
+    nothing.
 
     Both components may be any int with [k1 >= 0] ([k1] is offset by one
     internally so 0 can mark an empty slot). *)
@@ -25,6 +27,10 @@ val mem : t -> k1:int -> k2:int -> bool
 
 val add : t -> k1:int -> k2:int -> unit
 (** Idempotent. @raise Invalid_argument if [k1 < 0]. *)
+
+val clear : t -> unit
+(** Remove every pair and keep the capacity, so the set can be reused
+    without allocating; [grows] is unchanged. *)
 
 val length : t -> int
 (** Number of distinct pairs added. *)

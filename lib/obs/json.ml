@@ -396,7 +396,13 @@ let of_string s =
 
 (* ----- accessors -------------------------------------------------------- *)
 
-let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
+(* [List.assoc_opt] would compare each key with the polymorphic
+   [compare], a C call per key tried; the first binding still wins. *)
+let rec assoc_string k = function
+  | [] -> None
+  | (k', v) :: rest -> if String.equal k k' then Some v else assoc_string k rest
+
+let member k = function Obj fields -> assoc_string k fields | _ -> None
 
 let to_float_opt = function
   | Int n -> Some (float_of_int n)

@@ -52,7 +52,8 @@ val pp : Format.formatter -> t -> unit
 (** {2 Accessors (total, for tests and tooling)} *)
 
 val member : string -> t -> t option
-(** Field lookup in an [Obj]; [None] otherwise. *)
+(** Field lookup in an [Obj]: the first binding of the key; [None] if
+    there is none or the value is not an [Obj]. *)
 
 val to_float_opt : t -> float option
 (** [Int] and [Float] both convert. *)

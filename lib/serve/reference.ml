@@ -20,8 +20,10 @@ let obj = "offline"
 
 (* Buffer the segment's events and decide them at [outcome].  The op cap
    trips at the (cap+1)-th invoke, as in [Increment]; no other budget
-   applies. *)
+   applies.  [restart] forgets the segment: its events, counts and entry
+   set. *)
 let offline ~metrics (cfg : Segmenter.config) ~entry =
+  let entry = ref entry in
   let revents = ref [] in
   let n = ref 0 in
   let pending = ref 0 in
@@ -62,7 +64,7 @@ let offline ~metrics (cfg : Segmenter.config) ~entry =
         let finals =
           List.concat_map
             (fun init -> Linchk.Lincheck.finals ~metrics ~init h)
-            entry
+            !entry
         in
         if finals = [] then Inc.Fail
         else
@@ -79,7 +81,7 @@ let offline ~metrics (cfg : Segmenter.config) ~entry =
           let add acc v =
             if List.exists (V.equal v) acc then acc else acc @ [ v ]
           in
-          let candidates = List.fold_left add [] (entry @ written) in
+          let candidates = List.fold_left add [] (!entry @ written) in
           Inc.Pass
             (List.filter
                (fun v -> List.exists (V.equal v) finals)
@@ -92,6 +94,13 @@ let offline ~metrics (cfg : Segmenter.config) ~entry =
     degraded = (fun () -> !degraded);
     pending = (fun () -> !pending);
     outcome;
+    restart =
+      (fun ~entry:next ->
+        entry := next;
+        revents := [];
+        n := 0;
+        pending := 0;
+        degraded := None);
   }
 
 let run ?(config = Engine.default_config) lines =

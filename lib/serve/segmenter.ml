@@ -24,7 +24,10 @@ module Inc = Linchk.Increment
 
    Each segment is decided by a [decider]: [incremental] for
    [rlin serve], [Reference.offline] for its self-check.  The screens,
-   boundaries and entry sets here are shared by both. *)
+   boundaries and entry sets here are shared by both.  An object has one
+   decider, made on its first segment and restarted on each later one,
+   so that a stream of short segments allocates, and promotes, no
+   checker per segment. *)
 
 type config = {
   seg_cap : int;
@@ -46,6 +49,7 @@ type decider = {
   degraded : unit -> Inc.reason option;
   pending : unit -> int;
   outcome : unit -> Inc.outcome;
+  restart : entry:V.t list -> unit;
 }
 
 type decide = metrics:Obs.Metrics.t -> config -> entry:V.t list -> decider
@@ -62,6 +66,7 @@ let incremental ~metrics cfg ~entry =
     degraded = (fun () -> Inc.degraded inc);
     pending = (fun () -> Inc.pending inc);
     outcome = (fun () -> Inc.outcome inc);
+    restart = (fun ~entry -> Inc.reset inc ~entry);
   }
 
 type entry = { exact : bool; values : V.t list; overflow : bool }
@@ -77,7 +82,8 @@ type t = {
   decide : decide;
   mutable index : int;
   mutable entry : entry;
-  mutable inc : decider option;
+  mutable dec : decider option; (* made on the first segment *)
+  mutable inc : decider option; (* [dec], while a segment is open *)
   ids : (int, op_state) Hashtbl.t; (* this segment's op ids *)
   mutable seg_writes : V.t list; (* distinct, reverse first-write order *)
   mutable seg_write_count : int;
@@ -97,6 +103,7 @@ let create ?(metrics = Obs.Metrics.global) ?(decide = incremental) ~config ~obj
     decide;
     index;
     entry;
+    dec = None;
     inc = None;
     ids = Hashtbl.create 64;
     seg_writes = [];
@@ -115,13 +122,20 @@ let is_open t = Option.is_some t.inc
 let open_cost t = t.open_cost
 
 let start_segment t =
+  let entry = if t.entry.values = [] then [ V.Bot ] else t.entry.values in
   let inc =
-    t.decide ~metrics:t.metrics t.cfg
-      ~entry:(if t.entry.values = [] then [ V.Bot ] else t.entry.values)
+    match t.dec with
+    | Some d ->
+        d.restart ~entry;
+        d
+    | None ->
+        let d = t.decide ~metrics:t.metrics t.cfg ~entry in
+        t.dec <- Some d;
+        d
   in
   if t.entry.overflow then
     inc.degrade (Inc.Entry_overflow { cap = t.cfg.values_cap });
-  t.inc <- Some inc;
+  t.inc <- t.dec;
   inc
 
 let dedup_mem vs v = List.exists (V.equal v) vs

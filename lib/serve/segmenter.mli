@@ -11,7 +11,10 @@
     The segment bookkeeping, the screens on op ids and the entry-set
     propagation live here once.  Only the decider varies: {!incremental}
     ({!Linchk.Increment}) serves, and {!Reference.offline}
-    ({!Linchk.Lincheck.check}) is the self-check's oracle. *)
+    ({!Linchk.Lincheck.check}) is the self-check's oracle.  A segmenter
+    makes one decider, on its first segment, and restarts it at every
+    later one, so a stream of many short segments allocates no checker
+    per segment. *)
 
 type config = {
   seg_cap : int;  (** max ops per segment (≤ {!Linchk.Lincheck.max_ops}) *)
@@ -29,21 +32,26 @@ type decider = {
   degraded : unit -> Linchk.Increment.reason option;
   pending : unit -> int;
   outcome : unit -> Linchk.Increment.outcome;
+  restart : entry:History.Value.t list -> unit;
 }
-(** One segment's decision procedure, with the contract of the
-    {!Linchk.Increment} operations of the same names: the decider trips
-    its own budgets (the op cap, and for {!incremental} the state
-    budget), the segmenter's entry overflow and shed come through
-    [degrade], and [outcome]'s [Pass] lists the feasible boundary
-    values, entry values first, then first-write order. *)
+(** One object's decision procedure, one segment at a time, with the
+    contract of the {!Linchk.Increment} operations of the same names
+    ([restart] is {!Linchk.Increment.reset}): the decider trips its own
+    budgets (the op cap, and for {!incremental} the state budget), the
+    segmenter's entry overflow and shed come through [degrade],
+    [outcome]'s [Pass] lists the feasible boundary values, entry values
+    first, then first-write order, and [restart ~entry] forgets the
+    segment and starts the next one from [entry], as a fresh decider
+    would. *)
 
 type decide =
   metrics:Obs.Metrics.t -> config -> entry:History.Value.t list -> decider
-(** Start a segment whose register may hold any value of [entry]. *)
+(** Start an object's first segment, whose register may hold any value
+    of [entry]. *)
 
 val incremental : decide
 (** {!Linchk.Increment.create} under the config's [seg_cap] and
-    [state_budget]. *)
+    [state_budget], restarted with {!Linchk.Increment.reset}. *)
 
 type entry = { exact : bool; values : History.Value.t list; overflow : bool }
 (** A segment's entry set: the register values it may start from.
@@ -64,7 +72,8 @@ val create :
   index:int ->
   unit ->
   t
-(** [decide] defaults to {!incremental}. *)
+(** [decide] (default {!incremental}) makes the object's one decider on
+    its first segment; every later segment restarts it. *)
 
 val obj : t -> string
 val index : t -> int

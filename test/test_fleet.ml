@@ -214,9 +214,10 @@ let engine_tests =
         check_int "all ops ran" 600 r.Core.Fleet.total_ops);
   ]
 
-(* A scheduler step allocates only what the protocol allocates: 39.6
-   minor words per step here (42.0 while the replicas built their tracer
-   arguments untraced), where a decision that built the live-pid list and
+(* A scheduler step allocates only what the protocol allocates: 38.3
+   minor words per step here (39.6 while an [Ipset] probe returned a
+   tuple, 42.0 while the replicas built their tracer arguments
+   untraced), where a decision that built the live-pid list and
    an RNG that boxed its state made 429.  The config is the
    fleet-abd-faulty benchmark's shape cut to 2 shards x 2,000 ops: one-op
    sessions under link faults, a crash and recovery, and batching. *)

@@ -307,6 +307,14 @@ let test_json_unicode_surrogates () =
       "\"\\u00e\"";
     ]
 
+let test_json_member_first_binding () =
+  let module J = Obs.Json in
+  let v = J.Obj [ ("a", J.Int 1); ("b", J.Int 2); ("a", J.Int 3) ] in
+  Alcotest.(check bool) "the first of two bindings" true (J.member "a" v = Some (J.Int 1));
+  Alcotest.(check bool) "a later key" true (J.member "b" v = Some (J.Int 2));
+  Alcotest.(check bool) "a missing key" true (J.member "c" v = None);
+  Alcotest.(check bool) "not an object" true (J.member "a" (J.List [ v ]) = None)
+
 (* ----- Json: nesting bound, allocation, scale ---------------------------- *)
 
 let nesting_error = "json: at offset 512: nesting deeper than 512"
@@ -723,6 +731,7 @@ let suite =
         tc "json round-trip" test_json_roundtrip;
         tc "json \\uXXXX decoding" test_json_unicode_escape;
         tc "json surrogate pairs and strict hex" test_json_unicode_surrogates;
+        tc "json member returns a key's first binding" test_json_member_first_binding;
         tc "json nesting bound" test_json_nesting_bound;
         tc "json parse allocates only its value" test_json_parse_allocation;
         tc "json 1M array and 100k object" test_json_scale;
