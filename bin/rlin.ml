@@ -1833,8 +1833,9 @@ let fleet_cmd =
       & info [ "sample" ] ~docv:"S"
           ~doc:
             "Stream-check the histories of the first $(docv) shards with \
-             the incremental linearizability checker (the rest drop their \
-             drained traces — memory stays flat either way).")
+             the incremental linearizability checker, each event as it is \
+             recorded (the rest drop theirs; no shard keeps its trace, so \
+             memory stays flat either way).")
   in
   let json =
     Arg.(
@@ -1877,7 +1878,6 @@ let fleet_cmd =
         batch_max;
         seed;
         sample;
-        drain_every = Core.Fleet.default.Core.Fleet.drain_every;
       }
     in
     or_usage_error (fun () -> Core.Fleet.validate config);

@@ -1254,16 +1254,19 @@ let e15_fleet ?(jobs = 1) ~quick () =
       let amortized =
         batched.Core.Fleet.total_attempts < unbatched.Core.Fleet.total_attempts
       in
+      let decided = batched.Core.Fleet.total_decided_ops in
+      let sampled = decided + batched.Core.Fleet.total_undecided_ops in
       ( Printf.sprintf
           "%d ops over %d shards: %d sessions (%d recycles), attempts/op \
            %.2f unbatched vs %.2f batched (%d coalesced), %d sampled \
-           segments (%d fail, %d unknown); deterministic across -j: %b"
+           segments (%d fail, %d unknown), decided %d of %d sampled ops; \
+           deterministic across -j: %b"
           ops shards batched.Core.Fleet.total_sessions recycles
           (Core.Fleet.attempts_per_op unbatched)
           (Core.Fleet.attempts_per_op batched)
           batched.Core.Fleet.total_coalesced batched.Core.Fleet.total_segments
           batched.Core.Fleet.total_fails batched.Core.Fleet.total_unknowns
-          deterministic,
+          decided sampled deterministic,
         verdicts_agree && churn_ok && amortized
         && batched.Core.Fleet.total_segments > 0
         && deterministic,

@@ -16,10 +16,11 @@ module Mwabd = Msgpass.Mwabd
    the config alone — byte-identical at any [jobs].
 
    Memory discipline (the 1M+-op requirement): client sessions recycle a
-   fixed set of fiber slots (Sched.recycle), the trace is drained on a
-   fixed decision cadence and fed to the streaming checker (or dropped),
-   and each replica's stable log auto-compacts — so every structure is
-   bounded by the configuration, not the operation count. *)
+   fixed set of fiber slots (Sched.recycle), the trace keeps no entries
+   (its sink streams each history event into the checker as it is
+   recorded, or drops it), and each replica's stable log auto-compacts —
+   so every structure is bounded by the configuration, not the operation
+   count. *)
 
 type proto = Sw | Mw
 
@@ -38,7 +39,6 @@ type config = {
   batch_max : int;
   seed : int64;
   sample : int;
-  drain_every : int;
 }
 
 let default =
@@ -57,7 +57,6 @@ let default =
     batch_max = 1;
     seed = 1L;
     sample = 1;
-    drain_every = 512;
   }
 
 let validate c =
@@ -75,7 +74,6 @@ let validate c =
   if c.keys < 1 then bad "keys must be >= 1";
   if c.sample < 0 || c.sample > c.shards then
     bad "sample must be in [0, shards]";
-  if c.drain_every < 1 then bad "drain_every must be >= 1";
   if c.batch_window < 0 then bad "batch_window must be >= 0";
   if c.batch_max < 1 then bad "batch_max must be >= 1";
   Faults.validate c.faults;
@@ -131,6 +129,8 @@ type shard = {
   segments : int;  (** streaming-checker verdicts (sampled shards only) *)
   fails : int;
   unknowns : int;
+  decided_ops : int;  (** ops inside [Ok_] and [Fail] verdicts *)
+  undecided_ops : int;  (** ops inside [Unknown] verdicts *)
   sends : int;
   delivered : int;
   attempts : int;  (** delivery attempts (net.delivery_attempts) *)
@@ -150,6 +150,8 @@ type report = {
   total_segments : int;
   total_fails : int;
   total_unknowns : int;
+  total_decided_ops : int;
+  total_undecided_ops : int;
   completed : bool;
 }
 
@@ -157,8 +159,6 @@ type report = {
 
 let run_shard ~metrics (c : config) ~index ~ops =
   let seed = shard_seed ~seed:c.seed index in
-  let sched = Sched.create ~seed ~metrics () in
-  Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   let name = Printf.sprintf "S%d" index in
   let sampled = index < c.sample in
   let seg =
@@ -171,36 +171,42 @@ let run_shard ~metrics (c : config) ~index ~ops =
            ~index:0 ())
   in
   let segments = ref 0 and fails = ref 0 and unknowns = ref 0 in
+  let decided = ref 0 and undecided = ref 0 in
   let note = function
     | None -> ()
     | Some v -> (
         incr segments;
+        let ops = v.Serve.Verdict.ops in
         match v.Serve.Verdict.outcome with
-        | Serve.Verdict.Fail -> incr fails
-        | Serve.Verdict.Unknown _ -> incr unknowns
-        | Serve.Verdict.Ok_ -> ())
+        | Serve.Verdict.Ok_ -> decided := !decided + ops
+        | Serve.Verdict.Fail ->
+            incr fails;
+            decided := !decided + ops
+        | Serve.Verdict.Unknown _ ->
+            incr unknowns;
+            undecided := !undecided + ops)
   in
-  (* drained trace entries go to the streaming checker on sampled shards
-     and are dropped on the rest — either way the trace never grows past
-     one drain interval *)
-  let feed entries =
+  (* the trace's sink: sampled shards stream each history event into the
+     checker as it is recorded, the rest drop every entry, and either way
+     the trace keeps none *)
+  let sink =
     match seg with
-    | None -> ()
-    | Some s ->
-        List.iter
-          (function
-            | Trace.Ev { History.Event.event; time } -> (
-                match event with
-                | History.Event.Invoke { op_id; kind; _ } -> (
-                    match Serve.Segmenter.invoke s ~id:op_id ~kind ~time with
-                    | Ok () | Error _ -> ())
-                | History.Event.Respond { op_id; result } -> (
-                    match Serve.Segmenter.respond s ~id:op_id ~result ~time with
-                    | Ok v -> note v
-                    | Error _ -> ()))
-            | _ -> ())
-          entries
+    | None -> ignore
+    | Some s -> (
+        function
+        | Trace.Ev { History.Event.event; time } -> (
+            match event with
+            | History.Event.Invoke { op_id; kind; _ } -> (
+                match Serve.Segmenter.invoke s ~id:op_id ~kind ~time with
+                | Ok () | Error _ -> ())
+            | History.Event.Respond { op_id; result } -> (
+                match Serve.Segmenter.respond s ~id:op_id ~result ~time with
+                | Ok v -> note v
+                | Error _ -> ()))
+        | _ -> ())
   in
+  let sched = Sched.create ~seed ~metrics ~sink () in
+  Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   let fpolicy =
     if Faults.is_benign c.faults then None
     else Some (Faults.create ~seed:(fault_seed seed) c.faults)
@@ -297,9 +303,7 @@ let run_shard ~metrics (c : config) ~index ~ops =
     done;
     let rng = Rng.create (Int64.logxor seed 0x7E57AB1EL) in
     let rand_pol = Sched.random_policy rng in
-    let decisions = ref 0 in
     let base s =
-      incr decisions;
       while not (Queue.is_empty finished) do
         let slot = Queue.pop finished in
         if remaining.(slot) > 0 then
@@ -312,8 +316,6 @@ let run_shard ~metrics (c : config) ~index ~ops =
           List.iter crash (Faults.crashes_due f ~step);
           List.iter recover (Faults.recoveries_due f ~step)
       | None -> ());
-      if !decisions mod c.drain_every = 0 then
-        feed (Trace.drain (Sched.trace sched));
       if !live = 0 then Sched.Halt else rand_pol s
     in
     let policy = Net.auto_deliver_policy net ~rng base in
@@ -327,7 +329,6 @@ let run_shard ~metrics (c : config) ~index ~ops =
         stalled := true;
         Sched.steps sched
     in
-    feed (Trace.drain (Sched.trace sched));
     note (Option.bind seg Serve.Segmenter.flush);
     let counter = Obs.Metrics.counter metrics in
     {
@@ -341,6 +342,8 @@ let run_shard ~metrics (c : config) ~index ~ops =
       segments = !segments;
       fails = !fails;
       unknowns = !unknowns;
+      decided_ops = !decided;
+      undecided_ops = !undecided;
       sends = counter "net.sends";
       delivered = counter "net.delivered";
       attempts = counter "net.delivery_attempts";
@@ -386,6 +389,8 @@ let run ?(jobs = 1) ?(metrics = Obs.Metrics.global) c =
     total_segments = sum (fun s -> s.segments);
     total_fails = sum (fun s -> s.fails);
     total_unknowns = sum (fun s -> s.unknowns);
+    total_decided_ops = sum (fun s -> s.decided_ops);
+    total_undecided_ops = sum (fun s -> s.undecided_ops);
     completed =
       List.for_all (fun (s : shard) -> s.completed && not s.stalled) shards_r;
   }
@@ -412,7 +417,6 @@ let config_json c =
       ("batch_max", Obs.Json.Int c.batch_max);
       ("seed", Obs.Json.Str (Int64.to_string c.seed));
       ("sample", Obs.Json.Int c.sample);
-      ("drain_every", Obs.Json.Int c.drain_every);
     ]
 
 let shard_json s =
@@ -428,6 +432,8 @@ let shard_json s =
       ("segments", Obs.Json.Int s.segments);
       ("fails", Obs.Json.Int s.fails);
       ("unknowns", Obs.Json.Int s.unknowns);
+      ("decided_ops", Obs.Json.Int s.decided_ops);
+      ("undecided_ops", Obs.Json.Int s.undecided_ops);
       ("sends", Obs.Json.Int s.sends);
       ("delivered", Obs.Json.Int s.delivered);
       ("attempts", Obs.Json.Int s.attempts);
@@ -450,6 +456,8 @@ let report_json r =
       ("segments", Obs.Json.Int r.total_segments);
       ("fails", Obs.Json.Int r.total_fails);
       ("unknowns", Obs.Json.Int r.total_unknowns);
+      ("decided_ops", Obs.Json.Int r.total_decided_ops);
+      ("undecided_ops", Obs.Json.Int r.total_undecided_ops);
       ("completed", Obs.Json.Bool r.completed);
       ("shards", Obs.Json.List (List.map shard_json r.shards_r));
     ]
@@ -466,11 +474,13 @@ let pp fmt r =
     "@[<v>fleet: %d shards x %d nodes (%s), %d ops, %d sessions over %d \
      slots/shard@,\
      steps %d, delivery attempts %d (%.2f/op), coalesced %d@,\
-     sampled shards: %d segments, %d fail, %d unknown@,\
+     sampled shards: %d segments, %d fail, %d unknown; decided %d of %d \
+     sampled ops@,\
      %s@]"
     r.config.shards r.config.n
     (match r.config.proto with Sw -> "abd" | Mw -> "mwabd")
     r.total_ops r.total_sessions r.config.slots r.total_steps r.total_attempts
     (attempts_per_op r) r.total_coalesced r.total_segments r.total_fails
-    r.total_unknowns
+    r.total_unknowns r.total_decided_ops
+    (r.total_decided_ops + r.total_undecided_ops)
     (if r.completed then "all shards completed" else "INCOMPLETE/STALLED")

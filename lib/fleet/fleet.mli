@@ -6,11 +6,13 @@
     ({!Simkit.Sched.recycle}).
 
     Flat-memory discipline, the property the 1M+-op experiment (E15)
-    certifies: the trace is drained on a fixed decision cadence (sampled
-    shards feed the drained events to the streaming linearizability
-    checker, {!Serve.Segmenter}; the rest drop them), replica stable logs
-    auto-compact, and the metric histograms are log-linear buckets — every
-    structure is bounded by the configuration, not the operation count.
+    certifies: a shard's trace keeps no entries — its sink
+    ({!Simkit.Sched.create}'s [?sink]) hands each history event, as it is
+    recorded, to the streaming linearizability checker
+    ({!Serve.Segmenter}) on sampled shards and drops it on the rest —
+    replica stable logs auto-compact, and the metric histograms are
+    log-linear buckets: every structure is bounded by the configuration,
+    not the operation count.
 
     Shards share no mutable state, so they fan out over domains
     ({!Simkit.Pool.fold_runs}) and reports are byte-identical at any
@@ -37,7 +39,6 @@ type config = {
   batch_max : int;  (** [1] disables *)
   seed : int64;
   sample : int;  (** the first [sample] shards are stream-checked *)
-  drain_every : int;  (** trace drain cadence, in scheduler decisions *)
 }
 
 val default : config
@@ -62,6 +63,11 @@ type shard = {
   segments : int;  (** streaming-checker verdicts (sampled shards only) *)
   fails : int;  (** [Fail] verdicts — must be 0 on healthy runs *)
   unknowns : int;
+  decided_ops : int;  (** ops inside [Ok_] and [Fail] verdicts *)
+  undecided_ops : int;
+      (** ops inside [Unknown] verdicts.  On a sampled shard that
+          completed, [decided_ops + undecided_ops = shard_ops]; both are 0
+          on unsampled shards. *)
   sends : int;
   delivered : int;
   attempts : int;  (** delivery attempts ([net.delivery_attempts]) *)
@@ -81,6 +87,8 @@ type report = {
   total_segments : int;
   total_fails : int;
   total_unknowns : int;
+  total_decided_ops : int;
+  total_undecided_ops : int;
   completed : bool;  (** every shard completed without stalling *)
 }
 

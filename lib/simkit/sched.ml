@@ -33,9 +33,9 @@ type t = {
 }
 
 let create ?(seed = 1L) ?(metrics = Obs.Metrics.global)
-    ?(tracer = Obs.Tracer.null) () =
+    ?(tracer = Obs.Tracer.null) ?sink () =
   {
-    tr = Trace.create ~metrics ();
+    tr = Trace.create ~metrics ?sink ();
     rng_ = Rng.create seed;
     slots = [||];
     rr_cursor = 0;

@@ -12,7 +12,12 @@
 type t
 
 val create :
-  ?seed:int64 -> ?metrics:Obs.Metrics.t -> ?tracer:Obs.Tracer.t -> unit -> t
+  ?seed:int64 ->
+  ?metrics:Obs.Metrics.t ->
+  ?tracer:Obs.Tracer.t ->
+  ?sink:(Trace.entry -> unit) ->
+  unit ->
+  t
 (** [metrics] (default {!Obs.Metrics.global}) receives the scheduler's
     counters — [sched.steps], [sched.coins], [sched.crashes],
     [sched.restarts], [sched.recycles], [sched.spawns], [sched.runs] —
@@ -24,7 +29,10 @@ val create :
     recorder this scheduler — and every component built on it
     ({!Msgpass.Net}, the registers) — emits causal events to: [spawn],
     [step], [coin], [crash] and [watchdog] events in category ["sched"],
-    stamped with the step clock and the acting pid as track. *)
+    stamped with the step clock and the acting pid as track.
+
+    [sink] is passed to {!Trace.create}: given one, the trace hands every
+    entry to it as it is recorded and keeps none. *)
 
 val trace : t -> Trace.t
 val rng : t -> Rng.t

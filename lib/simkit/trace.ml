@@ -10,6 +10,7 @@ type entry =
 type t = {
   mutable clock : int;
   mutable rev_entries : entry list;
+  sink : (entry -> unit) option;
   mutable next_op : int;
   metrics : Obs.Metrics.t;
   (* metric handles, resolved once at creation (hot-path discipline) *)
@@ -20,10 +21,11 @@ type t = {
   invoked_at : (int, int) Hashtbl.t; (* op_id -> invocation time *)
 }
 
-let create ?(metrics = Obs.Metrics.global) () =
+let create ?(metrics = Obs.Metrics.global) ?sink () =
   {
     clock = 0;
     rev_entries = [];
+    sink;
     next_op = 0;
     metrics;
     invokes_c = Obs.Metrics.counter_h metrics "trace.invokes";
@@ -40,7 +42,13 @@ let next_time t =
   t.clock <- t.clock + 1;
   t.clock
 
-let push t e = t.rev_entries <- e :: t.rev_entries
+(* With a sink, an entry goes straight to its consumer and the trace keeps
+   none, so a long run's entries die young: a kept entry that outlives a
+   minor collection is promoted to the major heap. *)
+let push t e =
+  match t.sink with
+  | None -> t.rev_entries <- e :: t.rev_entries
+  | Some f -> f e
 
 let invoke t ~proc ~obj ~kind =
   t.next_op <- t.next_op + 1;
@@ -80,17 +88,6 @@ let read_ts t ~op_id ~proc ~ts =
 
 let note t ~tag ~text = push t (Note { time = next_time t; tag; text })
 let entries t = List.rev t.rev_entries
-
-(* Streaming consumption: hand the accumulated entries over and clear the
-   buffer, keeping the clock and op-id counter monotone so later entries
-   continue the same timeline.  A long-running fleet drains between
-   client-pool generations and feeds the events straight into the
-   streaming checker — trace memory is then bounded by the drain
-   interval, not the run length. *)
-let drain t =
-  let es = List.rev t.rev_entries in
-  t.rev_entries <- [];
-  es
 
 let history t =
   entries t

@@ -11,7 +11,14 @@
     - coin flips (visible to a {e strong} adversary only after they occur);
     - the base-register writes and partial-timestamp snapshots of
       Algorithm 2, which are exactly the inputs Algorithm 3 (the on-line
-      write strong-linearization function) consumes. *)
+      write strong-linearization function) consumes.
+
+    A trace either keeps its entries, for the readers below, or hands each
+    one to a {e sink} as it is recorded and keeps none.  The sink is how a
+    long run streams its history into a consumer (the fleet's sampled
+    shards feed {!Serve.Segmenter}; the rest pass [ignore]): memory then
+    stays flat in the run length, and {!entries}, {!history}, {!lin_time},
+    {!coins}, {!pp} and {!json_entries} see nothing. *)
 
 type entry =
   | Ev of History.Event.timed  (** history event *)
@@ -32,10 +39,14 @@ type entry =
 
 type t
 
-val create : ?metrics:Obs.Metrics.t -> unit -> t
+val create : ?metrics:Obs.Metrics.t -> ?sink:(entry -> unit) -> unit -> t
 (** [metrics] (default {!Obs.Metrics.global}) receives the trace's
     counters ([trace.invokes], [trace.responds], [trace.lins]) and the
-    per-operation simulated-time latency histogram [op.latency.sim]. *)
+    per-operation simulated-time latency histogram [op.latency.sim].
+
+    [sink], if given, receives every entry in time order as it is
+    recorded, and the trace keeps none of them.  The clock, op ids,
+    counters and latencies are the same with or without one. *)
 
 val metrics : t -> Obs.Metrics.t
 
@@ -59,16 +70,6 @@ val note : t -> tag:string -> text:string -> unit
 
 val entries : t -> entry list
 (** In time order. *)
-
-val drain : t -> entry list
-(** The accumulated entries in time order, removing them from the trace.
-    The clock and the op-id counter are untouched, so entries recorded
-    after a drain continue the same timeline (distinct times, distinct
-    op ids).  Long-running workloads (the fleet's million-op runs) drain
-    periodically and feed the events into the streaming checker, keeping
-    trace memory bounded by the drain interval instead of the run
-    length.  {!history}/{!lin_time}/{!coins} afterwards see only what
-    was recorded since the last drain. *)
 
 val history : t -> History.Hist.t
 (** The history (the [Ev] entries only). *)

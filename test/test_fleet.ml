@@ -175,6 +175,30 @@ let engine_tests =
               (s.Core.Fleet.index < small.Core.Fleet.sample)
               s.Core.Fleet.sampled)
           r.Core.Fleet.shards_r);
+    tc "the checker sees every sampled op at -j 1 and -j 2" (fun () ->
+        (* the sink hands each event over as it is recorded and no drain
+           runs at the end, so an event the checker never saw would show
+           as a shard whose verdicts cover fewer ops than it ran *)
+        let c = { small with Core.Fleet.sample = 2 } in
+        List.iter
+          (fun jobs ->
+            let r = Core.Fleet.run ~jobs ~metrics:(Core.Metrics.create ()) c in
+            check_bool "completed" true r.Core.Fleet.completed;
+            List.iter
+              (fun s ->
+                let label what =
+                  Printf.sprintf "-j %d shard %d: %s" jobs s.Core.Fleet.index
+                    what
+                in
+                if s.Core.Fleet.sampled then
+                  check_int (label "verdict ops") s.Core.Fleet.shard_ops
+                    (s.Core.Fleet.decided_ops + s.Core.Fleet.undecided_ops)
+                else begin
+                  check_int (label "decided") 0 s.Core.Fleet.decided_ops;
+                  check_int (label "undecided") 0 s.Core.Fleet.undecided_ops
+                end)
+              r.Core.Fleet.shards_r)
+          [ 1; 2 ]);
     tc "mwabd fleet under crash + recovery completes clean" (fun () ->
         let c =
           {
@@ -214,44 +238,75 @@ let engine_tests =
         check_int "all ops ran" 600 r.Core.Fleet.total_ops);
   ]
 
-(* A scheduler step allocates only what the protocol allocates: 38.3
-   minor words per step here (39.6 while an [Ipset] probe returned a
-   tuple, 42.0 while the replicas built their tracer arguments
-   untraced), where a decision that built the live-pid list and
-   an RNG that boxed its state made 429.  The config is the
-   fleet-abd-faulty benchmark's shape cut to 2 shards x 2,000 ops: one-op
-   sessions under link faults, a crash and recovery, and batching. *)
+(* A scheduler step allocates only what the protocol allocates: 37.6
+   minor words per step here (38.3 while the trace buffered its entries
+   for a periodic drain, 39.6 while an [Ipset] probe returned a tuple,
+   42.0 while the replicas built their tracer arguments untraced), where
+   a decision that built the live-pid list and an RNG that boxed its
+   state made 429.  Little of it outlives a minor collection: 7.2 words
+   per op are promoted on a 64k-word minor heap, 12.3-12.9 while each
+   shard's trace kept up to a drain interval of entries.  The config is
+   the fleet-abd-faulty benchmark's shape cut to 2 shards x 2,000 ops:
+   one-op sessions under link faults, a crash and recovery, and
+   batching. *)
+let alloc_config =
+  {
+    Core.Fleet.default with
+    Core.Fleet.shards = 2;
+    slots = 4;
+    ops = 4_000;
+    session_len = 1;
+    write_ratio = 0.2;
+    keys = 256;
+    faults =
+      {
+        faults with
+        Core.Faults.crash_at = [ (400, 2) ];
+        recover_at = [ (900, 2) ];
+      };
+    batch_window = 8;
+    batch_max = 8;
+    seed = 42L;
+    sample = 1;
+  }
+
 let alloc_tests =
   [
     tc "a faulty, batched fleet allocates at most 60 words per step"
       (fun () ->
-        let c =
-          {
-            Core.Fleet.default with
-            Core.Fleet.shards = 2;
-            slots = 4;
-            ops = 4_000;
-            session_len = 1;
-            write_ratio = 0.2;
-            keys = 256;
-            faults =
-              {
-                faults with
-                Core.Faults.crash_at = [ (400, 2) ];
-                recover_at = [ (900, 2) ];
-              };
-            batch_window = 8;
-            batch_max = 8;
-            seed = 42L;
-            sample = 1;
-          }
-        in
         let before = Gc.minor_words () in
-        let r = Core.Fleet.run ~jobs:1 ~metrics:(Core.Metrics.create ()) c in
+        let r =
+          Core.Fleet.run ~jobs:1 ~metrics:(Core.Metrics.create ()) alloc_config
+        in
         let words = Gc.minor_words () -. before in
         check_int "all ops ran" 4_000 r.Core.Fleet.total_ops;
         Alloc.at_most "fleet per step" 60.
           (words /. float_of_int r.Core.Fleet.total_steps));
+    tc "a faulty, batched fleet promotes at most 9.5 words per op" (fun () ->
+        (* Pool.fold_runs puts the caller on Pool.minor_heap_words unless
+           an s= entry in OCAMLRUNPARAM keeps the heap it has (as
+           test_pool.ml checks); promotion moves with the heap size (4.3
+           words per op at 256k, 11.3 at 32k), so the test puts the
+           caller on that size itself and restores its heap after *)
+        let heap () = (Gc.get ()).Gc.minor_heap_size in
+        let set_heap words =
+          Gc.set { (Gc.get ()) with Gc.minor_heap_size = words }
+        in
+        let restore = heap () in
+        Fun.protect
+          ~finally:(fun () -> set_heap restore)
+          (fun () ->
+            set_heap Core.Pool.minor_heap_words;
+            let promoted () = (Gc.quick_stat ()).Gc.promoted_words in
+            Gc.minor ();
+            let before = promoted () in
+            let r =
+              Core.Fleet.run ~jobs:1 ~metrics:(Core.Metrics.create ())
+                alloc_config
+            in
+            let words = promoted () -. before in
+            check_int "all ops ran" 4_000 r.Core.Fleet.total_ops;
+            Alloc.at_most "fleet promoted per op" 9.5 (words /. 4000.)));
   ]
 
 let suite =

@@ -504,8 +504,62 @@ let lifecycle_tests =
 
 (* ----- trace ------------------------------------------------------------------- *)
 
+(* One seeded run of three processes, each invoking, linearizing, flipping
+   a coin, yielding and responding four times, recorded by a scheduler
+   made with [?sink]; the trace and the run's own registry. *)
+let recorded_run ?sink () =
+  let metrics = Obs.Metrics.create () in
+  let s = Sched.create ~seed:7L ~metrics ?sink () in
+  let tr = Sched.trace s in
+  let client proc () =
+    for i = 1 to 4 do
+      let kind = if i mod 2 = 0 then Op.Write (Core.Value.Int i) else Op.Read in
+      let op_id = Trace.invoke tr ~proc ~obj:"R" ~kind in
+      Fiber.yield ();
+      Trace.linearize tr ~op_id;
+      ignore (Sched.coin s ~proc);
+      Fiber.yield ();
+      Trace.respond tr ~op_id ~result:(Some (Core.Value.Int proc))
+    done;
+    Trace.note tr ~tag:"done" ~text:(string_of_int proc)
+  in
+  List.iter (fun pid -> Sched.spawn s ~pid (client pid)) [ 1; 2; 3 ];
+  let policy = Sched.random_policy (Rng.create 11L) in
+  ignore (Sched.run s ~policy ~max_steps:1_000);
+  Sched.dispose s;
+  (tr, metrics)
+
 let trace_tests =
   [
+    tc "a sink receives every entry in order and the trace keeps none"
+      (fun () ->
+        let render es =
+          List.map (fun e -> Core.Json.to_string (Trace.entry_json e)) es
+        in
+        let kept, m_kept = recorded_run () in
+        let sunk = ref [] in
+        let streamed, m_sunk =
+          recorded_run ~sink:(fun e -> sunk := e :: !sunk) ()
+        in
+        check_int "entries recorded" 51 (List.length (Trace.entries kept));
+        Alcotest.(check (list string))
+          "the sink's entries are the kept trace's"
+          (render (Trace.entries kept))
+          (render (List.rev !sunk));
+        check_int "no entries kept" 0 (List.length (Trace.entries streamed));
+        check_int "no history kept" 0
+          (Core.Hist.length (Trace.history streamed));
+        List.iter
+          (fun name ->
+            check_int name
+              (Obs.Metrics.counter m_kept name)
+              (Obs.Metrics.counter m_sunk name))
+          [ "trace.invokes"; "trace.responds" ];
+        check_int "ops recorded" 12 (Obs.Metrics.counter m_sunk "trace.invokes");
+        check_bool "op.latency.sim summaries equal" true
+          (Obs.Metrics.summary m_kept "op.latency.sim"
+           = Obs.Metrics.summary m_sunk "op.latency.sim"
+          && Obs.Metrics.summary m_sunk "op.latency.sim" <> None));
     tc "invoke/respond build a history" (fun () ->
         let tr = Trace.create () in
         let id = Trace.invoke tr ~proc:1 ~obj:"R" ~kind:Op.Read in
