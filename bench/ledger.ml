@@ -120,15 +120,19 @@ let fleet_config ~batched =
     batch_max = (if batched then 8 else 1);
   }
 
+(* the checker knows ops by their number in invocation order *)
 let feed_increment m h =
   let inc = Core.Increment.create ~metrics:m ~entry:[ init ] () in
+  let ops = Hashtbl.create 16 in
   List.iter
     (fun { Core.Event.time; event } ->
       match event with
       | Core.Event.Invoke { op_id; kind; _ } ->
-          Core.Increment.invoke inc ~id:op_id ~kind ~time
+          let op = Hashtbl.length ops in
+          Hashtbl.replace ops op_id op;
+          Core.Increment.invoke inc ~op ~kind ~time
       | Core.Event.Respond { op_id; result } ->
-          Core.Increment.respond inc ~id:op_id ~result ~time)
+          Core.Increment.respond inc ~op:(Hashtbl.find ops op_id) ~result ~time)
     (Core.Hist.events h);
   ignore (Core.Increment.outcome inc)
 

@@ -789,13 +789,36 @@ let validate_trace_file file =
       in
       go 0 records
 
+(* Hand [ic]'s lines to [f] as they arrive, through the partial-line-
+   tolerant reader, so a final line caught mid-write is buffered and
+   retried as the writer finishes it.  At end of input, with [follow],
+   poll every 20 ms until [idle_ms] pass without growth.  Stops early
+   once [f] returns false.  Returns the unterminated fragment left at the
+   end, if any. *)
+let tail_lines ic ~follow ~idle_ms f =
+  let reader = Core.Serve.Ingest.Reader.create () in
+  let buf = Bytes.create 65536 in
+  let rec loop idle =
+    let n = input ic buf 0 (Bytes.length buf) in
+    if n > 0 then begin
+      if
+        List.for_all f
+          (Core.Serve.Ingest.Reader.feed reader (Bytes.sub_string buf 0 n))
+      then loop 0.
+    end
+    else if follow && idle < float_of_int idle_ms then begin
+      Unix.sleepf 0.02;
+      loop (idle +. 20.)
+    end
+  in
+  loop 0.;
+  Core.Serve.Ingest.Reader.take_rest reader
+
 (* --validate FILE --follow: tail a JSONL stream another process is still
-   writing.  Chunks go through the partial-line-tolerant reader, so a
-   final line caught mid-write is buffered and retried as the writer
-   finishes it; only after [idle_ms] without growth is a leftover
-   fragment declared truncated — and even then it is a warning, not a
-   failure (the writer was killed mid-line; the complete records before
-   it are intact). *)
+   writing.  Only after [idle_ms] without growth is a leftover fragment
+   declared truncated — and even then it is a warning, not a failure (the
+   writer was killed mid-line; the complete records before it are
+   intact). *)
 let validate_trace_follow file ~idle_ms =
   match open_in_bin file with
   | exception Sys_error e ->
@@ -805,47 +828,32 @@ let validate_trace_follow file ~idle_ms =
       Fun.protect
         ~finally:(fun () -> close_in ic)
         (fun () ->
-          let reader = Core.Serve.Ingest.Reader.create () in
-          let buf = Bytes.create 65536 in
           let count = ref 0 in
           let bad = ref None in
+          let validate line =
+            Result.bind (Obs.Json.of_string line)
+              Core.Tracer.validate_event_json
+          in
           let check_line line =
-            if !bad = None && String.trim line <> "" then
-              match
-                Result.bind (Obs.Json.of_string line)
-                  Core.Tracer.validate_event_json
-              with
-              | Ok () -> incr count
-              | Error e ->
-                  bad := Some (Printf.sprintf "record %d: %s" (!count + 1) e)
+            String.trim line = ""
+            ||
+            match validate line with
+            | Ok () ->
+                incr count;
+                true
+            | Error e ->
+                bad := Some (Printf.sprintf "record %d: %s" (!count + 1) e);
+                false
           in
-          let rec loop idle =
-            if !bad = None then begin
-              let n = input ic buf 0 (Bytes.length buf) in
-              if n > 0 then begin
-                List.iter check_line
-                  (Core.Serve.Ingest.Reader.feed reader
-                     (Bytes.sub_string buf 0 n));
-                loop 0.
-              end
-              else if idle < float_of_int idle_ms then begin
-                Unix.sleepf 0.02;
-                loop (idle +. 20.)
-              end
-            end
-          in
-          loop 0.;
+          let rest = tail_lines ic ~follow:true ~idle_ms check_line in
           match !bad with
           | Some e ->
               Printf.eprintf "%s: %s\n" file e;
               1
           | None ->
-              (match Core.Serve.Ingest.Reader.take_rest reader with
+              (match rest with
               | Some frag when String.trim frag <> "" -> (
-                  match
-                    Result.bind (Obs.Json.of_string frag)
-                      Core.Tracer.validate_event_json
-                  with
+                  match validate frag with
                   | Ok () -> incr count
                   | Error _ ->
                       Printf.eprintf
@@ -1351,24 +1359,11 @@ let serve_cmd =
                   maybe_checkpoint ()
                 end
               in
-              let reader = Core.Serve.Ingest.Reader.create () in
-              let feed_chunk chunk =
-                List.iter feed_line (Core.Serve.Ingest.Reader.feed reader chunk)
-              in
-              let buf = Bytes.create 65536 in
-              let ingest_channel ic ~tail =
-                let rec loop idle =
-                  let n = input ic buf 0 (Bytes.length buf) in
-                  if n > 0 then begin
-                    feed_chunk (Bytes.sub_string buf 0 n);
-                    loop 0.
-                  end
-                  else if tail && idle < float_of_int idle_ms then begin
-                    Unix.sleepf 0.02;
-                    loop (idle +. 20.)
-                  end
-                in
-                loop 0.
+              let ingest_channel ic ~follow =
+                Option.iter feed_line
+                  (tail_lines ic ~follow ~idle_ms (fun l ->
+                       feed_line l;
+                       true))
               in
               let ingest () =
                 match socket with
@@ -1386,28 +1381,19 @@ let serve_cmd =
                         Fun.protect
                           ~finally:(fun () -> Unix.close fd)
                           (fun () ->
-                            let rec loop () =
-                              let n = Unix.read fd buf 0 (Bytes.length buf) in
-                              if n > 0 then begin
-                                feed_chunk (Bytes.sub_string buf 0 n);
-                                loop ()
-                              end
-                            in
-                            loop ()))
+                            ingest_channel (Unix.in_channel_of_descr fd)
+                              ~follow:false))
                 | None ->
-                    if in_file = "-" then ingest_channel stdin ~tail:false
+                    if in_file = "-" then ingest_channel stdin ~follow:false
                     else
                       let ic = open_in_bin in_file in
                       Fun.protect
                         ~finally:(fun () -> close_in ic)
-                        (fun () -> ingest_channel ic ~tail:follow)
+                        (fun () -> ingest_channel ic ~follow)
               in
               match
                 (try
                    ingest ();
-                   (match Core.Serve.Ingest.Reader.take_rest reader with
-                   | Some frag -> feed_line frag
-                   | None -> ());
                    (* Only checkpoint a clean ending.  If the stream was
                       cut mid-segment, [finish] emits flush verdicts for
                       state a resumed run (seeing the segment whole) must

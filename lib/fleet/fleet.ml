@@ -114,7 +114,6 @@ let ops_per_shard c =
 
 let golden = 0x9E3779B97F4A7C15L
 let shard_seed ~seed i = Int64.add seed (Int64.mul (Int64.of_int (i + 1)) golden)
-let fault_seed s = Int64.logxor s 0xFA17FA17L
 
 (* ----- results ---------------------------------------------------------------- *)
 
@@ -209,7 +208,7 @@ let run_shard ~metrics (c : config) ~index ~ops =
   Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   let fpolicy =
     if Faults.is_benign c.faults then None
-    else Some (Faults.create ~seed:(fault_seed seed) c.faults)
+    else Some (Faults.create ~seed:(Msgpass.Runs.fault_seed seed) c.faults)
   in
   (* generic over the register, like Runs.execute_config *)
   let drive (type r) (module R : Msgpass.Replica.S with type t = r) (reg : r)
@@ -301,7 +300,7 @@ let run_shard ~metrics (c : config) ~index ~ops =
         start_session ~via:(fun pid f -> Sched.spawn sched ~pid f) slot
       end
     done;
-    let rng = Rng.create (Int64.logxor seed 0x7E57AB1EL) in
+    let rng = Rng.create (Msgpass.Runs.policy_seed seed) in
     let rand_pol = Sched.random_policy rng in
     let base s =
       while not (Queue.is_empty finished) do

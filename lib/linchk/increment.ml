@@ -48,18 +48,15 @@ type outcome = Pass of V.t list | Fail | Unknown of reason
 let default_state_budget = 2_000_000
 
 type t = {
-  cap : int;
   state_budget : int;
   (* ops, as parallel growth arrays indexed by arrival order *)
   mutable n : int;
-  mutable pending : int;
   mutable inv_t : int array;
   mutable resp_t : int array; (* max_int while pending *)
   mutable pred : int array; (* bitmask of ops that really precede op i *)
   mutable wvid : int array; (* interned written value, -1 for reads *)
   mutable rvid : int array; (* required read value, -1 if unknown/unmatchable *)
   mutable complete_mask : int;
-  ids : (int, int) Hashtbl.t; (* op id -> dense index *)
   (* reads that responded with a value nobody has written (yet): they
      resolve retroactively if a later write interns that value, exactly
      like the offline prep's whole-table rvid lookup *)
@@ -79,14 +76,12 @@ type t = {
   events_c : Obs.Metrics.Counter.t;
 }
 
-let n t = t.n
-let pending t = t.pending
 let states t = t.st_n
 let degraded t = t.degraded
 
 (* Degradation frees the frontier immediately — a shed or over-budget
-   segment keeps consuming events (op/pending counts still advance so
-   quiescence is still detected) but costs O(1) per event from here on. *)
+   segment keeps consuming events (the caller still counts them to detect
+   quiescence) but costs O(1) per event from here on. *)
 let degrade t reason =
   if Option.is_none t.degraded then begin
     t.degraded <- Some reason;
@@ -205,15 +200,15 @@ let intern t v =
       vid
   | i -> i
 
-(* create's sizes: the op arrays never outgrow 64 slots, because the op
-   cap is at most [Lincheck.max_ops] *)
+(* create's sizes: the op arrays never outgrow 64 slots, because a
+   segment holds at most [Lincheck.max_ops] ops *)
 let ops0 = 16
 let vals0 = 8
 let states0 = 64
 
 (* A reset keeps an array or a state set of at most this many slots and
-   gives a larger one back for create's size.  An object's checker lives
-   as long as the stream, so what it keeps costs memory per object, and
+   gives a larger one back for create's size.  A reused checker lives
+   as long as the stream, so what it keeps costs memory for good, and
    one segment may reach [state_budget] states; 512 slots hold the
    largest set (256 states) of the serve benchmark's 12-op segments,
    which regrowing at every segment would allocate again. *)
@@ -221,26 +216,19 @@ let keep_slots = 512
 
 let seed t ~entry = List.iter (fun v -> add_state t 0 (intern t v)) entry
 
-let create ?(metrics = Obs.Metrics.global) ?(cap = Lincheck.max_ops)
+let create ?(metrics = Obs.Metrics.global)
     ?(state_budget = default_state_budget) ~entry () =
-  if cap < 1 || cap > Lincheck.max_ops then
-    invalid_arg
-      (Printf.sprintf "Increment.create: cap %d outside 1..%d" cap
-         Lincheck.max_ops);
   if entry = [] then invalid_arg "Increment.create: empty entry set";
   let t =
     {
-      cap;
       state_budget = max 1 state_budget;
       n = 0;
-      pending = 0;
       inv_t = Array.make ops0 0;
       resp_t = Array.make ops0 0;
       pred = Array.make ops0 0;
       wvid = Array.make ops0 0;
       rvid = Array.make ops0 0;
       complete_mask = 0;
-      ids = Hashtbl.create 32;
       unresolved = [];
       vals = Array.make vals0 V.Bot;
       nvals = 0;
@@ -264,9 +252,7 @@ let reset t ~entry =
   if entry = [] then invalid_arg "Increment.reset: empty entry set";
   let keep slots = slots >= states0 && slots <= keep_slots in
   t.n <- 0;
-  t.pending <- 0;
   t.complete_mask <- 0;
-  Hashtbl.reset t.ids;
   t.unresolved <- [];
   if Array.length t.vals <= keep_slots then Array.fill t.vals 0 t.nvals V.Bot
   else t.vals <- Array.make vals0 V.Bot;
@@ -281,70 +267,59 @@ let reset t ~entry =
   t.degraded <- None;
   seed t ~entry
 
-let invoke t ~id ~kind ~time =
+let invoke t ~op ~kind ~time =
   Obs.Metrics.incr_h t.events_c;
-  t.pending <- t.pending + 1;
-  match t.degraded with
-  | Some _ -> t.n <- t.n + 1
-  | None ->
-      if t.n >= t.cap then begin
-        degrade t (Op_cap { n = t.n + 1; cap = t.cap });
-        t.n <- t.n + 1
-      end
-      else begin
-        ensure_ops t;
-        let i = t.n in
-        t.inv_t.(i) <- time;
-        t.resp_t.(i) <- max_int;
-        let m = ref 0 in
-        for j = 0 to i - 1 do
-          if t.resp_t.(j) < time then m := !m lor (1 lsl j)
-        done;
-        t.pred.(i) <- !m;
-        let old_st = t.st_n in
-        (match kind with
-        | Op.Write v ->
-            t.wvid.(i) <- intern t v;
-            t.rvid.(i) <- -1
-        | Op.Read ->
-            t.wvid.(i) <- -1;
-            t.rvid.(i) <- -1);
-        t.n <- i + 1;
-        Hashtbl.replace t.ids id i;
-        (* a fresh write is available at once; a fresh read matches no
-           value yet — either way, offer it to the existing set and
-           close over whatever appears *)
-        scan_op t i ~bound:t.st_n;
-        closure t ~from:old_st
-      end
+  if Option.is_none t.degraded then begin
+    if op <> t.n || op >= Lincheck.max_ops then
+      invalid_arg
+        (Printf.sprintf "Increment.invoke: op %d where %d was due (at most %d)"
+           op t.n Lincheck.max_ops);
+    ensure_ops t;
+    t.inv_t.(op) <- time;
+    t.resp_t.(op) <- max_int;
+    let m = ref 0 in
+    for j = 0 to op - 1 do
+      if t.resp_t.(j) < time then m := !m lor (1 lsl j)
+    done;
+    t.pred.(op) <- !m;
+    let old_st = t.st_n in
+    (match kind with
+    | Op.Write v ->
+        t.wvid.(op) <- intern t v;
+        t.rvid.(op) <- -1
+    | Op.Read ->
+        t.wvid.(op) <- -1;
+        t.rvid.(op) <- -1);
+    t.n <- op + 1;
+    (* a fresh write is available at once; a fresh read matches no value
+       yet — either way, offer it to the existing set and close over
+       whatever appears *)
+    scan_op t op ~bound:t.st_n;
+    closure t ~from:old_st
+  end
 
-let respond t ~id ~result ~time =
+(* An op invoked after degradation was never stored, but then the
+   checker is still degraded when it responds: only the count matters. *)
+let respond t ~op ~result ~time =
   Obs.Metrics.incr_h t.events_c;
-  t.pending <- t.pending - 1;
-  if Option.is_none t.degraded then
-    match Hashtbl.find_opt t.ids id with
-    | None -> () (* invoked after degradation: only the counts matter *)
-    | Some i -> (
-        t.resp_t.(i) <- time;
-        t.complete_mask <- t.complete_mask lor (1 lsl i);
-        if t.wvid.(i) < 0 then
-          match result with
-          | None -> () (* screened upstream; an unmatchable read *)
-          | Some v -> (
-              match lookup t v with
-              | -1 -> t.unresolved <- (i, v) :: t.unresolved
-              | vid ->
-                  t.rvid.(i) <- vid;
-                  let old_st = t.st_n in
-                  scan_op t i ~bound:old_st;
-                  closure t ~from:old_st))
+  if Option.is_none t.degraded then begin
+    t.resp_t.(op) <- time;
+    t.complete_mask <- t.complete_mask lor (1 lsl op);
+    if t.wvid.(op) < 0 then
+      match result with
+      | None -> () (* screened upstream; an unmatchable read *)
+      | Some v -> (
+          match lookup t v with
+          | -1 -> t.unresolved <- (op, v) :: t.unresolved
+          | vid ->
+              t.rvid.(op) <- vid;
+              let old_st = t.st_n in
+              scan_op t op ~bound:old_st;
+              closure t ~from:old_st)
+  end
 
 let outcome t =
   match t.degraded with
-  (* the op-cap reason reports the segment's final op count, which keeps
-     growing after the trip — so the record matches what an offline
-     count of the same segment would say *)
-  | Some (Op_cap { cap; _ }) -> Unknown (Op_cap { n = t.n; cap })
   | Some r -> Unknown r
   | None ->
       let seen = Array.make (max 1 t.nvals) false in

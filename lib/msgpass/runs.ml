@@ -14,6 +14,7 @@ type run = {
    independent of — the scheduler seed, so adding faults never perturbs
    the scheduling/delivery randomness of the benign part of a run. *)
 let fault_seed seed = Int64.logxor seed 0xFA17FA17L
+let policy_seed seed = Int64.logxor seed 0x7E57AB1EL
 
 let check_crashes ~what ~n ~clients crash_nodes =
   if List.length crash_nodes >= (n + 1) / 2 then
@@ -308,7 +309,7 @@ let execute_config ?metrics ?tracer (c : Config.t) =
             done;
             decr remaining))
       c.Config.readers;
-    let rng = Simkit.Rng.create (Int64.logxor c.Config.seed 0x7E57AB1EL) in
+    let rng = Simkit.Rng.create (policy_seed c.Config.seed) in
     let base s =
       (match fpolicy with
       | Some f ->

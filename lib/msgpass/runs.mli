@@ -92,6 +92,12 @@ module Config : sig
       defaults so the committed corpus keeps replaying verbatim. *)
 end
 
+val fault_seed : int64 -> int64
+(** A run's fault-policy seed, from the run's seed. *)
+
+val policy_seed : int64 -> int64
+(** A run's scheduling-and-delivery RNG seed, from the run's seed. *)
+
 val execute_config :
   ?metrics:Obs.Metrics.t -> ?tracer:Obs.Tracer.t -> Config.t -> run
 (** Run a config to quiescence: attach its fault plan, spawn the writer

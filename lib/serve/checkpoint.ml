@@ -44,32 +44,40 @@ let obj_json o =
         J.List (List.map Ingest.value_json o.entry.Segmenter.values) );
     ]
 
-let obj_of_json j =
-  let str k = Option.bind (J.member k j) J.to_string_opt in
-  let int k = Option.bind (J.member k j) J.to_int_opt in
-  let bool k =
-    Option.bind (J.member k j) (function J.Bool b -> Some b | _ -> None)
+let ( let* ) = Result.bind
+
+(* [f] over [xs], stopping at the first error *)
+let map_all f xs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest ->
+        let* y = f x in
+        go (y :: acc) rest
   in
-  match
-    ( str "obj",
-      int "segment",
-      bool "exact",
-      bool "overflow",
-      Option.bind (J.member "values" j) J.to_list_opt )
-  with
-  | Some obj, Some index, Some exact, Some overflow, Some vals -> (
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | v :: rest -> (
-            match Ingest.value_of_json v with
-            | Ok v -> go (v :: acc) rest
-            | Error e -> Error e)
-      in
-      match go [] vals with
-      | Ok values ->
-          Ok { obj; index; entry = { Segmenter.exact; values; overflow } }
-      | Error e -> Error (Printf.sprintf "object %s: %s" obj e))
-  | _ -> Error "checkpoint object: missing or mistyped field"
+  go [] xs
+
+(* [k]'s value in [j] through [f], or [missing] *)
+let field j k f ~missing =
+  match Option.bind (J.member k j) f with
+  | Some v -> Ok v
+  | None -> Error missing
+
+let obj_of_json j =
+  let missing = "checkpoint object: missing or mistyped field" in
+  let field k f = field j k f ~missing in
+  let bool = function J.Bool b -> Some b | _ -> None in
+  let* obj = field "obj" J.to_string_opt in
+  let* index = field "segment" J.to_int_opt in
+  let* exact = field "exact" bool in
+  let* overflow = field "overflow" bool in
+  let* values = field "values" J.to_list_opt in
+  if index < 0 then
+    Error (Printf.sprintf "object %s: negative segment %d" obj index)
+  else
+    match map_all Ingest.value_of_json values with
+    | Ok values ->
+        Ok { obj; index; entry = { Segmenter.exact; values; overflow } }
+    | Error e -> Error (Printf.sprintf "object %s: %s" obj e)
 
 let json t =
   J.Obj
@@ -89,62 +97,62 @@ let json t =
     ]
 
 let of_json j =
-  let int k = Option.bind (J.member k j) J.to_int_opt in
-  match Option.bind (J.member "kind" j) J.to_string_opt with
-  | Some "serve_checkpoint" -> (
-      match int "schema" with
-      | Some s when s <> schema ->
-          Error (Printf.sprintf "unsupported checkpoint schema %d" s)
-      | None -> Error "checkpoint: missing \"schema\""
-      | Some _ -> (
-          match
-            ( int "cursor",
-              int "last_time",
-              int "events",
-              int "annotations",
-              int "quarantined",
-              int "shed_events",
-              int "ok",
-              int "fail",
-              int "unknown",
-              Option.bind (J.member "objects" j) J.to_list_opt )
-          with
-          | ( Some cursor,
-              Some last_time,
-              Some events,
-              Some annotations,
-              Some quarantined,
-              Some shed_events,
-              Some ok,
-              Some fail,
-              Some unknown,
-              Some objs ) -> (
-              let rec go acc = function
-                | [] -> Ok (List.rev acc)
-                | o :: rest -> (
-                    match obj_of_json o with
-                    | Ok o -> go (o :: acc) rest
-                    | Error e -> Error e)
-              in
-              match go [] objs with
-              | Ok objects ->
-                  Ok
-                    {
-                      cursor;
-                      last_time;
-                      events;
-                      annotations;
-                      quarantined;
-                      shed_events;
-                      ok;
-                      fail;
-                      unknown;
-                      objects;
-                    }
-              | Error e -> Error e)
-          | _ -> Error "checkpoint: missing or mistyped field"))
-  | Some k -> Error (Printf.sprintf "not a checkpoint record (kind %S)" k)
-  | None -> Error "checkpoint: missing \"kind\""
+  let field k f =
+    field j k f ~missing:"checkpoint: missing or mistyped field"
+  in
+  (* counts are never negative; [last_time] is -1 in a fresh engine's *)
+  let at_least least k =
+    let* v = field k J.to_int_opt in
+    if v >= least then Ok v
+    else Error (Printf.sprintf "checkpoint: %S is %d, below %d" k v least)
+  in
+  let count = at_least 0 in
+  let* () =
+    match Option.bind (J.member "kind" j) J.to_string_opt with
+    | Some "serve_checkpoint" -> Ok ()
+    | Some k -> Error (Printf.sprintf "not a checkpoint record (kind %S)" k)
+    | None -> Error "checkpoint: missing \"kind\""
+  in
+  let* () =
+    match Option.bind (J.member "schema" j) J.to_int_opt with
+    | Some s when s = schema -> Ok ()
+    | Some s -> Error (Printf.sprintf "unsupported checkpoint schema %d" s)
+    | None -> Error "checkpoint: missing \"schema\""
+  in
+  let* cursor = count "cursor" in
+  let* last_time = at_least (-1) "last_time" in
+  let* events = count "events" in
+  let* annotations = count "annotations" in
+  let* quarantined = count "quarantined" in
+  let* shed_events = count "shed_events" in
+  let* ok = count "ok" in
+  let* fail = count "fail" in
+  let* unknown = count "unknown" in
+  let* objects = field "objects" J.to_list_opt in
+  let* objects = map_all obj_of_json objects in
+  let rec repeated = function
+    | a :: (b :: _ as rest) ->
+        if String.equal a b then Some a else repeated rest
+    | _ -> None
+  in
+  match
+    repeated (List.sort String.compare (List.map (fun o -> o.obj) objects))
+  with
+  | Some o -> Error (Printf.sprintf "checkpoint: object %s repeated" o)
+  | None ->
+      Ok
+        {
+          cursor;
+          last_time;
+          events;
+          annotations;
+          quarantined;
+          shed_events;
+          ok;
+          fail;
+          unknown;
+          objects;
+        }
 
 (* Write-then-rename alone survives a process kill, but not a machine
    crash: the rename can hit disk before the data does, publishing an

@@ -10,7 +10,11 @@ module V = History.Value
    Everything observable — verdict records, their order, the quarantine
    and event counts — is a deterministic function of the configuration
    and the input lines, which is what makes [--resume] byte-identical
-   and the offline self-check meaningful. *)
+   and the offline self-check meaningful.
+
+   An idle object is only its checkpoint record; an object that opens a
+   segment borrows a segmenter (and its checker) from the free list until
+   the segment retires, so memory is bounded by the open segments. *)
 
 type config = {
   init : V.t; (* each object's initial register value *)
@@ -21,14 +25,18 @@ type config = {
 let default_config =
   { init = V.Int 0; seg = Segmenter.default_config; max_pending = 100_000 }
 
+(* an object between segments, or the segmenter of its open one *)
+type obj = Idle of Checkpoint.obj_state | Open of Segmenter.t
+
 type t = {
   cfg : config;
   metrics : Obs.Metrics.t;
   decide : Segmenter.decide;
   emit : Verdict.t -> unit;
   on_quarantine : line:int -> string -> unit;
-  objects : (string, Segmenter.t) Hashtbl.t;
-  open_ids : (int, string) Hashtbl.t; (* open op id -> object *)
+  objects : (string, obj) Hashtbl.t;
+  open_ids : (int, Segmenter.t) Hashtbl.t; (* open op id -> its segmenter *)
+  mutable free : Segmenter.t list; (* segmenters with no open segment *)
   mutable lines : int;
   mutable events : int;
   mutable annotations : int;
@@ -59,6 +67,7 @@ let create ?(metrics = Obs.Metrics.global) ?(decide = Segmenter.incremental)
     on_quarantine;
     objects = Hashtbl.create 8;
     open_ids = Hashtbl.create 256;
+    free = [];
     lines = 0;
     events = 0;
     annotations = 0;
@@ -92,10 +101,7 @@ let restore ?metrics ?config ~emit ?on_quarantine (ck : Checkpoint.t) =
   t.unknown <- ck.Checkpoint.unknown;
   List.iter
     (fun (o : Checkpoint.obj_state) ->
-      Hashtbl.replace t.objects o.Checkpoint.obj
-        (Segmenter.create ~metrics:t.metrics ~config:t.cfg.seg
-           ~obj:o.Checkpoint.obj ~entry:o.Checkpoint.entry
-           ~index:o.Checkpoint.index ()))
+      Hashtbl.replace t.objects o.Checkpoint.obj (Idle o))
     ck.Checkpoint.objects;
   t
 
@@ -127,17 +133,44 @@ let emit_verdict t (v : Verdict.t) =
       Obs.Metrics.incr_h t.verdict_unknown_c);
   t.emit v
 
+(* [obj]'s open segmenter, or a free one pointed at [obj]'s record.  The
+   record's name, not the line's, names the segmenter, so that an
+   object's verdicts share one string. *)
 let segmenter t obj =
   match Hashtbl.find_opt t.objects obj with
-  | Some s -> s
-  | None ->
-      let s =
-        Segmenter.create ~metrics:t.metrics ~decide:t.decide ~config:t.cfg.seg
-          ~obj ~entry:(Segmenter.entry_exact [ t.cfg.init ])
-          ~index:0 ()
+  | Some (Open s) -> s
+  | found ->
+      let { Checkpoint.obj; index; entry } =
+        match found with
+        | Some (Idle o) -> o
+        | _ ->
+            {
+              Checkpoint.obj;
+              index = 0;
+              entry = Segmenter.entry_exact [ t.cfg.init ];
+            }
       in
-      Hashtbl.replace t.objects obj s;
+      let s =
+        match t.free with
+        | s :: rest ->
+            t.free <- rest;
+            Segmenter.reassign s ~obj ~entry ~index;
+            s
+        | [] ->
+            Segmenter.create ~metrics:t.metrics ~decide:t.decide
+              ~config:t.cfg.seg ~obj ~entry ~index ()
+      in
+      Hashtbl.replace t.objects obj (Open s);
       s
+
+(* A segmenter whose segment retired goes back to the free list, and its
+   object back to a checkpoint record. *)
+let release t s =
+  let obj = Segmenter.obj s
+  and index = Segmenter.index s
+  and entry = Segmenter.entry s in
+  Hashtbl.replace t.objects obj (Idle { Checkpoint.obj; index; entry });
+  t.free <- s :: t.free
 
 (* Track the cross-object buffered-event count through a segmenter call:
    +1 per buffered event, -cost when a retire or shed releases a whole
@@ -188,15 +221,14 @@ let process t time ev =
               t.last_time <- time;
               t.events <- t.events + 1;
               Obs.Metrics.incr_h t.events_c;
-              Hashtbl.replace t.open_ids op_id obj;
+              Hashtbl.replace t.open_ids op_id seg;
               backpressure t seg)
     | Ingest.Respond { op_id; result } -> (
         match Hashtbl.find_opt t.open_ids op_id with
         | None ->
             quarantine t
               (Printf.sprintf "response without invocation (op id #%d)" op_id)
-        | Some obj -> (
-            let seg = Hashtbl.find t.objects obj in
+        | Some seg -> (
             match
               with_cost t seg (fun () ->
                   Segmenter.respond seg ~id:op_id ~result ~time)
@@ -207,7 +239,11 @@ let process t time ev =
                 t.events <- t.events + 1;
                 Obs.Metrics.incr_h t.events_c;
                 Hashtbl.remove t.open_ids op_id;
-                Option.iter (emit_verdict t) retired))
+                Option.iter
+                  (fun v ->
+                    release t seg;
+                    emit_verdict t v)
+                  retired))
 
 let feed_line t line =
   t.lines <- t.lines + 1;
@@ -223,10 +259,7 @@ let sorted_objects t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.objects []
   |> List.sort String.compare
 
-let quiescent t =
-  Hashtbl.length t.open_ids = 0
-  && Hashtbl.fold (fun _ s acc -> acc && not (Segmenter.is_open s)) t.objects
-       true
+let quiescent t = Hashtbl.length t.open_ids = 0
 
 let checkpoint t =
   if not (quiescent t) then None
@@ -242,24 +275,25 @@ let checkpoint t =
         ok = t.ok;
         fail = t.fail;
         unknown = t.unknown;
+        (* no open op: every object is a record *)
         objects =
-          List.map
+          List.filter_map
             (fun obj ->
-              let s = Hashtbl.find t.objects obj in
-              {
-                Checkpoint.obj;
-                index = Segmenter.index s;
-                entry = Segmenter.entry s;
-              })
+              match Hashtbl.find t.objects obj with
+              | Idle o -> Some o
+              | Open _ -> None)
             (sorted_objects t);
       }
 
 let finish t =
   List.iter
     (fun obj ->
-      match Segmenter.flush (Hashtbl.find t.objects obj) with
-      | Some v -> emit_verdict t v
-      | None -> ())
+      match Hashtbl.find t.objects obj with
+      | Open s ->
+          let v = Segmenter.flush s in
+          release t s;
+          Option.iter (emit_verdict t) v
+      | Idle _ -> ())
     (sorted_objects t);
   t.open_events <- 0;
   Hashtbl.reset t.open_ids;

@@ -15,7 +15,11 @@
       until it closes.
     - {b determinism} — verdicts, their order and all counters are a
       function of (config, input lines) only, so [--resume] is
-      byte-identical and the {!Reference} self-check is meaningful. *)
+      byte-identical and the {!Reference} self-check is meaningful.
+
+    Memory is bounded by the open segments: an idle object is only its
+    {!Checkpoint.obj_state}, and an object that opens a segment borrows a
+    {!Segmenter} from the engine's free list until the segment retires. *)
 
 type config = {
   init : History.Value.t;  (** each object's initial register value *)
@@ -45,8 +49,9 @@ val restore :
   Checkpoint.t ->
   t
 (** An engine whose cross-segment state (counters, time high-water mark,
-    per-object segment index and entry set) comes from a checkpoint.
-    The caller then feeds the stream from line [cursor + 1] on. *)
+    per-object segment index and entry set) comes from a checkpoint,
+    whose object records it keeps as they are.  The caller then feeds the
+    stream from line [cursor + 1] on. *)
 
 val feed_line : t -> string -> unit
 (** One input line (no trailing newline needed; blank lines ignored). *)
@@ -56,9 +61,11 @@ val finish : t -> unit
     verdict. *)
 
 val checkpoint : t -> Checkpoint.t option
-(** [Some _] only at globally quiescent points (no open op anywhere). *)
+(** [Some _] only at globally quiescent points (no open op anywhere):
+    then every object is a record, and these are the checkpoint's. *)
 
 val quiescent : t -> bool
+(** No open op anywhere, so no open segment. *)
 
 val summary_json : t -> Obs.Json.t
 

@@ -18,15 +18,12 @@ type result = { verdicts : Verdict.t list }
 (* The decider sees one object, whose name it is not told. *)
 let obj = "offline"
 
-(* Buffer the segment's events and decide them at [outcome].  The op cap
-   trips at the (cap+1)-th invoke, as in [Increment]; no other budget
-   applies.  [restart] forgets the segment: its events, counts and entry
-   set. *)
-let offline ~metrics (cfg : Segmenter.config) ~entry =
+(* Buffer the segment's events and decide them at [outcome].  No budget
+   applies here: the segmenter trips the op cap through [degrade].
+   [restart] forgets the segment: its events and entry set. *)
+let offline ~metrics (_ : Segmenter.config) ~entry =
   let entry = ref entry in
   let revents = ref [] in
-  let n = ref 0 in
-  let pending = ref 0 in
   let degraded = ref None in
   let degrade r =
     if Option.is_none !degraded then begin
@@ -37,25 +34,19 @@ let offline ~metrics (cfg : Segmenter.config) ~entry =
   let buffer time event =
     if Option.is_none !degraded then revents := { E.time; event } :: !revents
   in
-  (* [Hist] well-formedness also demands sequential processes; the
+  (* ops are numbered by the segmenter, so the number is the op id.
+     [Hist] well-formedness also demands sequential processes; the
      stream's proc ids are irrelevant to linearizability (only intervals
      matter), so every op gets its own process and the constraint holds
      vacuously *)
-  let invoke ~id ~kind ~time =
-    incr pending;
-    if !n >= cfg.seg_cap then
-      degrade (Inc.Op_cap { n = !n + 1; cap = cfg.seg_cap });
-    incr n;
-    buffer time (E.Invoke { op_id = id; proc = id; obj; kind })
+  let invoke ~op ~kind ~time =
+    buffer time (E.Invoke { op_id = op; proc = op; obj; kind })
   in
-  let respond ~id ~result ~time =
-    decr pending;
-    buffer time (E.Respond { op_id = id; result })
+  let respond ~op ~result ~time =
+    buffer time (E.Respond { op_id = op; result })
   in
   let outcome () =
     match !degraded with
-    (* the final op count, as [Increment.outcome] reports it *)
-    | Some (Inc.Op_cap { cap; _ }) -> Inc.Unknown (Inc.Op_cap { n = !n; cap })
     | Some r -> Inc.Unknown r
     | None ->
         let events = List.rev !revents in
@@ -92,14 +83,11 @@ let offline ~metrics (cfg : Segmenter.config) ~entry =
     respond;
     degrade;
     degraded = (fun () -> !degraded);
-    pending = (fun () -> !pending);
     outcome;
     restart =
       (fun ~entry:next ->
         entry := next;
         revents := [];
-        n := 0;
-        pending := 0;
         degraded := None);
   }
 

@@ -10,9 +10,9 @@ val offline : Segmenter.decide
     {!Linchk.Lincheck.finals} search from each entry value.  [Fail] iff
     no search finds a linearization; [Pass] keeps the candidates — the
     entry values, then every distinct value the segment wrote, in
-    first-write order — that some search ends on.  The op cap trips at
-    the (cap+1)-th invoke and reports the final count; the state budget
-    does not apply. *)
+    first-write order — that some search ends on.  Ops are numbered by
+    the segmenter, which also trips the op cap; the state budget does not
+    apply. *)
 
 type result = { verdicts : Verdict.t list }
 
