@@ -70,14 +70,14 @@ let serve_lines =
           maxt := max !maxt time;
           let ev =
             match event with
-            | Core.Event.Invoke { op_id; proc; obj; kind } ->
-                let op_id = op_id + !idoff in
+            | Core.Event.Invoke e ->
+                let op_id = e.op_id + !idoff in
                 maxid := max !maxid op_id;
-                Core.Serve.Ingest.Invoke { op_id; proc; obj; kind }
-            | Core.Event.Respond { op_id; result } ->
-                let op_id = op_id + !idoff in
+                Core.Event.Invoke { e with op_id }
+            | Core.Event.Respond e ->
+                let op_id = e.op_id + !idoff in
                 maxid := max !maxid op_id;
-                Core.Serve.Ingest.Respond { op_id; result }
+                Core.Event.Respond { e with op_id }
           in
           lines :=
             Obs.Json.to_string (Core.Serve.Ingest.event_json ~time ev)

@@ -844,7 +844,7 @@ let e13_serve ?(jobs = 1) ~quick () =
                 let time = time + !toff in
                 maxt := max !maxt time;
                 let remap op_id = op_id + !idoff in
-                let ev =
+                let event =
                   match event with
                   | Core.Event.Invoke { op_id; obj; kind; proc = _ } ->
                       let op_id = remap op_id in
@@ -852,22 +852,14 @@ let e13_serve ?(jobs = 1) ~quick () =
                       (* one process per op: proc is irrelevant to
                          linearizability and this keeps the combined
                          event list well-formed for Hist.of_events *)
-                      Core.Serve.Ingest.Invoke
-                        { op_id; proc = op_id; obj; kind }
+                      Core.Event.Invoke { op_id; proc = op_id; obj; kind }
                   | Core.Event.Respond { op_id; result } ->
                       let op_id = remap op_id in
                       maxid := max !maxid op_id;
-                      Core.Serve.Ingest.Respond { op_id; result }
-                in
-                let j = Core.Serve.Ingest.event_json ~time ev in
-                lines := Core.Json.to_string j :: !lines;
-                let event =
-                  match ev with
-                  | Core.Serve.Ingest.Invoke { op_id; proc; obj; kind } ->
-                      Core.Event.Invoke { op_id; proc; obj; kind }
-                  | Core.Serve.Ingest.Respond { op_id; result } ->
                       Core.Event.Respond { op_id; result }
                 in
+                let j = Core.Serve.Ingest.event_json ~time event in
+                lines := Core.Json.to_string j :: !lines;
                 events := { Core.Event.time; event } :: !events)
               (Core.Hist.events hist);
             toff := !maxt + 1;

@@ -21,49 +21,131 @@ let rec equal a b =
 
 (* ----- emission -------------------------------------------------------- *)
 
-(* Emission allocates only the string it returns, [Printf]'s strings for
-   a float off [add_float]'s direct path, and a buffer when its domain's
-   is in use or was dropped (see [to_string]). *)
+(* A rendering writes into a writer: bytes and the position of the next
+   one.  Each token reserves its room with one capacity check, then
+   stores its bytes unchecked.  Emission allocates only the string it
+   returns, [format_float]'s strings for a float off [add_float]'s
+   direct path, larger bytes when a rendering outgrows the writer's, and
+   a writer when its domain's is in use or was dropped (see
+   [to_string]). *)
+type writer = { mutable b : Bytes.t; mutable pos : int }
 
-let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+(* room for [n] more bytes: the capacity doubles until they fit *)
+let grow w n =
+  let need = w.pos + n in
+  let rec size c = if c >= need then c else size (2 * c) in
+  let b = Bytes.create (size (2 * Bytes.length w.b)) in
+  Bytes.blit w.b 0 b 0 w.pos;
+  w.b <- b
 
-let rec clean s i =
-  i = String.length s || ((not (needs_escape s.[i])) && clean s (i + 1))
+let[@inline] reserve w n = if w.pos + n > Bytes.length w.b then grow w n
 
-let escape_to buf s =
-  Buffer.add_char buf '"';
-  if clean s 0 then Buffer.add_string buf s
+let[@inline] add_char w c =
+  reserve w 1;
+  Bytes.unsafe_set w.b w.pos c;
+  w.pos <- w.pos + 1
+
+(* [s] at [p] in [b]: a short literal, stored byte by byte *)
+let rec put_string b p s i =
+  if i < String.length s then begin
+    Bytes.unsafe_set b (p + i) (String.unsafe_get s i);
+    put_string b p s (i + 1)
+  end
+
+let add_literal w s =
+  reserve w (String.length s);
+  put_string w.b w.pos s 0;
+  w.pos <- w.pos + String.length s
+
+(* the \u escapes of the control bytes *)
+let controls = Array.init 0x20 (fun i -> Printf.sprintf "\\u%04x" i)
+
+(* the escape of [c] at the writer's position, with room reserved for
+   it and for the [rest] bytes that follow *)
+let add_escape w c rest =
+  let e =
+    match c with
+    | '"' -> "\\\""
+    | '\\' -> "\\\\"
+    | '\n' -> "\\n"
+    | '\r' -> "\\r"
+    | '\t' -> "\\t"
+    | '\b' -> "\\b"
+    | '\012' -> "\\f"
+    | c -> controls.(Char.code c)
+  in
+  reserve w (String.length e + rest);
+  put_string w.b w.pos e 0;
+  w.pos <- w.pos + String.length e
+
+(* [s] from byte [i] on, then the closing quote and, for a key, a ':',
+   copied to [b] at [p] with room for all of it reserved: an escape
+   stops the copy to reserve its extra bytes *)
+let rec copy w b s n i p ~key =
+  if i = n then begin
+    Bytes.unsafe_set b p '"';
+    if key then begin
+      Bytes.unsafe_set b (p + 1) ':';
+      w.pos <- p + 2
+    end
+    else w.pos <- p + 1
+  end
   else
-    for i = 0 to String.length s - 1 do
-      match s.[i] with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf "\\u00";
-          Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
-          Buffer.add_char buf "0123456789abcdef".[Char.code c land 15]
-      | c -> Buffer.add_char buf c
-    done;
-  Buffer.add_char buf '"'
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      w.pos <- p;
+      add_escape w c (n - i + if key then 1 else 0);
+      copy w w.b s n (i + 1) w.pos ~key
+    end
+    else begin
+      Bytes.unsafe_set b p c;
+      copy w b s n (i + 1) (p + 1) ~key
+    end
 
-(* the decimal digits of [m <= 0]: the non-positive side holds [min_int] *)
-let rec add_digits buf m =
-  if m <= -10 then add_digits buf (m / 10);
-  Buffer.add_char buf (Char.chr (Char.code '0' - (m mod 10)))
+let add_string w s =
+  let n = String.length s in
+  reserve w (n + 2);
+  Bytes.unsafe_set w.b w.pos '"';
+  copy w w.b s n 0 (w.pos + 1) ~key:false
 
-let add_int buf n =
-  if n < 0 then Buffer.add_char buf '-';
-  add_digits buf (if n < 0 then n else -n)
+(* [pre], then [k] as an object's key: quoted, escaped, and a ':' *)
+let add_key w pre k =
+  let n = String.length k in
+  reserve w (n + 4);
+  let b = w.b and p = w.pos in
+  Bytes.unsafe_set b p pre;
+  Bytes.unsafe_set b (p + 1) '"';
+  copy w b k n 0 (p + 2) ~key:true
 
-(* 10^k for k = 0..16, each an exact double *)
+(* the number of decimal digits of [m <= 0], which has at least [d] of
+   them, with [p] = -10^d; the non-positive side holds [min_int], whose
+   19 digits are the most *)
+let rec digit_count m p d =
+  if m > p then d else if d = 18 then 19 else digit_count m (10 * p) (d + 1)
+
+(* the digits of [m <= 0], the last one at [p - 1] *)
+let rec put_digits b p m =
+  Bytes.unsafe_set b (p - 1) (Char.unsafe_chr (Char.code '0' - (m mod 10)));
+  if m <= -10 then put_digits b (p - 1) (m / 10)
+
+(* [m <= 0]'s digits after a '-' if [neg], then [tail]: one token *)
+let add_digits w ~neg m tail =
+  let sign = if neg then 1 else 0 in
+  let e = w.pos + sign + digit_count m (-10) 1 in
+  reserve w (e - w.pos + String.length tail);
+  if neg then Bytes.unsafe_set w.b w.pos '-';
+  put_digits w.b e m;
+  put_string w.b e tail 0;
+  w.pos <- e + String.length tail
+
+let add_int w n = add_digits w ~neg:(n < 0) (if n < 0 then n else -n) ""
+
+(* 10^k for k = 0..16, each an exact double, and as an integer *)
 let pow10 =
   [| 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
      1e13; 1e14; 1e15; 1e16 |]
+
+let int_pow10 = Array.map int_of_float pow10
 
 (* The least k from [k] to 16 with m = round(|f|·10^k) and
    m /. 10^k = |f|, or 0 if m reaches 10^12 (13 digits) first. *)
@@ -75,14 +157,30 @@ let rec short_k f k =
   else if k < 16 then short_k f (k + 1)
   else 0
 
-(* the digits of [m >= 0] with a point before the last [k] of them *)
-let rec add_fixed buf m k =
-  if k = 0 then add_digits buf (-m)
-  else begin
-    add_fixed buf (m / 10) (k - 1);
-    if k = 1 then Buffer.add_char buf '.';
-    Buffer.add_char buf (Char.chr (Char.code '0' + (m mod 10)))
+(* the [k] digits of [m mod 10^k], the last one at [p - 1] *)
+let rec put_fraction b p m k =
+  if k > 0 then begin
+    Bytes.unsafe_set b (p - 1) (Char.unsafe_chr (Char.code '0' + (m mod 10)));
+    put_fraction b (p - 1) (m / 10) (k - 1)
   end
+
+(* the digits of [m >= 0] with a point before the last [k >= 1] of
+   them, at least one digit before it, after a '-' if [neg] *)
+let add_fixed w ~neg m k =
+  let whole = -(m / int_pow10.(k)) in
+  let sign = if neg then 1 else 0 in
+  let len = sign + digit_count whole (-10) 1 + 1 + k in
+  reserve w len;
+  let b = w.b and e = w.pos + len in
+  if neg then Bytes.unsafe_set b w.pos '-';
+  put_fraction b e m k;
+  Bytes.unsafe_set b (e - k - 1) '.';
+  put_digits b (e - k - 1) whole;
+  w.pos <- e
+
+(* the C library's rendering of a float, which [Printf] makes of "%.12g"
+   and "%.17g" after reading its format *)
+external format_float : string -> float -> string = "caml_format_float"
 
 (* A finite float renders as "%.1f" writes it if it is integral and
    below 1e15 in magnitude, else as "%.12g" writes it if that reads back
@@ -95,82 +193,74 @@ let rec add_fixed buf m k =
    the value "%.12g" rounds [f] to.  With m < 10^12 and k >= 1 it lies
    in [1e-4, 1e11), where "%.12g" writes fixed notation, and the least k
    leaves no trailing zero for "%g" to strip (were m a multiple of 10,
-   m/10 would pass at k - 1).  Only the other floats go through
-   [Printf]. *)
-let add_float buf f =
+   m/10 would pass at k - 1).  Conversely, a non-integral [f] in that
+   range whose "%.12g" text reads back as [f] is such a decimal, with
+   k <= 15 and m < 10^12, and [short_k] finds it, so when it finds none
+   that text does not read back and "%.17g" is written at once.  Only
+   the floats off these paths go through [format_float]. *)
+let add_float w f =
   let a = Float.abs f in
-  if Float.is_integer f && a < 1e15 then begin
-    if Float.sign_bit f then Buffer.add_char buf '-';
-    add_digits buf (-int_of_float a);
-    Buffer.add_string buf ".0"
-  end
+  if Float.is_integer f && a < 1e15 then
+    add_digits w ~neg:(Float.sign_bit f) (-int_of_float a) ".0"
   else
     let k = if a >= 1e-4 then short_k f 1 else 0 in
-    if k > 0 then begin
-      if f < 0. then Buffer.add_char buf '-';
-      add_fixed buf (int_of_float (Float.round (a *. pow10.(k)))) k
-    end
+    if k > 0 then
+      add_fixed w ~neg:(f < 0.) (int_of_float (Float.round (a *. pow10.(k)))) k
+    else if a >= 1e-4 && a < 1e11 then add_literal w (format_float "%.17g" f)
     else
-      let s = Printf.sprintf "%.12g" f in
-      Buffer.add_string buf
-        (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
+      let s = format_float "%.12g" f in
+      add_literal w (if float_of_string s = f then s else format_float "%.17g" f)
 
-let rec emit buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int n -> add_int buf n
+let rec emit w = function
+  | Null -> add_literal w "null"
+  | Bool b -> add_literal w (if b then "true" else "false")
+  | Int n -> add_int w n
   | Float f ->
       if Float.is_nan f || Float.abs f = Float.infinity then
-        Buffer.add_string buf "null"
-      else add_float buf f
-  | Str s -> escape_to buf s
+        add_literal w "null"
+      else add_float w f
+  | Str s -> add_string w s
+  | List [] -> add_literal w "[]"
   | List l ->
-      Buffer.add_char buf '[';
-      emit_items buf l;
-      Buffer.add_char buf ']'
+      emit_items w '[' l;
+      add_char w ']'
+  | Obj [] -> add_literal w "{}"
   | Obj fields ->
-      Buffer.add_char buf '{';
-      emit_fields buf fields;
-      Buffer.add_char buf '}'
+      emit_fields w '{' fields;
+      add_char w '}'
 
-and emit_items buf = function
+(* each item or field after [pre]: the opening bracket, then ',' *)
+and emit_items w pre = function
   | [] -> ()
-  | [ v ] -> emit buf v
   | v :: rest ->
-      emit buf v;
-      Buffer.add_char buf ',';
-      emit_items buf rest
+      add_char w pre;
+      emit w v;
+      emit_items w ',' rest
 
-and emit_fields buf = function
+and emit_fields w pre = function
   | [] -> ()
-  | [ (k, v) ] -> emit_field buf k v
   | (k, v) :: rest ->
-      emit_field buf k v;
-      Buffer.add_char buf ',';
-      emit_fields buf rest
+      add_key w pre k;
+      emit w v;
+      emit_fields w ',' rest
 
-and emit_field buf k v =
-  escape_to buf k;
-  Buffer.add_char buf ':';
-  emit buf v
-
-(* Each domain keeps one buffer for its renderings.  A call takes it out
+(* Each domain keeps one writer for its renderings.  A call takes it out
    of its slot and puts it back once done, so a rendering that another
    thread of the domain interrupts, or that starts inside one, finds the
-   slot empty and makes its own.  A buffer that grew past 64 KB is left
-   to the GC: one large rendering does not pin its buffer for good. *)
-let taken = Buffer.create 0
+   slot empty and makes its own.  A writer that grew past 64 KB is left
+   to the GC: one large rendering does not pin its bytes for good. *)
+let taken = { b = Bytes.empty; pos = 0 }
 let spare = Domain.DLS.new_key (fun () -> Atomic.make taken)
 
 let to_string v =
   let slot = Domain.DLS.get spare in
-  let buf = Atomic.exchange slot taken in
-  let buf = if buf == taken then Buffer.create 128 else buf in
-  emit buf v;
-  let s = Buffer.contents buf in
-  if Buffer.length buf <= 65_536 then begin
-    Buffer.clear buf;
-    Atomic.set slot buf
+  let w = Atomic.exchange slot taken in
+  let w = if w == taken then { b = Bytes.create 128; pos = 0 } else w in
+  emit w v;
+  let s = Bytes.sub_string w.b 0 w.pos in
+  if Bytes.length w.b <= 65_536 then begin
+    w.pos <- 0;
+    Atomic.set slot w
   end;
   s
 

@@ -11,14 +11,18 @@
     Both directions allocate only their result: a parse builds the value
     it returns and nothing else (a string without escapes is one copy of
     the input, an integer of up to 18 digits is read in place), and a
-    rendering writes into a buffer that its domain reuses and then copies
-    out the string it returns.  A finite float renders
+    rendering writes each token straight into bytes that its domain
+    reuses, with one capacity check per token, and then copies out the
+    string it returns (a float off the digit-by-digit path below also
+    allocates its formatted text).  A finite float renders
     as ["%.1f"] if it is integral and below 1e15 in magnitude, else as
     ["%.12g"] if that reads back as the same float, else as ["%.17g"];
     such an integral value, and a value of magnitude 1e-4 or more whose
     shortest decimal has at most 12 significant digits, is written digit
-    by digit with the same bytes, and only the other floats pass through
-    [Printf]. *)
+    by digit with the same bytes.  Any other value of magnitude in
+    \[1e-4, 1e11) is written as ["%.17g"] at once, as its ["%.12g"] text
+    cannot read back; only floats outside that range try ["%.12g"]
+    first. *)
 
 type t =
   | Null
@@ -35,8 +39,8 @@ val equal : t -> t -> bool
 
 val to_string : t -> string
 (** Render on one line (no embedded newlines: strings are escaped).  Safe
-    from any domain or thread: a call takes its domain's buffer for its
-    own use and puts it back after, unless the rendering grew it past
+    from any domain or thread: a call takes its domain's bytes for its
+    own use and puts them back after, unless the rendering grew them past
     64 KB. *)
 
 val of_string : string -> (t, string) result

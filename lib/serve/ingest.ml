@@ -96,7 +96,7 @@ let value_json = Simkit.Trace.value_json
 
 (* ----- events ----------------------------------------------------------- *)
 
-type event =
+type event = History.Event.t =
   | Invoke of { op_id : int; proc : int; obj : string; kind : History.Op.kind }
   | Respond of { op_id : int; result : V.t option }
 
@@ -160,15 +160,5 @@ let parse_line line =
 
 (* ----- rendering (for tests and the experiment battery) ------------------ *)
 
-let event_json ~time ev =
-  Simkit.Trace.entry_json
-    (Simkit.Trace.Ev
-       {
-         History.Event.time;
-         event =
-           (match ev with
-           | Invoke { op_id; proc; obj; kind } ->
-               History.Event.Invoke { op_id; proc; obj; kind }
-           | Respond { op_id; result } ->
-               History.Event.Respond { op_id; result });
-       })
+let event_json ~time event =
+  Simkit.Trace.entry_json (Simkit.Trace.Ev { History.Event.time; event })

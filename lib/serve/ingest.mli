@@ -27,7 +27,7 @@ val value_of_json : Obs.Json.t -> (History.Value.t, string) result
 
 val value_json : History.Value.t -> Obs.Json.t
 
-type event =
+type event = History.Event.t =
   | Invoke of {
       op_id : int;
       proc : int;
@@ -35,6 +35,8 @@ type event =
       kind : History.Op.kind;
     }
   | Respond of { op_id : int; result : History.Value.t option }
+(** A record's event is a {!History.Event.t}: the generators, the
+    checkers and the trace renderer take it as parsed. *)
 
 type parsed =
   | Event of { time : int; ev : event }

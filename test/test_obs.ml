@@ -609,22 +609,62 @@ let test_json_against_reference () =
   done;
   Alcotest.(check bool) "at least 20k inputs" true (!inputs >= 20_000)
 
-(* [Obs.Json.to_string] renders into a buffer its domain reuses: a
+(* [n] bytes of text with an escape at about one offset in 40 *)
+let escaped_text rand n =
+  String.init n (fun _ ->
+      if Random.State.int rand 40 = 0 then
+        pick rand [| '"'; '\\'; '\n'; '\t'; '\000'; '\031' |]
+      else Char.chr (Char.code 'a' + Random.State.int rand 26))
+
+(* [Obs.Json.to_string] renders into a writer its domain reuses: a
    rendering past 64 KB, the small ones after it, and renderings on two
-   domains at once must each come out as the reference's bytes. *)
+   domains at once must each come out as the reference's bytes.  So must
+   strings of 100 to 70,000 bytes with escapes anywhere, and, on the
+   fresh writer a rendering past 64 KB leaves the next one, a first token
+   longer than its 128 bytes and every kind of token at every offset
+   across them: the writer then grows mid-string, mid-escape and
+   mid-number. *)
 let test_json_reused_buffer () =
   let module J = Obs.Json in
   let big = J.List (List.init 20_000 (fun i -> J.Int i)) in
+  let same v = String.equal (J.to_string v) (Json_ref.to_string v) in
   let render_all seed =
     let rand = Random.State.make [| seed |] in
     List.for_all
       (fun k ->
         let v = if k mod 100 = 0 then big else fuzz_value rand 4 in
-        String.equal (J.to_string v) (Json_ref.to_string v))
+        same v)
       (List.init 1_000 Fun.id)
   in
-  let other = Domain.spawn (fun () -> render_all 2) in
-  let here = render_all 1 in
+  let past_64k = J.Str (escaped_text (Random.State.make [| 0 |]) 70_000) in
+  let fresh_writer () = ignore (J.to_string past_64k) in
+  let tokens =
+    [ J.Int min_int; J.Int 7; J.Float 1e14; J.Float (-0.5);
+      J.Float 123456.789; J.Float (1. /. 3.); J.Float 1e-7; J.Null;
+      J.Bool false; J.Str "a\"b\\c\nd\001e"; J.Obj [ ("k\te\"y", J.Int 1) ];
+      J.Str (String.make 30 'x') ]
+  in
+  let straddles t =
+    List.for_all
+      (fun pad ->
+        fresh_writer ();
+        same (J.List [ J.Str (String.make pad 'p'); t ]))
+      (List.init 40 (fun i -> 88 + i))
+  in
+  let growth seed =
+    let rand = Random.State.make [| seed |] in
+    same past_64k
+    && List.for_all
+         (fun _ ->
+           same (J.Str (escaped_text rand (100 + Random.State.int rand 69_901)))
+           &&
+           (fresh_writer ();
+            same (J.Str (escaped_text rand (129 + Random.State.int rand 400)))))
+         (List.init 50 Fun.id)
+    && List.for_all straddles tokens
+  in
+  let other = Domain.spawn (fun () -> render_all 2 && growth 4) in
+  let here = render_all 1 && growth 3 in
   Alcotest.(check bool) "this domain's renderings" true here;
   Alcotest.(check bool) "the other domain's renderings" true (Domain.join other)
 
@@ -642,7 +682,28 @@ let test_json_floats_against_reference () =
     let f = fuzz_float rand in
     agree f;
     agree (-.f)
-  done
+  done;
+  (* decimals of 13 to 17 significant digits, most of them in [1e-4,
+     1e11), where a float that [short_k] finds no decimal for goes
+     straight to "%.17g" *)
+  for _ = 1 to 50_000 do
+    let digits = 13 + Random.State.int rand 5 in
+    let low = Int64.of_float (pow10 (digits - 1)) in
+    let m = Int64.add low (Random.State.int64 rand (Int64.mul 9L low)) in
+    let f = Int64.to_float m /. pow10 (Random.State.int rand 23) in
+    agree f;
+    agree (-.f)
+  done;
+  (* one and two ulps either side of each end of that range and of 1e15 *)
+  List.iter
+    (fun edge ->
+      List.iter
+        (fun f ->
+          agree f;
+          agree (-.f))
+        [ Float.pred (Float.pred edge); Float.pred edge; edge;
+          Float.succ edge; Float.succ (Float.succ edge) ])
+    [ 1e-4; 1e11; 1e15 ]
 
 (* ----- Trace JSONL round-trip ---------------------------------------------- *)
 
@@ -712,6 +773,21 @@ let alloc_tests =
         Alloc.at_most "rendering a chaos config" 92.
           (Alloc.words_per_call ~n:10_000 (fun () ->
                Obs.Json.to_string config)));
+    tc "json renders a trace line in at most 21 words" (fun () ->
+        (* 14 words on OCaml 5.1.1, the 99-byte string returned: a
+           writer that allocated per token would pass 21 at once *)
+        let line =
+          Serve.Ingest.event_json ~time:17
+            (Serve.Ingest.Invoke
+               {
+                 op_id = 5;
+                 proc = 2;
+                 obj = "R3";
+                 kind = History.Op.Write (History.Value.Int 107);
+               })
+        in
+        Alloc.at_most "rendering a serve trace line" 21.
+          (Alloc.words_per_call ~n:10_000 (fun () -> Obs.Json.to_string line)));
   ]
 
 let suite =

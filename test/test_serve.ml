@@ -378,11 +378,10 @@ let multi_object_stream ~seed ~per_object =
           maxt := max !maxt time;
           let ev =
             match event with
-            | Event.Invoke { op_id; proc; kind; _ } ->
-                next_id := max !next_id (base + op_id + 1);
-                Ingest.Invoke { op_id = base + op_id; proc; obj; kind }
-            | Event.Respond { op_id; result } ->
-                Ingest.Respond { op_id = base + op_id; result }
+            | Event.Invoke e ->
+                next_id := max !next_id (base + e.op_id + 1);
+                Event.Invoke { e with op_id = base + e.op_id; obj }
+            | Event.Respond e -> Event.Respond { e with op_id = base + e.op_id }
           in
           evs := (time, ev) :: !evs)
         (Hist.events h);
