@@ -28,48 +28,35 @@ let entry_json e =
     | evs -> [ ("postmortem", Obs.Json.List evs) ])
 
 let entry_of_json j =
+  let module J = Obs.Json in
   let ( let* ) = Result.bind in
-  let* () =
-    match Option.bind (Obs.Json.member "kind" j) Obs.Json.to_string_opt with
-    | Some "chaos_repro" -> Ok ()
-    | _ -> Error "Corpus.entry_of_json: kind is not \"chaos_repro\""
+  (* the post-mortem events must be well-formed trace records *)
+  let event ev =
+    Option.map (fun () -> ev)
+      (Result.to_option (Obs.Tracer.validate_event_json ev))
   in
-  let* config =
-    match Obs.Json.member "config" j with
-    | Some c -> Config.of_json c
-    | None -> Error "Corpus.entry_of_json: missing \"config\""
-  in
-  let* violation =
-    match Obs.Json.member "violation" j with
-    | Some v -> Monitor.violation_of_json v
-    | None -> Error "Corpus.entry_of_json: missing \"violation\""
-  in
-  let* original =
-    match Obs.Json.member "original" j with
-    | None | Some Obs.Json.Null -> Ok None
-    | Some c -> Result.map Option.some (Config.of_json c)
-  in
-  let shrink_attempts =
-    match
-      Option.bind (Obs.Json.member "shrink_attempts" j) Obs.Json.to_int_opt
-    with
-    | Some n -> n
-    | None -> 0
-  in
-  let* postmortem =
-    match Obs.Json.member "postmortem" j with
-    | None | Some Obs.Json.Null -> Ok []
-    | Some (Obs.Json.List evs) ->
-        (* validate the attached events are well-formed trace records *)
-        List.fold_left
-          (fun acc ev ->
-            let* evs = acc in
-            let* () = Obs.Tracer.validate_event_json ev in
-            Ok (evs @ [ ev ]))
-          (Ok []) evs
-    | Some _ -> Error "Corpus.entry_of_json: \"postmortem\" is not a list"
-  in
-  Ok { config; violation; original; shrink_attempts; postmortem }
+  Result.map_error (( ^ ) "Corpus.entry_of_json: ")
+    (let* () =
+       J.field "kind"
+         (function J.Str "chaos_repro" -> Some () | _ -> None)
+         j
+     in
+     let* config =
+       Result.bind (J.field "config" Option.some j) Config.of_json
+     in
+     let* violation =
+       Result.bind (J.field "violation" Option.some j)
+         Monitor.violation_of_json
+     in
+     let* original = J.field_or "original" None (fun c -> Some (Some c)) j in
+     let* original =
+       match original with
+       | None -> Ok None
+       | Some c -> Result.map Option.some (Config.of_json c)
+     in
+     let* shrink_attempts = J.field_or "shrink_attempts" 0 J.to_int_opt j in
+     let* postmortem = J.field_or "postmortem" [] (J.list_of event) j in
+     Ok { config; violation; original; shrink_attempts; postmortem })
 
 let load_file path =
   let ( let* ) = Result.bind in

@@ -12,12 +12,12 @@ let violation_json v =
     ]
 
 let violation_of_json j =
-  match
-    ( Option.bind (Obs.Json.member "monitor" j) Obs.Json.to_string_opt,
-      Option.bind (Obs.Json.member "detail" j) Obs.Json.to_string_opt )
-  with
-  | Some monitor, Some detail -> Ok { monitor; detail }
-  | _ -> Error "Monitor.violation_of_json: missing \"monitor\" or \"detail\""
+  let module J = Obs.Json in
+  let ( let* ) = Result.bind in
+  Result.map_error (( ^ ) "Monitor.violation_of_json: ")
+    (let* monitor = J.field "monitor" J.to_string_opt j in
+     let* detail = J.field "detail" J.to_string_opt j in
+     Ok { monitor; detail })
 
 type t = {
   name : string;

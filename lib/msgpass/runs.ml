@@ -172,101 +172,70 @@ module Config = struct
       else [])
 
   let of_json j =
+    let module J = Obs.Json in
     let ( let* ) = Result.bind in
-    let field name conv =
-      match Option.bind (Obs.Json.member name j) conv with
-      | Some x -> Ok x
-      | None ->
-          Error (Printf.sprintf "Runs.Config.of_json: bad or missing %S" name)
+    let one_of names v =
+      Option.bind (J.to_string_opt v) (fun s -> List.assoc_opt s names)
     in
-    let int_list v =
-      Option.map (List.filter_map Obs.Json.to_int_opt) (Obs.Json.to_list_opt v)
-    in
-    let opt_int name =
-      match Obs.Json.member name j with
-      | None | Some Obs.Json.Null -> Ok None
-      | Some v -> (
-          match Obs.Json.to_int_opt v with
-          | Some i -> Ok (Some i)
-          | None -> Error (Printf.sprintf "Runs.Config.of_json: bad %S" name))
-    in
-    let* proto =
-      field "proto" (fun v ->
-          match Obs.Json.to_string_opt v with
-          | Some "abd" -> Some Sw
-          | Some "mwabd" -> Some Mw
-          | _ -> None)
-    in
-    let* n = field "n" Obs.Json.to_int_opt in
-    let* writers = field "writers" int_list in
-    let* writes_each = field "writes_each" Obs.Json.to_int_opt in
-    let* readers = field "readers" int_list in
-    let* reads_each = field "reads_each" Obs.Json.to_int_opt in
-    let* faults_j =
-      match Obs.Json.member "faults" j with
-      | Some v -> Ok v
-      | None -> Error "Runs.Config.of_json: missing \"faults\""
-    in
-    let* faults = Faults.plan_of_json faults_j in
-    let* seed =
-      field "seed" (fun v ->
-          Option.bind (Obs.Json.to_string_opt v) Int64.of_string_opt)
-    in
-    let* policy =
-      field "policy" (fun v ->
-          match Obs.Json.to_string_opt v with
-          | Some "random" -> Some `Random
-          | Some "round_robin" -> Some `Round_robin
-          | _ -> None)
-    in
-    let* max_steps = opt_int "max_steps" in
-    let* quorum = opt_int "quorum" in
-    (* absent in pre-recovery corpus entries: default to the safe knobs *)
-    let* persist =
-      match Obs.Json.member "persist" j with
-      | None -> Ok `Every
-      | Some v -> (
-          match Obs.Json.to_string_opt v with
-          | Some "every" -> Ok `Every
-          | Some "never" -> Ok `Never
-          | _ -> Error "Runs.Config.of_json: bad \"persist\"")
-    in
-    let* unsafe_recovery =
-      match Obs.Json.member "unsafe_recovery" j with
-      | None -> Ok false
-      | Some (Obs.Json.Bool b) -> Ok b
-      | Some _ -> Error "Runs.Config.of_json: bad \"unsafe_recovery\""
-    in
-    (* absent in pre-batching entries (and in unbatched ones, which omit
-       the keys): default to disabled *)
-    let opt_int_default name d =
-      match Obs.Json.member name j with
-      | None | Some Obs.Json.Null -> Ok d
-      | Some v -> (
-          match Obs.Json.to_int_opt v with
-          | Some i -> Ok i
-          | None -> Error (Printf.sprintf "Runs.Config.of_json: bad %S" name))
-    in
-    let* batch_window = opt_int_default "batch_window" 0 in
-    let* batch_max = opt_int_default "batch_max" 1 in
-    let c =
-      {
-        proto;
-        n;
-        writers;
-        writes_each;
-        readers;
-        reads_each;
-        faults;
-        seed;
-        policy;
-        max_steps;
-        quorum;
-        persist;
-        unsafe_recovery;
-        batch_window;
-        batch_max;
-      }
+    let ints = J.list_of J.to_int_opt in
+    let some_int v = Option.map Option.some (J.to_int_opt v) in
+    let* c =
+      Result.map_error (( ^ ) "Runs.Config.of_json: ")
+        (let* proto =
+           J.field "proto" (one_of [ ("abd", Sw); ("mwabd", Mw) ]) j
+         in
+         let* n = J.field "n" J.to_int_opt j in
+         let* writers = J.field "writers" ints j in
+         let* writes_each = J.field "writes_each" J.to_int_opt j in
+         let* readers = J.field "readers" ints j in
+         let* reads_each = J.field "reads_each" J.to_int_opt j in
+         let* faults =
+           Result.bind (J.field "faults" Option.some j) Faults.plan_of_json
+         in
+         let* seed =
+           J.field "seed"
+             (fun v -> Option.bind (J.to_string_opt v) Int64.of_string_opt)
+             j
+         in
+         let* policy =
+           J.field "policy"
+             (one_of [ ("random", `Random); ("round_robin", `Round_robin) ])
+             j
+         in
+         let* max_steps = J.field_or "max_steps" None some_int j in
+         let* quorum = J.field_or "quorum" None some_int j in
+         (* absent in pre-recovery corpus entries: default to the safe
+            knobs *)
+         let* persist =
+           J.field_or "persist" `Every
+             (one_of [ ("every", `Every); ("never", `Never) ])
+             j
+         in
+         let* unsafe_recovery =
+           J.field_or "unsafe_recovery" false J.to_bool_opt j
+         in
+         (* absent in pre-batching entries (and in unbatched ones, which
+            omit the keys): default to disabled *)
+         let* batch_window = J.field_or "batch_window" 0 J.to_int_opt j in
+         let* batch_max = J.field_or "batch_max" 1 J.to_int_opt j in
+         Ok
+           {
+             proto;
+             n;
+             writers;
+             writes_each;
+             readers;
+             reads_each;
+             faults;
+             seed;
+             policy;
+             max_steps;
+             quorum;
+             persist;
+             unsafe_recovery;
+             batch_window;
+             batch_max;
+           })
     in
     match validate c with
     | () -> Ok c

@@ -43,28 +43,6 @@ let parse_file path =
   | s -> parse_lines s
   | exception Sys_error e -> Error e
 
-(* The lenient variant quarantines instead of failing: bad lines are
-   returned as (1-based line number, error) for the caller to count or
-   report, and the good records still parse.  [rlin serve]'s ingest
-   tolerance, available to any JSONL reader. *)
-let parse_lines_lenient s =
-  let lines = String.split_on_char '\n' s in
-  let rec go i acc bad = function
-    | [] -> (List.rev acc, List.rev bad)
-    | line :: rest ->
-        if String.trim line = "" then go (i + 1) acc bad rest
-        else (
-          match Json.of_string line with
-          | Ok v -> go (i + 1) (v :: acc) bad rest
-          | Error e -> go (i + 1) acc ((i, e) :: bad) rest)
-  in
-  go 1 [] [] lines
-
-let parse_file_lenient path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | s -> Ok (parse_lines_lenient s)
-  | exception Sys_error e -> Error e
-
 let summary_json (s : Metrics.summary) =
   Json.Obj
     [

@@ -35,16 +35,6 @@ val parse_lines : string -> (Json.t list, string) result
 
 val parse_file : string -> (Json.t list, string) result
 
-val parse_lines_lenient : string -> Json.t list * (int * string) list
-(** Like {!parse_lines} but a malformed line doesn't fail the parse: the
-    good records are returned together with the bad lines as (1-based
-    line number, error) pairs — the caller decides whether a non-empty
-    second component is fatal. *)
-
-val parse_file_lenient :
-  string -> (Json.t list * (int * string) list, string) result
-(** [Error] only on I/O failure. *)
-
 (** {2 Record shapes} *)
 
 val metrics_json : ?label:string -> Metrics.snapshot -> Json.t

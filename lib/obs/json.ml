@@ -500,5 +500,28 @@ let to_float_opt = function
   | _ -> None
 
 let to_int_opt = function Int n -> Some n | _ -> None
+let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_string_opt = function Str s -> Some s | _ -> None
 let to_list_opt = function List l -> Some l | _ -> None
+
+(* ----- decoders --------------------------------------------------------- *)
+
+let refused k = Error (Printf.sprintf "missing or bad %S" k)
+
+let field k conv j =
+  match Option.bind (member k j) conv with Some x -> Ok x | None -> refused k
+
+let field_or k default conv j =
+  match member k j with
+  | None | Some Null -> Ok default
+  | Some v -> ( match conv v with Some x -> Ok x | None -> refused k)
+
+let list_of conv = function
+  | List items ->
+      let rec go acc = function
+        | [] -> Some (List.rev acc)
+        | v :: rest -> (
+            match conv v with Some x -> go (x :: acc) rest | None -> None)
+      in
+      go [] items
+  | _ -> None

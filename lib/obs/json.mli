@@ -63,5 +63,44 @@ val to_float_opt : t -> float option
 (** [Int] and [Float] both convert. *)
 
 val to_int_opt : t -> int option
+val to_bool_opt : t -> bool option
 val to_string_opt : t -> string option
 val to_list_opt : t -> t list option
+
+(** {2 Decoding untrusted records}
+
+    Configs, fault plans, corpus entries, checkpoints and trace events
+    are read back from files a user may have edited, so each decoder
+    turns every malformed input into an [Error], never an exception and
+    never a silently different value.  A record decoder reads each key
+    with {!field} (or {!field_or} for a key that older files lack),
+    converts it with a [to_*_opt] accessor, a {!list_of} of one, or a
+    converter of its own, and adds its context to the message once:
+
+    {[
+      let of_json j =
+        Result.map_error (( ^ ) "Plan.of_json: ")
+          (let* n = Json.field "n" Json.to_int_opt j in
+           let* xs = Json.field_or "xs" [] (Json.list_of Json.to_int_opt) j in
+           let* sub = Result.bind (Json.field "s" Option.some j) Sub.of_json in
+           Ok { n; xs; sub })
+    ]}
+
+    A list converts only if every item does, so ["xs":[1,"2"]] is an
+    [Error] naming ["xs"], not [[1]].  A nested record goes to its own
+    decoder, whose message then follows this one's context
+    (["Plan.of_json: Sub.of_json: missing or bad \"m\""]).  Checks on a
+    decoded value whose message reports the value (a negative count, an
+    unknown kind) stay with the decoder that makes them. *)
+
+val field : string -> (t -> 'a option) -> t -> ('a, string) result
+(** [field k conv j] is [k]'s value in the object [j] through [conv];
+    [Error "missing or bad \"k\""] when [j] has no [k] or [conv]
+    refuses its value. *)
+
+val field_or : string -> 'a -> (t -> 'a option) -> t -> ('a, string) result
+(** Like {!field}, but an absent or [null] [k] gives [default]. *)
+
+val list_of : (t -> 'a option) -> t -> 'a list option
+(** A [List] whose every item converts, in order; [None] for anything
+    else, a list with one item [conv] refuses included. *)

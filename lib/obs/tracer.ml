@@ -110,32 +110,23 @@ let event_json ev =
   Json.Obj (base @ args)
 
 let event_of_json j =
-  let int name =
-    match Option.bind (Json.member name j) Json.to_int_opt with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "trace_event: missing int %S" name)
-  in
-  let str name =
-    match Option.bind (Json.member name j) Json.to_string_opt with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "trace_event: missing string %S" name)
-  in
   let ( let* ) = Result.bind in
-  let* () =
-    match Option.bind (Json.member "kind" j) Json.to_string_opt with
-    | Some "trace_event" -> Ok ()
-    | _ -> Error "trace_event: kind is not \"trace_event\""
-  in
-  let* seq = int "seq" in
-  let* sim = int "t" in
-  let* track = int "track" in
-  let* cat = str "cat" in
-  let* name = str "name" in
-  let* parent = int "parent" in
-  let args =
-    match Json.member "args" j with Some (Json.Obj kv) -> kv | _ -> []
-  in
-  Ok { seq; sim; track; cat; name; parent; args }
+  Result.map_error (( ^ ) "trace_event: ")
+    (let* () =
+       Json.field "kind"
+         (function Json.Str "trace_event" -> Some () | _ -> None)
+         j
+     in
+     let* seq = Json.field "seq" Json.to_int_opt j in
+     let* sim = Json.field "t" Json.to_int_opt j in
+     let* track = Json.field "track" Json.to_int_opt j in
+     let* cat = Json.field "cat" Json.to_string_opt j in
+     let* name = Json.field "name" Json.to_string_opt j in
+     let* parent = Json.field "parent" Json.to_int_opt j in
+     let* args =
+       Json.field_or "args" [] (function Json.Obj kv -> Some kv | _ -> None) j
+     in
+     Ok { seq; sim; track; cat; name; parent; args })
 
 let validate_event_json j =
   Result.map (fun (_ : event) -> ()) (event_of_json j)
@@ -252,49 +243,28 @@ let perfetto_json events =
     ]
 
 let validate_perfetto j =
-  match Json.member "traceEvents" j with
-  | None -> Error "perfetto: missing \"traceEvents\""
-  | Some evs -> (
-      match Json.to_list_opt evs with
-      | None -> Error "perfetto: \"traceEvents\" is not a list"
-      | Some l ->
-          let check i e =
-            let str name =
-              Option.bind (Json.member name e) Json.to_string_opt
-            in
-            let int name = Option.bind (Json.member name e) Json.to_int_opt in
-            match str "ph" with
-            | None -> Error (Printf.sprintf "perfetto: event %d: no \"ph\"" i)
-            | Some ph -> (
-                if str "name" = None then
-                  Error (Printf.sprintf "perfetto: event %d: no \"name\"" i)
-                else if int "pid" = None then
-                  Error (Printf.sprintf "perfetto: event %d: no \"pid\"" i)
-                else
-                  match ph with
-                  | "M" -> Ok ()
-                  | "s" | "f" ->
-                      if int "id" = None then
-                        Error
-                          (Printf.sprintf "perfetto: event %d: flow without id"
-                             i)
-                      else Ok ()
-                  | "X" | "B" | "E" | "C" ->
-                      if int "ts" = None then
-                        Error
-                          (Printf.sprintf "perfetto: event %d: no \"ts\"" i)
-                      else Ok ()
-                  | other ->
-                      Error
-                        (Printf.sprintf "perfetto: event %d: unknown ph %S" i
-                           other))
-          in
-          let rec go i = function
-            | [] -> Ok (List.length l)
-            | e :: rest -> (
-                match check i e with Ok () -> go (i + 1) rest | Error _ as e -> e)
-          in
-          go 0 l)
+  let ( let* ) = Result.bind in
+  let check i e =
+    Result.map_error (Printf.sprintf "event %d: %s" i)
+      (let* ph = Json.field "ph" Json.to_string_opt e in
+       let* _ = Json.field "name" Json.to_string_opt e in
+       let* _ = Json.field "pid" Json.to_int_opt e in
+       match ph with
+       | "M" -> Ok ()
+       | "s" | "f" -> Result.map ignore (Json.field "id" Json.to_int_opt e)
+       | "X" | "B" | "E" | "C" ->
+           Result.map ignore (Json.field "ts" Json.to_int_opt e)
+       | other -> Error (Printf.sprintf "unknown ph %S" other))
+  in
+  Result.map_error (( ^ ) "perfetto: ")
+    (let* evs = Json.field "traceEvents" Json.to_list_opt j in
+     let rec go i = function
+       | [] -> Ok (List.length evs)
+       | e :: rest ->
+           let* () = check i e in
+           go (i + 1) rest
+     in
+     go 0 evs)
 
 (* ----- DOT causal ancestry -------------------------------------------------
 

@@ -46,38 +46,19 @@ let obj_json o =
 
 let ( let* ) = Result.bind
 
-(* [f] over [xs], stopping at the first error *)
-let map_all f xs =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-        let* y = f x in
-        go (y :: acc) rest
-  in
-  go [] xs
-
-(* [k]'s value in [j] through [f], or [missing] *)
-let field j k f ~missing =
-  match Option.bind (J.member k j) f with
-  | Some v -> Ok v
-  | None -> Error missing
-
 let obj_of_json j =
-  let missing = "checkpoint object: missing or mistyped field" in
-  let field k f = field j k f ~missing in
-  let bool = function J.Bool b -> Some b | _ -> None in
-  let* obj = field "obj" J.to_string_opt in
-  let* index = field "segment" J.to_int_opt in
-  let* exact = field "exact" bool in
-  let* overflow = field "overflow" bool in
-  let* values = field "values" J.to_list_opt in
-  if index < 0 then
-    Error (Printf.sprintf "object %s: negative segment %d" obj index)
-  else
-    match map_all Ingest.value_of_json values with
-    | Ok values ->
-        Ok { obj; index; entry = { Segmenter.exact; values; overflow } }
-    | Error e -> Error (Printf.sprintf "object %s: %s" obj e)
+  let* obj = J.field "obj" J.to_string_opt j in
+  Result.map_error (Printf.sprintf "object %s: %s" obj)
+    (let* index = J.field "segment" J.to_int_opt j in
+     let* exact = J.field "exact" J.to_bool_opt j in
+     let* overflow = J.field "overflow" J.to_bool_opt j in
+     let* values =
+       J.field "values"
+         (J.list_of (fun v -> Result.to_option (Ingest.value_of_json v)))
+         j
+     in
+     if index < 0 then Error (Printf.sprintf "negative segment %d" index)
+     else Ok { obj; index; entry = { Segmenter.exact; values; overflow } })
 
 let json t =
   J.Obj
@@ -97,62 +78,67 @@ let json t =
     ]
 
 let of_json j =
-  let field k f =
-    field j k f ~missing:"checkpoint: missing or mistyped field"
-  in
   (* counts are never negative; [last_time] is -1 in a fresh engine's *)
   let at_least least k =
-    let* v = field k J.to_int_opt in
+    let* v = J.field k J.to_int_opt j in
     if v >= least then Ok v
-    else Error (Printf.sprintf "checkpoint: %S is %d, below %d" k v least)
+    else Error (Printf.sprintf "%S is %d, below %d" k v least)
   in
   let count = at_least 0 in
-  let* () =
-    match Option.bind (J.member "kind" j) J.to_string_opt with
-    | Some "serve_checkpoint" -> Ok ()
-    | Some k -> Error (Printf.sprintf "not a checkpoint record (kind %S)" k)
-    | None -> Error "checkpoint: missing \"kind\""
-  in
-  let* () =
-    match Option.bind (J.member "schema" j) J.to_int_opt with
-    | Some s when s = schema -> Ok ()
-    | Some s -> Error (Printf.sprintf "unsupported checkpoint schema %d" s)
-    | None -> Error "checkpoint: missing \"schema\""
-  in
-  let* cursor = count "cursor" in
-  let* last_time = at_least (-1) "last_time" in
-  let* events = count "events" in
-  let* annotations = count "annotations" in
-  let* quarantined = count "quarantined" in
-  let* shed_events = count "shed_events" in
-  let* ok = count "ok" in
-  let* fail = count "fail" in
-  let* unknown = count "unknown" in
-  let* objects = field "objects" J.to_list_opt in
-  let* objects = map_all obj_of_json objects in
   let rec repeated = function
     | a :: (b :: _ as rest) ->
         if String.equal a b then Some a else repeated rest
     | _ -> None
   in
-  match
-    repeated (List.sort String.compare (List.map (fun o -> o.obj) objects))
-  with
-  | Some o -> Error (Printf.sprintf "checkpoint: object %s repeated" o)
-  | None ->
-      Ok
-        {
-          cursor;
-          last_time;
-          events;
-          annotations;
-          quarantined;
-          shed_events;
-          ok;
-          fail;
-          unknown;
-          objects;
-        }
+  Result.map_error (( ^ ) "checkpoint: ")
+    (let* kind = J.field "kind" J.to_string_opt j in
+     let* () =
+       if String.equal kind "serve_checkpoint" then Ok ()
+       else Error (Printf.sprintf "not a checkpoint record (kind %S)" kind)
+     in
+     let* version = J.field "schema" J.to_int_opt j in
+     let* () =
+       if version = schema then Ok ()
+       else Error (Printf.sprintf "unsupported schema %d" version)
+     in
+     let* cursor = count "cursor" in
+     let* last_time = at_least (-1) "last_time" in
+     let* events = count "events" in
+     let* annotations = count "annotations" in
+     let* quarantined = count "quarantined" in
+     let* shed_events = count "shed_events" in
+     let* ok = count "ok" in
+     let* fail = count "fail" in
+     let* unknown = count "unknown" in
+     (* each object's own error (its name, the field it lacks, a negative
+        segment) reaches the message, which [J.list_of] could not carry *)
+     let* objects =
+       Result.bind (J.field "objects" J.to_list_opt j) (fun os ->
+           List.fold_left
+             (fun acc o ->
+               let* acc = acc in
+               let* o = obj_of_json o in
+               Ok (o :: acc))
+             (Ok []) os)
+     in
+     match
+       repeated (List.sort String.compare (List.map (fun o -> o.obj) objects))
+     with
+     | Some o -> Error (Printf.sprintf "object %s repeated" o)
+     | None ->
+         Ok
+           {
+             cursor;
+             last_time;
+             events;
+             annotations;
+             quarantined;
+             shed_events;
+             ok;
+             fail;
+             unknown;
+             objects = List.rev objects;
+           })
 
 (* Write-then-rename alone survives a process kill, but not a machine
    crash: the rename can hit disk before the data does, publishing an

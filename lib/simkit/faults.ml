@@ -166,67 +166,36 @@ let plan_json p =
     ]
 
 let plan_of_json j =
+  let module J = Obs.Json in
   let ( let* ) = Result.bind in
-  let field name conv =
-    match Obs.Json.member name j with
-    | Some v -> (
-        match conv v with
-        | Some x -> Ok x
-        | None -> Error (Printf.sprintf "Faults.plan_of_json: bad %S" name))
-    | None -> Error (Printf.sprintf "Faults.plan_of_json: missing %S" name)
+  let step_node e =
+    match (J.field "step" J.to_int_opt e, J.field "node" J.to_int_opt e) with
+    | Ok step, Ok node -> Some (step, node)
+    | _ -> None
   in
-  let list_field name item =
-    field name (fun v ->
-        Option.map (List.filter_map item) (Obs.Json.to_list_opt v))
+  let partition e =
+    match
+      ( J.field "start" J.to_int_opt e,
+        J.field "length" J.to_int_opt e,
+        J.field "isolated" (J.list_of J.to_int_opt) e )
+    with
+    | Ok start, Ok len, Ok isolated -> Some (start, len, isolated)
+    | _ -> None
   in
-  let* drop = field "drop" Obs.Json.to_float_opt in
-  let* duplicate = field "duplicate" Obs.Json.to_float_opt in
-  let* delay = field "delay" Obs.Json.to_float_opt in
-  let* delay_bound = field "delay_bound" Obs.Json.to_int_opt in
-  let* crash_at =
-    list_field "crash_at" (fun e ->
-        match
-          ( Option.bind (Obs.Json.member "step" e) Obs.Json.to_int_opt,
-            Option.bind (Obs.Json.member "node" e) Obs.Json.to_int_opt )
-        with
-        | Some step, Some node -> Some (step, node)
-        | _ -> None)
-  in
-  (* [recover_at] postdates the first committed corpus entries; a missing
-     field means the crash-stop era's empty schedule, so old reproducers
-     keep parsing unchanged. *)
-  let* recover_at =
-    match Obs.Json.member "recover_at" j with
-    | None -> Ok []
-    | Some v -> (
-        match Obs.Json.to_list_opt v with
-        | None -> Error "Faults.plan_of_json: bad \"recover_at\""
-        | Some items ->
-            Ok
-              (List.filter_map
-                 (fun e ->
-                   match
-                     ( Option.bind (Obs.Json.member "step" e) Obs.Json.to_int_opt,
-                       Option.bind (Obs.Json.member "node" e) Obs.Json.to_int_opt
-                     )
-                   with
-                   | Some step, Some node -> Some (step, node)
-                   | _ -> None)
-                 items))
-  in
-  let* partitions =
-    list_field "partitions" (fun e ->
-        match
-          ( Option.bind (Obs.Json.member "start" e) Obs.Json.to_int_opt,
-            Option.bind (Obs.Json.member "length" e) Obs.Json.to_int_opt,
-            Option.bind (Obs.Json.member "isolated" e) Obs.Json.to_list_opt )
-        with
-        | Some start, Some len, Some iso ->
-            Some (start, len, List.filter_map Obs.Json.to_int_opt iso)
-        | _ -> None)
-  in
-  let p =
-    { drop; duplicate; delay; delay_bound; crash_at; recover_at; partitions }
+  let* p =
+    Result.map_error (( ^ ) "Faults.plan_of_json: ")
+      (let* drop = J.field "drop" J.to_float_opt j in
+       let* duplicate = J.field "duplicate" J.to_float_opt j in
+       let* delay = J.field "delay" J.to_float_opt j in
+       let* delay_bound = J.field "delay_bound" J.to_int_opt j in
+       let* crash_at = J.field "crash_at" (J.list_of step_node) j in
+       (* [recover_at] postdates the first committed corpus entries; a
+          missing field means the crash-stop era's empty schedule, so old
+          reproducers keep parsing unchanged. *)
+       let* recover_at = J.field_or "recover_at" [] (J.list_of step_node) j in
+       let* partitions = J.field "partitions" (J.list_of partition) j in
+       Ok
+         { drop; duplicate; delay; delay_bound; crash_at; recover_at; partitions })
   in
   match validate p with
   | () -> Ok p

@@ -1,4 +1,4 @@
-type policy = Every | Explicit | Prob of float
+type policy = Every | Explicit
 
 type 'a node_log = {
   mutable records : 'a list; (* newest first *)
@@ -11,7 +11,6 @@ type 'a t = {
   logs : 'a node_log array;
   policy : policy;
   auto_compact : bool;
-  rng : Rng.t;
   appends_c : Obs.Metrics.Counter.t;
   persists_c : Obs.Metrics.Counter.t;
   lost_c : Obs.Metrics.Counter.t;
@@ -19,19 +18,14 @@ type 'a t = {
 }
 
 let create ?(metrics = Obs.Metrics.global) ?(policy = Every)
-    ?(auto_compact = false) ?rng ~n () =
+    ?(auto_compact = false) ~n () =
   if n <= 0 then invalid_arg "Stable.create: n must be > 0";
-  (match policy with
-  | Prob p when not (p >= 0. && p <= 1.) ->
-      invalid_arg "Stable.create: Prob probability must be in [0,1]"
-  | _ -> ());
   {
     logs =
       Array.init n (fun _ ->
           { records = []; len_ = 0; durable_ = 0; lost_ = 0 });
     policy;
     auto_compact;
-    rng = (match rng with Some r -> r | None -> Rng.create 0x57AB1EL);
     appends_c = Obs.Metrics.counter_h metrics "stable.appends";
     persists_c = Obs.Metrics.counter_h metrics "stable.persists";
     lost_c = Obs.Metrics.counter_h metrics "stable.lost";
@@ -78,10 +72,7 @@ let append t ~node v =
   l.records <- v :: l.records;
   l.len_ <- l.len_ + 1;
   Obs.Metrics.incr_h t.appends_c;
-  match t.policy with
-  | Every -> persist t ~node
-  | Explicit -> ()
-  | Prob p -> if Rng.float t.rng < p then persist t ~node
+  match t.policy with Every -> persist t ~node | Explicit -> ()
 
 let crash t ~node =
   let l = node_log t node in

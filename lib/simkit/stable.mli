@@ -15,18 +15,12 @@
       safe and slow — the baseline the registers default to);
     - [Explicit]: nothing is durable until the caller says {!persist}
       (the register's "sync point" knob; [Never] is spelled "create with
-      [Explicit] and never call {!persist}");
-    - [Prob p]: each append flips a coin from the store's {e dedicated}
-      RNG and persists with probability [p] — a seed-driven model of
-      periodic background flushing.  The RNG is the store's own (derive
-      its seed from the fault stream), so attaching stable storage
-      perturbs no scheduler or fault draw and runs stay byte-identical
-      at any [-j].
+      [Explicit] and never call {!persist}").
 
     All state is per-node and in-memory; "durable" is a frontier index,
     not an actual file. *)
 
-type policy = Every | Explicit | Prob of float
+type policy = Every | Explicit
 
 type 'a t
 
@@ -34,7 +28,6 @@ val create :
   ?metrics:Obs.Metrics.t ->
   ?policy:policy ->
   ?auto_compact:bool ->
-  ?rng:Rng.t ->
   n:int ->
   unit ->
   'a t
@@ -42,13 +35,11 @@ val create :
     [auto_compact] (default [false]) runs {!compact} after every sync
     point, bounding each node's log to one durable record plus the
     volatile tail — the flat-memory mode million-write fleet runs need.
-    [rng] is consulted only by [Prob] (default: a fresh RNG seeded
-    [0x57AB1EL]).  [metrics] (default {!Obs.Metrics.global}) receives
-    [stable.appends], [stable.persists] (records made durable),
-    [stable.lost] (records discarded by crashes) and [stable.compacted]
-    (superseded durable records dropped by compaction).
-    @raise Invalid_argument if [n <= 0] or a [Prob] probability is
-    outside [0,1]. *)
+    [metrics] (default {!Obs.Metrics.global}) receives [stable.appends],
+    [stable.persists] (records made durable), [stable.lost] (records
+    discarded by crashes) and [stable.compacted] (superseded durable
+    records dropped by compaction).
+    @raise Invalid_argument if [n <= 0]. *)
 
 val compact : 'a t -> node:int -> int
 (** Drop every durable record of [node] except the newest — recovery only

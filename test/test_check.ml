@@ -14,6 +14,13 @@ let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 let json_str j = Obs.Json.to_string j
 
+(* [j] with the value of its key [k] replaced by [v] *)
+let set k v = function
+  | Obs.Json.Obj fields ->
+      let set (k', v') = (k', if k' = k then v else v') in
+      Obs.Json.Obj (List.map set fields)
+  | j -> j
+
 let monitor_tests =
   [
     tc "a benign default config passes every monitor" (fun () ->
@@ -36,11 +43,23 @@ let monitor_tests =
         | Error e -> Alcotest.fail e);
     tc "configs round-trip through JSON" (fun () ->
         let c = Chaos.gen_config ~seed:99L 3 in
-        match Config.of_json (Config.json c) with
+        (match Config.of_json (Config.json c) with
         | Ok c' ->
             check_str "same rendering" (json_str (Config.json c))
               (json_str (Config.json c'))
         | Error e -> Alcotest.fail e);
+        (* one malformed client refuses the config, naming the field,
+           rather than leaving that client out *)
+        List.iter
+          (fun (k, v) ->
+            check_bool k true
+              (Test_obs.refuses_naming k
+                 (Config.of_json (set k v (Config.json Config.default)))))
+          Obs.Json.
+            [
+              ("writers", List [ Int 0; Str "3" ]);
+              ("readers", List [ Int 1; Str "2" ]);
+            ]);
     tc "recovery knobs round-trip; pre-recovery JSON gets defaults" (fun () ->
         let c =
           {
@@ -213,6 +232,61 @@ let corpus_tests =
           }
         in
         check_bool "fixed" true (Corpus.replay entry = Corpus.Fixed));
+    tc "a malformed list item refuses the entry, naming its field" (fun () ->
+        let module J = Obs.Json in
+        let load j =
+          let path = Filename.temp_file "corpus" ".jsonl" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              Obs.Export.to_file path [ j ];
+              Corpus.load path)
+        in
+        let entry =
+          Corpus.entry_json
+            {
+              Corpus.config = Config.default;
+              violation = { Monitor.monitor = "m"; detail = "d" };
+              original = None;
+              shrink_attempts = 0;
+              postmortem = [];
+            }
+        in
+        let tracer = Obs.Tracer.create () in
+        ignore (Obs.Tracer.emit tracer ~sim:0 ~cat:"net" "send");
+        let event =
+          Obs.Tracer.event_json (List.hd (Obs.Tracer.events tracer))
+        in
+        let with_postmortem evs =
+          match entry with
+          | J.Obj fields -> J.Obj (fields @ [ ("postmortem", J.List evs) ])
+          | j -> j
+        in
+        let with_config f =
+          set "config" (f (Config.json Config.default)) entry
+        in
+        check_bool "the entry loads" true
+          (Result.is_ok (load (with_postmortem [ event ])));
+        List.iter
+          (fun (what, k, j) ->
+            check_bool what true (Test_obs.refuses_naming k (load j)))
+          [
+            ( "a post-mortem item that is not a trace event",
+              "postmortem",
+              with_postmortem [ event; J.Obj [ ("kind", J.Str "trace_event") ] ]
+            );
+            ( "a string reader",
+              "readers",
+              with_config (set "readers" (J.List [ J.Int 1; J.Str "2" ])) );
+            ( "a string crash step",
+              "crash_at",
+              with_config
+                (set "faults"
+                   (set "crash_at"
+                      (J.List
+                         [ J.Obj [ ("step", J.Str "150"); ("node", J.Int 3) ] ])
+                      (Simkit.Faults.plan_json Simkit.Faults.none))) );
+          ]);
   ]
 
 let chaos_tests =

@@ -81,7 +81,56 @@ let faults_tests =
           | _ -> assert false
         in
         check_bool "illegal probability rejected" true
-          (Result.is_error (Faults.plan_of_json evil)));
+          (Result.is_error (Faults.plan_of_json evil));
+        (* a list converts only if every item does: one malformed item is
+           an error naming the plan's field that holds it, never the list
+           without that item *)
+        let module J = Obs.Json in
+        let with_field k v =
+          match
+            Faults.plan_json
+              (plan
+                 ~crash_at:[ (150, 3); (300, 4) ]
+                 ~recover_at:[ (400, 3) ]
+                 ~partitions:[ (10, 40, [ 0; 2 ]) ]
+                 ())
+          with
+          | J.Obj fields ->
+              let set (k', v') = (k', if k' = k then v else v') in
+              J.Obj (List.map set fields)
+          | _ -> assert false
+        in
+        let step_node step node = J.Obj [ ("step", step); ("node", node) ] in
+        let partition iso =
+          J.Obj
+            [ ("start", J.Int 10); ("length", J.Int 40); ("isolated", iso) ]
+        in
+        List.iter
+          (fun (what, k, j) ->
+            check_bool what true
+              (Test_obs.refuses_naming k (Faults.plan_of_json j)))
+          [
+            ( "a string crash step",
+              "crash_at",
+              with_field "crash_at"
+                (J.List
+                   [
+                     step_node (J.Int 150) (J.Int 3);
+                     step_node (J.Str "300") (J.Int 4);
+                   ]) );
+            ( "a recovery without a node",
+              "recover_at",
+              with_field "recover_at"
+                (J.List [ J.Obj [ ("step", J.Int 400) ] ]) );
+            ( "a partition that is not an object",
+              "partitions",
+              with_field "partitions"
+                (J.List [ partition (J.List [ J.Int 0 ]); J.Int 7 ]) );
+            ( "a string node in a partition's isolated list",
+              "partitions",
+              with_field "partitions"
+                (J.List [ partition (J.List [ J.Int 0; J.Str "2" ]) ]) );
+          ]);
     tc "shrink_plan descends one axis at a time" (fun () ->
         let p =
           plan ~drop:0.1 ~delay:0.05 ~delay_bound:4

@@ -315,6 +315,48 @@ let test_json_member_first_binding () =
   Alcotest.(check bool) "a missing key" true (J.member "c" v = None);
   Alcotest.(check bool) "not an object" true (J.member "a" (J.List [ v ]) = None)
 
+let contains s needle =
+  let n = String.length needle and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
+(* [r] is an [Error] whose message names the field [k], quoted as
+   [Obs.Json.field] quotes it *)
+let refuses_naming k = function
+  | Ok _ -> false
+  | Error e -> contains e (Printf.sprintf "%S" k)
+
+let test_json_decoders () =
+  let module J = Obs.Json in
+  let check = Alcotest.(check bool) in
+  let ints = J.list_of J.to_int_opt in
+  let v =
+    J.Obj
+      [
+        ("n", J.Int 3);
+        ("xs", J.List [ J.Int 1; J.Int 2 ]);
+        ("bad", J.List [ J.Int 1; J.Str "2" ]);
+        ("none", J.Null);
+      ]
+  in
+  check "a present key" true (J.field "n" J.to_int_opt v = Ok 3);
+  check "an absent key" true (refuses_naming "m" (J.field "m" J.to_int_opt v));
+  check "a refused value" true
+    (refuses_naming "n" (J.field "n" J.to_string_opt v));
+  check "not an object" true
+    (refuses_naming "n" (J.field "n" J.to_int_opt (J.List [ v ])));
+  check "an absent key's default" true (J.field_or "m" 7 J.to_int_opt v = Ok 7);
+  check "a null key's default" true (J.field_or "none" 7 J.to_int_opt v = Ok 7);
+  check "a present key over the default" true
+    (J.field_or "n" 7 J.to_int_opt v = Ok 3);
+  check "a refused value is no default" true
+    (refuses_naming "n" (J.field_or "n" "d" J.to_string_opt v));
+  check "a list of ints" true (J.field "xs" ints v = Ok [ 1; 2 ]);
+  check "the empty list" true (ints (J.List []) = Some []);
+  check "one bad item refuses the list" true
+    (refuses_naming "bad" (J.field "bad" ints v));
+  check "not a list" true (ints (J.Int 1) = None)
+
 (* ----- Json: nesting bound, allocation, scale ---------------------------- *)
 
 let nesting_error = "json: at offset 512: nesting deeper than 512"
@@ -808,6 +850,8 @@ let suite =
         tc "json \\uXXXX decoding" test_json_unicode_escape;
         tc "json surrogate pairs and strict hex" test_json_unicode_surrogates;
         tc "json member returns a key's first binding" test_json_member_first_binding;
+        tc "json field, field_or and list_of name the refused key"
+          test_json_decoders;
         tc "json nesting bound" test_json_nesting_bound;
         tc "json parse allocates only its value" test_json_parse_allocation;
         tc "json 1M array and 100k object" test_json_scale;

@@ -1,8 +1,8 @@
 (* Tests for the streaming serve checker: the incremental reachable-set
    checker against the offline decision procedure, the engine against the
    reference oracle and the offline checker on replayed traces, ingest
-   quarantine, budget degradation, backpressure shedding,
-   checkpoint/resume plumbing and the lenient JSONL parser. *)
+   quarantine, budget degradation, backpressure shedding and
+   checkpoint/resume plumbing. *)
 
 module V = Core.Value
 module Op = Core.Op
@@ -864,6 +864,19 @@ let checkpoint_tests =
             ( "a repeated object",
               set "objects" (J.List (objects @ [ List.hd objects ])) fields );
           ];
+        (* one item of an object's values that is not a value refuses the
+           checkpoint, naming the field *)
+        let values = J.List [ J.Obj [ ("type", J.Str "bot") ]; J.Int 5 ] in
+        check_bool "a malformed value" true
+          (Test_obs.refuses_naming "values"
+             (load
+                (set "objects"
+                   (J.List
+                      (List.map
+                         (function
+                           | J.Obj o -> J.Obj (set "values" values o) | o -> o)
+                         objects))
+                   fields)));
         (* a time mark of -1 is a fresh engine's *)
         check_bool "a fresh engine's checkpoint loads" true
           (Result.is_ok
@@ -898,142 +911,124 @@ let checkpoint_tests =
         in
         check_bool "the committed corpus loads" true
           (Result.is_ok (Check.Corpus.load "../corpus"));
-        let path = Filename.temp_file "serve_test" ".jsonl" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            let trace, _ = workload 2 in
-            let engine = Engine.create ~emit:ignore () in
-            List.iter (Engine.feed_line engine) (trace_lines trace);
-            Checkpoint.save path (Option.get (Engine.checkpoint engine));
-            check_bool "the checkpoint loads" true
-              (Result.is_ok (Checkpoint.load path));
-            let checkpoint = read path in
-            let no_raise what f text =
-              match f text with
-              | () -> ()
-              | exception e ->
-                  Alcotest.failf "%s raised %s on %S" what
-                    (Printexc.to_string e) text
-            in
-            let survives what load =
-              no_raise what (fun text ->
-                  Out_channel.with_open_bin path (fun oc ->
-                      output_string oc text);
-                  match load path with Ok _ | Error _ -> ())
-            in
-            let mutate s =
-              let s = Test_obs.mutate rand s in
-              if Random.State.bool rand then s else Test_obs.mutate rand s
-            in
-            for _ = 1 to 2_000 do
-              survives "Corpus.load" Check.Corpus.load
-                (mutate (Test_obs.pick rand corpora));
-              no_raise "Checkpoint.load"
-                (fun text ->
-                  Out_channel.with_open_bin path (fun oc ->
-                      output_string oc text);
+        (* each text goes to a new file, removed after the load: ext4
+           flushes a file that was truncated and rewritten when it is
+           closed, about 40 ms a rewrite on some hosts *)
+        let with_file text f =
+          let path = Filename.temp_file "serve_test" ".jsonl" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              Out_channel.with_open_gen [ Open_wronly; Open_binary ] 0o600
+                path (fun oc -> output_string oc text);
+              f path)
+        in
+        let trace, _ = workload 2 in
+        let engine = Engine.create ~emit:ignore () in
+        List.iter (Engine.feed_line engine) (trace_lines trace);
+        let checkpoint =
+          with_file "" (fun path ->
+              Checkpoint.save path (Option.get (Engine.checkpoint engine));
+              check_bool "the checkpoint loads" true
+                (Result.is_ok (Checkpoint.load path));
+              read path)
+        in
+        let no_raise what f text =
+          match f text with
+          | () -> ()
+          | exception e ->
+              Alcotest.failf "%s raised %s on %S" what (Printexc.to_string e)
+                text
+        in
+        let mutate s =
+          let s = Test_obs.mutate rand s in
+          if Random.State.bool rand then s else Test_obs.mutate rand s
+        in
+        for _ = 1 to 2_000 do
+          no_raise "Corpus.load"
+            (fun text ->
+              with_file text (fun path ->
+                  match Check.Corpus.load path with Ok _ | Error _ -> ()))
+            (mutate (Test_obs.pick rand corpora));
+          no_raise "Checkpoint.load"
+            (fun text ->
+              with_file text (fun path ->
                   match Checkpoint.load path with
                   | Ok ck when not (well_formed ck) ->
                       Alcotest.failf "Checkpoint.load accepted %S" text
-                  | Ok _ | Error _ -> ())
-                (mutate checkpoint)
-            done;
-            (* the abd, alg2 and mwabd trace streams into the engine and
-               its reference, an ABD flight-recorder stream into the event
-               parsers, and a fault plan and a chaos config into their
-               loaders *)
-            let stream trace = String.concat "\n" (trace_lines trace) in
-            let streams =
-              [|
-                stream (fst (workload 3));
-                stream (fst (workload 1));
-                stream
-                  (Core.Abd_runs.execute_config
-                     {
-                       Config.default with
-                       proto = Mw;
-                       n = 3;
-                       writers = [ 0; 1 ];
-                       writes_each = 2;
-                       readers = [ 2 ];
-                       reads_each = 3;
-                       seed = 7L;
-                     })
-                    .Core.Abd_runs.trace;
-              |]
-            in
-            (* the last 200 events, as a corpus post-mortem keeps *)
-            let tracer = Obs.Tracer.create ~capacity:200 () in
-            ignore
-              (Core.Abd_runs.execute_config ~tracer
-                 { Test_abd.shape with seed = 7L });
-            let events =
-              String.concat "\n"
-                (List.map
-                   (fun ev -> J.to_string (Obs.Tracer.event_json ev))
-                   (Obs.Tracer.events tracer))
-            in
-            let config = Core.Chaos.gen_config ~seed:20260805L 5 in
-            let plan = J.to_string (Core.Faults.plan_json config.Config.faults)
-            and config = J.to_string (Config.json config) in
-            let serve_stream text =
-              let lines = String.split_on_char '\n' text in
-              let engine = Engine.create ~emit:ignore () in
-              List.iter (Engine.feed_line engine) lines;
-              Engine.finish engine;
-              ignore (Reference.run lines)
-            in
-            let parse_events text =
-              List.iter
-                (fun j ->
-                  ignore (Obs.Tracer.validate_event_json j);
-                  ignore (Obs.Tracer.event_of_json j))
-                (fst (Obs.Export.parse_lines_lenient text))
-            in
-            let load of_json text =
-              match J.of_string text with
-              | Ok j -> ignore (of_json j)
-              | Error _ -> ()
-            in
-            for i = 1 to 200 do
-              no_raise "Engine.feed_line or Reference.run" serve_stream
-                (mutate streams.(i mod 3));
-              no_raise "the event parsers" parse_events (mutate events);
-              no_raise "Faults.plan_of_json"
-                (load Core.Faults.plan_of_json)
-                (mutate plan);
-              no_raise "Runs.Config.of_json" (load Config.of_json)
-                (mutate config)
-            done));
-  ]
-
-(* ---------- lenient JSONL export parsing ------------------------------- *)
-
-let lenient_tests =
-  [
-    tc "parse_lines_lenient separates good records from bad lines"
-      (fun () ->
-        let good, bad =
-          Obs.Export.parse_lines_lenient
-            "{\"a\":1}\ngarbage\n\n{\"b\":2}\n{broken"
+                  | Ok _ | Error _ -> ()))
+            (mutate checkpoint)
+        done;
+        (* the abd, alg2 and mwabd trace streams into the engine and
+           its reference, an ABD flight-recorder stream into the event
+           parsers, and a fault plan and a chaos config into their
+           loaders *)
+        let stream trace = String.concat "\n" (trace_lines trace) in
+        let streams =
+          [|
+            stream (fst (workload 3));
+            stream (fst (workload 1));
+            stream
+              (Core.Abd_runs.execute_config
+                 {
+                   Config.default with
+                   proto = Mw;
+                   n = 3;
+                   writers = [ 0; 1 ];
+                   writes_each = 2;
+                   readers = [ 2 ];
+                   reads_each = 3;
+                   seed = 7L;
+                 })
+                .Core.Abd_runs.trace;
+          |]
         in
-        check_int "good records" 2 (List.length good);
-        Alcotest.(check (list int))
-          "1-based bad line numbers" [ 2; 5 ] (List.map fst bad));
-    tc "parse_file_lenient reports bad lines without failing" (fun () ->
-        let path = Filename.temp_file "serve_test" ".jsonl" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            Out_channel.with_open_bin path (fun oc ->
-                output_string oc "{\"a\":1}\nnope\n{\"b\":2}\n");
-            match Obs.Export.parse_file_lenient path with
-            | Error e -> Alcotest.fail e
-            | Ok (good, bad) ->
-                check_int "good records" 2 (List.length good);
-                Alcotest.(check (list int))
-                  "bad line numbers" [ 2 ] (List.map fst bad)));
+        (* the last 200 events, as a corpus post-mortem keeps *)
+        let tracer = Obs.Tracer.create ~capacity:200 () in
+        ignore
+          (Core.Abd_runs.execute_config ~tracer
+             { Test_abd.shape with seed = 7L });
+        let events =
+          String.concat "\n"
+            (List.map
+               (fun ev -> J.to_string (Obs.Tracer.event_json ev))
+               (Obs.Tracer.events tracer))
+        in
+        let config = Core.Chaos.gen_config ~seed:20260805L 5 in
+        let plan = J.to_string (Core.Faults.plan_json config.Config.faults)
+        and config = J.to_string (Config.json config) in
+        let serve_stream text =
+          let lines = String.split_on_char '\n' text in
+          let engine = Engine.create ~emit:ignore () in
+          List.iter (Engine.feed_line engine) lines;
+          Engine.finish engine;
+          ignore (Reference.run lines)
+        in
+        let parse_events text =
+          List.iter
+            (fun line ->
+              match J.of_string line with
+              | Ok j ->
+                  ignore (Obs.Tracer.validate_event_json j);
+                  ignore (Obs.Tracer.event_of_json j)
+              | Error _ -> ())
+            (String.split_on_char '\n' text)
+        in
+        let load of_json text =
+          match J.of_string text with
+          | Ok j -> ignore (of_json j)
+          | Error _ -> ()
+        in
+        for i = 1 to 200 do
+          no_raise "Engine.feed_line or Reference.run" serve_stream
+            (mutate streams.(i mod 3));
+          no_raise "the event parsers" parse_events (mutate events);
+          no_raise "Faults.plan_of_json"
+            (load Core.Faults.plan_of_json)
+            (mutate plan);
+          no_raise "Runs.Config.of_json" (load Config.of_json)
+            (mutate config)
+        done);
   ]
 
 (* ---------- allocation ceilings ---------------------------------------- *)
@@ -1085,6 +1080,5 @@ let suite =
     ("serve:quarantine", quarantine_tests);
     ("serve:degradation", degradation_tests);
     ("serve:checkpoint", checkpoint_tests);
-    ("serve:lenient-export", lenient_tests);
     ("serve:alloc", alloc_tests);
   ]

@@ -1,9 +1,7 @@
 (* Tests for Simkit.Stable: persist-point semantics of the write-ahead
-   log, lost-suffix determinism of the Prob policy against a reference
-   oracle driven by the same RNG stream, and the counters. *)
+   log and the counters. *)
 
 module Stable = Core.Stable
-module Rng = Core.Rng
 
 let tc name f = Alcotest.test_case name `Quick f
 let check_bool = Alcotest.(check bool)
@@ -70,14 +68,7 @@ let semantics_tests =
     tc "create rejects bad arguments" (fun () ->
         let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
         check_bool "n = 0" true
-          (bad (fun () -> (Stable.create ~n:0 () : int Stable.t)));
-        check_bool "Prob > 1" true
-          (bad (fun () ->
-               (Stable.create ~policy:(Stable.Prob 1.5) ~n:1 () : int Stable.t)));
-        check_bool "Prob < 0" true
-          (bad (fun () ->
-               (Stable.create ~policy:(Stable.Prob (-0.1)) ~n:1 ()
-                 : int Stable.t))));
+          (bad (fun () -> (Stable.create ~n:0 () : int Stable.t))));
     tc "counters record appends, persists and losses" (fun () ->
         let m = Obs.Metrics.create () in
         let s : int Stable.t =
@@ -93,53 +84,4 @@ let semantics_tests =
         check_int "lost" 1 (Obs.Metrics.counter m "stable.lost"));
   ]
 
-(* The Prob policy must follow its dedicated RNG stream exactly: replay
-   the same draws through a hand-written oracle and demand the same
-   durable frontier after every append, across several seeds. *)
-let prob_oracle_tests =
-  [
-    tc "Prob persists exactly when its own RNG stream says so" (fun () ->
-        List.iter
-          (fun seed ->
-            let p = 0.4 in
-            let s : int Stable.t =
-              Stable.create ~metrics:(Obs.Metrics.create ())
-                ~policy:(Stable.Prob p) ~rng:(Rng.create seed) ~n:1 ()
-            in
-            let oracle = Rng.create seed in
-            let durable = ref 0 in
-            for i = 1 to 100 do
-              Stable.append s ~node:0 i;
-              if Rng.float oracle < p then durable := i;
-              Alcotest.(check int)
-                (Printf.sprintf "frontier after append %d (seed %Ld)" i seed)
-                !durable
-                (Stable.durable_len s ~node:0)
-            done;
-            (* and the crash loses exactly the suffix the oracle predicts *)
-            Alcotest.(check int)
-              (Printf.sprintf "lost suffix (seed %Ld)" seed)
-              (100 - !durable)
-              (Stable.crash s ~node:0))
-          [ 1L; 42L; 0xFA17L ]);
-    tc "same seed, same losses: the store is deterministic" (fun () ->
-        let run () =
-          let s : int Stable.t =
-            Stable.create ~metrics:(Obs.Metrics.create ())
-              ~policy:(Stable.Prob 0.25) ~rng:(Rng.create 7L) ~n:2 ()
-          in
-          for i = 1 to 50 do
-            Stable.append s ~node:(i mod 2) i
-          done;
-          let l0 = Stable.crash s ~node:0 in
-          let l1 = Stable.crash s ~node:1 in
-          (l0, l1, Stable.log s ~node:0, Stable.log s ~node:1)
-        in
-        check_bool "byte-identical" true (run () = run ()));
-  ]
-
-let suite =
-  [
-    ("simkit.stable", semantics_tests);
-    ("simkit.stable.prob", prob_oracle_tests);
-  ]
+let suite = [ ("simkit.stable", semantics_tests) ]

@@ -7,11 +7,6 @@ module Runs = Msgpass.Runs
 module Config = Msgpass.Runs.Config
 module Monitor = Check.Monitor
 
-let contains s needle =
-  let n = String.length needle and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
-  go 0
-
 let tc name f = Alcotest.test_case name `Quick f
 let tcs name f = Alcotest.test_case name `Slow f
 let check_bool = Alcotest.(check bool)
@@ -250,16 +245,37 @@ let exporter_tests =
         check_int "flow finish" 1 (phs "f");
         check_int "counter sample" 1 (phs "C"));
     tcs "validate_perfetto rejects a broken document" (fun () ->
+        let module J = Obs.Json in
         let bad =
-          Obs.Json.Obj
-            [
-              ( "traceEvents",
-                Obs.Json.List [ Obs.Json.Obj [ ("name", Obs.Json.Int 3) ] ] );
-            ]
+          J.Obj [ ("traceEvents", J.List [ J.Obj [ ("name", J.Int 3) ] ]) ]
         in
-        match Tracer.validate_perfetto bad with
+        (match Tracer.validate_perfetto bad with
         | Ok _ -> Alcotest.fail "accepted a broken document"
         | Error _ -> ());
+        (* each missing or mistyped key is named; the first event is a
+           good one, so a refusal comes from the event under test *)
+        let doc ev =
+          let meta =
+            J.Obj [ ("ph", J.Str "M"); ("name", J.Str "m"); ("pid", J.Int 0) ]
+          in
+          J.Obj [ ("traceEvents", J.List [ meta; J.Obj ev ]) ]
+        in
+        let base = [ ("name", J.Str "e"); ("pid", J.Int 0) ] in
+        List.iter
+          (fun (k, d) ->
+            check_bool k true
+              (Test_obs.refuses_naming k (Tracer.validate_perfetto d)))
+          [
+            ("traceEvents", J.Obj [ ("traceEvents", J.Int 1) ]);
+            ("ph", doc base);
+            ("name", doc [ ("ph", J.Str "M"); ("pid", J.Int 0) ]);
+            ("pid", doc [ ("ph", J.Str "M"); ("name", J.Str "e") ]);
+            ("ts", doc (("ph", J.Str "X") :: base));
+            ("id", doc (("ph", J.Str "s") :: ("ts", J.Int 1) :: base));
+          ];
+        check_bool "an unknown ph" true
+          (Result.is_error
+             (Tracer.validate_perfetto (doc (("ph", J.Str "Q") :: base)))));
     tc "DOT ancestry contains the causal cone, highlighted" (fun () ->
         let t = Tracer.create () in
         let a = Tracer.emit t ~sim:0 ~cat:"reg" "invoke" in
@@ -267,7 +283,7 @@ let exporter_tests =
         let c = Tracer.emit t ~parent:b ~sim:2 ~cat:"net" "send" in
         ignore (Tracer.emit t ~parent:(-1) ~sim:3 ~cat:"sched" "spawn");
         let dot = Tracer.dot_of_ancestry (Tracer.events t) ~seq:c in
-        let has needle = contains dot needle in
+        let has needle = Test_obs.contains dot needle in
         check_bool "digraph" true (has "digraph");
         check_bool "root present" true (has (Printf.sprintf "n%d" a));
         check_bool "edge a->b" true
