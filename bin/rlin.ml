@@ -314,15 +314,15 @@ let fig4_cmd =
     let f4 = Core.Scenario.fig4 () in
     print_endline "Figure 4: the Theorem-13 counterexample on Algorithm 4";
     print_endline "G:";
-    print_string (Core.Timeline.render f4.Core.Scenario.g);
+    print_string (Core.Timeline.render f4.Core.Treecheck.g);
     print_endline "H1 (forces w1 < w2):";
-    print_string (Core.Timeline.render f4.Core.Scenario.h1);
+    print_string (Core.Timeline.render f4.Core.Treecheck.h1);
     print_endline "H2 (forces w2 < w1):";
-    print_string (Core.Timeline.render f4.Core.Scenario.h2);
+    print_string (Core.Timeline.render f4.Core.Treecheck.h2);
     Printf.printf
       "write strong-linearization impossible on {G -> H1, H2}: %b\n"
-      f4.Core.Scenario.wsl_impossible;
-    if f4.Core.Scenario.wsl_impossible then 0 else 1
+      f4.Core.Treecheck.wsl_impossible;
+    if f4.Core.Treecheck.wsl_impossible then 0 else 1
   in
   Cmd.v
     (Cmd.info "fig4" ~doc:"Replay Figure 4 (Algorithm 4 is not WSL).")
@@ -453,8 +453,8 @@ let mwabd_cmd =
     Printf.printf
       "write strong-linearization impossible on the delivery-order tree: %b
 "
-      sc.Core.Mwabd_scenario.wsl_impossible;
-    if sc.Core.Mwabd_scenario.wsl_impossible then 0 else 1
+      sc.Core.Treecheck.wsl_impossible;
+    if sc.Core.Treecheck.wsl_impossible then 0 else 1
   in
   Cmd.v
     (Cmd.info "mwabd"
@@ -1154,8 +1154,11 @@ let serve_cmd =
       & opt (some string) None
       & info [ "checkpoint" ] ~docv:"FILE"
           ~doc:
-            "Write a resumable checkpoint (atomically) at every globally \
-             quiescent point that emitted new verdicts.")
+            "Write a resumable checkpoint (atomically) at a globally \
+             quiescent point that emitted new verdicts, once the lines fed \
+             since the last checkpoint reach the number of objects seen \
+             (each checkpoint holds one record per object), and at a clean \
+             end of input.")
   in
   let resume_arg =
     Arg.(
@@ -1338,16 +1341,26 @@ let serve_cmd =
               let last_saved =
                 ref (match restored with Some ck -> Core.Serve.Checkpoint.verdicts ck | None -> -1)
               in
-              let maybe_checkpoint () =
+              let saved_at = ref (Core.Serve.Engine.lines engine) in
+              (* A save renders and syncs every object's record, so a
+                 mid-stream save waits until the lines fed since the last
+                 one reach the objects held: the saves of a stream cost
+                 O(lines) in all, not O(lines x objects). *)
+              let maybe_checkpoint ~final =
                 match ckpt_path with
                 | None -> ()
                 | Some path ->
-                    if Core.Serve.Engine.verdicts engine > !last_saved then (
+                    let fed = Core.Serve.Engine.lines engine - !saved_at in
+                    if
+                      Core.Serve.Engine.verdicts engine > !last_saved
+                      && (final || fed >= Core.Serve.Engine.objects engine)
+                    then (
                       match Core.Serve.Engine.checkpoint engine with
                       | Some ck ->
                           flush out_oc;
                           Core.Serve.Checkpoint.save path ck;
-                          last_saved := Core.Serve.Engine.verdicts engine
+                          last_saved := Core.Serve.Engine.verdicts engine;
+                          saved_at := Core.Serve.Engine.lines engine
                       | None -> ())
               in
               let collected = ref [] in
@@ -1356,7 +1369,7 @@ let serve_cmd =
                 else begin
                   if self_check then collected := l :: !collected;
                   Core.Serve.Engine.feed_line engine l;
-                  maybe_checkpoint ()
+                  maybe_checkpoint ~final:false
                 end
               in
               let ingest_channel ic ~follow =
@@ -1403,7 +1416,7 @@ let serve_cmd =
                       kill-then-resume byte-identical. *)
                    let clean_end = Core.Serve.Engine.quiescent engine in
                    Core.Serve.Engine.finish engine;
-                   if clean_end then maybe_checkpoint ();
+                   if clean_end then maybe_checkpoint ~final:true;
                    (match summary with
                    | None -> ()
                    | Some path ->

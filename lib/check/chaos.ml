@@ -13,15 +13,9 @@ let pick rng xs = List.nth xs (Rng.int rng (List.length xs))
 let gen_rungs = [ 0.; 0.01; 0.02; 0.05; 0.1; 0.15; 0.2 ]
 
 (* Per-index stream: configs depend only on (seed, index), never on
-   scheduling order.  The [split] matters — it routes the raw counter
-   through the SplitMix finalizer twice, so adjacent indices get
-   avalanche-decorrelated streams rather than one stream offset by a
-   draw (which is what a golden-gamma stride alone would produce). *)
-let task_seed ~seed index =
-  Int64.add seed (Int64.mul (Int64.of_int (index + 1)) 0x9E3779B97F4A7C15L)
-
+   scheduling order; the [split] decorrelates adjacent indices. *)
 let gen_config ?inject ~seed index =
-  let rng = Rng.split (Rng.create (task_seed ~seed index)) in
+  let rng = Rng.split (Rng.create (Rng.nth_seed seed index)) in
   let proto = if Rng.bool rng then Config.Sw else Config.Mw in
   let n =
     match inject with
@@ -154,8 +148,7 @@ type finding = {
 
 type report = { seed : int64; budget : int; findings : finding list }
 
-let search ?(monitors = Monitor.standard) ?(jobs = 1) ?inject
-    ?(flight = false) ?telemetry ~seed ~budget () =
+let search ?(jobs = 1) ?inject ?(flight = false) ?telemetry ~seed ~budget () =
   let metrics =
     match telemetry with Some m -> m | None -> Obs.Metrics.create ()
   in
@@ -170,18 +163,18 @@ let search ?(monitors = Monitor.standard) ?(jobs = 1) ?inject
       ~fold:(fun hits -> function None -> hits | Some hit -> hit :: hits)
       (fun ~metrics i ->
         let c = gen_config ?inject ~seed i in
-        match Monitor.run_config ~monitors ~telemetry:metrics c with
+        match Monitor.run_config ~telemetry:metrics c with
         | None -> None
         | Some v -> Some (i, c, v))
   in
   let findings =
     List.rev hits
     |> List.map (fun (index, original, first) ->
-           let shrunk = Shrink.minimize ~monitors ~violation:first original in
+           let shrunk = Shrink.minimize ~violation:first original in
            let postmortem =
              if not flight then []
              else
-               match Monitor.postmortem ~monitors shrunk.Shrink.config with
+               match Monitor.postmortem shrunk.Shrink.config with
                | Some (_, events) -> events
                | None -> [] (* shrink oracle guarantees this can't happen *)
            in

@@ -41,7 +41,6 @@ type finding = {
 type report = { seed : int64; budget : int; findings : finding list }
 
 val search :
-  ?monitors:Monitor.t list ->
   ?jobs:int ->
   ?inject:bug ->
   ?flight:bool ->

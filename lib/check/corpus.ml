@@ -35,6 +35,8 @@ let entry_of_json j =
     Option.map (fun () -> ev)
       (Result.to_option (Obs.Tracer.validate_event_json ev))
   in
+  (* [config] and [original] share a decoder: say which one refused *)
+  let nested k dec v = Result.map_error (Printf.sprintf "%S: %s" k) (dec v) in
   Result.map_error (( ^ ) "Corpus.entry_of_json: ")
     (let* () =
        J.field "kind"
@@ -42,17 +44,18 @@ let entry_of_json j =
          j
      in
      let* config =
-       Result.bind (J.field "config" Option.some j) Config.of_json
+       Result.bind (J.field "config" Option.some j)
+         (nested "config" Config.of_json)
      in
      let* violation =
        Result.bind (J.field "violation" Option.some j)
-         Monitor.violation_of_json
+         (nested "violation" Monitor.violation_of_json)
      in
      let* original = J.field_or "original" None (fun c -> Some (Some c)) j in
      let* original =
        match original with
        | None -> Ok None
-       | Some c -> Result.map Option.some (Config.of_json c)
+       | Some c -> Result.map Option.some (nested "original" Config.of_json c)
      in
      let* shrink_attempts = J.field_or "shrink_attempts" 0 J.to_int_opt j in
      let* postmortem = J.field_or "postmortem" [] (J.list_of event) j in
@@ -97,8 +100,8 @@ type replay_outcome = Reproduced | Changed of Monitor.violation | Fixed
 
 (* "Byte-for-byte": compare the serialized violations, which is what the
    JSONL corpus stores and what CI diffs. *)
-let replay ?monitors entry =
-  match Monitor.run_config ?monitors entry.config with
+let replay entry =
+  match Monitor.run_config entry.config with
   | None -> Fixed
   | Some v ->
       if

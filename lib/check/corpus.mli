@@ -38,6 +38,6 @@ type replay_outcome =
   | Changed of Monitor.violation  (** still fails, differently *)
   | Fixed  (** no monitor trips any more *)
 
-val replay : ?monitors:Monitor.t list -> entry -> replay_outcome
-(** Re-execute the entry's config (default {!Monitor.standard}) and
-    compare violations. *)
+val replay : entry -> replay_outcome
+(** Re-execute the entry's config against {!Monitor.standard} and compare
+    violations. *)

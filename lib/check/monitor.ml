@@ -151,10 +151,10 @@ let recovery_sanity =
 
 let standard = [ linearizability; termination; quorum_sanity; recovery_sanity ]
 
-let run_config ?(monitors = standard) ?telemetry ?tracer config =
+let run_config ?telemetry ?tracer config =
   let metrics = Obs.Metrics.create () in
   let run = Runs.execute_config ~metrics ?tracer config in
-  let v = List.find_map (fun m -> m.check ~config ~run ~metrics) monitors in
+  let v = List.find_map (fun m -> m.check ~config ~run ~metrics) standard in
   Option.iter (fun into -> Obs.Metrics.merge ~into metrics) telemetry;
   v
 
@@ -162,8 +162,8 @@ let run_config ?(monitors = standard) ?telemetry ?tracer config =
    capacity and keep what the ring retained.  Configs re-execute
    deterministically from their own seeds, so the violation — if still
    reported — is the same one, now with its last 200 causal events. *)
-let postmortem ?monitors config =
+let postmortem config =
   let tracer = Obs.Tracer.create ~capacity:200 () in
-  match run_config ?monitors ~tracer config with
+  match run_config ~tracer config with
   | None -> None
   | Some v -> Some (v, Obs.Tracer.events tracer)

@@ -55,24 +55,23 @@ val recovery_sanity : t
 
 val standard : t list
 (** [linearizability; termination; quorum_sanity; recovery_sanity], in
-    that order. *)
+    that order: the one list that every search, shrink, replay and
+    post-mortem audits. *)
 
 val run_config :
-  ?monitors:t list ->
   ?telemetry:Obs.Metrics.t ->
   ?tracer:Obs.Tracer.t ->
   Msgpass.Runs.Config.t ->
   violation option
 (** Execute the config against a fresh private registry and return the
-    first violation ([monitors] order; default {!standard}).  The private
-    registry is merged into [telemetry] afterwards when given, so
+    first violation of the {!standard} monitors, in their order.  The
+    private registry is merged into [telemetry] afterwards when given, so
     parallel searches can aggregate without polluting the monitors'
     per-run view.  An armed [tracer] (default {!Obs.Tracer.null})
     receives the run's scheduler/network/register events.
     Deterministic in the config. *)
 
 val postmortem :
-  ?monitors:t list ->
   Msgpass.Runs.Config.t ->
   (violation * Obs.Tracer.event list) option
 (** Re-execute the config with an armed flight recorder of capacity 200

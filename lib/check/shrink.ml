@@ -87,12 +87,12 @@ let max_attempts = 400
 (* Greedy first-improvement descent: take the first neighbour that still
    trips the SAME monitor, restart from it.  Every oracle call re-executes
    the candidate deterministically from its own seed, so the result
-   depends only on (config, violation, monitors). *)
-let minimize ?(monitors = Monitor.standard) ~violation config =
+   depends only on (config, violation). *)
+let minimize ~violation config =
   let attempts = ref 0 and steps = ref 0 in
   let oracle cand =
     incr attempts;
-    match Monitor.run_config ~monitors cand with
+    match Monitor.run_config cand with
     | Some v when v.Monitor.monitor = violation.Monitor.monitor -> Some v
     | _ -> None
   in

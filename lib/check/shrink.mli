@@ -22,7 +22,6 @@ type outcome = {
 }
 
 val minimize :
-  ?monitors:Monitor.t list ->
   violation:Monitor.violation ->
   Msgpass.Runs.Config.t ->
   outcome

@@ -174,14 +174,14 @@ let e4_fig4_counterexample ?jobs:_ ~quick:_ () =
     (fun () ->
       let f4 = Core.Scenario.fig4 () in
       ( Printf.sprintf "tree impossible: %b; chains ok: %b; all linearizable: %b"
-          f4.Core.Scenario.wsl_impossible f4.Core.Scenario.chains_ok
-          f4.Core.Scenario.all_linearizable,
-        f4.Core.Scenario.wsl_impossible && f4.Core.Scenario.chains_ok
-        && f4.Core.Scenario.all_linearizable,
+          f4.Core.Treecheck.wsl_impossible f4.Core.Treecheck.chains_ok
+          f4.Core.Treecheck.all_linearizable,
+        f4.Core.Treecheck.wsl_impossible && f4.Core.Treecheck.chains_ok
+        && f4.Core.Treecheck.all_linearizable,
         [
           ("histories", 3.);
-          ("wsl_impossible", if f4.Core.Scenario.wsl_impossible then 1. else 0.);
-          ("chains_ok", if f4.Core.Scenario.chains_ok then 1. else 0.);
+          ("wsl_impossible", if f4.Core.Treecheck.wsl_impossible then 1. else 0.);
+          ("chains_ok", if f4.Core.Treecheck.chains_ok then 1. else 0.);
         ] ))
 
 (* ---------- E5 ------------------------------------------------------------- *)
@@ -485,18 +485,18 @@ let e10_mwabd ?(jobs = 1) ?(faults = Core.Faults.none) ~quick () =
       let sc = Core.Mwabd_scenario.run () in
       ( Printf.sprintf
           "%d/%d runs linearizable; tree impossible: %b (chains ok: %b, all          linearizable: %b)"
-          lin_ok runs sc.Core.Mwabd_scenario.wsl_impossible
-          sc.Core.Mwabd_scenario.chains_ok
-          sc.Core.Mwabd_scenario.all_linearizable,
+          lin_ok runs sc.Core.Treecheck.wsl_impossible
+          sc.Core.Treecheck.chains_ok
+          sc.Core.Treecheck.all_linearizable,
         lin_ok = runs
-        && sc.Core.Mwabd_scenario.wsl_impossible
-        && sc.Core.Mwabd_scenario.chains_ok
-        && sc.Core.Mwabd_scenario.all_linearizable,
+        && sc.Core.Treecheck.wsl_impossible
+        && sc.Core.Treecheck.chains_ok
+        && sc.Core.Treecheck.all_linearizable,
         [
           ("runs", float_of_int runs);
           ("runs_linearizable", float_of_int lin_ok);
           ( "wsl_impossible",
-            if sc.Core.Mwabd_scenario.wsl_impossible then 1. else 0. );
+            if sc.Core.Treecheck.wsl_impossible then 1. else 0. );
         ] ))
 
 (* ---------- E11 (fault injection) --------------------------------------------- *)

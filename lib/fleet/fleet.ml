@@ -4,16 +4,16 @@ module Trace = Simkit.Trace
 module Rng = Simkit.Rng
 module Faults = Simkit.Faults
 module Pool = Simkit.Pool
-module Net = Msgpass.Net
-module Abd = Msgpass.Abd
-module Mwabd = Msgpass.Mwabd
 
 (* The fleet-scale workload engine (DESIGN.md §17): a key-space of
    register shards, each an independent ABD / MW-ABD group with its own
    scheduler and network, driven by a generational pool of short-lived
-   client sessions.  Shards never share mutable state, so they fan out
-   over domains with Pool.fold_runs and the whole report is a function of
-   the config alone — byte-identical at any [jobs].
+   client sessions.  A shard is a Runs.drive_group call — the driver
+   behind every ABD run, so faults, crashes, delivery and the watchdog
+   are its — with the session pool as the workload.  Shards never share
+   mutable state, so they fan out over domains with Pool.fold_runs and
+   the whole report is a function of the config alone — byte-identical
+   at any [jobs].
 
    Memory discipline (the 1M+-op requirement): client sessions recycle a
    fixed set of fiber slots (Sched.recycle), the trace keeps no entries
@@ -22,7 +22,7 @@ module Mwabd = Msgpass.Mwabd
    so every structure is bounded by the configuration, not the operation
    count. *)
 
-type proto = Sw | Mw
+type proto = Msgpass.Runs.Config.proto = Sw | Mw
 
 type config = {
   shards : int;
@@ -110,11 +110,6 @@ let ops_per_shard c =
   done;
   per
 
-(* ----- per-shard seeds (the chaos task_seed discipline) ----------------------- *)
-
-let golden = 0x9E3779B97F4A7C15L
-let shard_seed ~seed i = Int64.add seed (Int64.mul (Int64.of_int (i + 1)) golden)
-
 (* ----- results ---------------------------------------------------------------- *)
 
 type shard = {
@@ -157,7 +152,7 @@ type report = {
 (* ----- one shard -------------------------------------------------------------- *)
 
 let run_shard ~metrics (c : config) ~index ~ops =
-  let seed = shard_seed ~seed:c.seed index in
+  let seed = Rng.nth_seed c.seed index in
   let name = Printf.sprintf "S%d" index in
   let sampled = index < c.sample in
   let seg =
@@ -204,61 +199,52 @@ let run_shard ~metrics (c : config) ~index ~ops =
                 | Error _ -> ()))
         | _ -> ())
   in
-  let sched = Sched.create ~seed ~metrics ~sink () in
-  Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
-  let fpolicy =
-    if Faults.is_benign c.faults then None
-    else Some (Faults.create ~seed:(Msgpass.Runs.fault_seed seed) c.faults)
+  (* slot layout: Sw's writer client is node 0's fiber (Abd.write must
+     run there); every other slot lives above the node range so a
+     crash_at node never takes a client slot down with it *)
+  let slot_pid = function
+    | 0 when c.proto = Sw -> 0
+    | s -> c.n + (if c.proto = Sw then s - 1 else s)
   in
-  (* generic over the register, like Runs.execute_config *)
-  let drive (type r) (module R : Msgpass.Replica.S with type t = r) (reg : r)
-      ~write =
-    let net = R.net reg in
-    let crash node = R.crash_node reg ~node in
-    let recover node = R.recover_node reg ~node in
-    Option.iter (Net.set_faults net) fpolicy;
-    Net.set_batching net ~window:c.batch_window ~max:c.batch_max;
-    (* slot layout: Sw's writer client is node 0's fiber (Abd.write must
-       run there); every other slot lives above the node range so a
-       crash_at node never takes a client slot down with it *)
-    let slot_pid = function
-      | 0 when c.proto = Sw -> 0
-      | s -> c.n + (if c.proto = Sw then s - 1 else s)
-    in
-    (* exact per-slot quotas, fixed up front: Sw sends every write
-       through slot 0; Mw deals writes round-robin.  Reads fill the
-       remaining capacity round-robin from the last slot backwards, so
-       read load spreads even when writes saturate the first slots. *)
-    let writes =
-      let w = int_of_float (Float.round (c.write_ratio *. float_of_int ops)) in
-      max 0 (min ops w)
-    in
-    let w_left = Array.make c.slots 0 and r_left = Array.make c.slots 0 in
-    (match c.proto with
-    | Sw -> w_left.(0) <- writes
-    | Mw ->
-        for i = 0 to writes - 1 do
-          let s = i mod c.slots in
-          w_left.(s) <- w_left.(s) + 1
-        done);
-    for i = 0 to ops - writes - 1 do
-      let s = c.slots - 1 - (i mod c.slots) in
-      r_left.(s) <- r_left.(s) + 1
-    done;
-    let remaining = Array.init c.slots (fun s -> w_left.(s) + r_left.(s)) in
-    (* per-slot op-order RNG (Mw mix): draws happen only in the slot's
-       own fiber, so the stream depends on the slot, not the schedule *)
-    let slot_rng =
-      Array.init c.slots (fun s ->
-          Rng.split
-            (Rng.create (Int64.add seed (Int64.mul (Int64.of_int (s + 1)) golden))))
-    in
-    (* write values cycle through a domain smaller than the segmenter's
-       values_cap (64): after an op-cap segment the entry set is the
-       domain plus the initial value, still materializable, so one
-       Unknown segment never degrades the segments after it *)
-    let value_domain = 48 in
-    let next_value = ref 0 in
+  (* exact per-slot quotas, fixed up front: Sw sends every write
+     through slot 0; Mw deals writes round-robin.  Reads fill the
+     remaining capacity round-robin from the last slot backwards, so
+     read load spreads even when writes saturate the first slots. *)
+  let writes =
+    let w = int_of_float (Float.round (c.write_ratio *. float_of_int ops)) in
+    max 0 (min ops w)
+  in
+  let w_left = Array.make c.slots 0 and r_left = Array.make c.slots 0 in
+  (match c.proto with
+  | Sw -> w_left.(0) <- writes
+  | Mw ->
+      for i = 0 to writes - 1 do
+        let s = i mod c.slots in
+        w_left.(s) <- w_left.(s) + 1
+      done);
+  for i = 0 to ops - writes - 1 do
+    let s = c.slots - 1 - (i mod c.slots) in
+    r_left.(s) <- r_left.(s) + 1
+  done;
+  let remaining = Array.init c.slots (fun s -> w_left.(s) + r_left.(s)) in
+  (* per-slot op-order RNG (Mw mix): draws happen only in the slot's
+     own fiber, so the stream depends on the slot, not the schedule *)
+  let slot_rng =
+    Array.init c.slots (fun s -> Rng.split (Rng.create (Rng.nth_seed seed s)))
+  in
+  (* write values cycle through a domain smaller than the segmenter's
+     values_cap (64): after an op-cap segment the entry set is the
+     domain plus the initial value, still materializable, so one
+     Unknown segment never degrades the segments after it *)
+  let value_domain = 48 in
+  let next_value = ref 0 in
+  let sessions = ref 0 in
+  let live = ref 0 in
+  (* the generational pool: each session is one occupant of a slot; on
+     normal termination it queues its slot for recycling, and the
+     done-check installs the next session in place — no scheduler
+     growth *)
+  let clients sched ~write ~read =
     let next_op slot =
       let w = w_left.(slot) > 0 and r = r_left.(slot) > 0 in
       let is_write =
@@ -273,15 +259,10 @@ let run_shard ~metrics (c : config) ~index ~ops =
       end
       else begin
         r_left.(slot) <- r_left.(slot) - 1;
-        ignore (R.read reg ~reader:(slot_pid slot))
+        read (slot_pid slot)
       end
     in
-    (* the generational pool: each session is one occupant of a slot; on
-       normal termination it queues its slot for recycling and the policy
-       installs the next session in place — no scheduler growth *)
     let finished = Queue.create () in
-    let sessions = ref 0 in
-    let live = ref 0 in
     let session slot k () =
       for _ = 1 to k do
         next_op slot
@@ -300,69 +281,53 @@ let run_shard ~metrics (c : config) ~index ~ops =
         start_session ~via:(fun pid f -> Sched.spawn sched ~pid f) slot
       end
     done;
-    let rng = Rng.create (Msgpass.Runs.policy_seed seed) in
-    let rand_pol = Sched.random_policy rng in
-    let base s =
+    fun () ->
       while not (Queue.is_empty finished) do
         let slot = Queue.pop finished in
         if remaining.(slot) > 0 then
           start_session ~via:(fun pid f -> Sched.recycle sched ~pid f) slot
         else decr live
       done;
-      (match fpolicy with
-      | Some f ->
-          let step = Sched.steps sched in
-          List.iter crash (Faults.crashes_due f ~step);
-          List.iter recover (Faults.recoveries_due f ~step)
-      | None -> ());
-      if !live = 0 then Sched.Halt else rand_pol s
-    in
-    let policy = Net.auto_deliver_policy net ~rng base in
-    let max_steps =
-      (ops * c.n * 800) + (2_000 * List.length c.faults.Faults.recover_at)
-    in
-    let stalled = ref false in
-    let steps =
-      try Sched.run sched ~watchdog:(Net.watchdog net) ~policy ~max_steps
-      with Sched.Stalled _ ->
-        stalled := true;
-        Sched.steps sched
-    in
-    note (Option.bind seg Serve.Segmenter.flush);
-    let counter = Obs.Metrics.counter metrics in
+      !live = 0
+  in
+  let recoveries = List.length c.faults.Faults.recover_at in
+  let group =
     {
-      index;
-      shard_ops = counter "trace.responds";
-      sessions = !sessions;
-      steps;
-      completed = !live = 0;
-      stalled = !stalled;
-      sampled;
-      segments = !segments;
-      fails = !fails;
-      unknowns = !unknowns;
-      decided_ops = !decided;
-      undecided_ops = !undecided;
-      sends = counter "net.sends";
-      delivered = counter "net.delivered";
-      attempts = counter "net.delivery_attempts";
-      coalesced = counter "net.batch.coalesced";
-      recycles = counter "sched.recycles";
+      Msgpass.Runs.Config.default with
+      proto = c.proto;
+      n = c.n;
+      faults = c.faults;
+      persist = c.persist;
+      batch_window = c.batch_window;
+      batch_max = c.batch_max;
+      seed;
+      max_steps = Some ((ops * c.n * 800) + (2_000 * recoveries));
     }
   in
-  match c.proto with
-  | Sw ->
-      let reg =
-        Abd.create ~persist:c.persist ~compact:true ~sched ~name ~n:c.n
-          ~writer:0 ~init:0 ()
-      in
-      drive (module Abd) reg ~write:(fun _pid v -> Abd.write reg v)
-  | Mw ->
-      let reg =
-        Mwabd.create ~persist:c.persist ~compact:true ~sched ~name ~n:c.n
-          ~init:0 ()
-      in
-      drive (module Mwabd) reg ~write:(fun pid v -> Mwabd.write reg ~proc:pid v)
+  let _, steps, stall =
+    Msgpass.Runs.drive_group ~metrics ~sink ~name ~compact:true group clients
+  in
+  note (Option.bind seg Serve.Segmenter.flush);
+  let counter = Obs.Metrics.counter metrics in
+  {
+    index;
+    shard_ops = counter "trace.responds";
+    sessions = !sessions;
+    steps;
+    completed = !live = 0;
+    stalled = Option.is_some stall;
+    sampled;
+    segments = !segments;
+    fails = !fails;
+    unknowns = !unknowns;
+    decided_ops = !decided;
+    undecided_ops = !undecided;
+    sends = counter "net.sends";
+    delivered = counter "net.delivered";
+    attempts = counter "net.delivery_attempts";
+    coalesced = counter "net.batch.coalesced";
+    recycles = counter "sched.recycles";
+  }
 
 (* ----- the fleet -------------------------------------------------------------- *)
 

@@ -3,7 +3,9 @@
     {!Msgpass.Abd} / {!Msgpass.Mwabd} group with its own scheduler and
     network — driven by a {e generational pool} of short-lived client
     sessions that reuse a fixed set of fiber slots
-    ({!Simkit.Sched.recycle}).
+    ({!Simkit.Sched.recycle}).  Each shard runs through
+    {!Msgpass.Runs.drive_group}, the driver of every ABD and MW-ABD run:
+    the fleet supplies only its sessions and their done-check.
 
     Flat-memory discipline, the property the 1M+-op experiment (E15)
     certifies: a shard's trace keeps no entries — its sink
@@ -18,7 +20,8 @@
     ({!Simkit.Pool.fold_runs}) and reports are byte-identical at any
     [jobs]. *)
 
-type proto = Sw | Mw  (** {!Msgpass.Abd} (one writer/shard) or {!Msgpass.Mwabd}. *)
+type proto = Msgpass.Runs.Config.proto = Sw | Mw
+(** {!Msgpass.Abd} (one writer/shard) or {!Msgpass.Mwabd}. *)
 
 type config = {
   shards : int;  (** register groups, [>= 1] *)

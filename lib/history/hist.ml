@@ -151,6 +151,10 @@ let prefix h k =
   in
   { evs = take k h.evs }
 
+(* events are in time order, so those up to [t] are a prefix *)
+let prefix_upto_time h t =
+  { evs = List.filter (fun (e : Event.timed) -> e.time <= t) h.evs }
+
 let prefixes h =
   let n = length h in
   List.init (n + 1) (fun k -> prefix h k)

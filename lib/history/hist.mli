@@ -48,6 +48,10 @@ val length : t -> int
 val prefix : t -> int -> t
 (** [prefix h k] is the history of the first [k] events. *)
 
+val prefix_upto_time : t -> int -> t
+(** [prefix_upto_time h t] is the prefix of [h] holding its events at
+    times [<= t]. *)
+
 val prefixes : t -> t list
 (** All event-boundary prefixes, shortest first, including [empty] and the
     full history.  These are the [G] ⊑ [H] pairs quantified over by

@@ -199,3 +199,29 @@ let strong ?(metrics = Obs.Metrics.global) ~init t =
     end
   in
   solve (prep_tree ~init t) ~prefix:[]
+
+(* ----- Theorem 13's shape ----------------------------------------------------- *)
+
+type fork = {
+  g : Hist.t;
+  h1 : Hist.t;
+  h2 : Hist.t;
+  wsl_impossible : bool;
+  chains_ok : bool;
+  all_linearizable : bool;
+}
+
+let fork ~init (h1, g) (h2, g2) =
+  if not (List.equal History.Event.equal_timed (Hist.events g) (Hist.events g2))
+  then invalid_arg "Treecheck.fork: the two branches diverged inside G";
+  let tree = node g [ node h1 []; node h2 [] ] in
+  {
+    g;
+    h1;
+    h2;
+    wsl_impossible = not (write_strong ~init tree);
+    chains_ok =
+      write_strong ~init (chain [ g; h1 ])
+      && write_strong ~init (chain [ g2; h2 ]);
+    all_linearizable = List.for_all (Lincheck.check ~init) [ g; h1; h2 ];
+  }

@@ -45,6 +45,29 @@ val of_prefixes : History.Hist.t -> tree
 (** The chain of all event-prefixes of a history — the tree over which
     property (P) is tested for a single execution. *)
 
+(** {2 Theorem 13's shape: one prefix, two extensions} *)
+
+type fork = {
+  g : History.Hist.t;  (** the common prefix *)
+  h1 : History.Hist.t;
+  h2 : History.Hist.t;
+  wsl_impossible : bool;
+      (** no write strong-linearization function exists on the tree
+          [{G → H1, H2}] *)
+  chains_ok : bool;  (** but each single chain [G ⊑ Hi] admits one *)
+  all_linearizable : bool;  (** and every history alone is linearizable *)
+}
+
+val fork :
+  init:History.Value.t ->
+  History.Hist.t * History.Hist.t ->
+  History.Hist.t * History.Hist.t ->
+  fork
+(** [fork ~init (h1, g1) (h2, g2)] judges two runs from one start: [hi]
+    is run [i]'s history and [gi] its prefix [G].
+    @raise Invalid_argument if [g1] and [g2] differ in some event or
+    time, or if some [hi] does not extend [gi] ({!node}). *)
+
 val write_strong :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Tracer.t ->

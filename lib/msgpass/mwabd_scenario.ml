@@ -3,15 +3,6 @@ module Hist = History.Hist
 module Sched = Simkit.Sched
 module Trace = Simkit.Trace
 
-type outcome = {
-  g : Hist.t;
-  h1 : Hist.t;
-  h2 : Hist.t;
-  wsl_impossible : bool;
-  chains_ok : bool;
-  all_linearizable : bool;
-}
-
 let step sched pid = ignore (Sched.step sched ~pid)
 
 (* deliver exactly one message from [src] to [dst] and fail loudly if it
@@ -25,13 +16,6 @@ let deliver net ~src ~dst =
 let pump sched net ~src ~node =
   deliver net ~src ~dst:(Mwabd.server_pid ~node);
   step sched (Mwabd.server_pid ~node)
-
-let prefix_upto_time h t =
-  let k =
-    List.length
-      (List.filter (fun e -> e.History.Event.time <= t) (Hist.events h))
-  in
-  Hist.prefix h k
 
 (* Build the common prefix G, let [extend] drive one branch past it, and
    return the branch's whole history and its prefix G. *)
@@ -71,7 +55,7 @@ let branch ~extend =
   let g_time = Trace.now (Sched.trace sched) in
   extend sched net;
   let h = Trace.history (Sched.trace sched) in
-  (h, prefix_upto_time h g_time)
+  (h, Hist.prefix_upto_time h g_time)
 
 (* finish w1's write given that its pending quorum reply just arrived *)
 let finish_w1 sched net =
@@ -102,14 +86,14 @@ let run_reader sched net ~nodes =
 
 let run () =
   (* --- branch H1: the stale sq-0 reply arrives; w1 gets ⟨1,0⟩ < ⟨1,1⟩ -- *)
-  let h1, g_a =
+  let ((h1, _) as branch1) =
     branch ~extend:(fun sched net ->
         deliver net ~src:(Mwabd.server_pid ~node:1) ~dst:0;
         finish_w1 sched net;
         run_reader sched net ~nodes:(1, 2))
   in
   (* --- branch H2: server 2 (which stores sq 1) answers; w1 gets ⟨2,0⟩ -- *)
-  let h2, g_b =
+  let ((h2, _) as branch2) =
     branch ~extend:(fun sched net ->
         pump sched net ~src:0 ~node:2;
         deliver net ~src:(Mwabd.server_pid ~node:2) ~dst:0;
@@ -121,11 +105,6 @@ let run () =
         finish_w1 sched net;
         run_reader sched net ~nodes:(0, 1))
   in
-  if
-    not
-      (List.equal History.Event.equal_timed (Hist.events g_a)
-         (Hist.events g_b))
-  then invalid_arg "Mwabd_scenario: the two branches diverged inside G";
   (* sanity: the reads observed opposite writers *)
   let read_result h =
     Hist.reads h
@@ -135,20 +114,4 @@ let run () =
     invalid_arg "Mwabd_scenario: H1's read did not observe w2";
   if read_result h2 <> Some (V.Int 301) then
     invalid_arg "Mwabd_scenario: H2's read did not observe w1";
-  let init = V.Int 0 in
-  let tree =
-    Linchk.Treecheck.node g_a
-      [ Linchk.Treecheck.node h1 []; Linchk.Treecheck.node h2 [] ]
-  in
-  {
-    g = g_a;
-    h1;
-    h2;
-    wsl_impossible = not (Linchk.Treecheck.write_strong ~init tree);
-    chains_ok =
-      Linchk.Treecheck.write_strong ~init (Linchk.Treecheck.chain [ g_a; h1 ])
-      && Linchk.Treecheck.write_strong ~init
-           (Linchk.Treecheck.chain [ g_b; h2 ]);
-    all_linearizable =
-      List.for_all (Linchk.Lincheck.check ~init) [ g_a; h1; h2 ];
-  }
+  Linchk.Treecheck.fork ~init:(V.Int 0) branch1 branch2

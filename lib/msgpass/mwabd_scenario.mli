@@ -21,13 +21,4 @@
     {G → H1, H2} admits no write strong-linearization function — verified
     by the exact tree checker. *)
 
-type outcome = {
-  g : History.Hist.t;
-  h1 : History.Hist.t;
-  h2 : History.Hist.t;
-  wsl_impossible : bool;
-  chains_ok : bool;
-  all_linearizable : bool;
-}
-
-val run : unit -> outcome
+val run : unit -> Linchk.Treecheck.fork

@@ -10,12 +10,6 @@ type run = {
   steps : int;
 }
 
-(* The fault policy draws from its own stream, derived from — but
-   independent of — the scheduler seed, so adding faults never perturbs
-   the scheduling/delivery randomness of the benign part of a run. *)
-let fault_seed seed = Int64.logxor seed 0xFA17FA17L
-let policy_seed seed = Int64.logxor seed 0x7E57AB1EL
-
 let check_crashes ~what ~n ~clients crash_nodes =
   if List.length crash_nodes >= (n + 1) / 2 then
     invalid_arg (what ^ ": crash set must be a strict minority");
@@ -242,96 +236,103 @@ module Config = struct
     | exception Invalid_argument msg -> Error msg
 end
 
-let execute_config ?metrics ?tracer (c : Config.t) =
-  Config.validate c;
-  let sched = Sched.create ~seed:c.Config.seed ?metrics ?tracer () in
+(* ----- the register-group driver ---------------------------------------------- *)
+
+(* Everything an ABD or MW-ABD group run shares, whoever drives its
+   clients: a [Config.t]'s run and every fleet shard go through here, so
+   the fault draws and the schedule are one function of the seed. *)
+let drive_group ?metrics ?tracer ?sink ~name ~compact (c : Config.t) workload =
+  let sched = Sched.create ~seed:c.seed ?metrics ?tracer ?sink () in
   Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
+  (* The fault policy draws from its own stream, derived from — but
+     independent of — the scheduler seed, so adding faults never perturbs
+     the scheduling/delivery randomness of the benign part of a run. *)
   let fpolicy =
-    if Faults.is_benign c.Config.faults then None
-    else Some (Faults.create ~seed:(fault_seed c.Config.seed) c.Config.faults)
+    if Faults.is_benign c.faults then None
+    else Some (Faults.create ~seed:(Int64.logxor c.seed 0xFA17FA17L) c.faults)
   in
-  let remaining =
-    ref (List.length c.Config.writers + List.length c.Config.readers)
-  in
-  (* generic over the register: attach faults, spawn the client fibers,
-     drive to quiescence under the configured policy *)
   let drive (type r) (module R : Replica.S with type t = r) (reg : r) ~write =
     let net = R.net reg in
     let crash node = R.crash_node reg ~node in
     let recover node = R.recover_node reg ~node in
     Option.iter (Net.set_faults net) fpolicy;
-    Net.set_batching net ~window:c.Config.batch_window
-      ~max:c.Config.batch_max;
-    List.iter
-      (fun w ->
-        Sched.spawn sched ~pid:w (fun () ->
-            for k = 1 to c.Config.writes_each do
-              write w k
-            done;
-            decr remaining))
-      c.Config.writers;
-    List.iter
-      (fun r ->
-        Sched.spawn sched ~pid:r (fun () ->
-            for _ = 1 to c.Config.reads_each do
-              ignore (R.read reg ~reader:r)
-            done;
-            decr remaining))
-      c.Config.readers;
-    let rng = Simkit.Rng.create (policy_seed c.Config.seed) in
+    Net.set_batching net ~window:c.batch_window ~max:c.batch_max;
+    let is_done =
+      workload sched ~write ~read:(fun pid -> ignore (R.read reg ~reader:pid))
+    in
+    let rng = Simkit.Rng.create (Int64.logxor c.seed 0x7E57AB1EL) in
+    let pick =
+      match c.policy with
+      | `Random -> Sched.random_policy rng
+      | `Round_robin -> Sched.round_robin
+    in
+    (* the done-check goes first: a fleet recycles its finished sessions
+       there, and crashes never touch a client fiber *)
     let base s =
+      let finished = is_done () in
       (match fpolicy with
       | Some f ->
           let step = Sched.steps sched in
           List.iter crash (Faults.crashes_due f ~step);
           List.iter recover (Faults.recoveries_due f ~step)
       | None -> ());
-      if !remaining = 0 then Sched.Halt
-      else
-        match c.Config.policy with
-        | `Random -> Sched.random_policy rng s
-        | `Round_robin -> Sched.round_robin s
+      if finished then Sched.Halt else pick s
     in
     let policy = Net.auto_deliver_policy net ~rng base in
     let max_steps =
-      match c.Config.max_steps with
-      | Some m -> m
-      | None -> Config.auto_max_steps c
+      match c.max_steps with Some m -> m | None -> Config.auto_max_steps c
     in
-    let stalled = ref None in
-    let steps =
-      try Sched.run sched ~watchdog:(Net.watchdog net) ~policy ~max_steps
-      with Sched.Stalled diag ->
-        stalled := Some diag;
-        Sched.steps sched
-    in
-    {
-      history =
-        History.Hist.project (Simkit.Trace.history (Sched.trace sched))
-          ~obj:(Config.obj c);
-      trace = Sched.trace sched;
-      completed = !remaining = 0;
-      stalled = !stalled;
-      steps;
-    }
+    match Sched.run sched ~watchdog:(Net.watchdog net) ~policy ~max_steps with
+    | steps -> (Sched.trace sched, steps, None)
+    | exception Sched.Stalled diag ->
+        (Sched.trace sched, Sched.steps sched, Some diag)
   in
-  match c.Config.proto with
+  match c.proto with
   | Config.Sw ->
-      let writer = List.hd c.Config.writers in
       let reg =
-        Abd.create ?quorum:c.Config.quorum ~persist:c.Config.persist
-          ~unsafe_recovery:c.Config.unsafe_recovery ~sched ~name:"ABD"
-          ~n:c.Config.n ~writer ~init:0 ()
+        Abd.create ?quorum:c.quorum ~persist:c.persist
+          ~unsafe_recovery:c.unsafe_recovery ~compact ~sched ~name ~n:c.n
+          ~writer:(List.hd c.writers) ~init:0 ()
       in
-      drive (module Abd) reg ~write:(fun _ k -> Abd.write reg (100 + k))
+      drive (module Abd) reg ~write:(fun _ v -> Abd.write reg v)
   | Config.Mw ->
       let reg =
-        Mwabd.create ?quorum:c.Config.quorum ~persist:c.Config.persist
-          ~unsafe_recovery:c.Config.unsafe_recovery ~sched ~name:"MW"
-          ~n:c.Config.n ~init:0 ()
+        Mwabd.create ?quorum:c.quorum ~persist:c.persist
+          ~unsafe_recovery:c.unsafe_recovery ~compact ~sched ~name ~n:c.n
+          ~init:0 ()
       in
-      drive (module Mwabd) reg ~write:(fun w k ->
-          Mwabd.write reg ~proc:w ((1000 * (w + 1)) + k))
+      drive (module Mwabd) reg ~write:(fun pid v -> Mwabd.write reg ~proc:pid v)
+
+let execute_config ?metrics ?tracer (c : Config.t) =
+  Config.validate c;
+  let remaining = ref (List.length c.writers + List.length c.readers) in
+  let clients sched ~write ~read =
+    let spawn pid k op =
+      Sched.spawn sched ~pid (fun () ->
+          for i = 1 to k do
+            op i
+          done;
+          decr remaining)
+    in
+    let value w k =
+      match c.proto with Config.Sw -> 100 + k | Mw -> (1000 * (w + 1)) + k
+    in
+    List.iter (fun w -> spawn w c.writes_each (fun k -> write w (value w k)))
+      c.writers;
+    List.iter (fun r -> spawn r c.reads_each (fun _ -> read r)) c.readers;
+    fun () -> !remaining = 0
+  in
+  let trace, steps, stalled =
+    drive_group ?metrics ?tracer ~name:(Config.obj c) ~compact:false c clients
+  in
+  {
+    history =
+      History.Hist.project (Simkit.Trace.history trace) ~obj:(Config.obj c);
+    trace;
+    completed = !remaining = 0;
+    stalled;
+    steps;
+  }
 
 let check ?metrics run =
   if not run.completed then

@@ -1,8 +1,10 @@
-(** The one driver of ABD and MW-ABD runs.  Every run — an experiment's,
-    a CLI subcommand's, the chaos search's, a corpus entry's — is a
-    {!Config.t} executed by {!execute_config}, so any of them can be
-    serialized with {!Config.json} and replayed byte for byte.  Crashes
-    and recoveries are the fault plan's step-clock schedules
+(** The one driver of ABD and MW-ABD register groups.  Every run — an
+    experiment's, a CLI subcommand's, the chaos search's, a corpus
+    entry's — is a {!Config.t} executed by {!execute_config}, so any of
+    them can be serialized with {!Config.json} and replayed byte for
+    byte; every fleet shard ([Fleet]) runs through the same
+    {!drive_group} with its own recycled client sessions.  Crashes and
+    recoveries are the fault plan's step-clock schedules
     ([Simkit.Faults.crash_at] / [recover_at]). *)
 
 type run = {
@@ -92,20 +94,40 @@ module Config : sig
       defaults so the committed corpus keeps replaying verbatim. *)
 end
 
-val fault_seed : int64 -> int64
-(** A run's fault-policy seed, from the run's seed. *)
-
-val policy_seed : int64 -> int64
-(** A run's scheduling-and-delivery RNG seed, from the run's seed. *)
+val drive_group :
+  ?metrics:Obs.Metrics.t ->
+  ?tracer:Obs.Tracer.t ->
+  ?sink:(Simkit.Trace.entry -> unit) ->
+  name:string ->
+  compact:bool ->
+  Config.t ->
+  (Simkit.Sched.t ->
+  write:(int -> int -> unit) ->
+  read:(int -> unit) ->
+  unit ->
+  bool) ->
+  Simkit.Trace.t * int * Simkit.Sched.stall option
+(** [drive_group ~name ~compact c workload] runs one register group,
+    the part every run and every fleet shard share.  It builds [c]'s ABD
+    group (writer [List.hd c.writers]) or MW-ABD group, named [name],
+    compacting replica logs when [compact]; attaches [c]'s fault plan and
+    batching; and seeds the fault and scheduling streams from [c.seed].
+    [workload sched ~write ~read] spawns the client fibers, which call
+    [write pid v] and [read pid] in fiber [pid], and returns a done-check.
+    Every scheduling decision runs the done-check first, then the plan's
+    crashes and recoveries due at that step (crashes first), then halts
+    if it said [true] or else picks by [c.policy], under
+    {!Net.auto_deliver_policy} and {!Net.watchdog}, for [c.max_steps]
+    steps (default {!Config.auto_max_steps}).  Returns the trace, the
+    steps taken and the watchdog's stall, if any.  [c] is not validated.
+    [?metrics], [?tracer] and [?sink] go to {!Simkit.Sched.create}. *)
 
 val execute_config :
   ?metrics:Obs.Metrics.t -> ?tracer:Obs.Tracer.t -> Config.t -> run
-(** Run a config to quiescence: attach its fault plan, spawn the writer
-    and reader client fibers, apply the plan's [crash_at] and
-    [recover_at] schedules on the step clock (crashes before recoveries
-    within a tick), and drive with the configured scheduling policy until the
-    clients finish, the step budget runs out, or the watchdog trips.
-    Deterministic in the config alone — an armed [tracer] observes the
-    run without perturbing it, so re-executing a violating config with a
-    flight recorder reproduces the violation {e and} its event stream.
+(** Run a config to quiescence through {!drive_group}: one fiber per
+    writer and reader, until the clients finish, the step budget runs out
+    or the watchdog trips.  Deterministic in the config alone — an armed
+    [tracer] observes the run without perturbing it, so re-executing a
+    violating config with a flight recorder reproduces the violation
+    {e and} its event stream.
     @raise Invalid_argument if {!Config.validate} does. *)

@@ -20,13 +20,6 @@ let run_out sched pid =
     step sched pid
   done
 
-let prefix_upto_time h t =
-  let k =
-    List.length
-      (List.filter (fun e -> e.History.Event.time <= t) (Hist.events h))
-  in
-  Hist.prefix h k
-
 (* ---------- Figure 3 ------------------------------------------------------ *)
 
 type fig3 = {
@@ -80,16 +73,6 @@ let fig3 () =
 
 (* ---------- Figure 4 ------------------------------------------------------ *)
 
-type fig4 = {
-  g : Hist.t;
-  h1 : Hist.t;
-  h2 : Hist.t;
-  tree : Linchk.Treecheck.tree;
-  wsl_impossible : bool;
-  chains_ok : bool;
-  all_linearizable : bool;
-}
-
 (* The common prefix G: w1 (by p1) reads Val[1..2] then stalls; w2 (by p2)
    runs to completion.  [p3] is the third process whose behaviour differs
    between the two extensions, and [extend] drives the run past G.
@@ -108,11 +91,11 @@ let fig4_run ~p3_code ~extend =
   let g_time = Trace.now (Sched.trace sched) in
   extend sched;
   let h = Trace.history (Sched.trace sched) in
-  (h, prefix_upto_time h g_time)
+  (h, Hist.prefix_upto_time h g_time)
 
 let fig4 () =
   (* Case-1 extension H1: w1 completes, then p3 reads (observes w2). *)
-  let h1, g_a =
+  let case1 =
     fig4_run
       ~p3_code:(fun r () -> ignore (Alg4.read r ~proc:3))
       ~extend:(fun sched ->
@@ -121,7 +104,7 @@ let fig4 () =
   in
   (* Case-2 extension H2: w3 (by p3) completes, then w1 completes having
      seen w3's larger timestamp, then p3 reads (observes w1). *)
-  let h2, g_b =
+  let case2 =
     fig4_run
       ~p3_code:(fun r () ->
         Alg4.write r ~proc:3 203;
@@ -134,29 +117,7 @@ let fig4 () =
         run_out sched 1;
         run_out sched 3)
   in
-  if not (Hist.is_prefix g_a ~of_:h1 && Hist.is_prefix g_b ~of_:h2) then
-    invalid_arg "Scenarios.fig4: prefix construction broken";
-  if not (List.equal History.Event.equal_timed (Hist.events g_a) (Hist.events g_b))
-  then invalid_arg "Scenarios.fig4: the two runs diverged inside G";
-  let init = V.Int 0 in
-  let tree =
-    Linchk.Treecheck.node g_a
-      [ Linchk.Treecheck.node h1 []; Linchk.Treecheck.node h2 [] ]
-  in
-  let chain1 = Linchk.Treecheck.chain [ g_a; h1 ] in
-  let chain2 = Linchk.Treecheck.chain [ g_b; h2 ] in
-  {
-    g = g_a;
-    h1;
-    h2;
-    tree;
-    wsl_impossible = not (Linchk.Treecheck.write_strong ~init tree);
-    chains_ok =
-      Linchk.Treecheck.write_strong ~init chain1
-      && Linchk.Treecheck.write_strong ~init chain2;
-    all_linearizable =
-      List.for_all (Linchk.Lincheck.check ~init) [ g_a; h1; h2 ];
-  }
+  Linchk.Treecheck.fork ~init:(V.Int 0) case1 case2
 
 (* ---------- random-run drivers ------------------------------------------- *)
 

@@ -32,17 +32,10 @@ type fig3 = {
 
 val fig3 : unit -> fig3
 
-type fig4 = {
-  g : History.Hist.t;
-  h1 : History.Hist.t;  (** case 1 extension: forces w1 < w2 *)
-  h2 : History.Hist.t;  (** case 2 extension: forces w2 < w1 *)
-  tree : Linchk.Treecheck.tree;  (** G with children H1, H2 *)
-  wsl_impossible : bool;  (** no write strong-linearization exists on the tree *)
-  chains_ok : bool;  (** but each single chain G⊑H admits one *)
-  all_linearizable : bool;  (** and every history alone is linearizable *)
-}
-
-val fig4 : unit -> fig4
+val fig4 : unit -> Linchk.Treecheck.fork
+(** Figure 4 on Algorithm 4: [h1] (w1 completes, then p3 reads w2's
+    value) forces w1 < w2, and [h2] (p3's w3 completes first, then w1,
+    and p3 reads w1's value) forces w2 < w1. *)
 
 (** {2 Random-run drivers} *)
 

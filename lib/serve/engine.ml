@@ -114,6 +114,7 @@ let ok t = t.ok
 let fail t = t.fail
 let unknown t = t.unknown
 let verdicts t = t.ok + t.fail + t.unknown
+let objects t = Hashtbl.length t.objects
 
 let quarantine t msg =
   t.quarantined <- t.quarantined + 1;

@@ -80,3 +80,6 @@ val ok : t -> int
 val fail : t -> int
 val unknown : t -> int
 val verdicts : t -> int
+
+val objects : t -> int
+(** Objects seen so far: the records a {!checkpoint} holds. *)

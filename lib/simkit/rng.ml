@@ -34,3 +34,5 @@ let float t =
 let bool t = Int64.equal (Int64.logand (next_int64 t) 1L) 1L
 let coin t = if bool t then 1 else 0
 let split t = create (mix (next_int64 t))
+let nth_seed seed i =
+  Int64.add seed (Int64.mul (Int64.of_int (i + 1)) golden_gamma)

@@ -33,3 +33,11 @@ val coin : t -> int
 
 val split : t -> t
 (** Derive an independent stream (for per-process randomness). *)
+
+val nth_seed : int64 -> int -> int64
+(** [nth_seed seed i] is [seed + (i+1)·γ] (γ the gamma above): the seed
+    of the [i]-th stream derived from [seed], a function of [(seed, i)]
+    alone — a chaos search's [i]-th config, a fleet's [i]-th shard and a
+    shard's [i]-th client slot.  Adjacent indices give streams offset by
+    one draw, so a caller that needs them decorrelated starts from
+    [split (create (nth_seed seed i))]. *)

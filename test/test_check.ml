@@ -21,6 +21,12 @@ let set k v = function
       Obs.Json.Obj (List.map set fields)
   | j -> j
 
+(* one monitor alone, audited on the same kind of run and private
+   registry that [Monitor.run_config] gives the standard list *)
+let check_one (m : Monitor.t) config =
+  let metrics = Obs.Metrics.create () in
+  m.check ~config ~run:(Msgpass.Runs.execute_config ~metrics config) ~metrics
+
 let monitor_tests =
   [
     tc "a benign default config passes every monitor" (fun () ->
@@ -28,12 +34,12 @@ let monitor_tests =
           (Monitor.run_config Config.default = None));
     tc "the quorum override trips quorum-sanity" (fun () ->
         let c = { Config.default with Config.quorum = Some 2 } in
-        match Monitor.run_config ~monitors:[ Monitor.quorum_sanity ] c with
+        match check_one Monitor.quorum_sanity c with
         | Some v -> check_str "monitor" "quorum-sanity" v.Monitor.monitor
         | None -> Alcotest.fail "quorum-sanity did not fire");
     tc "an impossible step budget trips termination/budget" (fun () ->
         let c = { Config.default with Config.max_steps = Some 5 } in
-        match Monitor.run_config ~monitors:[ Monitor.termination ] c with
+        match check_one Monitor.termination c with
         | Some v -> check_str "monitor" "termination/budget" v.Monitor.monitor
         | None -> Alcotest.fail "termination did not fire");
     tc "violations round-trip through JSON" (fun () ->
@@ -110,7 +116,7 @@ let monitor_tests =
               };
           }
         in
-        match Monitor.run_config ~monitors:[ Monitor.recovery_sanity ] c with
+        match check_one Monitor.recovery_sanity c with
         | Some v -> check_str "monitor" "recovery-sanity" v.Monitor.monitor
         | None -> Alcotest.fail "recovery-sanity did not fire");
     tc "the same schedule with safe recovery passes every monitor" (fun () ->
@@ -262,8 +268,14 @@ let corpus_tests =
           | J.Obj fields -> J.Obj (fields @ [ ("postmortem", J.List evs) ])
           | j -> j
         in
-        let with_config f =
-          set "config" (f (Config.json Config.default)) entry
+        let with_config ?(k = "config") f =
+          set k (f (Config.json Config.default)) entry
+        in
+        let string_crash_step =
+          set "faults"
+            (set "crash_at"
+               (J.List [ J.Obj [ ("step", J.Str "150"); ("node", J.Int 3) ] ])
+               (Simkit.Faults.plan_json Simkit.Faults.none))
         in
         check_bool "the entry loads" true
           (Result.is_ok (load (with_postmortem [ event ])));
@@ -278,14 +290,10 @@ let corpus_tests =
             ( "a string reader",
               "readers",
               with_config (set "readers" (J.List [ J.Int 1; J.Str "2" ])) );
-            ( "a string crash step",
-              "crash_at",
-              with_config
-                (set "faults"
-                   (set "crash_at"
-                      (J.List
-                         [ J.Obj [ ("step", J.Str "150"); ("node", J.Int 3) ] ])
-                      (Simkit.Faults.plan_json Simkit.Faults.none))) );
+            ("a string crash step", "crash_at", with_config string_crash_step);
+            ( "a string crash step in the pre-shrink config",
+              "original",
+              with_config ~k:"original" string_crash_step );
           ]);
   ]
 

@@ -104,29 +104,27 @@ let scenario_tests =
     tc "MW-ABD is not write strongly-linearizable (Fig 4 in messages)"
       (fun () ->
         let o = Core.Mwabd_scenario.run () in
-        check_bool "tree impossible" true o.Core.Mwabd_scenario.wsl_impossible);
+        check_bool "tree impossible" true o.Core.Treecheck.wsl_impossible);
     tc "each branch alone admits a WSL function" (fun () ->
         let o = Core.Mwabd_scenario.run () in
-        check_bool "chains" true o.Core.Mwabd_scenario.chains_ok);
+        check_bool "chains" true o.Core.Treecheck.chains_ok);
     tc "all three histories are linearizable" (fun () ->
         let o = Core.Mwabd_scenario.run () in
-        check_bool "lin" true o.Core.Mwabd_scenario.all_linearizable);
+        check_bool "lin" true o.Core.Treecheck.all_linearizable);
     tc "the branches really share G" (fun () ->
         let o = Core.Mwabd_scenario.run () in
         check_bool "h1" true
-          (Core.Hist.is_prefix o.Core.Mwabd_scenario.g
-             ~of_:o.Core.Mwabd_scenario.h1);
+          (Core.Hist.is_prefix o.Core.Treecheck.g ~of_:o.Core.Treecheck.h1);
         check_bool "h2" true
-          (Core.Hist.is_prefix o.Core.Mwabd_scenario.g
-             ~of_:o.Core.Mwabd_scenario.h2));
+          (Core.Hist.is_prefix o.Core.Treecheck.g ~of_:o.Core.Treecheck.h2));
     tc "the reads observed opposite writers" (fun () ->
         let o = Core.Mwabd_scenario.run () in
         let result h =
           Core.Hist.reads h
           |> List.find_map (fun (op : Core.Op.t) -> op.result)
         in
-        check_bool "h1 saw w2" true (result o.Core.Mwabd_scenario.h1 = Some (V.Int 302));
-        check_bool "h2 saw w1" true (result o.Core.Mwabd_scenario.h2 = Some (V.Int 301)));
+        check_bool "h1 saw w2" true (result o.Core.Treecheck.h1 = Some (V.Int 302));
+        check_bool "h2 saw w1" true (result o.Core.Treecheck.h2 = Some (V.Int 301)));
   ]
 
 let suite =

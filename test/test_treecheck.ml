@@ -213,19 +213,19 @@ let fig4_tests =
   [
     tc "fig4: no WSL function on the branching tree (Thm 13)" (fun () ->
         let f4 = Core.Scenario.fig4 () in
-        check_bool "impossible" true f4.Core.Scenario.wsl_impossible);
+        check_bool "impossible" true f4.Core.Treecheck.wsl_impossible);
     tc "fig4: each chain alone admits a WSL function" (fun () ->
         let f4 = Core.Scenario.fig4 () in
-        check_bool "chains" true f4.Core.Scenario.chains_ok);
+        check_bool "chains" true f4.Core.Treecheck.chains_ok);
     tc "fig4: all three histories are linearizable (Thm 12)" (fun () ->
         let f4 = Core.Scenario.fig4 () in
-        check_bool "lin" true f4.Core.Scenario.all_linearizable);
+        check_bool "lin" true f4.Core.Treecheck.all_linearizable);
     tc "fig4: G really is a common prefix" (fun () ->
         let f4 = Core.Scenario.fig4 () in
         check_bool "h1" true
-          (Hist.is_prefix f4.Core.Scenario.g ~of_:f4.Core.Scenario.h1);
+          (Hist.is_prefix f4.Core.Treecheck.g ~of_:f4.Core.Treecheck.h1);
         check_bool "h2" true
-          (Hist.is_prefix f4.Core.Scenario.g ~of_:f4.Core.Scenario.h2));
+          (Hist.is_prefix f4.Core.Treecheck.g ~of_:f4.Core.Treecheck.h2));
   ]
 
 (* property: prefix chains of atomic-register histories always admit a
@@ -346,7 +346,9 @@ let prep_cache_tests =
               ("satisfiable branching tree", satisfiable_tree ());
               ("pending-read tree", pending_read_tree ());
               ("twin tree", twin_tree ());
-              ("fig4 tree", (Core.Scenario.fig4 ()).Core.Scenario.tree);
+              ( "fig4 tree",
+                let f4 = Core.Scenario.fig4 () in
+                T.node f4.T.g [ T.node f4.T.h1 []; T.node f4.T.h2 [] ] );
             ]
         in
         let fails = ref 0 in

@@ -191,23 +191,26 @@ let w ?responded ~id ~proc ~invoked v =
 let r ~id ~proc ~invoked ~responded v =
   op ~id ~proc ~kind:Op.Read ~invoked ~responded ~result:(V.Int v) ()
 
+(* Figure 4's tree {G -> H1, H2} *)
+let fig4_tree () =
+  let f4 = Core.Scenario.fig4 () in
+  T.node f4.T.g [ T.node f4.T.h1 []; T.node f4.T.h2 [] ]
+
 let subset_tests =
   [
     tc "sel=is_write coincides with write_strong" (fun () ->
-        let f4 = Core.Scenario.fig4 () in
+        let tree = fig4_tree () in
         let init = V.Int 0 in
         check_bool "same verdict" true
-          (T.subset_strong ~init ~sel:Op.is_write f4.Core.Scenario.tree
-          = T.write_strong ~init f4.Core.Scenario.tree));
+          (T.subset_strong ~init ~sel:Op.is_write tree
+          = T.write_strong ~init tree));
     tc "sel=never is plain per-node linearizability" (fun () ->
-        let f4 = Core.Scenario.fig4 () in
         check_bool "accepts fig4 tree" true
           (T.subset_strong ~init:(V.Int 0) ~sel:(fun _ -> false)
-             f4.Core.Scenario.tree));
+             (fig4_tree ())));
     tc "fig4 tree IS read-strong (its reads are leaf-only)" (fun () ->
-        let f4 = Core.Scenario.fig4 () in
         check_bool "read_strong" true
-          (T.read_strong ~init:(V.Int 0) f4.Core.Scenario.tree));
+          (T.read_strong ~init:(V.Int 0) (fig4_tree ())));
     tc "read-strong refuted when a pending read's position must flip"
       (fun () ->
         (* mirror image of the write-strong refutation: a complete read
