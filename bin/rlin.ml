@@ -206,7 +206,7 @@ let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments"
        ~doc:
-         "Run the full experiment battery (E1-E14), one per paper artifact; \
+         "Run the full experiment battery (E1-E15), one per paper artifact; \
           $(b,--drop)/$(b,--dup)/$(b,--delay)/$(b,--crash)/$(b,--recover) \
           subject the fault-aware experiments (E6, E10) to a deterministic \
           link-fault plan (crash/recovery schedules affect E6 only: E10's \
@@ -382,6 +382,11 @@ let abd_cmd =
     | Error e ->
         Printf.printf "check FAILED: %s\n" e;
         1
+    | exception Core.Lincheck.Too_large { n; cap } ->
+        usage_error
+          "the history has %d operations, more than the checker's cap of %d \
+           (lower --writes)"
+          n cap
   in
   Cmd.v
     (Cmd.info "abd"
@@ -532,8 +537,7 @@ let chaos_run_cmd =
       else None
     in
     let report =
-      Core.Chaos.search ~jobs ?inject ~flight
-        ~telemetry:Obs.Metrics.global ~seed ~budget ()
+      Core.Chaos.search ~jobs ?inject ~flight ~seed ~budget ()
     in
     let findings = report.Core.Chaos.findings in
     Printf.printf "chaos: %d configs explored (seed %Ld), %d violations\n"
@@ -1483,11 +1487,11 @@ let metrics_cmd =
   let source =
     Arg.(
       value
-      & opt (Arg.enum [ ("experiments", `Experiments); ("game", `Game); ("abd", `Abd) ]) `Experiments
+      & opt (Arg.enum [ ("abd", `Abd); ("game", `Game) ]) `Abd
       & info [ "source" ] ~docv:"SOURCE"
           ~doc:
-            "Workload to run before printing the metric registry: \
-             $(b,experiments) (the quick battery), $(b,game), $(b,abd).")
+            "Workload to run before printing its metric registry: $(b,abd) \
+             or $(b,game).")
   in
   let json =
     Arg.(
@@ -1497,24 +1501,23 @@ let metrics_cmd =
           ~doc:"Also write the snapshot as a JSONL metrics record.")
   in
   let run source json seed =
-    Obs.Metrics.reset Obs.Metrics.global;
+    let metrics = Obs.Metrics.create () in
     let label =
       match source with
-      | `Experiments ->
-          ignore (Experiments.all ~quick:true ());
-          "experiments-quick"
       | `Game ->
-          ignore (Core.Adversary.run_write_strong ~n:5 ~max_rounds:40 ~seed ());
+          ignore
+            (Core.Adversary.run_write_strong ~metrics ~n:5 ~max_rounds:40
+               ~seed ());
           "game-wsl"
       | `Abd ->
-          ignore (Core.Abd_runs.execute_config (abd_config seed));
+          ignore (Core.Abd_runs.execute_config ~metrics (abd_config seed));
           "abd"
     in
-    Format.printf "%a@." Obs.Metrics.pp Obs.Metrics.global;
+    Format.printf "%a@." Obs.Metrics.pp metrics;
     Option.iter
       (fun path ->
         write_jsonl path
-          [ Obs.Export.metrics_json ~label (Obs.Metrics.snapshot Obs.Metrics.global) ])
+          [ Obs.Export.metrics_json ~label (Obs.Metrics.snapshot metrics) ])
       json;
     0
   in
@@ -1860,9 +1863,9 @@ let fleet_cmd =
       }
     in
     or_usage_error (fun () -> Core.Fleet.validate config);
-    let t0 = Obs.Span.now_ms () in
+    let t0 = Unix.gettimeofday () in
     let report = Core.Fleet.run ~jobs config in
-    let wall_ms = Obs.Span.now_ms () -. t0 in
+    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
     Format.printf "%a@." Core.Fleet.pp report;
     (* wall clock to stdout only: the report itself stays -j-diffable *)
     Printf.printf "ops/sec: %.0f (%.0f ms wall, -j %d)\n"

@@ -41,7 +41,6 @@ module Vector = Clocks.Vector
 
 module Json = Obs.Json
 module Metrics = Obs.Metrics
-module Span = Obs.Span
 module Export = Obs.Export
 module Tracer = Obs.Tracer
 

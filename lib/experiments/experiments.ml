@@ -7,21 +7,18 @@ type report = {
   metrics : (string * float) list;
 }
 
-(* Run an experiment body under a span, bracketing it with global-registry
-   snapshots: the report's metrics are the experiment's own headline
-   numbers ([extra]) plus everything the instrumented stack recorded while
-   the body ran (scheduler steps, coins, checker states, op latencies…).
-   The battery is sequential, so the delta isolates one experiment. *)
+(* Run an experiment body against a registry of its own: the report's
+   metrics are the experiment's own headline numbers ([extra]) plus
+   everything the body recorded into that registry (scheduler steps,
+   coins, checker states, op latencies…), so a report does not depend on
+   what ran before it. *)
 let measured_report ~id ~claim ~expected body =
-  let before = Obs.Metrics.snapshot Obs.Metrics.global in
-  let t0 = Obs.Span.now_ms () in
-  let measured, pass, extra =
-    Obs.Span.with_span (String.lowercase_ascii id) body
-  in
-  let wall_ms = Obs.Span.now_ms () -. t0 in
-  let after = Obs.Metrics.snapshot Obs.Metrics.global in
+  let registry = Obs.Metrics.create () in
+  let t0 = Unix.gettimeofday () in
+  let measured, pass, extra = body ~metrics:registry in
+  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   let metrics =
-    (("wall_ms", wall_ms) :: extra) @ Obs.Metrics.delta ~before ~after
+    (("wall_ms", wall_ms) :: extra) @ Obs.Metrics.flat registry
   in
   { id; claim; expected; measured; pass; metrics }
 
@@ -49,11 +46,9 @@ let report_json r =
 
 (* ---------- E1 ------------------------------------------------------------- *)
 
-let pool_metrics = Obs.Metrics.global
-
 (* how many runs pass, [ok ~metrics seed] for seeds 1..[runs], on the pool *)
-let passes ~jobs runs ok =
-  Core.Pool.fold_runs ~jobs ~metrics:pool_metrics runs ~init:0 ~fold:( + )
+let passes ~jobs ~metrics runs ok =
+  Core.Pool.fold_runs ~jobs ~metrics runs ~init:0 ~fold:( + )
     (fun ~metrics i -> Bool.to_int (ok ~metrics (i + 1)))
 
 let e1_nontermination ?(jobs = 1) ~quick () =
@@ -64,9 +59,10 @@ let e1_nontermination ?(jobs = 1) ~quick () =
       "Thm 6 (Figs 1-2): with merely-linearizable registers a strong \
        adversary prevents termination of Algorithm 1"
     ~expected:"survival 100% at every round budget, for every coin sequence"
-    (fun () ->
+    (fun ~metrics ->
       let s =
-        Core.Game_stats.e1_survival ~jobs ~n:5 ~budgets ~runs ~seed:101L ()
+        Core.Game_stats.e1_survival ~jobs ~metrics ~n:5 ~budgets ~runs
+          ~seed:101L ()
       in
       let measured =
         String.concat ", "
@@ -93,10 +89,10 @@ let e2_wsl_termination ?(jobs = 1) ~quick () =
       "Thm 7: with write strongly-linearizable registers the same adversary \
        cannot prevent termination"
     ~expected:"all runs terminate; P(round > j) tracks 2^-j (Lemma 19)"
-    (fun () ->
+    (fun ~metrics ->
       let t =
-        Core.Game_stats.e2_termination ~jobs ~n:5 ~max_rounds:60 ~runs
-          ~seed:211L ()
+        Core.Game_stats.e2_termination ~jobs ~metrics ~n:5 ~max_rounds:60
+          ~runs ~seed:211L ()
       in
       let all_terminated = t.Core.Game_stats.max < 60 in
       (* geometric shape: P(round > j) should track 2^-j; allow slack *)
@@ -135,16 +131,16 @@ let e3_alg2_wsl ?(jobs = 1) ~quick () =
     ~expected:
       "100% of random runs pass (L) + (P); Fig-3 order w3 < w2 committed at \
        w2's completion, w1 appended later"
-    (fun () ->
+    (fun ~metrics ->
       let ok =
-        passes ~jobs runs (fun ~metrics seed ->
+        passes ~jobs ~metrics runs (fun ~metrics seed ->
             Core.Scenario.random_alg2_run ~metrics ~n:(2 + (seed mod 3))
               ~writes_per_proc:2 ~reads_per_proc:2
               ~seed:(Int64.of_int (seed * 31)) ()
             |> Core.Scenario.check_alg2_run ~metrics
             |> Result.is_ok)
       in
-      let f3 = Core.Scenario.fig3 () in
+      let f3 = Core.Scenario.fig3 ~metrics () in
       let fig3_ok =
         f3.Core.Scenario.ws_at_t = [ f3.Core.Scenario.w3; f3.Core.Scenario.w2 ]
         && f3.Core.Scenario.final_ws
@@ -169,8 +165,8 @@ let e4_fig4_counterexample ?jobs:_ ~quick:_ () =
     ~expected:
       "history tree {G -> H1, H2} admits no write strong-linearization; \
        each history alone is linearizable and each single chain admits one"
-    (fun () ->
-      let f4 = Core.Scenario.fig4 () in
+    (fun ~metrics ->
+      let f4 = Core.Scenario.fig4 ~metrics () in
       ( Printf.sprintf "tree impossible: %b; chains ok: %b; all linearizable: %b"
           f4.Core.Treecheck.wsl_impossible f4.Core.Treecheck.chains_ok
           f4.Core.Treecheck.all_linearizable,
@@ -189,9 +185,9 @@ let e5_alg4_linearizable ?(jobs = 1) ~quick () =
   measured_report ~id:"E5"
     ~claim:"Thm 12: Algorithm 4 is a linearizable MWMR register"
     ~expected:"100% of random runs linearizable"
-    (fun () ->
+    (fun ~metrics ->
       let ok =
-        passes ~jobs runs (fun ~metrics seed ->
+        passes ~jobs ~metrics runs (fun ~metrics seed ->
             Core.Scenario.random_alg4_run ~metrics ~n:(2 + (seed mod 3))
               ~writes_per_proc:2 ~reads_per_proc:2
               ~seed:(Int64.of_int (seed * 37)) ()
@@ -219,8 +215,9 @@ let abd_shape =
    every run finished, none stalled), and [stalls] a
    [termination/stalled] one.  [counter name] sums [reg.abd.name] and
    [reg.mwabd.name] over the sweep's runs, read from a registry of its
-   own that is merged into the battery's: exactly as if its runs had been
-   merged there, since every histogram a run records holds integers. *)
+   own that is merged into the experiment's: exactly as if its runs had
+   been merged there, since every histogram a run records holds
+   integers. *)
 type tally = {
   clean : int;
   finished : int;
@@ -229,10 +226,10 @@ type tally = {
   counter : string -> int;
 }
 
-let sweep ~jobs runs config_of =
+let sweep ~jobs ~metrics runs config_of =
   let reg = Obs.Metrics.create () in
   let hits = Core.Monitor.sweep ~jobs ~metrics:reg runs config_of in
-  Obs.Metrics.merge ~into:pool_metrics reg;
+  Obs.Metrics.merge ~into:metrics reg;
   let drew p =
     List.length
       (List.filter
@@ -260,9 +257,9 @@ let e6_abd ?(jobs = 1) ?(faults = Core.Faults.none) ~quick () =
     ~expected:
       "100% of runs (incl. minority crashes) linearizable with monotone f* \
        write orders on every prefix"
-    (fun () ->
+    (fun ~metrics ->
       let t =
-        sweep ~jobs runs (fun i ->
+        sweep ~jobs ~metrics runs (fun i ->
             let seed = i + 1 in
             (* even seeds crash replicas 3 and 4 at E14's steps, unless the
                plan brings its own crash schedule *)
@@ -291,9 +288,9 @@ let e7_cor9 ?(jobs = 1) ~quick () =
     ~expected:
       "linearizable gate: 0 processes ever start consensus; WSL gate: all \
        decide with agreement+validity"
-    (fun () ->
+    (fun ~metrics ->
       let blocked =
-        Core.Cor9.run_blocked
+        Core.Cor9.run_blocked ~metrics
           {
             n = 5;
             gate_rounds = (if quick then 10 else 30);
@@ -302,7 +299,7 @@ let e7_cor9 ?(jobs = 1) ~quick () =
           }
       in
       let live_ok, gate_rounds_sum =
-        Core.Pool.fold_runs ~jobs ~metrics:pool_metrics live_runs
+        Core.Pool.fold_runs ~jobs ~metrics live_runs
           ~init:(0, 0)
           ~fold:(fun (oks, rounds) (ok, r) ->
             ((if ok then oks + 1 else oks), rounds + r))
@@ -349,8 +346,8 @@ let e7_cor9 ?(jobs = 1) ~quick () =
    reads plus bookkeeping per write (vector timestamp), Algorithm 4 the
    same asymptotically but with cheaper timestamps; the atomic baseline
    pays O(1).  We measure simulated steps, which are deterministic. *)
-let steps_per_op ~make ~write ~read ~n ~ops =
-  let sched = Core.Sched.create ~seed:77L () in
+let steps_per_op ~metrics ~make ~write ~read ~n ~ops =
+  let sched = Core.Sched.create ~seed:77L ~metrics () in
   Fun.protect ~finally:(fun () -> Core.Sched.dispose sched) @@ fun () ->
   let r = make sched in
   let done_ = ref false in
@@ -376,18 +373,18 @@ let e8_cost ?jobs:_ ~quick () =
       "§5: achieving write strong-linearizability costs more than plain \
        linearizability (vector vs Lamport timestamps)"
     ~expected:"steps/op: Alg2 >= Alg4, both growing linearly with n"
-    (fun () ->
+    (fun ~metrics ->
       let rows =
         List.map
           (fun n ->
             let alg2 =
-              steps_per_op ~n ~ops
+              steps_per_op ~metrics ~n ~ops
                 ~make:(fun sched -> Core.wsl_mwmr sched ~name:"R" ~n ~init:0)
                 ~write:(fun r p v -> Core.Wsl_register.write r ~proc:p v)
                 ~read:(fun r p -> ignore (Core.Wsl_register.read r ~proc:p))
             in
             let alg4 =
-              steps_per_op ~n ~ops
+              steps_per_op ~metrics ~n ~ops
                 ~make:(fun sched -> Core.lamport_mwmr sched ~name:"R" ~n ~init:0)
                 ~write:(fun r p v -> Core.Lamport_register.write r ~proc:p v)
                 ~read:(fun r p -> ignore (Core.Lamport_register.read r ~proc:p))
@@ -431,13 +428,14 @@ let e9_ablation ?(jobs = 1) ~quick () =
     ~expected:
       "R1 linearizable + R2/C WSL: adversary still prevents termination; \
        R1 WSL + R2/C linearizable: every run terminates"
-    (fun () ->
+    (fun ~metrics ->
       let a =
-        Core.Adversary.run_linearizable_r1_only ~n:5 ~rounds:budget ~seed:61L ()
+        Core.Adversary.run_linearizable_r1_only ~metrics ~n:5 ~rounds:budget
+          ~seed:61L ()
       in
       let adversary_still_wins = not a.Core.Game_alg1.terminated in
       let terminated =
-        passes ~jobs runs (fun ~metrics r ->
+        passes ~jobs ~metrics runs (fun ~metrics r ->
             (Core.Adversary.run_write_strong
                ~aux_mode:(Some Core.Adv_register.Linearizable) ~metrics ~n:5
                ~max_rounds:60
@@ -477,9 +475,9 @@ let e10_mwabd ?(jobs = 1) ?(faults = Core.Faults.none) ~quick () =
     ~expected:
       "random runs 100% linearizable; the two-delivery-order history tree \
        admits no write strong-linearization"
-    (fun () ->
+    (fun ~metrics ->
       let lin_ok =
-        (sweep ~jobs runs (fun i ->
+        (sweep ~jobs ~metrics runs (fun i ->
              {
                Core.Run_config.default with
                proto = Mw;
@@ -493,7 +491,7 @@ let e10_mwabd ?(jobs = 1) ?(faults = Core.Faults.none) ~quick () =
              }))
           .lin
       in
-      let sc = Core.Mwabd_scenario.run () in
+      let sc = Core.Mwabd_scenario.run ~metrics () in
       ( Printf.sprintf
           "%d/%d runs linearizable; tree impossible: %b (chains ok: %b, all \
            linearizable: %b)"
@@ -539,7 +537,7 @@ let e11_faults ?(jobs = 1) ~quick () =
       "at drop <= 0.2 with <= 2/5 replicas crashed: 100% of runs terminate \
        before the watchdog budget and 100% of completed histories are \
        linearizable; retransmission cost grows with the drop rate"
-    (fun () ->
+    (fun ~metrics ->
       let total = 2 * runs in
       let per_config =
         List.map
@@ -557,7 +555,7 @@ let e11_faults ?(jobs = 1) ~quick () =
             in
             (* first [runs] ABD runs, then [runs] MW-ABD runs *)
             let t =
-              sweep ~jobs total (fun i ->
+              sweep ~jobs ~metrics total (fun i ->
                   if i < runs then
                     {
                       abd_shape with
@@ -622,11 +620,11 @@ let e11_faults ?(jobs = 1) ~quick () =
 (* The seeded-bug half of E12 and E14: a chaos search for [inject], the
    number of its findings' corpus entries that replay verbatim, and
    whether the report is the same at the other [-j]. *)
-let seeded_bug ~jobs ~inject ~seed ~budget =
+let seeded_bug ~jobs ~metrics ~inject ~seed ~budget =
   let search ?telemetry jobs =
     Core.Chaos.search ~jobs ~inject ?telemetry ~seed ~budget ()
   in
-  let buggy = search ~telemetry:pool_metrics jobs in
+  let buggy = search ~telemetry:metrics jobs in
   let entries = Core.Chaos.to_entries buggy in
   let replayed =
     List.length
@@ -661,13 +659,13 @@ let e12_chaos ?(jobs = 1) ~quick () =
        quorum-sanity monitor, shrunk to <= 1 crash and zero link faults, \
        reproduced verbatim from its corpus entry; reports identical at -j \
        1 and -j 2"
-    (fun () ->
+    (fun ~metrics ->
       let clean =
-        Core.Chaos.search ~jobs ~telemetry:pool_metrics ~seed
-          ~budget:clean_budget ()
+        Core.Chaos.search ~jobs ~telemetry:metrics ~seed ~budget:clean_budget
+          ()
       in
       let findings, replayed, entries, deterministic =
-        seeded_bug ~jobs ~inject:Core.Chaos.Quorum_too_small ~seed
+        seeded_bug ~jobs ~metrics ~inject:Core.Chaos.Quorum_too_small ~seed
           ~budget:bug_budget
       in
       let found = List.length findings in
@@ -725,11 +723,11 @@ let e13_serve ?(jobs = 1) ~quick () =
        to Lincheck.check; corrupted streams quarantined with exact counts \
        and unchanged verdicts; tiny budgets degrade to explicit unknown \
        verdicts on every segment"
-    (fun () ->
+    (fun ~metrics ->
       let serve ?config lines =
         let verdicts = ref [] in
         let engine =
-          Core.Serve.Engine.create ?config
+          Core.Serve.Engine.create ~metrics ?config
             ~emit:(fun v -> verdicts := v :: !verdicts)
             ()
         in
@@ -743,7 +741,7 @@ let e13_serve ?(jobs = 1) ~quick () =
           (* faulty: lossy duplicating links plus a crashed replica; the
              clients still finish, so every operation responds *)
           let r =
-            Core.Abd_runs.execute_config
+            Core.Abd_runs.execute_config ~metrics
               {
                 abd_shape with
                 seed;
@@ -759,13 +757,13 @@ let e13_serve ?(jobs = 1) ~quick () =
           (r.Core.Abd_runs.trace, r.Core.Abd_runs.history))
         else if i mod 3 = 1 then (
           let r =
-            Core.Scenario.random_alg2_run ~n:3 ~writes_per_proc:2
+            Core.Scenario.random_alg2_run ~metrics ~n:3 ~writes_per_proc:2
               ~reads_per_proc:2 ~seed ()
           in
           (r.Core.Scenario.trace, r.Core.Scenario.history))
         else (
           let r =
-            Core.Scenario.random_alg4_run ~n:3 ~writes_per_proc:2
+            Core.Scenario.random_alg4_run ~metrics ~n:3 ~writes_per_proc:2
               ~reads_per_proc:2 ~seed ()
           in
           (r.Core.Scenario.trace, r.Core.Scenario.history))
@@ -794,7 +792,7 @@ let e13_serve ?(jobs = 1) ~quick () =
         let engine, verdicts = serve lines in
         total_verdicts := !total_verdicts + List.length verdicts;
         let offline =
-          try Core.Lincheck.check ~init:(Core.Value.Int 0) hist
+          try Core.Lincheck.check ~metrics ~init:(Core.Value.Int 0) hist
           with Core.Lincheck.Too_large _ -> true
         in
         if
@@ -852,7 +850,7 @@ let e13_serve ?(jobs = 1) ~quick () =
         let engine, verdicts = serve lines in
         let combined = Core.Hist.of_events_exn events in
         let offline =
-          Core.Lincheck.check_multi
+          Core.Lincheck.check_multi ~metrics
             ~init_of:(fun _ -> Core.Value.Int 0)
             combined
         in
@@ -980,7 +978,7 @@ let e14_recovery ?(jobs = 1) ~quick () =
        shrinks to a single crash+recover pair with zero link-fault \
        probabilities, corpus entries replay verbatim; reports identical \
        across -j"
-    (fun () ->
+    (fun ~metrics ->
       (* -- part 1: the safe-recovery lattice -- *)
       let points =
         List.concat_map
@@ -1013,7 +1011,7 @@ let e14_recovery ?(jobs = 1) ~quick () =
             in
             (* first [runs] ABD runs, then [runs] MW-ABD runs *)
             let t =
-              sweep ~jobs total (fun i ->
+              sweep ~jobs ~metrics total (fun i ->
                   let seed =
                     Int64.of_int (((pi + 1) * 1009) + ((i mod runs) * 71) + 14)
                   in
@@ -1045,7 +1043,7 @@ let e14_recovery ?(jobs = 1) ~quick () =
       let seed = 14L in
       let bug_budget = if quick then 6 else 12 in
       let findings, replayed, entries, deterministic =
-        seeded_bug ~jobs ~inject:Core.Chaos.Unsafe_recovery ~seed
+        seeded_bug ~jobs ~metrics ~inject:Core.Chaos.Unsafe_recovery ~seed
           ~budget:bug_budget
       in
       let found = List.length findings in
@@ -1122,7 +1120,7 @@ let e15_fleet ?(jobs = 1) ~quick () =
        own client), slot recycling covers all but the first occupants, 0 \
        streaming-checker failures, batched delivery attempts per op \
        strictly below unbatched, reports byte-identical across -j"
-    (fun () ->
+    (fun ~metrics ->
       let faults =
         {
           Core.Faults.none with
@@ -1149,10 +1147,12 @@ let e15_fleet ?(jobs = 1) ~quick () =
           sample = 2;
         }
       in
-      let unbatched = Core.Fleet.run ~jobs base in
+      let unbatched = Core.Fleet.run ~jobs ~metrics base in
       let bcfg = { base with Core.Fleet.batch_window = 8; batch_max = 8 } in
-      let batched = Core.Fleet.run ~jobs bcfg in
-      let again = Core.Fleet.run ~jobs:(if jobs = 1 then 2 else 1) bcfg in
+      let batched = Core.Fleet.run ~jobs ~metrics bcfg in
+      let again =
+        Core.Fleet.run ~jobs:(if jobs = 1 then 2 else 1) ~metrics bcfg
+      in
       let deterministic =
         Core.Json.to_string (Core.Fleet.report_json batched)
         = Core.Json.to_string (Core.Fleet.report_json again)
@@ -1237,13 +1237,8 @@ let select ?faults only =
               (Printf.sprintf "Experiments: unknown id %S (know %s)" id
                  (String.concat ", " ids)))
         wanted;
-      (* battery order, not request order: the reports read E1..E11 *)
+      (* battery order, not request order: the reports read E1..E15 *)
       List.filter (fun (id, _) -> List.mem id wanted) catalogue
 
-(* the whole battery under one root span, so each experiment's span
-   metrics read [span.battery/<id>.*] (the battery is sequential — only
-   the Monte-Carlo loops inside an experiment fan out — so the root
-   closes after every report) *)
 let all ?jobs ?only ?faults ~quick () =
-  Obs.Span.with_root "battery" (fun () ->
-      List.map (fun (_, f) -> f ?jobs ~quick ()) (select ?faults only))
+  List.map (fun (_, f) -> f ?jobs ~quick ()) (select ?faults only)

@@ -6,12 +6,13 @@
     [quick] variants use smaller run counts (used by `dune runtest`);
     the full battery is what `rlin experiments` prints.
 
-    [jobs] (default 1) runs each experiment's independent Monte-Carlo
-    runs on up to that many domains ({!Core.Pool}).  Every run records
-    into a private metric registry folded back into the global one in run
-    order, and per-run seeds depend only on the run index, so reports are
-    identical — pass/measured text and metrics alike (modulo [wall_ms])
-    — whatever [jobs] is. *)
+    Each experiment records into a metric registry of its own, so its
+    report is the same whatever ran before it.  [jobs] (default 1) runs
+    each experiment's independent Monte-Carlo runs on up to that many
+    domains ({!Core.Pool}).  Every run records into a private registry
+    folded into the experiment's in run order, and per-run seeds depend
+    only on the run index, so reports are identical — pass/measured text
+    and metrics alike (modulo [wall_ms]) — whatever [jobs] is. *)
 
 type report = {
   id : string;  (** e.g. "E1" *)
@@ -20,10 +21,11 @@ type report = {
   measured : string;  (** what this run measured *)
   pass : bool;
   metrics : (string * float) list;
-      (** structured numbers behind [measured]: the experiment's headline
-          figures (runs, means, steps/op) plus the instrumented stack's
-          delta while it ran — scheduler steps and coins, checker states
-          explored, simulated-time op latencies, wall-clock.  This is what
+      (** structured numbers behind [measured]: [wall_ms], the
+          experiment's headline figures (runs, means, steps/op), then
+          {!Obs.Metrics.flat} of the registry the experiment recorded
+          into — scheduler steps and coins, checker states explored,
+          simulated-time op latencies.  This is what
           [rlin experiments --json] exports, one JSONL record per report. *)
 }
 

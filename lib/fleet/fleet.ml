@@ -331,7 +331,7 @@ let run_shard ~metrics (c : config) ~index ~ops =
 
 (* ----- the fleet -------------------------------------------------------------- *)
 
-let run ?(jobs = 1) ?(metrics = Obs.Metrics.global) c =
+let run ?(jobs = 1) ?(metrics = Obs.Metrics.create ()) c =
   validate c;
   let per = ops_per_shard c in
   let shards_r =

@@ -97,8 +97,8 @@ type report = {
 
 val run : ?jobs:int -> ?metrics:Obs.Metrics.t -> config -> report
 (** Execute the fleet: one {!Simkit.Pool.fold_runs} task per shard, each
-    with a private metric registry merged into [metrics] (default
-    {!Obs.Metrics.global}), and its shard report folded into the list, in
+    with a private metric registry merged into [metrics] (default a fresh
+    registry), and its shard report folded into the list, in
     shard order.  Deterministic in the config
     alone; carries no wall clock (throughput is the caller's
     measurement).

@@ -68,7 +68,7 @@ val setup :
     with a policy.  [after] runs in the process's fiber when (and only
     when) it exits the game by returning — the composition hook used by
     the Corollary 9 construction 𝒜′ = Algorithm 1 ; 𝒜.  [metrics]
-    (default {!Obs.Metrics.global}) is handed to the run's scheduler and
+    (default a fresh registry) is handed to the run's scheduler and
     trace; parallel harnesses pass a per-run registry so concurrent games
     never share a sink. *)
 

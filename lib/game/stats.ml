@@ -4,8 +4,8 @@ type survival = {
   runs : int;
 }
 
-let e1_survival ?(jobs = 1) ?(metrics = Obs.Metrics.global) ~n ~budgets ~runs
-    ~seed () =
+let e1_survival ?(jobs = 1) ?(metrics = Obs.Metrics.create ()) ~n ~budgets
+    ~runs ~seed () =
   (* flattened over budgets x runs so a single pool call load-balances the
      whole grid; the per-run seed depends only on r, as it always did *)
   let budgets_a = Array.of_list budgets in
@@ -61,7 +61,7 @@ let summarize ~jobs ~metrics ~runs f : termination =
   { runs; mean = frac sum; max = max_r; tail }
 
 let e2_termination ?(variant = Alg1.Unbounded) ?(jobs = 1)
-    ?(metrics = Obs.Metrics.global) ~n ~max_rounds ~runs ~seed () =
+    ?(metrics = Obs.Metrics.create ()) ~n ~max_rounds ~runs ~seed () =
   summarize ~jobs ~metrics ~runs (fun ~metrics r ->
       let seed_r = Int64.add seed (Int64.of_int ((r * 6151) + 13)) in
       let res =
@@ -69,7 +69,7 @@ let e2_termination ?(variant = Alg1.Unbounded) ?(jobs = 1)
       in
       res.Alg1.max_round)
 
-let atomic_termination ?(jobs = 1) ?(metrics = Obs.Metrics.global) ~n
+let atomic_termination ?(jobs = 1) ?(metrics = Obs.Metrics.create ()) ~n
     ~max_rounds ~runs ~seed () =
   summarize ~jobs ~metrics ~runs (fun ~metrics r ->
       let seed_r = Int64.add seed (Int64.of_int ((r * 4241) + 7)) in

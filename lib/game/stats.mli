@@ -23,7 +23,7 @@ val e1_survival :
     fraction of seeds for which the game is still alive after that many
     rounds (expected: 1.0 everywhere).  Runs execute on up to [jobs]
     domains (default 1); each run records into a private registry, folded
-    into [metrics] (default the global one) in run order, and per-run
+    into [metrics] (default a fresh registry) in run order, and per-run
     seeds depend only on the run index — so the result and the folded
     metrics are identical for every [jobs]. *)
 

@@ -94,7 +94,7 @@ let final_ts info ~n =
   | None -> None
   | Some t -> Some (ts_at info ~t ~n)
 
-let linearize_upto ?(metrics = Obs.Metrics.global) tr ~obj ~time =
+let linearize_upto ?(metrics = Obs.Metrics.create ()) tr ~obj ~time =
   let linearizations = Obs.Metrics.counter_h metrics "alg3.linearizations" in
   let ops_placed = Obs.Metrics.counter_h metrics "alg3.ops_placed" in
   Obs.Metrics.incr_h linearizations;

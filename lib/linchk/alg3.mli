@@ -28,7 +28,7 @@
 
 val linearize :
   ?metrics:Obs.Metrics.t -> Simkit.Trace.t -> obj:string -> History.Op.t list
-(** [f(H)] for the full trace.  [metrics] (default {!Obs.Metrics.global})
+(** [f(H)] for the full trace.  [metrics] (default a fresh registry)
     receives [alg3.linearizations] / [alg3.ops_placed]; parallel drivers
     pass the run's private registry. *)
 

@@ -22,7 +22,7 @@ let candidate_write writes (r : Op.t) v =
   let rec scan i = if i < 0 then None else if ok i then Some i else scan (i - 1) in
   scan (n - 1)
 
-let linearize ?(metrics = Obs.Metrics.global) ~init h =
+let linearize ?(metrics = Obs.Metrics.create ()) ~init h =
   Obs.Metrics.incr_h (Obs.Metrics.counter_h metrics "fstar.linearizations");
   match Hist.objects h with
   | [] -> Some []
@@ -100,7 +100,7 @@ let rec is_int_prefix p q =
   | _, [] -> false
   | x :: p', y :: q' -> x = y && is_int_prefix p' q'
 
-let wsl_function ?(metrics = Obs.Metrics.global) ~init h =
+let wsl_function ?(metrics = Obs.Metrics.create ()) ~init h =
   let prefs = Hist.prefixes h in
   Obs.Metrics.incr_h ~by:(List.length prefs)
     (Obs.Metrics.counter_h metrics "fstar.prefixes");

@@ -39,5 +39,5 @@ val wsl_function :
 (** Apply [f*] to every event-prefix; on success return the write order of
     each prefix (each a prefix of the next — property (P)).  [Error]
     explains which prefix failed to linearize or broke monotonicity.
-    [metrics] (default {!Obs.Metrics.global}) receives
+    [metrics] (default a fresh registry) receives
     [fstar.linearizations] / [fstar.prefixes]. *)

@@ -216,7 +216,7 @@ let keep_slots = 512
 
 let seed t ~entry = List.iter (fun v -> add_state t 0 (intern t v)) entry
 
-let create ?(metrics = Obs.Metrics.global)
+let create ?(metrics = Obs.Metrics.create ())
     ?(state_budget = default_state_budget) ~entry () =
   if entry = [] then invalid_arg "Increment.create: empty entry set";
   let t =

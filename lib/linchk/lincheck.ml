@@ -3,10 +3,10 @@ module Op = History.Op
 module Hist = History.Hist
 
 (* Checker observability: counters accumulate in the caller's registry
-   (default: the global one); drivers measure a run by snapshot/delta,
-   and a pool task passes its run's private registry (see Obs.Metrics
-   and Simkit.Pool).  Counter handles are resolved once per search entry
-   (never per DFS state) — see DESIGN.md "hot-path discipline". *)
+   (default: a fresh one), and a pool task passes its run's private
+   registry (see Obs.Metrics and Simkit.Pool).  Counter handles are
+   resolved once per search entry (never per DFS state) — see DESIGN.md
+   "hot-path discipline". *)
 
 (* Histories are encoded into 62-bit done-masks, so one object carries at
    most [max_ops] operations. *)
@@ -265,7 +265,7 @@ let decide ?(trc = Obs.Tracer.null) ~m p =
   in
   go 0 p.init_vid []
 
-let decide_prepped ?(metrics = Obs.Metrics.global) ?tracer ?jobs:_ p =
+let decide_prepped ?(metrics = Obs.Metrics.create ()) ?tracer ?jobs:_ p =
   decide ?trc:tracer ~m:metrics p
 
 let witness ?metrics ?tracer ~init h =
@@ -278,7 +278,7 @@ let check ?metrics ?tracer ~init h =
    every reachable (done-mask, value) state once and keeps the value of
    each terminal one (every completed op done); pending writes may still
    follow a terminal state, so the search goes on past it. *)
-let finals ?(metrics = Obs.Metrics.global) ~init h =
+let finals ?(metrics = Obs.Metrics.create ()) ~init h =
   let p = prep ~init h in
   let n = Array.length p.ops in
   let states = Obs.Metrics.counter_h metrics "linchk.states" in
@@ -373,7 +373,7 @@ let enum ~m p ~forced ~scope ~limit ~collect =
 
 let ids ops = List.map (fun (o : Op.t) -> o.id) ops
 
-let enumerate_prepped ?(metrics = Obs.Metrics.global) p ~limit =
+let enumerate_prepped ?(metrics = Obs.Metrics.create ()) p ~limit =
   enum ~m:metrics p ~forced:[] ~scope:all_ops ~limit ~collect:ids
 
 let enumerate ?metrics ~init h ~limit =
@@ -387,7 +387,7 @@ let sel_ids sel ops = ids (List.filter sel ops)
    plain sort (kept — candidate order feeds the Treecheck search, which
    relies on it being deterministic and sorted). *)
 
-let orders_extending_prepped ?(metrics = Obs.Metrics.global) p ~sel ~prefix
+let orders_extending_prepped ?(metrics = Obs.Metrics.create ()) p ~sel ~prefix
     ~limit =
   enum ~m:metrics p ~forced:prefix ~scope:sel ~limit ~collect:(sel_ids sel)
   |> List.map (sel_ids sel)

@@ -43,8 +43,8 @@ val check :
   History.Hist.t ->
   bool
 (** [check ~init h]: is the single-object history [h] linearizable with
-    initial register value [init]?  [metrics] (default
-    {!Obs.Metrics.global}) receives the checker's counters
+    initial register value [init]?  [metrics] (default a fresh
+    registry) receives the checker's counters
     ([linchk.states], [linchk.memo_prunes], [linchk.backtracks]) — every
     entry point below takes the same optional registry, so a pool task
     can isolate its run's numbers (see [Simkit.Pool]).

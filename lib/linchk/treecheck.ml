@@ -100,7 +100,7 @@ let record_failure memo t prefix =
 (* tree-search progress probe cadence (node visits between events) *)
 let probe_interval = 64
 
-let subset_strong_witness ?(metrics = Obs.Metrics.global)
+let subset_strong_witness ?(metrics = Obs.Metrics.create ())
     ?(tracer = Obs.Tracer.null) ?jobs:_ ~init ~sel t =
   let pt = prep_tree ~init t in
   let nodes = Obs.Metrics.counter_h metrics "treecheck.nodes" in
@@ -172,7 +172,7 @@ let read_strong ?metrics ?tracer ?jobs ~init t =
 
 (* Full strong linearizability: same search over full op sequences, with
    its own failure memo. *)
-let strong ?(metrics = Obs.Metrics.global) ~init t =
+let strong ?(metrics = Obs.Metrics.create ()) ~init t =
   let memo = fresh_memo metrics in
   let rec solve t ~prefix =
     if known_failure memo t prefix then false
@@ -211,7 +211,7 @@ type fork = {
   all_linearizable : bool;
 }
 
-let fork ~init (h1, g) (h2, g2) =
+let fork ?metrics ~init (h1, g) (h2, g2) =
   if not (List.equal History.Event.equal_timed (Hist.events g) (Hist.events g2))
   then invalid_arg "Treecheck.fork: the two branches diverged inside G";
   let tree = node g [ node h1 []; node h2 [] ] in
@@ -219,9 +219,10 @@ let fork ~init (h1, g) (h2, g2) =
     g;
     h1;
     h2;
-    wsl_impossible = not (write_strong ~init tree);
+    wsl_impossible = not (write_strong ?metrics ~init tree);
     chains_ok =
-      write_strong ~init (chain [ g; h1 ])
-      && write_strong ~init (chain [ g2; h2 ]);
-    all_linearizable = List.for_all (Lincheck.check ~init) [ g; h1; h2 ];
+      write_strong ?metrics ~init (chain [ g; h1 ])
+      && write_strong ?metrics ~init (chain [ g2; h2 ]);
+    all_linearizable =
+      List.for_all (Lincheck.check ?metrics ~init) [ g; h1; h2 ];
   }

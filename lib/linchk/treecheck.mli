@@ -59,12 +59,14 @@ type fork = {
 }
 
 val fork :
+  ?metrics:Obs.Metrics.t ->
   init:History.Value.t ->
   History.Hist.t * History.Hist.t ->
   History.Hist.t * History.Hist.t ->
   fork
 (** [fork ~init (h1, g1) (h2, g2)] judges two runs from one start: [hi]
-    is run [i]'s history and [gi] its prefix [G].
+    is run [i]'s history and [gi] its prefix [G].  [metrics] (default a
+    fresh registry) receives the counters of every search it runs.
     @raise Invalid_argument if [g1] and [g2] differ in some event or
     time, or if some [hi] does not extend [gi] ({!node}). *)
 
@@ -77,7 +79,7 @@ val write_strong :
   bool
 (** Does a write strong-linearization function exist on this tree
     (Definition 4 restricted to the tree's histories)?  [metrics]
-    (default {!Obs.Metrics.global}) receives [treecheck.nodes] (node
+    (default a fresh registry) receives [treecheck.nodes] (node
     visits), [treecheck.candidates], [treecheck.memo_prunes] (probes
     answered by the failure memo, which are not visits) and the
     underlying {!Lincheck} counters — pass a private registry to isolate

@@ -19,8 +19,8 @@ let pump sched net ~src ~node =
 
 (* Build the common prefix G, let [extend] drive one branch past it, and
    return the branch's whole history and its prefix G. *)
-let branch ~extend =
-  let sched = Sched.create ~seed:23L () in
+let branch ?metrics ~extend () =
+  let sched = Sched.create ~seed:23L ?metrics () in
   Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   (* retransmission off: the scenario scripts exact message counts *)
   let reg = Mwabd.create ~retry_after:0 ~sched ~name:"MW" ~n:3 ~init:0 () in
@@ -84,17 +84,20 @@ let run_reader sched net ~nodes =
   deliver net ~src:(Mwabd.server_pid ~node:b) ~dst:2;
   step sched 2
 
-let run () =
+let run ?metrics () =
   (* --- branch H1: the stale sq-0 reply arrives; w1 gets ⟨1,0⟩ < ⟨1,1⟩ -- *)
   let ((h1, _) as branch1) =
-    branch ~extend:(fun sched net ->
+    branch ?metrics
+      ~extend:(fun sched net ->
         deliver net ~src:(Mwabd.server_pid ~node:1) ~dst:0;
         finish_w1 sched net;
         run_reader sched net ~nodes:(1, 2))
+      ()
   in
   (* --- branch H2: server 2 (which stores sq 1) answers; w1 gets ⟨2,0⟩ -- *)
   let ((h2, _) as branch2) =
-    branch ~extend:(fun sched net ->
+    branch ?metrics
+      ~extend:(fun sched net ->
         pump sched net ~src:0 ~node:2;
         deliver net ~src:(Mwabd.server_pid ~node:2) ~dst:0;
         (* also flush the stale sq-0 reply into the mailbox AFTER the sq-1
@@ -104,6 +107,7 @@ let run () =
         deliver net ~src:(Mwabd.server_pid ~node:1) ~dst:0;
         finish_w1 sched net;
         run_reader sched net ~nodes:(0, 1))
+      ()
   in
   (* sanity: the reads observed opposite writers *)
   let read_result h =
@@ -114,4 +118,4 @@ let run () =
     invalid_arg "Mwabd_scenario: H1's read did not observe w2";
   if read_result h2 <> Some (V.Int 301) then
     invalid_arg "Mwabd_scenario: H2's read did not observe w1";
-  Linchk.Treecheck.fork ~init:(V.Int 0) branch1 branch2
+  Linchk.Treecheck.fork ?metrics ~init:(V.Int 0) branch1 branch2

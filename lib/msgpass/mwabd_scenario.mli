@@ -21,4 +21,6 @@
     {G → H1, H2} admits no write strong-linearization function — verified
     by the exact tree checker. *)
 
-val run : unit -> Linchk.Treecheck.fork
+val run : ?metrics:Obs.Metrics.t -> unit -> Linchk.Treecheck.fork
+(** [metrics] (default a fresh registry) receives both branches' run
+    counters and the tree checker's. *)

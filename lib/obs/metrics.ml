@@ -50,23 +50,14 @@ let create () =
     hists = Hashtbl.create 16;
   }
 
-let global = create ()
-
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.hists
-
 (* ----- handles: the allocation-free recording path ------------------------
 
    A handle is the interior mutable cell of a metric, resolved from the
    name table once (at registry/component construction or checker entry)
    so the per-event cost is a bare [ref] bump instead of a string hash +
    Hashtbl probe.  Handles alias the same cells the string API updates,
-   so [merge], [snapshot]/[delta] and the per-run-registry isolation of
-   Simkit.Pool.fold_runs see recordings from either path identically.
-   [reset] detaches live handles (it empties the name tables); re-resolve
-   after a reset. *)
+   so [merge], [snapshot]/[flat] and the per-run-registry isolation of
+   Simkit.Pool.fold_runs see recordings from either path identically. *)
 
 module Counter = struct
   type t = int ref
@@ -75,7 +66,7 @@ end
 module Gauge = struct
   (* Resolving a gauge handle must NOT create the gauge: a gauge exists
      in snapshots only once set (unlike counters, gauges have no neutral
-     value — reporting an unset gauge as 0 would change deltas).  The
+     value — reporting an unset gauge as 0 would invent a reading).  The
      cell is therefore bound lazily on the first [set]. *)
   type t = {
     tbl : (string, cell) Hashtbl.t;
@@ -252,21 +243,21 @@ type summary = {
 
 (* The sample of 0-based rank round(q * (count - 1)), the rank an exact
    sort would read, reported as its bucket's lower edge clamped into
-   [lo, hi].  Every sample lies in [lo, hi], so the clamp never lifts
+   [min, max].  Every sample lies in [min, max], so the clamp never lifts
    the report above the exact value, and it makes the report exact when
    that sample is the minimum (so one repeated value reads exactly). *)
-let quantile (h : hist) ~lo ~hi q =
+let quantile (h : hist) q =
   let r = int_of_float (Float.round (q *. float_of_int (h.count - 1))) in
   let rec walk r i =
     if r < h.buckets.(i) then lower_edge (h.base + i)
     else walk (r - h.buckets.(i)) (i + 1)
   in
   let v = if r < h.zeros then 0. else walk (r - h.zeros) 0 in
-  Float.min hi (Float.max lo v)
+  Float.min h.stats.max_v (Float.max h.stats.min_v v)
 
 let summarize (h : hist) =
   let s = h.stats in
-  let q = quantile h ~lo:s.min_v ~hi:s.max_v in
+  let q = quantile h in
   {
     count = h.count;
     sum = s.sum;
@@ -284,102 +275,63 @@ let summary t name =
   | Some h when h.count > 0 -> Some (summarize h)
   | _ -> None
 
-type counts = hist
-
 type snapshot = {
   counters : (string * int) list;
   gauges : (string * float) list;
   histograms : (string * summary) list;
-  counts : (string * counts) list;
 }
 
 let by_name (a, _) (b, _) = String.compare a b
 
 let snapshot (t : t) =
-  let counts =
-    Hashtbl.fold
-      (fun k (h : hist) acc ->
-        if h.count = 0 then acc
-        else
-          ( k,
-            {
-              h with
-              buckets = Array.copy h.buckets;
-              stats = { h.stats with sum = h.stats.sum };
-            } )
-          :: acc)
-      t.hists []
-    |> List.sort by_name
-  in
+  let sorted f tbl = List.sort by_name (Hashtbl.fold f tbl []) in
   {
-    counters =
-      Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
-      |> List.sort by_name;
-    gauges =
-      Hashtbl.fold (fun k c acc -> (k, c.v) :: acc) t.gauges []
-      |> List.sort by_name;
-    histograms = List.map (fun (k, h) -> (k, summarize h)) counts;
-    counts;
+    counters = sorted (fun k r acc -> (k, !r) :: acc) t.counters;
+    gauges = sorted (fun k c acc -> (k, c.v) :: acc) t.gauges;
+    histograms =
+      sorted
+        (fun k (h : hist) acc ->
+          if h.count = 0 then acc else (k, summarize h) :: acc)
+        t.hists;
   }
 
-(* The samples [a] holds beyond [b], an earlier copy of the same
-   histogram, sharing [a]'s extrema (which bracket every one of them).
-   If [b] is not a prefix of [a] (a [reset] came between), the window
-   is all of [a]. *)
-let window (a : hist) (b : hist) =
-  let off = b.base - a.base and n = Array.length b.buckets in
-  if n > 0 && (off < 0 || off + n > Array.length a.buckets) then a
-  else begin
-    let buckets = Array.copy a.buckets in
-    for i = 0 to n - 1 do
-      buckets.(off + i) <- buckets.(off + i) - b.buckets.(i)
-    done;
-    if b.zeros > a.zeros || Array.exists (fun c -> c < 0) buckets then a
-    else
-      { a with count = a.count - b.count; zeros = a.zeros - b.zeros; buckets }
-  end
+(* Every histogram with samples as its zero count and its occupied
+   buckets by key: what a merge must reproduce exactly, whatever extent
+   the two bucket arrays happen to cover. *)
+let buckets (t : t) =
+  Hashtbl.fold
+    (fun k (h : hist) acc ->
+      if h.count = 0 then acc
+      else
+        let occupied = ref [] in
+        for i = Array.length h.buckets - 1 downto 0 do
+          if h.buckets.(i) > 0 then
+            occupied := (h.base + i, h.buckets.(i)) :: !occupied
+        done;
+        (k, (h.zeros, !occupied)) :: acc)
+    t.hists []
+  |> List.sort by_name
 
-let delta ~before ~after =
-  let counter_before n =
-    Option.value ~default:0 (List.assoc_opt n before.counters)
-  in
-  let counters =
-    List.filter_map
-      (fun (n, v) ->
-        let d = v - counter_before n in
-        if d > 0 then Some (n, float_of_int d) else None)
-      after.counters
-  in
-  let gauges =
-    List.filter_map
-      (fun (n, v) ->
-        match List.assoc_opt n before.gauges with
-        | Some v' when Float.equal v v' -> None
-        | _ -> Some (n, v))
-      after.gauges
-  in
-  let hists =
-    List.concat_map
-      (fun (n, (a : hist)) ->
-        let w, dc, dsum =
-          match List.assoc_opt n before.counts with
-          | Some b ->
-              (window a b, a.count - b.count, a.stats.sum -. b.stats.sum)
-          | None -> (a, a.count, a.stats.sum)
-        in
-        if dc <= 0 then []
-        else
-          let q = quantile w ~lo:a.stats.min_v ~hi:a.stats.max_v in
+(* [compare], not [(=)]: a NaN sum or gauge equals itself *)
+let equal a b = compare (snapshot a, buckets a) (snapshot b, buckets b) = 0
+
+let flat t =
+  let s = snapshot t in
+  List.sort by_name
+    (List.filter_map
+       (fun (n, v) -> if v > 0 then Some (n, float_of_int v) else None)
+       s.counters
+    @ s.gauges
+    @ List.concat_map
+        (fun (n, (h : summary)) ->
           [
-            (n ^ ".n", float_of_int dc);
-            (n ^ ".mean", dsum /. float_of_int dc);
-            (n ^ ".p50", q 0.5);
-            (n ^ ".p95", q 0.95);
-            (n ^ ".p99", q 0.99);
+            (n ^ ".n", float_of_int h.count);
+            (n ^ ".mean", h.mean);
+            (n ^ ".p50", h.p50);
+            (n ^ ".p95", h.p95);
+            (n ^ ".p99", h.p99);
           ])
-      after.counts
-  in
-  List.sort by_name (counters @ gauges @ hists)
+        s.histograms)
 
 let pp fmt t =
   let s = snapshot t in

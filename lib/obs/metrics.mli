@@ -2,14 +2,14 @@
 
     Instrumented code (the scheduler, the network, the checkers, the
     registers) records into a registry by metric name; analysis code reads
-    it back as a {!snapshot}.  A process-wide {!global} registry is the
-    default sink — experiment drivers measure a workload by taking a
-    snapshot before and after and computing the {!delta}, so concurrent
-    accumulation from unrelated code is harmless.
+    it back as a {!snapshot} or as {!flat} report pairs.  There is no
+    shared registry: whoever measures a workload creates one and hands it
+    down, and an entry point given none records into a private registry
+    of its own that nothing reads.  So an experiment's registry holds what
+    that experiment did and nothing else.
 
     Metric names are dot-separated paths ([sched.steps], [linchk.states],
-    [net.sends], [span.e1.wall_ms]); see DESIGN.md "Observability" for the
-    catalogue. *)
+    [net.sends]); see DESIGN.md "Observability" for the catalogue. *)
 
 type t
 (** A registry. *)
@@ -25,13 +25,6 @@ val max_buckets : int
     past this bound. *)
 
 val create : unit -> t
-
-val global : t
-(** The default process-wide registry; every instrumented component
-    records here unless given another registry explicitly. *)
-
-val reset : t -> unit
-(** Drop every metric (used by tests to isolate measurements). *)
 
 (** {2 Recording} *)
 
@@ -53,13 +46,11 @@ val observe : t -> string -> float -> unit
     the metric's interior cell: [incr_h] is a bare [ref] bump, no
     hashing, no allocation.  Handles alias the cells the string API
     updates — both paths hit the same counter, and {!merge},
-    {!snapshot}/{!delta} and the per-run-registry isolation of
+    {!snapshot}/{!flat} and the per-run-registry isolation of
     [Simkit.Pool.fold_runs] are oblivious to which path recorded.
 
     Resolve handles at component construction or checker entry — never
     per event (that would re-pay the lookup the handle exists to avoid).
-    {!reset} empties the name tables and thereby detaches live handles
-    (their bumps land in orphaned cells): re-resolve after a reset.
     See DESIGN.md "hot-path discipline". *)
 
 module Counter : sig
@@ -111,9 +102,9 @@ val merge : into:t -> t -> unit
     (count, min, max and every bucket exact).
     The parallel run harness ({!Simkit.Pool.fold_runs}) gives each run a
     private registry and folds each one, in run order, as soon as every
-    earlier run has finished, so the merged registry
-    — and hence any snapshot {!delta} over it — is independent of the
-    degree of parallelism.  [src] is left untouched. *)
+    earlier run has finished, so the merged registry — and hence its
+    {!snapshot} and {!flat} pairs — is independent of the degree of
+    parallelism.  [src] is left untouched. *)
 
 (** {2 Reading} *)
 
@@ -142,28 +133,28 @@ type summary = {
 val summary : t -> string -> summary option
 (** Summary of a histogram; [None] if it has no samples. *)
 
-type counts
-(** A copy of one histogram's bucket counts. *)
-
 type snapshot = {
   counters : (string * int) list;
   gauges : (string * float) list;
   histograms : (string * summary) list;
-  counts : (string * counts) list;
-      (** the histograms' bucket counts, for {!delta}'s window quantiles *)
 }
-(** All three families and the bucket counts, each sorted by name. *)
+(** All three families, each sorted by name. *)
 
 val snapshot : t -> snapshot
 
-val delta : before:snapshot -> after:snapshot -> (string * float) list
-(** The change between two snapshots, as flat name/value pairs suitable
-    for an experiment report: counter increments (only those [> 0]),
-    gauges at their [after] value (only those set or changed), and for
-    each histogram the sample-count increment as [name ^ ".n"], the mean
-    over the new samples as [name ^ ".mean"], and the quantiles of the new
-    samples alone, from the after-minus-before bucket counts, as
-    [name ^ ".p50"/".p95"/".p99"].  Sorted by name. *)
+val equal : t -> t -> bool
+(** [equal a b] holds when the two registries hold the same counters and
+    gauges, and the same histograms bucket by bucket: count, sum, min,
+    max and every bucket's count.  This is what {!merge} promises to
+    reproduce, so the tests of [merge] and of
+    [Simkit.Pool.fold_runs] compare with it. *)
+
+val flat : t -> (string * float) list
+(** The registry as flat name/value pairs for an experiment report:
+    counters above 0, every gauge that was set, and for each histogram
+    with samples its count as [name ^ ".n"], its mean as
+    [name ^ ".mean"] and its quantiles as [name ^ ".p50"/".p95"/".p99"].
+    Sorted by name. *)
 
 val pp : Format.formatter -> t -> unit
 (** A human-readable table of the whole registry. *)

@@ -33,8 +33,8 @@ type fig3 = {
   w3 : int;
 }
 
-let fig3 () =
-  let sched = Sched.create ~seed:7L () in
+let fig3 ?metrics () =
+  let sched = Sched.create ~seed:7L ?metrics () in
   Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   let r = Alg2.create ~sched ~name:"R" ~n:3 ~init:0 in
   Sched.spawn sched ~pid:1 (fun () -> Alg2.write r ~proc:1 101);
@@ -49,7 +49,7 @@ let fig3 () =
   run_out sched 2;
   let tr = Sched.trace sched in
   let t_w2 = Trace.now tr in
-  let ws_at_t = Linchk.Alg3.write_order tr ~obj:"R" ~time:t_w2 in
+  let ws_at_t = Linchk.Alg3.write_order ?metrics tr ~obj:"R" ~time:t_w2 in
   (* let w3 publish, then w1 finish *)
   run_out sched 3;
   run_out sched 1;
@@ -65,7 +65,7 @@ let fig3 () =
     history;
     t_w2;
     ws_at_t;
-    final_ws = Linchk.Alg3.write_order tr ~obj:"R" ~time:max_int;
+    final_ws = Linchk.Alg3.write_order ?metrics tr ~obj:"R" ~time:max_int;
     w1 = ids_by_proc 1;
     w2 = ids_by_proc 2;
     w3 = ids_by_proc 3;
@@ -77,8 +77,8 @@ let fig3 () =
    runs to completion.  [p3] is the third process whose behaviour differs
    between the two extensions, and [extend] drives the run past G.
    Returns the whole history and its prefix G. *)
-let fig4_run ~p3_code ~extend =
-  let sched = Sched.create ~seed:11L () in
+let fig4_run ?metrics ~p3_code ~extend () =
+  let sched = Sched.create ~seed:11L ?metrics () in
   Fun.protect ~finally:(fun () -> Sched.dispose sched) @@ fun () ->
   let r = Alg4.create ~sched ~name:"R" ~n:3 ~init:0 in
   Sched.spawn sched ~pid:1 (fun () -> Alg4.write r ~proc:1 201);
@@ -93,19 +93,20 @@ let fig4_run ~p3_code ~extend =
   let h = Trace.history (Sched.trace sched) in
   (h, Hist.prefix_upto_time h g_time)
 
-let fig4 () =
+let fig4 ?metrics () =
   (* Case-1 extension H1: w1 completes, then p3 reads (observes w2). *)
   let case1 =
-    fig4_run
+    fig4_run ?metrics
       ~p3_code:(fun r () -> ignore (Alg4.read r ~proc:3))
       ~extend:(fun sched ->
         run_out sched 1;
         run_out sched 3)
+      ()
   in
   (* Case-2 extension H2: w3 (by p3) completes, then w1 completes having
      seen w3's larger timestamp, then p3 reads (observes w1). *)
   let case2 =
-    fig4_run
+    fig4_run ?metrics
       ~p3_code:(fun r () ->
         Alg4.write r ~proc:3 203;
         ignore (Alg4.read r ~proc:3))
@@ -116,8 +117,9 @@ let fig4 () =
         steps sched 3 5;
         run_out sched 1;
         run_out sched 3)
+      ()
   in
-  Linchk.Treecheck.fork ~init:(V.Int 0) case1 case2
+  Linchk.Treecheck.fork ?metrics ~init:(V.Int 0) case1 case2
 
 (* ---------- random-run drivers ------------------------------------------- *)
 

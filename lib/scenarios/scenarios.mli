@@ -30,12 +30,15 @@ type fig3 = {
   w3 : int;  (** op ids *)
 }
 
-val fig3 : unit -> fig3
+val fig3 : ?metrics:Obs.Metrics.t -> unit -> fig3
+(** [metrics] (default a fresh registry) receives the run's and
+    Algorithm 3's counters. *)
 
-val fig4 : unit -> Linchk.Treecheck.fork
+val fig4 : ?metrics:Obs.Metrics.t -> unit -> Linchk.Treecheck.fork
 (** Figure 4 on Algorithm 4: [h1] (w1 completes, then p3 reads w2's
     value) forces w1 < w2, and [h2] (p3's w3 completes first, then w1,
-    and p3 reads w1's value) forces w2 < w1. *)
+    and p3 reads w1's value) forces w2 < w1.  [metrics] (default a fresh
+    registry) receives both runs' counters and the tree checker's. *)
 
 (** {2 Random-run drivers} *)
 
@@ -52,7 +55,7 @@ val random_alg2_run :
 (** [n] processes hammering one Algorithm 2 register under a seeded random
     scheduler; write values are globally distinct.  [metrics] is the
     registry the run's scheduler/network instrumentation records into
-    (default the global one). *)
+    (default a fresh registry). *)
 
 val random_alg4_run :
   ?metrics:Obs.Metrics.t ->

@@ -60,7 +60,7 @@ type t = {
   pending_g : Obs.Metrics.Gauge.t;
 }
 
-let create ?(metrics = Obs.Metrics.global) ?(decide = Segmenter.incremental)
+let create ?(metrics = Obs.Metrics.create ()) ?(decide = Segmenter.incremental)
     ?(config = default_config) ~emit ?(on_quarantine = fun ~line:_ _ -> ()) () =
   {
     cfg = config;

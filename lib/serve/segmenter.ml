@@ -98,8 +98,8 @@ type t = {
   mutable open_cost : int; (* events buffered while not degraded *)
 }
 
-let create ?(metrics = Obs.Metrics.global) ?(decide = incremental) ~config ~obj
-    ~entry ~index () =
+let create ?(metrics = Obs.Metrics.create ()) ?(decide = incremental) ~config
+    ~obj ~entry ~index () =
   if config.seg_cap < 1 || config.seg_cap > Linchk.Lincheck.max_ops then
     invalid_arg
       (Printf.sprintf "Segmenter.create: seg_cap %d outside 1..%d"

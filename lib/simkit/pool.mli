@@ -32,8 +32,8 @@
 
     Determinism contract: a task must derive all its randomness from its
     index (per-run seeds) and must not touch shared mutable state — in
-    particular it must record metrics into the registry it is handed,
-    never into {!Obs.Metrics.global}.  Under that contract,
+    particular it must record metrics into the registry it is handed
+    (there is no shared one to record into instead).  Under that contract,
     [fold_runs ~jobs:n] returns exactly what [fold_runs ~jobs:1]
     returns and leaves [metrics] exactly as it does. *)
 

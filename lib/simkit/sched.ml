@@ -32,7 +32,7 @@ type t = {
   run_steps_h : Obs.Metrics.Hist.t;
 }
 
-let create ?(seed = 1L) ?(metrics = Obs.Metrics.global)
+let create ?(seed = 1L) ?(metrics = Obs.Metrics.create ())
     ?(tracer = Obs.Tracer.null) ?sink () =
   {
     tr = Trace.create ~metrics ?sink ();

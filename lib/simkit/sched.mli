@@ -18,7 +18,7 @@ val create :
   ?sink:(Trace.entry -> unit) ->
   unit ->
   t
-(** [metrics] (default {!Obs.Metrics.global}) receives the scheduler's
+(** [metrics] (default a fresh registry) receives the scheduler's
     counters — [sched.steps], [sched.coins], [sched.crashes],
     [sched.restarts], [sched.recycles], [sched.spawns], [sched.runs] —
     and the per-{!run}

@@ -17,7 +17,7 @@ type 'a t = {
   compacted_c : Obs.Metrics.Counter.t;
 }
 
-let create ?(metrics = Obs.Metrics.global) ?(policy = Every)
+let create ?(metrics = Obs.Metrics.create ()) ?(policy = Every)
     ?(auto_compact = false) ~n () =
   if n <= 0 then invalid_arg "Stable.create: n must be > 0";
   {

@@ -35,7 +35,7 @@ val create :
     [auto_compact] (default [false]) runs {!compact} after every sync
     point, bounding each node's log to one durable record plus the
     volatile tail — the flat-memory mode million-write fleet runs need.
-    [metrics] (default {!Obs.Metrics.global}) receives [stable.appends],
+    [metrics] (default a fresh registry) receives [stable.appends],
     [stable.persists] (records made durable), [stable.lost] (records
     discarded by crashes) and [stable.compacted] (superseded durable
     records dropped by compaction).

@@ -21,7 +21,7 @@ type t = {
   invoked_at : (int, int) Hashtbl.t; (* op_id -> invocation time *)
 }
 
-let create ?(metrics = Obs.Metrics.global) ?sink () =
+let create ?(metrics = Obs.Metrics.create ()) ?sink () =
   {
     clock = 0;
     rev_entries = [];

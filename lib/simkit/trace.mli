@@ -40,7 +40,7 @@ type entry =
 type t
 
 val create : ?metrics:Obs.Metrics.t -> ?sink:(entry -> unit) -> unit -> t
-(** [metrics] (default {!Obs.Metrics.global}) receives the trace's
+(** [metrics] (default a fresh registry) receives the trace's
     counters ([trace.invokes], [trace.responds], [trace.lins]) and the
     per-operation simulated-time latency histogram [op.latency.sim].
 

@@ -23,6 +23,22 @@ let test_e6_names_its_crashes () =
          { Core.Faults.none with Core.Faults.crash_at = [ (60, 3); (120, 4) ] }
        ())
 
+(* A report holds what its own experiment recorded: E11 run after E6
+   reports exactly what E11 run alone does, down to the gauges E6 left
+   at the same values *)
+let test_row_is_its_experiment () =
+  let faults =
+    { Core.Faults.none with Core.Faults.drop = 0.1; duplicate = 0.05 }
+  in
+  let e11 only =
+    match List.rev (Experiments.all ~faults ~only ~quick:true ()) with
+    | r :: _ ->
+        List.filter (fun (k, _) -> k <> "wall_ms") r.Experiments.metrics
+    | [] -> Alcotest.fail "no report"
+  in
+  Alcotest.(check (list (pair string (float 0.))))
+    "E11's metrics" (e11 [ "E11" ]) (e11 [ "E6"; "E11" ])
+
 (* whether [s] holds two consecutive spaces *)
 let double_space s =
   let rec from i =
@@ -66,5 +82,7 @@ let suite =
               reports);
         Alcotest.test_case "E6 says whose crash schedule ran" `Quick
           test_e6_names_its_crashes;
+        Alcotest.test_case "a row does not depend on what ran before it"
+          `Quick test_row_is_its_experiment;
       ] );
   ]

@@ -30,35 +30,29 @@ let test_histogram_semantics () =
       Alcotest.(check (float 1e-9)) "mean" 3. s.Obs.Metrics.mean;
       Alcotest.(check (float 1e-9)) "p50" 3. s.Obs.Metrics.p50
 
-let test_delta () =
+(* [flat]: counters above 0, every gauge that was set (to 0 as well),
+   each sampled histogram's count, mean and quantiles, sorted by name *)
+let test_flat () =
   let m = Obs.Metrics.create () in
-  Obs.Metrics.incr m "x" ~by:2;
-  Obs.Metrics.observe m "h" 10.;
-  let before = Obs.Metrics.snapshot m in
-  Obs.Metrics.incr m "x" ~by:3;
-  Obs.Metrics.incr m "y";
-  Obs.Metrics.set_gauge m "g" 7.;
-  Obs.Metrics.observe m "h" 20.;
-  Obs.Metrics.observe m "h" 40.;
-  (* nested spans record under their "/"-joined path, as the battery's do *)
-  Obs.Span.with_root ~metrics:m "battery" (fun () ->
-      Obs.Span.with_span ~metrics:m "e1" ignore);
-  let after = Obs.Metrics.snapshot m in
-  let d = Obs.Metrics.delta ~before ~after in
-  let get k =
-    match List.assoc_opt k d with
-    | Some v -> v
-    | None -> Alcotest.failf "delta missing %s" k
-  in
-  Alcotest.(check (float 1e-9)) "counter increment" 3. (get "x");
-  Alcotest.(check (float 1e-9)) "new counter" 1. (get "y");
-  Alcotest.(check (float 1e-9)) "gauge at after value" 7. (get "g");
-  Alcotest.(check (float 1e-9)) "new histogram samples" 2. (get "h.n");
-  Alcotest.(check (float 1e-9)) "mean of new samples" 30. (get "h.mean");
-  Alcotest.(check (float 1e-9)) "root span" 1. (get "span.battery.calls");
-  Alcotest.(check (float 1e-9)) "nested span" 1. (get "span.battery/e1.calls");
-  Alcotest.(check bool) "unchanged counter omitted" true
-    (List.assoc_opt "x" d = Some 3. && not (List.mem_assoc "h.count" d))
+  Obs.Metrics.incr m "x" ~by:5;
+  ignore (Obs.Metrics.counter_h m "zero");
+  ignore (Obs.Metrics.hist_h m "empty");
+  Obs.Metrics.set_gauge m "g" 0.;
+  List.iter (Obs.Metrics.observe m "h") [ 10.; 20.; 40. ];
+  Obs.Metrics.incr m "a";
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "report pairs"
+    [
+      ("a", 1.);
+      ("g", 0.);
+      ("h.mean", 70. /. 3.);
+      ("h.n", 3.);
+      ("h.p50", 20.);
+      ("h.p95", 40.);
+      ("h.p99", 40.);
+      ("x", 5.);
+    ]
+    (Obs.Metrics.flat m)
 
 (* ----- Handles (the allocation-free hot path) ------------------------------ *)
 
@@ -183,10 +177,11 @@ let test_quantiles_against_sort () =
   Alcotest.(check (float 0.)) "a repeated 1000" 1000.
     (summary_of [ 1000.; 1000. ]).p99
 
-(* A merge is a per-bucket add: two halves folded in either order read
-   the same as one histogram that saw every sample.  The halves span
-   different octaves, so the destination's array widens upwards in one
-   order and downwards in the other. *)
+(* A merge is a per-bucket add: two halves folded in either order hold
+   the same buckets as one histogram that saw every sample.  The halves
+   span different octaves, so the destination's array widens upwards in
+   one order and downwards in the other.  [equal] compares every bucket,
+   not only the quantile ranks the summary reads. *)
 let test_merge_halves () =
   let samples = List.init 2000 (fun i -> float_of_int (i * 7919 mod 100_003)) in
   let low, high = List.partition (fun v -> v < 5000.) samples in
@@ -206,7 +201,7 @@ let test_merge_halves () =
     (fun (what, m) ->
       Alcotest.(check bool) what true
         (Obs.Metrics.summary m "h" = Obs.Metrics.summary whole "h"
-        && Obs.Metrics.snapshot m = Obs.Metrics.snapshot whole))
+        && Obs.Metrics.equal m whole))
     [ ("low then high", merged low high); ("high then low", merged high low) ]
 
 let test_edge_samples () =
@@ -227,31 +222,11 @@ let test_edge_samples () =
       Alcotest.(check (float 0.)) "min exact" Float.neg_infinity
         s.Obs.Metrics.min;
       Alcotest.(check (float 0.)) "max exact" Float.infinity s.Obs.Metrics.max);
-  ignore
-    (Obs.Metrics.delta
-       ~before:(Obs.Metrics.snapshot (Obs.Metrics.create ()))
-       ~after:(Obs.Metrics.snapshot m));
+  ignore (Obs.Metrics.flat m);
   Alcotest.(check (float 0.)) "samples <= 0 share the exact zero bucket" 0.
     (summary_of [ 0.; -1.; 3.; 0. ]).p50;
   Alcotest.(check (float 0.)) "the zero bucket reads at most max" (-1.)
     (summary_of [ -2.; -1. ]).p50
-
-(* [delta]'s quantiles cover the window alone, not samples recorded
-   before it *)
-let test_delta_window_quantiles () =
-  let m = Obs.Metrics.create () in
-  for _ = 1 to 1000 do
-    Obs.Metrics.observe m "h" 100.
-  done;
-  let before = Obs.Metrics.snapshot m in
-  for _ = 1 to 3 do
-    Obs.Metrics.observe m "h" 1.
-  done;
-  let d = Obs.Metrics.delta ~before ~after:(Obs.Metrics.snapshot m) in
-  List.iter
-    (fun (k, v) ->
-      Alcotest.(check (option (float 0.))) k (Some v) (List.assoc_opt k d))
-    [ ("h.n", 3.); ("h.mean", 1.); ("h.p50", 1.); ("h.p95", 1.); ("h.p99", 1.) ]
 
 (* ----- Json ---------------------------------------------------------------- *)
 
@@ -838,14 +813,13 @@ let suite =
       [
         tc "counter semantics" test_counter_semantics;
         tc "histogram summary" test_histogram_semantics;
-        tc "snapshot delta" test_delta;
+        tc "flat report pairs" test_flat;
         tc "handles alias the string API" test_handles_alias_string_api;
         tc "merge after handle use" test_merge_after_handle_use;
         tc "reservoir growth and cap" test_reservoir_growth_and_cap;
         tc "histogram quantiles against a sort" test_quantiles_against_sort;
         tc "histogram merge of halves in either order" test_merge_halves;
         tc "histogram edge samples stay bounded" test_edge_samples;
-        tc "delta quantiles cover only the window" test_delta_window_quantiles;
         tc "json round-trip" test_json_roundtrip;
         tc "json \\uXXXX decoding" test_json_unicode_escape;
         tc "json surrogate pairs and strict hex" test_json_unicode_surrogates;

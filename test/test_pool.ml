@@ -180,12 +180,13 @@ let test_map_runs_merge () =
       (Printf.sprintf "jobs=%d: results" jobs)
       (Array.init runs (fun i -> i))
       out;
-    Obs.Metrics.snapshot m
+    m
   in
   let expect_counter = runs * (runs + 1) / 2 in
-  let s1 = merged 1 and s4 = merged 4 in
+  let m1 = merged 1 and m4 = merged 4 in
   List.iter
-    (fun (label, (s : Obs.Metrics.snapshot)) ->
+    (fun (label, m) ->
+      let s = Obs.Metrics.snapshot m in
       Alcotest.(check int)
         (label ^ ": counters sum across runs")
         expect_counter
@@ -198,9 +199,9 @@ let test_map_runs_merge () =
             (label ^ ": hist sum")
             (float_of_int (runs * (runs - 1) / 2))
             h.Obs.Metrics.sum)
-    [ ("jobs=1", s1); ("jobs=4", s4) ];
+    [ ("jobs=1", m1); ("jobs=4", m4) ];
   Alcotest.(check bool)
-    "snapshots identical across jobs" true (s1 = s4)
+    "registries equal across jobs" true (Obs.Metrics.equal m1 m4)
 
 (* registries are folded as tasks finish, so a failure at task k leaves
    the target holding exactly tasks 0..k-1 — never a later task that
@@ -243,7 +244,7 @@ let test_map_runs_failure () =
                   (Some k) raised;
                 Alcotest.(check bool) (label ^ ": target holds tasks 0..k-1")
                   true
-                  (Obs.Metrics.snapshot m = Obs.Metrics.snapshot expect))
+                  (Obs.Metrics.equal m expect))
               [ false; true ]
           done)
         [ 1; 4 ])
@@ -384,33 +385,19 @@ let test_every_domain_minor_heap () =
 
 (* The guarantee `rlin experiments -j N` advertises: same ids, same
    pass/fail, same measured text, and the same metrics — wall-clock
-   aside — whatever N is.  (The quick battery at -j 1 vs -j 4; global-
-   registry deltas are part of each report, so this also exercises the
-   merge-in-run-order path end to end.) *)
+   aside — whatever N is.  (The quick battery at -j 1 vs -j 4; each
+   report carries its experiment's merged registry, so this also
+   exercises the merge-in-run-order path end to end.) *)
 let test_battery_independent_of_jobs () =
   let strip (r : Experiments.report) =
     ( r.Experiments.id,
       r.Experiments.pass,
       r.Experiments.measured,
-      (* anything wall-clock-derived varies run to run: the report's own
-         wall_ms plus the span histogram's wall_ms.mean *)
-      List.filter
-        (fun (k, _) ->
-          not
-            (String.length k >= 7
-            && List.exists
-                 (fun i -> String.sub k i 7 = "wall_ms")
-                 (List.init (String.length k - 6) (fun i -> i))))
-        r.Experiments.metrics )
+      (* the report's wall clock varies run to run *)
+      List.filter (fun (k, _) -> k <> "wall_ms") r.Experiments.metrics )
   in
   let only = Some [ "E1"; "E2"; "E5"; "E9"; "E11" ] in
-  (* each battery starts from a clean registry, as `rlin experiments`
-     does in a fresh process: gauges (e.g. net.in_flight) are last-write
-     -wins, so a stale value from a previous battery would hide an
-     identical gauge from the second delta *)
-  Obs.Metrics.reset Obs.Metrics.global;
   let seq = List.map strip (Experiments.all ~jobs:1 ?only ~quick:true ()) in
-  Obs.Metrics.reset Obs.Metrics.global;
   let par = List.map strip (Experiments.all ~jobs:4 ?only ~quick:true ()) in
   List.iter2
     (fun (id1, p1, m1, k1) (id2, p2, m2, k2) ->

@@ -436,7 +436,7 @@ let alloc_tests =
           "minor words" (words (pass none)) (words (pass disarmed)));
     tc "an ABD run allocates the same with a disarmed tracer as with null"
       (fun () ->
-        (* a fresh registry per run: the global one's histograms would
+        (* a fresh registry per run: a shared one's histograms would
            grow their bucket arrays at run-dependent moments *)
         let run tracer () =
           ignore
